@@ -197,9 +197,9 @@ fn measure_cell(
 ) -> Result<Cell, String> {
     let start = Instant::now();
     let report = if with_series {
-        Simulation::run_auto_with_series(cfg, spec, seed, series_cfg).map(|(r, _)| r)
+        Simulation::run_with_series(cfg, spec, seed, series_cfg).map(|(r, _)| r)
     } else {
-        Simulation::run_auto(cfg, spec, seed)
+        Simulation::run(cfg, spec, seed)
     }
     .map_err(|e| format!("{name}: {e}"))?;
     let wall_s = start.elapsed().as_secs_f64().max(1e-9);
@@ -256,22 +256,6 @@ fn grid_pass(opts: &Options, label: String, with_series: bool) -> Result<Entry, 
         with_series,
         &series_cfg,
     )?);
-    // The sharded cell: the same scale configuration on the parallel
-    // engine at 4 shards (one worker thread per region block),
-    // recorded under "scale-par". Compared against "scale-par" at
-    // --shards 1 this measures the window/barrier machinery's real
-    // speedup; on a single-core machine it measures its overhead.
-    let scale_par = scale_config()
-        .with_run_length(warmup, measured)
-        .with_shards(4);
-    cells.push(measure_cell(
-        &scale_par,
-        ProtocolSpec::TWO_PC,
-        "scale-par",
-        opts.seed,
-        with_series,
-        &series_cfg,
-    )?);
     // The replicated cell: Paxos Commit at F = 1 over [`paxos_config`],
     // recorded under "paxos" — the quorum interpreter path measured at
     // the same MPL as the grid's knee.
@@ -306,7 +290,7 @@ pub fn profile_cell(opts: &Options) -> Result<EngineProfile, String> {
         .with_run_length(warmup, measured);
     let series_cfg = SeriesConfig::default();
     let (_, profile) =
-        Simulation::run_auto_profiled(&cfg, ProtocolSpec::TWO_PC, opts.seed, Some(&series_cfg))
+        Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, opts.seed, Some(&series_cfg))
             .map_err(|e| format!("profile cell: {e}"))?;
     Ok(profile)
 }
@@ -402,22 +386,13 @@ pub fn render_entry(e: &Entry) -> String {
         let _ = writeln!(
             out,
             "self-profile (2PC mpl 8, series sink on): {} events in {:.3}s — calendar {:.1}%, \
-             dispatch {:.1}% (locks {:.1}%), series sink {:.1}%{}",
+             dispatch {:.1}% (locks {:.1}%), series sink {:.1}%",
             p.events,
             total / 1e9,
             pct(p.calendar_ns),
             pct(p.dispatch_ns),
             pct(p.locks_ns),
             pct(p.series_ns),
-            if p.mailbox_ns + p.barrier_ns > 0 {
-                format!(
-                    ", shard mailbox {:.1}%, barrier {:.1}%",
-                    pct(p.mailbox_ns),
-                    pct(p.barrier_ns)
-                )
-            } else {
-                String::new()
-            },
         );
     }
     out
@@ -608,10 +583,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (may be multi-byte).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let ch = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar (may be multi-byte),
+                    // decoding only its own bytes (at most 4): validating
+                    // the whole rest of the document for every character
+                    // makes parsing quadratic.
+                    let head = &self.bytes[self.pos..self.bytes.len().min(self.pos + 4)];
+                    let head = match std::str::from_utf8(head) {
+                        Ok(s) => s,
+                        Err(e) => std::str::from_utf8(&head[..e.valid_up_to()]).unwrap_or_default(),
+                    };
+                    let ch = head.chars().next().ok_or("invalid UTF-8")?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -839,8 +820,6 @@ impl Entry {
                     ("dispatch_ns".into(), Json::Num(p.dispatch_ns as f64)),
                     ("locks_ns".into(), Json::Num(p.locks_ns as f64)),
                     ("series_ns".into(), Json::Num(p.series_ns as f64)),
-                    ("mailbox_ns".into(), Json::Num(p.mailbox_ns as f64)),
-                    ("barrier_ns".into(), Json::Num(p.barrier_ns as f64)),
                     ("total_ns".into(), Json::Num(p.total_ns() as f64)),
                 ]),
             ));
@@ -1133,8 +1112,6 @@ mod tests {
             dispatch_ns: 800,
             locks_ns: 50,
             series_ns: 25,
-            mailbox_ns: 0,
-            barrier_ns: 0,
         });
         let mut doc = empty_trajectory();
         if let Json::Obj(members) = &mut doc {

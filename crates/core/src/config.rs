@@ -25,6 +25,34 @@ pub enum ResourceMode {
     Infinite,
 }
 
+/// Parse `val` as a duration in milliseconds, rounded to the nearest
+/// microsecond. Every user-supplied millisecond input goes through
+/// here: the CLI's `*-ms` flags and the `*-ms` keys of
+/// [`Topology`]'s and [`FailureConfig`]'s `FromStr`. Negative, NaN,
+/// infinite and out-of-range values are errors naming `key`.
+///
+/// ```
+/// use distdb::config::parse_millis;
+/// assert_eq!(parse_millis("wan-ms", "40").unwrap().as_micros(), 40_000);
+/// assert!(parse_millis("wan-ms", "-5").unwrap_err().starts_with("wan-ms:"));
+/// assert!(parse_millis("wan-ms", "nan").is_err());
+/// assert!(parse_millis("wan-ms", "1e30").is_err());
+/// ```
+///
+/// # Errors
+/// A message naming `key` when `val` is not a number, or is a number
+/// that [`SimDuration::try_from_millis_f64`] rejects.
+pub fn parse_millis(key: &str, val: &str) -> Result<SimDuration, String> {
+    let ms: f64 = val
+        .parse()
+        .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
+    SimDuration::try_from_millis_f64(ms).ok_or_else(|| {
+        format!(
+            "{key}: {val:?} is not a finite, non-negative duration the microsecond clock can hold"
+        )
+    })
+}
+
 /// Fault injection (an extension beyond the paper's no-failure
 /// experiments, quantifying §2.4's blocking argument).
 ///
@@ -191,10 +219,7 @@ impl std::str::FromStr for FailureConfig {
                 Ok(())
             };
             let ms = |out: &mut SimDuration| -> Result<(), String> {
-                let v: f64 = val
-                    .parse()
-                    .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
-                *out = SimDuration::from_millis_f64(v);
+                *out = parse_millis(key, val)?;
                 Ok(())
             };
             match key {
@@ -403,10 +428,7 @@ impl std::str::FromStr for Topology {
                 return Err(format!("expected key=value, got {part:?}"));
             };
             let ms = |out: &mut SimDuration| -> Result<(), String> {
-                let v: f64 = val
-                    .parse()
-                    .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
-                *out = SimDuration::from_millis_f64(v);
+                *out = parse_millis(key, val)?;
                 Ok(())
             };
             let num = |out: &mut f64| -> Result<(), String> {
@@ -558,14 +580,6 @@ pub struct SystemConfig {
     /// protocols — degenerates Paxos Commit to plain 2PC. Ignored by
     /// (and rejected for) non-replicated protocols when positive.
     pub replication: u32,
-    /// Intra-run parallelism: number of shards the sites are
-    /// partitioned into for the conservative parallel engine. Shards
-    /// follow [`Topology`] region blocks, so the effective count is
-    /// capped at the region count. 0 (the default) keeps the serial
-    /// engine; any positive value opts into the parallel path when the
-    /// configuration supports it (see `engine`'s dispatch rules) and
-    /// produces output independent of the shard count.
-    pub shards: u32,
     /// Run-length control.
     pub run: RunConfig,
 }
@@ -605,7 +619,6 @@ impl SystemConfig {
             read_only_optimization: false,
             model_deferred_writes: false,
             replication: 0,
-            shards: 0,
             run: RunConfig::default(),
         }
     }
@@ -735,14 +748,6 @@ impl SystemConfig {
         self
     }
 
-    /// Set the shard count for the conservative parallel engine (0
-    /// keeps the serial engine).
-    #[must_use]
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Pages per site (`DBSize / NumSites`; validation requires the
     /// division to be exact).
     pub fn pages_per_site(&self) -> u64 {
@@ -857,9 +862,6 @@ impl SystemConfig {
                     return Err(Invalid("crash-region must name an existing region"));
                 }
             }
-        }
-        if self.shards as usize > self.num_sites {
-            return Err(Invalid("shards cannot exceed num_sites"));
         }
         if self.run.measured_transactions == 0 {
             return Err(Invalid("measured_transactions must be positive"));

@@ -11,14 +11,12 @@ use simkernel::stats::OccupancyHistogram;
 use simkernel::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// One log disk running group commit, generic over the record type so
-/// both the serial engine (`LogWork`) and the sharded parallel engine
-/// can batch their own log representations.
+/// One log disk running group commit.
 #[derive(Debug)]
-pub(crate) struct BatchedLog<W = LogWork> {
+pub(crate) struct BatchedLog {
     max_batch: usize,
-    queue: VecDeque<W>,
-    in_flight: Vec<W>,
+    queue: VecDeque<LogWork>,
+    in_flight: Vec<LogWork>,
     // --- statistics ---
     last_change: SimTime,
     stats_origin: SimTime,
@@ -30,7 +28,7 @@ pub(crate) struct BatchedLog<W = LogWork> {
     writes_served: u64,
 }
 
-impl<W> BatchedLog<W> {
+impl BatchedLog {
     /// A batcher grouping up to `max_batch` forced writes per service.
     pub fn new(max_batch: u32) -> Self {
         assert!(max_batch > 0, "batch size must be positive");
@@ -62,7 +60,7 @@ impl<W> BatchedLog<W> {
     /// A forced write arrives. If the disk is idle a batch starts
     /// immediately (containing just this write) and its completion time
     /// is returned; otherwise the write queues for the next batch.
-    pub fn arrive(&mut self, now: SimTime, work: W, service: SimDuration) -> Option<SimTime> {
+    pub fn arrive(&mut self, now: SimTime, work: LogWork, service: SimDuration) -> Option<SimTime> {
         self.accumulate(now);
         if self.in_flight.is_empty() {
             self.in_flight.push(work);
@@ -77,7 +75,11 @@ impl<W> BatchedLog<W> {
     /// The in-flight batch finished: return its records and, if writes
     /// are queued, start the next batch (up to `max_batch` records) and
     /// return its completion time.
-    pub fn complete(&mut self, now: SimTime, service: SimDuration) -> (Vec<W>, Option<SimTime>) {
+    pub fn complete(
+        &mut self,
+        now: SimTime,
+        service: SimDuration,
+    ) -> (Vec<LogWork>, Option<SimTime>) {
         assert!(
             !self.in_flight.is_empty(),
             "complete() with no batch in flight"
@@ -289,13 +291,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no batch in flight")]
     fn complete_when_idle_panics() {
-        let mut b = BatchedLog::<LogWork>::new(2);
+        let mut b = BatchedLog::new(2);
         b.complete(at(0), ms(10));
     }
 
     #[test]
     #[should_panic(expected = "batch size must be positive")]
     fn zero_batch_rejected() {
-        BatchedLog::<LogWork>::new(0);
+        BatchedLog::new(0);
     }
 }

@@ -16,7 +16,6 @@ mod commit;
 mod exec;
 pub mod fold;
 mod glog;
-mod par;
 pub mod series;
 #[cfg(test)]
 mod tests;
@@ -186,18 +185,12 @@ pub struct EngineProfile {
     pub locks_ns: u64,
     /// Nanoseconds closing series windows (the sink's on-path cost).
     pub series_ns: u64,
-    /// Nanoseconds routing cross-shard mailboxes at window barriers
-    /// (parallel engine only; zero on the serial path).
-    pub mailbox_ns: u64,
-    /// Nanoseconds of remaining barrier bookkeeping — window sizing,
-    /// doom teardown, run control (parallel engine only).
-    pub barrier_ns: u64,
 }
 
 impl EngineProfile {
     /// Total profiled wall time, nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        self.calendar_ns + self.dispatch_ns + self.series_ns + self.mailbox_ns + self.barrier_ns
+        self.calendar_ns + self.dispatch_ns + self.series_ns
     }
 }
 
@@ -369,122 +362,6 @@ impl Simulation {
         }
         let profile = *sim.profile.take().expect("profile installed above");
         Ok((sim.report(), profile))
-    }
-
-    /// Like [`Simulation::run`], but dispatches to the site-sharded
-    /// parallel engine when `cfg.shards` requests it and the
-    /// configuration is inside the parallel envelope (a WAN topology
-    /// with at least two regions and a positive cross-region latency).
-    /// With `shards == 0` — the default — this is exactly
-    /// [`Simulation::run`]. All CLI entry points route through the
-    /// `run_auto` family.
-    ///
-    /// # Errors
-    /// Everything [`Simulation::run`] rejects, plus a typed error when
-    /// `--shards` is combined with semantics the parallel interpreter
-    /// cannot honour (message loss, crash-takeover protocols under
-    /// master crashes, chained 2PC, DPCC).
-    pub fn run_auto(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-    ) -> Result<SimReport, ConfigError> {
-        if par::wants_parallel(cfg, spec, seed)? {
-            par::ParSim::run(cfg, spec, seed)
-        } else {
-            Simulation::run(cfg, spec, seed)
-        }
-    }
-
-    /// [`Simulation::run_traced`] with the [`Simulation::run_auto`]
-    /// engine dispatch.
-    ///
-    /// # Errors
-    /// As [`Simulation::run_auto`].
-    pub fn run_auto_traced(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        traced_txns: u64,
-    ) -> Result<(SimReport, Trace), ConfigError> {
-        Self::run_auto_with_sink(cfg, spec, seed, traced_txns, Trace::default())
-    }
-
-    /// [`Simulation::run_with_sink`] with the [`Simulation::run_auto`]
-    /// engine dispatch.
-    ///
-    /// # Errors
-    /// As [`Simulation::run_auto`].
-    pub fn run_auto_with_sink<S: TraceSink>(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        traced_txns: u64,
-        sink: S,
-    ) -> Result<(SimReport, S), ConfigError> {
-        if par::wants_parallel(cfg, spec, seed)? {
-            par::ParSim::run_with_sink(cfg, spec, seed, traced_txns, sink)
-        } else {
-            Simulation::run_with_sink(cfg, spec, seed, traced_txns, sink)
-        }
-    }
-
-    /// [`Simulation::run_with_series`] with the
-    /// [`Simulation::run_auto`] engine dispatch.
-    ///
-    /// # Errors
-    /// As [`Simulation::run_auto`].
-    pub fn run_auto_with_series(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        series_cfg: &SeriesConfig,
-    ) -> Result<(SimReport, Series), ConfigError> {
-        if par::wants_parallel(cfg, spec, seed)? {
-            par::ParSim::run_with_series(cfg, spec, seed, series_cfg)
-        } else {
-            Simulation::run_with_series(cfg, spec, seed, series_cfg)
-        }
-    }
-
-    /// [`Simulation::run_with_series_stream`] with the
-    /// [`Simulation::run_auto`] engine dispatch.
-    ///
-    /// # Errors
-    /// As [`Simulation::run_with_series_stream`], plus the parallel
-    /// envelope rejections of [`Simulation::run_auto`].
-    pub fn run_auto_with_series_stream(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        series_cfg: &SeriesConfig,
-        writer: Box<dyn std::io::Write + Send>,
-        format: SeriesFormat,
-    ) -> Result<SimReport, series::SeriesRunError> {
-        if par::wants_parallel(cfg, spec, seed)? {
-            par::ParSim::run_with_series_stream(cfg, spec, seed, series_cfg, writer, format)
-        } else {
-            Simulation::run_with_series_stream(cfg, spec, seed, series_cfg, writer, format)
-        }
-    }
-
-    /// [`Simulation::run_profiled`] with the [`Simulation::run_auto`]
-    /// engine dispatch. On the parallel path the profile additionally
-    /// fills the `mailbox_ns` and `barrier_ns` sections.
-    ///
-    /// # Errors
-    /// As [`Simulation::run_auto`].
-    pub fn run_auto_profiled(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        series_cfg: Option<&SeriesConfig>,
-    ) -> Result<(SimReport, EngineProfile), ConfigError> {
-        if par::wants_parallel(cfg, spec, seed)? {
-            par::ParSim::run_profiled(cfg, spec, seed, series_cfg)
-        } else {
-            Simulation::run_profiled(cfg, spec, seed, series_cfg)
-        }
     }
 
     fn series_meta(&self, seed: u64, scfg: &SeriesConfig) -> SeriesMeta {

@@ -196,38 +196,11 @@ struct Baselines {
     site_commits: Vec<u64>,
 }
 
-/// A point-in-time view of every counter the recorder windows over.
-/// The serial engine builds one from its global [`Metrics`] and site
-/// array; the sharded parallel engine sums per-site metrics into the
-/// same shape at each window boundary. Counters are cumulative since
-/// the last baseline zeroing (run start or warm-up reset) — the
-/// recorder turns them into per-window deltas itself.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SeriesSnapshot {
-    pub committed: u64,
-    pub aborted_deadlock: u64,
-    pub aborted_surprise: u64,
-    pub aborted_borrower: u64,
-    pub exec_messages: u64,
-    pub commit_messages: u64,
-    pub retransmissions: u64,
-    pub messages_lost: u64,
-    /// Blocked-transaction integral since measurement start, seconds.
-    pub blocked_area: f64,
-    /// Live-transaction integral since measurement start, seconds.
-    pub live_area: f64,
-    /// One row per effective site; empty when per-site mode is off.
-    pub site_rows: Vec<SiteRow>,
-}
-
-/// Per-site slice of a [`SeriesSnapshot`]: cumulative commits for the
-/// home site plus instantaneous queue-depth samples.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SiteRow {
-    pub committed: u64,
-    pub cpu_q: u64,
-    pub data_q: u64,
-    pub log_q: u64,
+/// The window boundary `window` after `t`. Saturates at the end of the
+/// clock, so a window longer than the rest of the run only closes at
+/// the run's final partial close.
+fn boundary_after(t: SimTime, window: SimDuration) -> SimTime {
+    SimTime(t.as_micros().saturating_add(window.as_micros()))
 }
 
 /// Identity of the run a series belongs to, carried into the output
@@ -349,53 +322,8 @@ impl SeriesRecorder {
         while now >= self.next_boundary {
             let end = self.next_boundary;
             self.close_at(end, metrics, sites);
-            self.next_boundary = SimTime(end.as_micros() + self.window.as_micros());
+            self.next_boundary = boundary_after(end, self.window);
         }
-    }
-
-    /// Snapshot-driven twin of [`Self::close_through`] for engines that
-    /// don't own a single global [`Metrics`]: `snap` is called once per
-    /// boundary (integrals differ per boundary, so one snapshot cannot
-    /// serve several windows).
-    pub(crate) fn close_through_with(
-        &mut self,
-        now: SimTime,
-        mut snap: impl FnMut(SimTime) -> SeriesSnapshot,
-    ) {
-        while now >= self.next_boundary {
-            let end = self.next_boundary;
-            let s = snap(end);
-            self.close_at_snap(end, &s);
-            self.next_boundary = SimTime(end.as_micros() + self.window.as_micros());
-        }
-    }
-
-    /// Snapshot-driven twin of [`Self::close_warmup`]; the same
-    /// pre-reset ordering contract applies.
-    pub(crate) fn close_warmup_with(
-        &mut self,
-        now: SimTime,
-        mut snap: impl FnMut(SimTime) -> SeriesSnapshot,
-    ) {
-        if now > self.window_start {
-            let s = snap(now);
-            self.close_at_snap(now, &s);
-        }
-        self.reset_after_warmup(now);
-    }
-
-    /// Snapshot-driven twin of [`Self::finish`].
-    pub(crate) fn finish_with(
-        mut self,
-        now: SimTime,
-        mut snap: impl FnMut(SimTime) -> SeriesSnapshot,
-    ) -> std::io::Result<Series> {
-        self.close_through_with(now, &mut snap);
-        if now > self.window_start {
-            let s = snap(now);
-            self.close_at_snap(now, &s);
-        }
-        self.into_series()
     }
 
     /// Force-close the current partial window at the warm-up reset
@@ -408,13 +336,9 @@ impl SeriesRecorder {
         if now > self.window_start {
             self.close_at(now, metrics, sites);
         }
-        self.reset_after_warmup(now);
-    }
-
-    fn reset_after_warmup(&mut self, now: SimTime) {
         self.measured = true;
         self.window_start = now;
-        self.next_boundary = SimTime(now.as_micros() + self.window.as_micros());
+        self.next_boundary = boundary_after(now, self.window);
         self.base = Baselines {
             site_commits: vec![0; self.site_commits.len()],
             ..Baselines::default()
@@ -436,10 +360,6 @@ impl SeriesRecorder {
         if now > self.window_start {
             self.close_at(now, metrics, sites);
         }
-        self.into_series()
-    }
-
-    fn into_series(mut self) -> std::io::Result<Series> {
         let windows = match self.out {
             Output::Buffer(w) => w,
             Output::Stream {
@@ -461,62 +381,29 @@ impl SeriesRecorder {
         })
     }
 
-    /// Build a snapshot from the serial engine's global metrics and
-    /// site array, then close the window against it.
     fn close_at(&mut self, end: SimTime, metrics: &mut Metrics, sites: &[Site]) {
-        let site_rows = if self.per_site {
-            sites
-                .iter()
-                .enumerate()
-                .map(|(i, site)| SiteRow {
-                    committed: self.site_commits[i],
-                    cpu_q: site.cpu.queued() as u64,
-                    data_q: site.data_disks.iter().map(|d| d.queued() as u64).sum(),
-                    log_q: match site.batched_logs.as_ref() {
-                        Some(bs) => bs.iter().map(|b| b.queued() as u64).sum(),
-                        None => site.log_disks.iter().map(|d| d.queued() as u64).sum(),
-                    },
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let snap = SeriesSnapshot {
-            committed: metrics.committed.get(),
-            aborted_deadlock: metrics.aborted_deadlock.get(),
-            aborted_surprise: metrics.aborted_surprise.get(),
-            aborted_borrower: metrics.aborted_borrower.get(),
-            exec_messages: metrics.exec_messages.get(),
-            commit_messages: metrics.commit_messages.get(),
-            retransmissions: metrics.retransmissions.get(),
-            messages_lost: metrics.messages_lost.get(),
-            blocked_area: metrics.blocked_txns.integral_seconds(end),
-            live_area: metrics.live_txns.integral_seconds(end),
-            site_rows,
-        };
-        self.close_at_snap(end, &snap);
-    }
-
-    /// Close one window whose counters come from `snap` — the shared
-    /// core of both the serial and the sharded engine paths.
-    fn close_at_snap(&mut self, end: SimTime, snap: &SeriesSnapshot) {
-        let lock_wait_s = snap.blocked_area - self.base.blocked_area;
-        let live_s = snap.live_area - self.base.live_area;
+        let blocked_area = metrics.blocked_txns.integral_seconds(end);
+        let live_area = metrics.live_txns.integral_seconds(end);
+        let lock_wait_s = blocked_area - self.base.blocked_area;
+        let live_s = live_area - self.base.live_area;
         let delta = |cur: u64, base: &mut u64| {
             let d = cur - *base;
             *base = cur;
             d
         };
         let per_site = if self.per_site {
-            snap.site_rows
+            sites
                 .iter()
                 .enumerate()
-                .map(|(i, row)| SiteSample {
+                .map(|(i, site)| SiteSample {
                     site: i,
-                    committed: delta(row.committed, &mut self.base.site_commits[i]),
-                    cpu_queued: row.cpu_q,
-                    data_disk_queued: row.data_q,
-                    log_queued: row.log_q,
+                    committed: delta(self.site_commits[i], &mut self.base.site_commits[i]),
+                    cpu_queued: site.cpu.queued() as u64,
+                    data_disk_queued: site.data_disks.iter().map(|d| d.queued() as u64).sum(),
+                    log_queued: match site.batched_logs.as_ref() {
+                        Some(bs) => bs.iter().map(|b| b.queued() as u64).sum(),
+                        None => site.log_disks.iter().map(|d| d.queued() as u64).sum(),
+                    },
                 })
                 .collect()
         } else {
@@ -527,14 +414,29 @@ impl SeriesRecorder {
             start: self.window_start,
             end,
             measured: self.measured,
-            committed: delta(snap.committed, &mut self.base.committed),
-            aborted_deadlock: delta(snap.aborted_deadlock, &mut self.base.aborted_deadlock),
-            aborted_surprise: delta(snap.aborted_surprise, &mut self.base.aborted_surprise),
-            aborted_borrower: delta(snap.aborted_borrower, &mut self.base.aborted_borrower),
-            exec_messages: delta(snap.exec_messages, &mut self.base.exec_messages),
-            commit_messages: delta(snap.commit_messages, &mut self.base.commit_messages),
-            retransmissions: delta(snap.retransmissions, &mut self.base.retransmissions),
-            messages_lost: delta(snap.messages_lost, &mut self.base.messages_lost),
+            committed: delta(metrics.committed.get(), &mut self.base.committed),
+            aborted_deadlock: delta(
+                metrics.aborted_deadlock.get(),
+                &mut self.base.aborted_deadlock,
+            ),
+            aborted_surprise: delta(
+                metrics.aborted_surprise.get(),
+                &mut self.base.aborted_surprise,
+            ),
+            aborted_borrower: delta(
+                metrics.aborted_borrower.get(),
+                &mut self.base.aborted_borrower,
+            ),
+            exec_messages: delta(metrics.exec_messages.get(), &mut self.base.exec_messages),
+            commit_messages: delta(
+                metrics.commit_messages.get(),
+                &mut self.base.commit_messages,
+            ),
+            retransmissions: delta(
+                metrics.retransmissions.get(),
+                &mut self.base.retransmissions,
+            ),
+            messages_lost: delta(metrics.messages_lost.get(), &mut self.base.messages_lost),
             lock_wait_s,
             live_s,
             block_ratio: if live_s > 0.0 {
@@ -544,8 +446,8 @@ impl SeriesRecorder {
             },
             per_site,
         };
-        self.base.blocked_area = snap.blocked_area;
-        self.base.live_area = snap.live_area;
+        self.base.blocked_area = blocked_area;
+        self.base.live_area = live_area;
         self.window_start = end;
         self.index += 1;
         self.emit(w);

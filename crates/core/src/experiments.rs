@@ -220,7 +220,7 @@ pub fn sweep(
     let progress = runner::Progress::new("sweep", grid.len());
     let results = runner::run_ordered(&grid, jobs, |(cell_cfg, spec, seed)| {
         let t0 = std::time::Instant::now();
-        let out = Simulation::run_auto(cell_cfg, *spec, *seed);
+        let out = Simulation::run(cell_cfg, *spec, *seed);
         progress.cell_done(
             &format!("{} mpl {} seed {}", spec.name(), cell_cfg.mpl, seed),
             t0.elapsed().as_secs_f64(),
@@ -298,7 +298,7 @@ pub fn sweep_with_series(
     let progress = runner::Progress::new("sweep", grid.len());
     let results = runner::run_ordered(&grid, jobs, |(cell_cfg, spec, seed)| {
         let t0 = std::time::Instant::now();
-        let out = Simulation::run_auto_with_series(cell_cfg, *spec, *seed, series_cfg);
+        let out = Simulation::run_with_series(cell_cfg, *spec, *seed, series_cfg);
         progress.cell_done(
             &format!("{} mpl {} seed {}", spec.name(), cell_cfg.mpl, seed),
             t0.elapsed().as_secs_f64(),
@@ -740,7 +740,7 @@ pub fn measured_overheads(
     cfg.mpl = 1;
     cfg.run.warmup_transactions = 50;
     cfg.run.measured_transactions = 500;
-    Simulation::run_auto(&cfg, spec, seed)
+    Simulation::run(&cfg, spec, seed)
 }
 
 #[cfg(test)]

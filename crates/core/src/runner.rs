@@ -18,10 +18,6 @@ use std::sync::Mutex;
 /// Environment variable consulted by [`default_jobs`].
 pub const JOBS_ENV: &str = "DISTCOMMIT_JOBS";
 
-/// Environment variable consulted by [`default_shards`]: the intra-run
-/// shard count used when a command does not pass `--shards`.
-pub const SHARDS_ENV: &str = "DISTCOMMIT_SHARDS";
-
 /// Environment variable consulted by [`progress_enabled`]: `0` (or
 /// empty) forces progress lines off, any other value forces them on.
 pub const PROGRESS_ENV: &str = "DISTCOMMIT_PROGRESS";
@@ -123,24 +119,6 @@ pub fn resolve_jobs(requested: Option<usize>) -> usize {
         Some(n) => n.max(1),
         None => default_jobs(),
     }
-}
-
-/// The intra-run shard count used when the CLI does not pass
-/// `--shards`: `DISTCOMMIT_SHARDS` if set and a positive integer, else
-/// 0 — the serial engine.
-///
-/// Unlike [`default_jobs`] this never falls back to the core count:
-/// any shard count ≥ 1 produces identical output, but 0 (serial) and
-/// ≥ 1 (parallel) are distinct deterministic families, so switching
-/// engines must always be an explicit request — flag or environment —
-/// never an artifact of the machine.
-pub fn default_shards() -> u32 {
-    if let Ok(v) = std::env::var(SHARDS_ENV) {
-        if let Some(n) = parse_jobs(&v) {
-            return u32::try_from(n).unwrap_or(u32::MAX);
-        }
-    }
-    0
 }
 
 /// Map `f` over `inputs` on up to `jobs` worker threads, returning the

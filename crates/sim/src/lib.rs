@@ -26,7 +26,6 @@
 pub mod calendar;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod slab;
 pub mod stats;
 pub mod time;
@@ -34,6 +33,5 @@ pub mod time;
 pub use calendar::Calendar;
 pub use resource::{JobClass, Station, StationKind};
 pub use rng::{mix_seed, SimRng};
-pub use shard::ShardCalendar;
 pub use slab::{Slab, SlabKey};
 pub use time::{SimDuration, SimTime};

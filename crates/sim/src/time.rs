@@ -78,10 +78,22 @@ impl SimDuration {
 
     /// Construct from fractional milliseconds, rounding to the nearest
     /// microsecond.
+    ///
+    /// # Panics
+    /// When [`SimDuration::try_from_millis_f64`] rejects `ms`.
     #[inline]
     pub fn from_millis_f64(ms: f64) -> Self {
-        assert!(ms >= 0.0, "durations cannot be negative");
-        SimDuration((ms * 1_000.0).round() as u64)
+        Self::try_from_millis_f64(ms).expect("durations must be finite, non-negative and in range")
+    }
+
+    /// Construct from fractional milliseconds, rounding to the nearest
+    /// microsecond; `None` when `ms` is negative, NaN, infinite, or too
+    /// long for the microsecond clock.
+    #[inline]
+    pub fn try_from_millis_f64(ms: f64) -> Option<Self> {
+        let us = (ms * 1_000.0).round();
+        // `u64::MAX as f64` rounds up to 2^64, so the bound is strict.
+        (ms >= 0.0 && us < u64::MAX as f64).then_some(SimDuration(us as u64))
     }
 
     /// Microseconds in this span.
@@ -215,6 +227,31 @@ mod tests {
         assert_eq!(SimDuration::from_millis_f64(1.5).as_micros(), 1_500);
         assert_eq!(SimDuration::from_millis_f64(0.0004).as_micros(), 0);
         assert_eq!(SimDuration::from_millis_f64(0.0006).as_micros(), 1);
+    }
+
+    #[test]
+    fn fallible_millis_reject_what_cannot_be_a_duration() {
+        assert_eq!(
+            SimDuration::try_from_millis_f64(2.5),
+            Some(SimDuration::from_micros(2_500))
+        );
+        assert_eq!(
+            SimDuration::try_from_millis_f64(0.0),
+            Some(SimDuration::ZERO)
+        );
+        for bad in [
+            -1.0,
+            -1e-9,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e30,
+        ] {
+            assert_eq!(SimDuration::try_from_millis_f64(bad), None, "{bad}");
+        }
+        // The largest representable span still converts.
+        assert!(SimDuration::try_from_millis_f64(1.8e16).is_some());
+        assert!(SimDuration::try_from_millis_f64(1.9e16).is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use commitproto::ProtocolSpec;
 use distdb::config::{
-    FailureConfig, ResourceMode, RestartPolicy, SystemConfig, Topology, TransType,
+    parse_millis, FailureConfig, ResourceMode, RestartPolicy, SystemConfig, Topology, TransType,
 };
 use distdb::engine::{ChromeStreamSink, FoldSink, SeriesConfig, SeriesFormat, Simulation};
 use distdb::experiments::{self, Scale};
@@ -258,14 +258,6 @@ PARALLELISM & REPLICATIONS:
                            derived seed; with N >= 2 every point
                            reports mean +-90% CI across replications
                            (default 1)
-  --shards <N>             (run, series, trace, fold & sweep) split each
-                           run's sites into region-aligned shards
-                           simulated in parallel on worker threads
-                           (default: DISTCOMMIT_SHARDS, else serial);
-                           needs a multi-region --topology with nonzero
-                           wan-ms, at least 1, at most --sites; reports,
-                           series and traces are byte-identical for
-                           every shard count; composes with --jobs
 
 OPTIONS (run & sweep):
   --protocol <NAME>        protocol for run/series/trace/fold (default 2PC)
@@ -331,6 +323,19 @@ fn parse_list<T: std::str::FromStr>(flag: &str, v: &str) -> Result<Vec<T>, CliEr
         .filter(|s| !s.is_empty())
         .map(|s| parse_num(flag, s))
         .collect()
+}
+
+/// Parse `--window` (seconds) through the conversion every duration
+/// input shares; a window that rounds to zero microseconds is
+/// rejected too.
+fn parse_window(v: &str) -> Result<SimDuration, CliError> {
+    let secs: f64 = parse_num("--window", v)?;
+    match SimDuration::try_from_millis_f64(secs * 1_000.0) {
+        Some(w) if !w.is_zero() => Ok(w),
+        _ => err(format!(
+            "--window: {v:?} is not a positive number of seconds the microsecond clock can hold"
+        )),
+    }
 }
 
 /// Parse a `--faults` specification by delegating to
@@ -449,7 +454,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut format: Option<ReportFormat> = None;
             let mut trace_out: Option<String> = None;
             let mut series_out: Option<String> = None;
-            let mut window: Option<f64> = None;
+            let mut window: Option<SimDuration> = None;
             let mut per_site = false;
             let mut protocol = ProtocolSpec::TWO_PC;
             let mut protocols = vec![
@@ -481,18 +486,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--trace-out" => trace_out = Some(take_value(a, &mut it)?.clone()),
                     "--series-out" => series_out = Some(take_value(a, &mut it)?.clone()),
-                    "--window" => window = Some(parse_num(a, take_value(a, &mut it)?)?),
+                    "--window" => window = Some(parse_window(take_value(a, &mut it)?)?),
                     "--per-site" => per_site = true,
                     "--reps" => reps = parse_num(a, take_value(a, &mut it)?)?,
                     "--jobs" => jobs = Some(parse_num(a, take_value(a, &mut it)?)?),
-                    "--shards" => {
-                        let n: u32 = parse_num(a, take_value(a, &mut it)?)?;
-                        if n == 0 {
-                            return err("--shards must be at least 1; omit the flag (and unset \
-                                 DISTCOMMIT_SHARDS) for the serial engine");
-                        }
-                        cfg.shards = n;
-                    }
                     "--protocols" => {
                         protocols = take_value(a, &mut it)?
                             .split(',')
@@ -510,16 +507,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--cohort-size" => cfg.cohort_size = parse_num(a, take_value(a, &mut it)?)?,
                     "--update-prob" => cfg.update_prob = parse_num(a, take_value(a, &mut it)?)?,
                     "--msg-cpu-ms" => {
-                        cfg.msg_cpu =
-                            SimDuration::from_millis_f64(parse_num(a, take_value(a, &mut it)?)?)
+                        cfg.msg_cpu = parse_millis(a, take_value(a, &mut it)?).map_err(CliError)?
                     }
                     "--page-cpu-ms" => {
-                        cfg.page_cpu =
-                            SimDuration::from_millis_f64(parse_num(a, take_value(a, &mut it)?)?)
+                        cfg.page_cpu = parse_millis(a, take_value(a, &mut it)?).map_err(CliError)?
                     }
                     "--page-disk-ms" => {
                         cfg.page_disk =
-                            SimDuration::from_millis_f64(parse_num(a, take_value(a, &mut it)?)?)
+                            parse_millis(a, take_value(a, &mut it)?).map_err(CliError)?
                     }
                     "--cpus" => cfg.num_cpus = parse_num(a, take_value(a, &mut it)?)?,
                     "--data-disks" => cfg.num_data_disks = parse_num(a, take_value(a, &mut it)?)?,
@@ -557,9 +552,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         cfg.group_commit_batch = Some(parse_num(a, take_value(a, &mut it)?)?)
                     }
                     "--restart-fixed-ms" => {
-                        cfg.restart_policy = RestartPolicy::Fixed(SimDuration::from_millis_f64(
-                            parse_num(a, take_value(a, &mut it)?)?,
-                        ))
+                        cfg.restart_policy = RestartPolicy::Fixed(
+                            parse_millis(a, take_value(a, &mut it)?).map_err(CliError)?,
+                        )
                     }
                     "--warmup" => {
                         cfg.run.warmup_transactions = parse_num(a, take_value(a, &mut it)?)?
@@ -592,15 +587,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if sub != "sweep" && csv {
                 return err("--csv applies to sweep only");
             }
-            if let Some(w) = window {
-                if !w.is_finite() || w <= 0.0 {
-                    return err("--window must be a positive number of seconds");
-                }
-            }
             let series_cfg = SeriesConfig {
-                window: window
-                    .map(|w| SimDuration::from_millis_f64(w * 1_000.0))
-                    .unwrap_or(SeriesConfig::DEFAULT_WINDOW),
+                window: window.unwrap_or(SeriesConfig::DEFAULT_WINDOW),
                 per_site,
             };
             if sub != "sweep" {
@@ -691,16 +679,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         other => err(format!("unknown command {other:?}; try `distcommit help`")),
     }
-}
-
-/// Apply the `DISTCOMMIT_SHARDS` default to a configuration whose
-/// `--shards` flag was not given. Kept out of [`parse`] so parsing
-/// stays a pure function of the argument vector.
-fn with_default_shards(mut cfg: SystemConfig) -> SystemConfig {
-    if cfg.shards == 0 {
-        cfg.shards = distdb::runner::default_shards();
-    }
-    cfg
 }
 
 /// Execute a parsed command, writing to stdout. Returns the process
@@ -836,15 +814,12 @@ pub fn execute(cmd: Command) -> i32 {
             series_out,
             series_cfg,
         } => {
-            let cfg = with_default_shards(cfg);
             // Both streamers write to disk as the run progresses, so
             // observing a full run needs no in-memory buffer.
             let result = match &trace_out {
                 Some(path) => match ChromeStreamSink::create(std::path::Path::new(path)) {
-                    Ok(sink) => {
-                        Simulation::run_auto_with_sink(&cfg, protocol, seed, u64::MAX, sink)
-                            .map(|(r, sink)| (r, Some(sink)))
-                    }
+                    Ok(sink) => Simulation::run_with_sink(&cfg, protocol, seed, u64::MAX, sink)
+                        .map(|(r, sink)| (r, Some(sink))),
                     Err(e) => {
                         eprintln!("error: cannot create {path}: {e}");
                         return 1;
@@ -852,7 +827,7 @@ pub fn execute(cmd: Command) -> i32 {
                 },
                 None => match &series_out {
                     Some(path) => match std::fs::File::create(path) {
-                        Ok(file) => match Simulation::run_auto_with_series_stream(
+                        Ok(file) => match Simulation::run_with_series_stream(
                             &cfg,
                             protocol,
                             seed,
@@ -871,7 +846,7 @@ pub fn execute(cmd: Command) -> i32 {
                             return 1;
                         }
                     },
-                    None => Simulation::run_auto(&cfg, protocol, seed).map(|r| (r, None)),
+                    None => Simulation::run(&cfg, protocol, seed).map(|r| (r, None)),
                 },
             };
             match result {
@@ -912,43 +887,22 @@ pub fn execute(cmd: Command) -> i32 {
             series_cfg,
             format,
             out,
-        } => {
-            let cfg = with_default_shards(cfg);
-            match &out {
-                Some(path) => match std::fs::File::create(path) {
-                    Ok(file) => match Simulation::run_auto_with_series_stream(
-                        &cfg,
-                        protocol,
-                        seed,
-                        &series_cfg,
-                        Box::new(file),
-                        format,
-                    ) {
-                        Ok(report) => {
-                            println!(
-                                "windowed series ({}) streamed to {path}",
-                                series_format_name(format)
-                            );
-                            println!("{}", report.summary());
-                            0
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            1
-                        }
-                    },
-                    Err(e) => {
-                        eprintln!("error: cannot create {path}: {e}");
-                        1
-                    }
-                },
-                None => match Simulation::run_auto_with_series(&cfg, protocol, seed, &series_cfg) {
-                    Ok((report, series)) => {
-                        // stdout carries only the series, so redirecting it
-                        // to a file gives exactly the --out bytes; the
-                        // summary rides on stderr.
-                        print!("{}", series.render(format));
-                        eprintln!("{}", report.summary());
+        } => match &out {
+            Some(path) => match std::fs::File::create(path) {
+                Ok(file) => match Simulation::run_with_series_stream(
+                    &cfg,
+                    protocol,
+                    seed,
+                    &series_cfg,
+                    Box::new(file),
+                    format,
+                ) {
+                    Ok(report) => {
+                        println!(
+                            "windowed series ({}) streamed to {path}",
+                            series_format_name(format)
+                        );
+                        println!("{}", report.summary());
                         0
                     }
                     Err(e) => {
@@ -956,8 +910,26 @@ pub fn execute(cmd: Command) -> i32 {
                         1
                     }
                 },
-            }
-        }
+                Err(e) => {
+                    eprintln!("error: cannot create {path}: {e}");
+                    1
+                }
+            },
+            None => match Simulation::run_with_series(&cfg, protocol, seed, &series_cfg) {
+                Ok((report, series)) => {
+                    // stdout carries only the series, so redirecting it
+                    // to a file gives exactly the --out bytes; the
+                    // summary rides on stderr.
+                    print!("{}", series.render(format));
+                    eprintln!("{}", report.summary());
+                    0
+                }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    1
+                }
+            },
+        },
         Command::Fold {
             cfg,
             protocol,
@@ -965,9 +937,8 @@ pub fn execute(cmd: Command) -> i32 {
             txns,
             out,
         } => {
-            let cfg = with_default_shards(cfg);
             let sink = FoldSink::new(protocol.name());
-            match Simulation::run_auto_with_sink(&cfg, protocol, seed, txns, sink) {
+            match Simulation::run_with_sink(&cfg, protocol, seed, txns, sink) {
                 Ok((report, fold)) => {
                     let rendered = fold.render();
                     match out {
@@ -1004,7 +975,7 @@ pub fn execute(cmd: Command) -> i32 {
             seed,
             txns,
             out,
-        } => match Simulation::run_auto_traced(&with_default_shards(cfg), protocol, seed, txns) {
+        } => match Simulation::run_traced(&cfg, protocol, seed, txns) {
             Ok((report, trace)) => {
                 println!(
                     "{} — first {txns} transaction(s), seed {seed}",
@@ -1048,7 +1019,6 @@ pub fn execute(cmd: Command) -> i32 {
             series_out,
             series_cfg,
         } => {
-            let cfg = with_default_shards(cfg);
             let scale = Scale::quick()
                 .with_runs(cfg.run.warmup_transactions, cfg.run.measured_transactions)
                 .with_mpls(mpls)
@@ -1522,6 +1492,39 @@ mod tests {
         // validation runs at parse time: dist_degree > sites
         assert!(parse(&argv("run --sites 2 --dist-degree 3")).is_err());
         assert!(parse(&argv("sweep --protocols , --mpls 1")).is_err());
+        // The removed intra-run sharding flag fails loudly rather than
+        // being ignored.
+        assert_eq!(
+            parse(&argv("run --shards 4")).unwrap_err(),
+            CliError("unknown option \"--shards\"".into())
+        );
+    }
+
+    /// Every duration input rejects what cannot be a duration with an
+    /// error naming the input, never a panic.
+    #[test]
+    fn duration_inputs_reject_non_durations() {
+        let inputs: [(&str, &str); 11] = [
+            ("run --msg-cpu-ms {}", "--msg-cpu-ms"),
+            ("run --page-cpu-ms {}", "--page-cpu-ms"),
+            ("run --page-disk-ms {}", "--page-disk-ms"),
+            ("run --restart-fixed-ms {}", "--restart-fixed-ms"),
+            ("series --window {}", "--window"),
+            ("run --topology regions=2,lan-ms={}", "lan-ms"),
+            ("run --topology regions=2,wan-ms={}", "wan-ms"),
+            ("run --faults detect-ms={}", "detect-ms"),
+            ("run --faults recover-ms={}", "recover-ms"),
+            ("run --faults cohort-recover-ms={}", "cohort-recover-ms"),
+            ("run --faults retry-ms={},loss=0.1", "retry-ms"),
+        ];
+        for (template, key) in inputs {
+            assert!(parse(&argv(&template.replace("{}", "2"))).is_ok(), "{key}");
+            for bad in ["-1", "nan", "inf", "1e30"] {
+                let cmd = template.replace("{}", bad);
+                let e = parse(&argv(&cmd)).expect_err(&cmd);
+                assert!(e.0.contains(key), "{cmd}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -163,9 +163,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Multi-byte UTF-8 sequences pass through verbatim.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("truncated string")?;
+                    // Decode only the next scalar (at most 4 bytes):
+                    // validating the whole rest of the document for every
+                    // character makes parsing quadratic.
+                    let head = &self.bytes[self.pos..self.bytes.len().min(self.pos + 4)];
+                    let head = match std::str::from_utf8(head) {
+                        Ok(s) => s,
+                        Err(e) => std::str::from_utf8(&head[..e.valid_up_to()]).unwrap_or_default(),
+                    };
+                    let c = head.chars().next().ok_or("invalid UTF-8")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

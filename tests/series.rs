@@ -128,6 +128,22 @@ fn windows_tile_without_gaps_and_timestamps_are_monotone() {
     assert!(series.windows[first_measured..].iter().all(|w| w.measured));
 }
 
+/// A window as long as the whole clock must not overflow the boundary
+/// arithmetic after the warm-up reset: the run ends with one warm-up
+/// window closed at the reset and one measured window closed at the end.
+#[test]
+fn window_spanning_the_clock_closes_at_warmup_and_end() {
+    let cfg = SeriesConfig {
+        window: SimDuration::from_micros(u64::MAX),
+        per_site: false,
+    };
+    let (report, series) =
+        Simulation::run_with_series(&small_cfg(), ProtocolSpec::TWO_PC, 7, &cfg).unwrap();
+    let measured: Vec<bool> = series.windows.iter().map(|w| w.measured).collect();
+    assert_eq!(measured, [false, true]);
+    assert_eq!(series.windows[1].committed, report.committed);
+}
+
 /// Observing a run must not perturb it: the report from a series run
 /// is identical to a plain run with the same inputs.
 #[test]
