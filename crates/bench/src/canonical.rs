@@ -17,7 +17,7 @@
 
 use commitproto::ProtocolSpec;
 use distdb::config::SystemConfig;
-use distdb::engine::{EngineProfile, SeriesConfig, Simulation};
+use distdb::engine::{SeriesConfig, Simulation};
 use std::time::Instant;
 
 /// Protocols on the canonical grid, in run order.
@@ -106,11 +106,6 @@ pub struct Entry {
     pub measured: u64,
     pub cells: Vec<Cell>,
     pub peak_rss_kb: Option<u64>,
-    /// Engine self-profile from one extra cell (2PC at MPL 8 with a
-    /// series recorder installed) run after the grid. Not a trajectory
-    /// cell: the profiled run pays for its own `Instant` reads, so its
-    /// wall time is not comparable to the grid's.
-    pub profile: Option<EngineProfile>,
 }
 
 impl Entry {
@@ -276,33 +271,14 @@ fn grid_pass(opts: &Options, label: String, with_series: bool) -> Result<Entry, 
         measured,
         cells,
         peak_rss_kb: peak_rss_kb(),
-        profile: None,
     })
-}
-
-/// The engine self-profile cell: 2PC at MPL 8 with a series recorder
-/// installed, so the four hot-path sections — calendar, dispatch, lock
-/// scan, series sink — all show up with real weights.
-pub fn profile_cell(opts: &Options) -> Result<EngineProfile, String> {
-    let (warmup, measured) = run_length(opts.quick);
-    let cfg = SystemConfig::paper_baseline()
-        .with_mpl(8)
-        .with_run_length(warmup, measured);
-    let series_cfg = SeriesConfig::default();
-    let (_, profile) =
-        Simulation::run_profiled(&cfg, ProtocolSpec::TWO_PC, opts.seed, Some(&series_cfg))
-            .map_err(|e| format!("profile cell: {e}"))?;
-    Ok(profile)
 }
 
 /// Run the canonical grid, printing one progress line per cell to
 /// stderr. Each cell is a fresh deterministic [`Simulation`] timed
-/// with a monotonic clock. A self-profile cell (see [`profile_cell`])
-/// runs after the grid and rides on the entry.
+/// with a monotonic clock.
 pub fn run_grid(opts: &Options) -> Result<Entry, String> {
-    let mut entry = grid_pass(opts, opts.label.clone(), false)?;
-    entry.profile = Some(profile_cell(opts)?);
-    Ok(entry)
+    grid_pass(opts, opts.label.clone(), false)
 }
 
 /// The series sink's off-path cost, measured: one grid pass without a
@@ -323,9 +299,9 @@ impl SeriesOverhead {
     }
 }
 
-/// Run the grid twice — series sink off, then on — and self-profile
-/// the on pass. The returned entries carry ` [series off]` / ` [series
-/// on]` label suffixes so a trajectory file records the pairing.
+/// Run the grid twice — series sink off, then on. The returned entries
+/// carry ` [series off]` / ` [series on]` label suffixes so a
+/// trajectory file records the pairing.
 pub fn series_overhead(opts: &Options) -> Result<SeriesOverhead, String> {
     let suffix = |s: &str| {
         if opts.label.is_empty() {
@@ -335,8 +311,7 @@ pub fn series_overhead(opts: &Options) -> Result<SeriesOverhead, String> {
         }
     };
     let off = grid_pass(opts, suffix(" [series off]"), false)?;
-    let mut on = grid_pass(opts, suffix(" [series on]"), true)?;
-    on.profile = Some(profile_cell(opts)?);
+    let on = grid_pass(opts, suffix(" [series on]"), true)?;
     Ok(SeriesOverhead { off, on })
 }
 
@@ -380,21 +355,6 @@ pub fn render_entry(e: &Entry) -> String {
             None => String::new(),
         }
     );
-    if let Some(p) = &e.profile {
-        let total = p.total_ns().max(1) as f64;
-        let pct = |ns: u64| 100.0 * ns as f64 / total;
-        let _ = writeln!(
-            out,
-            "self-profile (2PC mpl 8, series sink on): {} events in {:.3}s — calendar {:.1}%, \
-             dispatch {:.1}% (locks {:.1}%), series sink {:.1}%",
-            p.events,
-            total / 1e9,
-            pct(p.calendar_ns),
-            pct(p.dispatch_ns),
-            pct(p.locks_ns),
-            pct(p.series_ns),
-        );
-    }
     out
 }
 
@@ -800,7 +760,7 @@ impl Entry {
                 },
             ),
         ]);
-        let mut members = vec![
+        Json::Obj(vec![
             ("label".into(), Json::Str(self.label.clone())),
             ("mode".into(), Json::Str(self.mode.clone())),
             ("seed".into(), Json::Num(self.seed as f64)),
@@ -808,23 +768,7 @@ impl Entry {
             ("measured".into(), Json::Num(self.measured as f64)),
             ("cells".into(), Json::Arr(cells)),
             ("aggregate".into(), aggregate),
-        ];
-        if let Some(p) = &self.profile {
-            // Extra member: the schema validator looks up only known
-            // keys, so older readers skip it.
-            members.push((
-                "profile".into(),
-                Json::Obj(vec![
-                    ("events".into(), Json::Num(p.events as f64)),
-                    ("calendar_ns".into(), Json::Num(p.calendar_ns as f64)),
-                    ("dispatch_ns".into(), Json::Num(p.dispatch_ns as f64)),
-                    ("locks_ns".into(), Json::Num(p.locks_ns as f64)),
-                    ("series_ns".into(), Json::Num(p.series_ns as f64)),
-                    ("total_ns".into(), Json::Num(p.total_ns() as f64)),
-                ]),
-            ));
-        }
-        Json::Obj(members)
+        ])
     }
 }
 
@@ -986,7 +930,6 @@ mod tests {
                 wall_s,
             }],
             peak_rss_kb: Some(1234),
-            profile: None,
         }
     }
 
@@ -1103,36 +1046,26 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// Older trajectory entries (BENCH_7 to BENCH_12) carry a retired
+    /// `profile` member; the validator looks up only known keys, so
+    /// they stay valid baselines.
     #[test]
-    fn profile_rides_on_entry_json_without_breaking_the_schema() {
-        let mut e = entry("profiled", "quick", 10_000, 1.0);
-        e.profile = Some(EngineProfile {
-            events: 9_999,
-            calendar_ns: 100,
-            dispatch_ns: 800,
-            locks_ns: 50,
-            series_ns: 25,
-        });
+    fn entries_with_retired_members_still_validate() {
+        let Json::Obj(mut members) = entry("old", "quick", 10_000, 1.0).to_json() else {
+            panic!("entries render as objects");
+        };
+        members.push((
+            "profile".into(),
+            Json::Obj(vec![("series_ns".into(), Json::Num(25.0))]),
+        ));
         let mut doc = empty_trajectory();
-        if let Json::Obj(members) = &mut doc {
-            if let Some((_, Json::Arr(items))) = members.iter_mut().find(|(k, _)| k == "entries") {
-                items.push(e.to_json());
+        if let Json::Obj(top) = &mut doc {
+            if let Some((_, Json::Arr(items))) = top.iter_mut().find(|(k, _)| k == "entries") {
+                items.push(Json::Obj(members));
             }
         }
-        // The validator only looks up known keys, so the extra member
-        // passes — and survives a render/parse round trip.
         validate_trajectory(&doc).unwrap();
-        let doc2 = parse_json(&render_json(&doc)).unwrap();
-        validate_trajectory(&doc2).unwrap();
-        let p = doc2.get("entries").and_then(Json::as_arr).unwrap()[0]
-            .get("profile")
-            .expect("profile member");
-        assert_eq!(p.get("total_ns").and_then(Json::as_f64), Some(925.0));
-        assert_eq!(p.get("series_ns").and_then(Json::as_f64), Some(25.0));
-        // The human rendering shows the section shares.
-        let rendered = render_entry(&e);
-        assert!(rendered.contains("self-profile"), "{rendered}");
-        assert!(rendered.contains("series sink"), "{rendered}");
+        validate_trajectory(&parse_json(&render_json(&doc)).unwrap()).unwrap();
     }
 
     #[test]

@@ -474,8 +474,8 @@ pub struct RunConfig {
     /// warm-up).
     pub warmup_transactions: u64,
     /// Transactions committed inside the measurement window. The paper
-    /// runs "until at least 50 000 transactions were processed"; the
-    /// bench harness defaults much lower and offers a full mode.
+    /// runs "until at least 50 000 transactions were processed";
+    /// `distcommit experiment` defaults much lower and offers `--full`.
     pub measured_transactions: u64,
     /// Batches for the batch-means throughput confidence interval.
     pub batches: u64,

@@ -311,23 +311,7 @@ impl Simulation {
 
     /// Run cycle detection from `start` and abort youngest victims until
     /// no cycle through `start` remains.
-    ///
-    /// When engine self-profiling is active the whole check is timed
-    /// into `locks_ns` (a subset of `dispatch_ns` — the check runs
-    /// inside event dispatch). The unprofiled path takes the first
-    /// branch with no `Instant` reads.
     pub(crate) fn deadlock_check(&mut self, start: TxnH) {
-        if self.profile.is_none() {
-            return self.deadlock_check_inner(start);
-        }
-        let t0 = std::time::Instant::now();
-        self.deadlock_check_inner(start);
-        if let Some(p) = self.profile.as_mut() {
-            p.locks_ns += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
-    fn deadlock_check_inner(&mut self, start: TxnH) {
         loop {
             if !self.txns.contains(start) {
                 return; // start itself was the victim

@@ -161,37 +161,6 @@ pub struct Simulation {
     /// loop pays one integer compare per event when no recorder is
     /// installed (`SimTime(u64::MAX)` then).
     series_boundary: SimTime,
-    /// Optional wall-clock self-profile (see [`EngineProfile`]);
-    /// enabled only by the bench harness.
-    profile: Option<Box<EngineProfile>>,
-}
-
-/// Wall-clock section counters for the engine's own hot path, measured
-/// with `std::time::Instant` around the main loop's sections. Wall
-/// time never feeds back into simulated time, so profiling cannot
-/// perturb a run — but the per-event timer reads are not free, which
-/// is why only `distcommit bench` enables it (on a dedicated cell,
-/// keeping the trajectory grid unprofiled and comparable).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EngineProfile {
-    /// Events dispatched while profiling.
-    pub events: u64,
-    /// Nanoseconds popping the calendar.
-    pub calendar_ns: u64,
-    /// Nanoseconds dispatching events (everything below the calendar,
-    /// minus the separately counted sections).
-    pub dispatch_ns: u64,
-    /// Nanoseconds in deadlock detection (the lock-table scan).
-    pub locks_ns: u64,
-    /// Nanoseconds closing series windows (the sink's on-path cost).
-    pub series_ns: u64,
-}
-
-impl EngineProfile {
-    /// Total profiled wall time, nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.calendar_ns + self.dispatch_ns + self.series_ns
-    }
 }
 
 // The experiment runner fans independent runs out over worker threads:
@@ -225,27 +194,13 @@ impl Simulation {
         Ok(sim.report())
     }
 
-    /// Like [`Simulation::run`], but additionally records a protocol
-    /// [`Trace`] of every message, forced write and milestone for the
-    /// first `traced_txns` transactions submitted. Tracing does not
-    /// perturb the simulation: the report is identical to an untraced
-    /// run with the same inputs.
-    pub fn run_traced(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        traced_txns: u64,
-    ) -> Result<(SimReport, Trace), ConfigError> {
-        Self::run_with_sink(cfg, spec, seed, traced_txns, Trace::default())
-    }
-
     /// Like [`Simulation::run`], but feeds every trace event of the
     /// first `traced_txns` transactions to `sink` as the run progresses
-    /// and hands the sink back with the report. This is the streaming
-    /// counterpart of [`Simulation::run_traced`]: the engine holds no
+    /// and hands the sink back with the report. The engine holds no
     /// event buffer of its own, so memory use is whatever the sink
     /// retains — bounded for [`chrome::ChromeStreamSink`] and
-    /// [`fold::FoldSink`], the full event vector for [`Trace`].
+    /// [`fold::FoldSink`], the full event vector for a [`Trace`]
+    /// (pass `Trace::default()` to buffer a run's protocol trace).
     ///
     /// Observing a run does not perturb it: the report is identical to
     /// an untraced run with the same inputs.
@@ -328,40 +283,6 @@ impl Simulation {
         sim.execute();
         sim.finish_series()?;
         Ok(sim.report())
-    }
-
-    /// Like [`Simulation::run`], but with wall-clock self-profiling of
-    /// the engine's hot-path sections, optionally with a series
-    /// recorder installed (buffered and discarded) so the sink's
-    /// on-path cost shows up in the `series_ns` section. Used by
-    /// `distcommit bench`.
-    ///
-    /// # Errors
-    /// Returns an error if the configuration is invalid or the spec is
-    /// meaningless (OPT over a baseline).
-    pub fn run_profiled(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        series_cfg: Option<&SeriesConfig>,
-    ) -> Result<(SimReport, EngineProfile), ConfigError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        if let Some(scfg) = series_cfg {
-            let rec = series::SeriesRecorder::new_buffered(
-                scfg,
-                sim.series_meta(seed, scfg),
-                sim.sites.len(),
-            );
-            sim.install_series(rec);
-        }
-        sim.profile = Some(Box::default());
-        sim.execute();
-        if sim.series.is_some() {
-            sim.finish_series()
-                .expect("buffered series recording cannot fail");
-        }
-        let profile = *sim.profile.take().expect("profile installed above");
-        Ok((sim.report(), profile))
     }
 
     fn series_meta(&self, seed: u64, scfg: &SeriesConfig) -> SeriesMeta {
@@ -526,7 +447,6 @@ impl Simulation {
             trace_txn_limit: 0,
             series: None,
             series_boundary: SimTime(u64::MAX),
-            profile: None,
         };
         // Closed system: MPL transactions per (effective) site. The
         // merged CENT site carries the whole population.
@@ -544,9 +464,6 @@ impl Simulation {
     }
 
     fn execute(&mut self) {
-        if self.profile.is_some() {
-            return self.execute_profiled();
-        }
         while !self.done {
             let Some((now, event)) = self.cal.next() else {
                 // A closed system must never drain its calendar: every
@@ -568,38 +485,6 @@ impl Simulation {
                 self.close_series_windows(now);
             }
             self.dispatch(event);
-        }
-    }
-
-    /// [`Simulation::execute`] with wall-clock section timing. A
-    /// separate copy so the unprofiled hot path carries no timer reads.
-    fn execute_profiled(&mut self) {
-        while !self.done {
-            let t0 = std::time::Instant::now();
-            let Some((now, event)) = self.cal.next() else {
-                panic!(
-                    "event calendar drained — stuck state:\n{}",
-                    self.dump_stuck()
-                );
-            };
-            let t1 = std::time::Instant::now();
-            if let Some(cap) = self.cfg.run.max_sim_time {
-                if now > cap {
-                    self.truncated = true;
-                    break;
-                }
-            }
-            if now >= self.series_boundary {
-                self.close_series_windows(now);
-            }
-            let t2 = std::time::Instant::now();
-            self.dispatch(event);
-            let t3 = std::time::Instant::now();
-            let p = self.profile.as_mut().expect("profiled loop");
-            p.events += 1;
-            p.calendar_ns += (t1 - t0).as_nanos() as u64;
-            p.series_ns += (t2 - t1).as_nanos() as u64;
-            p.dispatch_ns += (t3 - t2).as_nanos() as u64;
         }
     }
 

@@ -225,6 +225,9 @@ enum Output {
         writer: Box<dyn IoWrite + Send>,
         format: SeriesFormat,
         wrote_window: bool,
+        /// First write error; the stream goes quiet once it is set and
+        /// `finish` returns it.
+        error: Option<std::io::Error>,
     },
 }
 
@@ -271,6 +274,7 @@ impl SeriesRecorder {
                 writer,
                 format,
                 wrote_window: false,
+                error: None,
             },
         ))
     }
@@ -349,7 +353,8 @@ impl SeriesRecorder {
     }
 
     /// Close the final partial window at end of run and hand back the
-    /// finished series (buffered mode) plus any streaming error.
+    /// finished series (buffered mode), or the first error the
+    /// streaming writer returned during the run or at the final flush.
     pub(crate) fn finish(
         mut self,
         now: SimTime,
@@ -365,8 +370,12 @@ impl SeriesRecorder {
             Output::Stream {
                 ref mut writer,
                 format,
+                ref mut error,
                 ..
             } => {
+                if let Some(e) = error.take() {
+                    return Err(e);
+                }
                 match format {
                     SeriesFormat::Csv => {}
                     SeriesFormat::Json => writer.write_all(json_footer().as_bytes())?,
@@ -460,7 +469,11 @@ impl SeriesRecorder {
                 writer,
                 format,
                 wrote_window,
+                error,
             } => {
+                if error.is_some() {
+                    return;
+                }
                 let chunk = match format {
                     SeriesFormat::Csv => csv_rows(&w),
                     SeriesFormat::Json => {
@@ -470,9 +483,11 @@ impl SeriesRecorder {
                 };
                 *wrote_window = true;
                 // Streaming failures must not abort the simulation
-                // mid-run (the report is still wanted); surface on the
-                // final flush in `finish` instead.
-                let _ = writer.write_all(chunk.as_bytes());
+                // mid-run (the report is still wanted): latch the first
+                // one and let `finish` return it.
+                if let Err(e) = writer.write_all(chunk.as_bytes()) {
+                    *error = Some(e);
+                }
             }
         }
     }

@@ -288,7 +288,8 @@ fn trace_render_txn_mentions_all_milestones() {
     let mut cfg = tiny();
     cfg.db_size = 80_000;
     cfg.mpl = 1;
-    let (_, trace) = Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 3, 1).unwrap();
+    let (_, trace) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 3, 1, Trace::default()).unwrap();
     let text = trace.render_txn(1);
     for needle in [
         "InitCohort",

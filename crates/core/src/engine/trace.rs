@@ -256,7 +256,7 @@ pub trait TraceSink: std::any::Any + Send {
 }
 
 /// A recorded trace: events in simulation order, bounded by the number
-/// of transactions requested at [`super::Simulation::run_traced`].
+/// of transactions requested at [`super::Simulation::run_with_sink`].
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
     /// All recorded events, in occurrence order.

@@ -10,6 +10,7 @@
 use crate::config::{ConfigError, SystemConfig, TransType};
 use crate::engine::{Series, SeriesConfig, Simulation};
 use crate::metrics::SimReport;
+use crate::output::Metric;
 use crate::runner;
 use commitproto::ProtocolSpec;
 
@@ -39,7 +40,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Quick scale for CI and `cargo bench` defaults.
+    /// Quick scale: the `distcommit experiment` default and CI's.
     pub fn quick() -> Self {
         Scale {
             warmup: 400,
@@ -61,15 +62,6 @@ impl Scale {
             seed: 42,
             replications: 1,
             jobs: None,
-        }
-    }
-
-    /// Scale selected by the `DISTCOMMIT_FULL` environment variable
-    /// (`1`/`true` → [`Scale::full`], anything else → [`Scale::quick`]).
-    pub fn from_env() -> Self {
-        match std::env::var("DISTCOMMIT_FULL").as_deref() {
-            Ok("1") | Ok("true") => Scale::full(),
-            _ => Scale::quick(),
         }
     }
 
@@ -185,7 +177,8 @@ pub fn cell_seed(base: u64, series: usize, mpl_index: usize, replication: u32) -
     simkernel::mix_seed(base, series as u64, mpl_index as u64, replication as u64)
 }
 
-/// Sweep `specs` over the scale's MPL axis on `cfg`.
+/// Sweep `specs` over the scale's MPL axis. Each spec carries its own
+/// full configuration; the scale sets run length and MPL per cell.
 ///
 /// Every (protocol, MPL, replication) cell is an independent
 /// [`Simulation::run`] with its own [`cell_seed`]; the grid is executed
@@ -195,55 +188,10 @@ pub fn cell_seed(base: u64, series: usize, mpl_index: usize, replication: u32) -
 /// Replications of a cell are merged with
 /// [`SimReport::merge_replications`].
 pub fn sweep(
-    cfg: &SystemConfig,
     specs: &[(String, ProtocolSpec, SystemConfig)],
     scale: &Scale,
 ) -> Result<Vec<ProtocolSeries>, ConfigError> {
-    let _ = cfg; // the per-spec override already embeds the base
-    let reps = scale.replications.clamp(1, u16::MAX as u32);
-
-    // Flat job grid in output order: series-major, then MPL, then
-    // replication.
-    let mut grid: Vec<(SystemConfig, ProtocolSpec, u64)> =
-        Vec::with_capacity(specs.len() * scale.mpls.len() * reps as usize);
-    for (si, (_, spec, cfg_override)) in specs.iter().enumerate() {
-        for (mi, &mpl) in scale.mpls.iter().enumerate() {
-            let mut cell_cfg = scale.apply(cfg_override);
-            cell_cfg.mpl = mpl;
-            for rep in 0..reps {
-                grid.push((cell_cfg.clone(), *spec, cell_seed(scale.seed, si, mi, rep)));
-            }
-        }
-    }
-
-    let jobs = runner::resolve_jobs(scale.jobs);
-    let progress = runner::Progress::new("sweep", grid.len());
-    let results = runner::run_ordered(&grid, jobs, |(cell_cfg, spec, seed)| {
-        let t0 = std::time::Instant::now();
-        let out = Simulation::run(cell_cfg, *spec, *seed);
-        progress.cell_done(
-            &format!("{} mpl {} seed {}", spec.name(), cell_cfg.mpl, seed),
-            t0.elapsed().as_secs_f64(),
-        );
-        out
-    });
-
-    let mut it = results.into_iter();
-    let mut out = Vec::with_capacity(specs.len());
-    for (label, _, _) in specs {
-        let mut points = Vec::with_capacity(scale.mpls.len());
-        for _ in &scale.mpls {
-            let cell: Vec<SimReport> = (0..reps)
-                .map(|_| it.next().expect("grid covers every cell"))
-                .collect::<Result<_, _>>()?;
-            points.push(SimReport::merge_replications(&cell));
-        }
-        out.push(ProtocolSeries {
-            label: label.clone(),
-            points,
-        });
-    }
-    Ok(out)
+    run_grid(specs, scale, Simulation::run, |_, _, _, report| report)
 }
 
 /// One grid cell's windowed metric series from [`sweep_with_series`].
@@ -274,19 +222,49 @@ pub struct SeriesCell {
 /// # Errors
 /// Propagates the first cell's [`ConfigError`], like [`sweep`].
 pub fn sweep_with_series(
-    cfg: &SystemConfig,
     specs: &[(String, ProtocolSpec, SystemConfig)],
     scale: &Scale,
     series_cfg: &SeriesConfig,
 ) -> Result<(Vec<ProtocolSeries>, Vec<SeriesCell>), ConfigError> {
-    let _ = cfg; // the per-spec override already embeds the base
+    let mut cells = Vec::new();
+    let series = run_grid(
+        specs,
+        scale,
+        |cfg, spec, seed| Simulation::run_with_series(cfg, spec, seed, series_cfg),
+        |label, mpl, replication, (report, series)| {
+            cells.push(SeriesCell {
+                label: label.to_string(),
+                mpl,
+                replication,
+                series,
+            });
+            report
+        },
+    )?;
+    Ok((series, cells))
+}
+
+/// The grid runner behind [`sweep`] and [`sweep_with_series`]: builds
+/// the flat (series, MPL, replication) job grid, fans it out through
+/// `run` on [`runner::run_ordered`] workers with progress lines, and
+/// walks the results in grid order, handing each cell's output to
+/// `keep` (label, MPL, replication index) for the report it
+/// contributes to the merged point.
+fn run_grid<T: Send>(
+    specs: &[(String, ProtocolSpec, SystemConfig)],
+    scale: &Scale,
+    run: impl Fn(&SystemConfig, ProtocolSpec, u64) -> Result<T, ConfigError> + Sync,
+    mut keep: impl FnMut(&str, u32, u32, T) -> SimReport,
+) -> Result<Vec<ProtocolSeries>, ConfigError> {
     let reps = scale.replications.clamp(1, u16::MAX as u32);
 
+    // Flat job grid in output order: series-major, then MPL, then
+    // replication.
     let mut grid: Vec<(SystemConfig, ProtocolSpec, u64)> =
         Vec::with_capacity(specs.len() * scale.mpls.len() * reps as usize);
-    for (si, (_, spec, cfg_override)) in specs.iter().enumerate() {
+    for (si, (_, spec, cfg)) in specs.iter().enumerate() {
         for (mi, &mpl) in scale.mpls.iter().enumerate() {
-            let mut cell_cfg = scale.apply(cfg_override);
+            let mut cell_cfg = scale.apply(cfg);
             cell_cfg.mpl = mpl;
             for rep in 0..reps {
                 grid.push((cell_cfg.clone(), *spec, cell_seed(scale.seed, si, mi, rep)));
@@ -298,7 +276,7 @@ pub fn sweep_with_series(
     let progress = runner::Progress::new("sweep", grid.len());
     let results = runner::run_ordered(&grid, jobs, |(cell_cfg, spec, seed)| {
         let t0 = std::time::Instant::now();
-        let out = Simulation::run_with_series(cell_cfg, *spec, *seed, series_cfg);
+        let out = run(cell_cfg, *spec, *seed);
         progress.cell_done(
             &format!("{} mpl {} seed {}", spec.name(), cell_cfg.mpl, seed),
             t0.elapsed().as_secs_f64(),
@@ -308,29 +286,23 @@ pub fn sweep_with_series(
 
     let mut it = results.into_iter();
     let mut out = Vec::with_capacity(specs.len());
-    let mut cells = Vec::with_capacity(specs.len() * scale.mpls.len() * reps as usize);
     for (label, _, _) in specs {
         let mut points = Vec::with_capacity(scale.mpls.len());
         for &mpl in &scale.mpls {
-            let mut cell_reports = Vec::with_capacity(reps as usize);
-            for rep in 0..reps {
-                let (report, series) = it.next().expect("grid covers every cell")?;
-                cell_reports.push(report);
-                cells.push(SeriesCell {
-                    label: label.clone(),
-                    mpl,
-                    replication: rep,
-                    series,
-                });
-            }
-            points.push(SimReport::merge_replications(&cell_reports));
+            let cell = (0..reps)
+                .map(|rep| {
+                    let result = it.next().expect("grid covers every cell")?;
+                    Ok(keep(label, mpl, rep, result))
+                })
+                .collect::<Result<Vec<_>, ConfigError>>()?;
+            points.push(SimReport::merge_replications(&cell));
         }
         out.push(ProtocolSeries {
             label: label.clone(),
             points,
         });
     }
-    Ok((out, cells))
+    Ok(out)
 }
 
 fn plain(cfg: &SystemConfig, specs: &[ProtocolSpec]) -> Vec<(String, ProtocolSpec, SystemConfig)> {
@@ -359,7 +331,7 @@ pub fn figure12_protocols() -> Vec<ProtocolSpec> {
 /// Fig 1a = throughput, Fig 1b = block ratio, Fig 1c = borrow ratio.
 pub fn fig1(scale: &Scale) -> Result<Experiment, ConfigError> {
     let cfg = SystemConfig::paper_baseline();
-    let series = sweep(&cfg, &plain(&cfg, &figure12_protocols()), scale)?;
+    let series = sweep(&plain(&cfg, &figure12_protocols()), scale)?;
     Ok(Experiment {
         id: "fig1".into(),
         title: "Expt 1: Resource and Data Contention (RC+DC)".into(),
@@ -372,7 +344,7 @@ pub fn fig1(scale: &Scale) -> Result<Experiment, ConfigError> {
 /// workload but infinite physical resources (§5.3).
 pub fn fig2(scale: &Scale) -> Result<Experiment, ConfigError> {
     let cfg = SystemConfig::pure_data_contention();
-    let series = sweep(&cfg, &plain(&cfg, &figure12_protocols()), scale)?;
+    let series = sweep(&plain(&cfg, &figure12_protocols()), scale)?;
     Ok(Experiment {
         id: "fig2".into(),
         title: "Expt 2: Pure Data Contention (DC)".into(),
@@ -389,8 +361,8 @@ pub fn expt3(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
     let protocols = figure12_protocols();
     let rc = SystemConfig::paper_baseline().fast_network();
     let dc = SystemConfig::pure_data_contention().fast_network();
-    let rc_series = sweep(&rc, &plain(&rc, &protocols), scale)?;
-    let dc_series = sweep(&dc, &plain(&dc, &protocols), scale)?;
+    let rc_series = sweep(&plain(&rc, &protocols), scale)?;
+    let dc_series = sweep(&plain(&dc, &protocols), scale)?;
     Ok((
         Experiment {
             id: "expt3-rcdc".into(),
@@ -414,8 +386,8 @@ pub fn fig3(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
     protocols.push(ProtocolSpec::OPT_PC);
     let rc = SystemConfig::paper_baseline().higher_distribution();
     let dc = SystemConfig::pure_data_contention().higher_distribution();
-    let rc_series = sweep(&rc, &plain(&rc, &protocols), scale)?;
-    let dc_series = sweep(&dc, &plain(&dc, &protocols), scale)?;
+    let rc_series = sweep(&plain(&rc, &protocols), scale)?;
+    let dc_series = sweep(&plain(&dc, &protocols), scale)?;
     Ok((
         Experiment {
             id: "fig3a".into(),
@@ -443,8 +415,8 @@ pub fn fig4(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
     ];
     let rc = SystemConfig::paper_baseline();
     let dc = SystemConfig::pure_data_contention();
-    let rc_series = sweep(&rc, &plain(&rc, &protocols), scale)?;
-    let dc_series = sweep(&dc, &plain(&dc, &protocols), scale)?;
+    let rc_series = sweep(&plain(&rc, &protocols), scale)?;
+    let dc_series = sweep(&plain(&dc, &protocols), scale)?;
     Ok((
         Experiment {
             id: "fig4a".into(),
@@ -485,8 +457,8 @@ pub fn fig5(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
     };
     let rc = SystemConfig::paper_baseline();
     let dc = SystemConfig::pure_data_contention();
-    let rc_series = sweep(&rc, &build(rc.clone()), scale)?;
-    let dc_series = sweep(&dc, &build(dc.clone()), scale)?;
+    let rc_series = sweep(&build(rc.clone()), scale)?;
+    let dc_series = sweep(&build(dc.clone()), scale)?;
     Ok((
         Experiment {
             id: "fig5a".into(),
@@ -516,7 +488,7 @@ pub fn expt6_high_distribution(scale: &Scale) -> Result<Experiment, ConfigError>
         ProtocolSpec::OPT_2PC,
         ProtocolSpec::OPT_PA,
     ];
-    let series = sweep(&cfg, &plain(&cfg, &protocols), scale)?;
+    let series = sweep(&plain(&cfg, &protocols), scale)?;
     Ok(Experiment {
         id: "expt6x".into(),
         title: "Expt 6 extension: Surprise Aborts at DistDegree = 6 (RC+DC)".into(),
@@ -538,13 +510,44 @@ pub fn seq(scale: &Scale) -> Result<Experiment, ConfigError> {
         ProtocolSpec::THREE_PC,
         ProtocolSpec::OPT_2PC,
     ];
-    let series = sweep(&cfg, &plain(&cfg, &protocols), scale)?;
+    let series = sweep(&plain(&cfg, &protocols), scale)?;
     Ok(Experiment {
         id: "seq".into(),
         title: "§5.8: Sequential Transactions (RC+DC)".into(),
         config: cfg,
         series,
     })
+}
+
+/// **Linear 2PC extension** (§2.5, and the §3.2 OPT synergy note) —
+/// chained commit processing against the parallel protocols, with and
+/// without OPT, at the baseline `DistDegree` 3 and at the CPU-bound
+/// `DistDegree` 6 (RC+DC).
+pub fn linear(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
+    let protocols = [
+        ProtocolSpec::TWO_PC,
+        ProtocolSpec::LINEAR_2PC,
+        ProtocolSpec::OPT_2PC,
+        ProtocolSpec::OPT_LINEAR_2PC,
+    ];
+    let d3 = SystemConfig::paper_baseline();
+    let d6 = SystemConfig::paper_baseline().higher_distribution();
+    let d3_series = sweep(&plain(&d3, &protocols), scale)?;
+    let d6_series = sweep(&plain(&d6, &protocols), scale)?;
+    Ok((
+        Experiment {
+            id: "linear-d3".into(),
+            title: "Linear 2PC at the baseline (RC+DC)".into(),
+            config: d3,
+            series: d3_series,
+        },
+        Experiment {
+            id: "linear-d6".into(),
+            title: "Linear 2PC at DistDegree 6 (RC+DC, CPU-bound)".into(),
+            config: d6,
+            series: d6_series,
+        },
+    ))
 }
 
 /// **Failure extension** (beyond the paper, quantifying §2.4's blocking
@@ -575,7 +578,7 @@ pub fn failures(scale: &Scale) -> Result<Experiment, ConfigError> {
     // single-MPL scale keeps the series readable.
     let mut scale = scale.clone();
     scale.mpls = vec![4];
-    let series = sweep(&base, &specs, &scale)?;
+    let series = sweep(&specs, &scale)?;
     Ok(Experiment {
         id: "failures".into(),
         title: "Extension: Master Failures — blocking vs non-blocking".into(),
@@ -619,7 +622,7 @@ pub fn fault_injection(scale: &Scale) -> Result<Experiment, ConfigError> {
     // rate instead.
     let mut scale = scale.clone();
     scale.mpls = vec![4];
-    let series = sweep(&base, &specs, &scale)?;
+    let series = sweep(&specs, &scale)?;
     Ok(Experiment {
         id: "faults".into(),
         title: "Extension: Blocked Time vs Crash Probability".into(),
@@ -662,7 +665,7 @@ pub fn replication(scale: &Scale) -> Result<Experiment, ConfigError> {
     // rate across the family.
     let mut scale = scale.clone();
     scale.mpls = vec![4];
-    let series = sweep(&base, &specs, &scale)?;
+    let series = sweep(&specs, &scale)?;
     Ok(Experiment {
         id: "replication".into(),
         title: "Extension: Replicated Commit — Paxos Commit vs replicated 2PC".into(),
@@ -714,13 +717,109 @@ pub fn at_scale(scale: &Scale) -> Result<Experiment, ConfigError> {
     // Like the failure sweeps: hold MPL fixed, vary the mix.
     let mut scale = scale.clone();
     scale.mpls = vec![4];
-    let series = sweep(&base, &specs, &scale)?;
+    let series = sweep(&specs, &scale)?;
     Ok(Experiment {
         id: "scale".into(),
         title: "Extension: Commit Protocols at Production Scale (256 sites, Zipf, WAN)".into(),
         config: base,
         series,
     })
+}
+
+/// One `distcommit experiment` preset: the id the command takes, the
+/// sweeps it runs, and the metrics the paper plots from them. The CLI
+/// prints one table (or CSV block) per metric for every experiment the
+/// preset builds, in this order.
+#[derive(Debug, Clone, Copy)]
+pub struct Preset {
+    /// Command-line id (`distcommit experiment <id>`).
+    pub id: &'static str,
+    /// Run the preset's sweeps at `scale`.
+    pub build: fn(&Scale) -> Result<Vec<Experiment>, ConfigError>,
+    /// The metrics reported for every experiment the preset builds.
+    pub metrics: &'static [Metric],
+}
+
+/// Every experiment preset, in usage order — the single source of the
+/// ids `distcommit experiment` accepts.
+pub static PRESETS: &[Preset] = &[
+    Preset {
+        id: "fig1",
+        build: |s| Ok(vec![fig1(s)?]),
+        metrics: &[Metric::Throughput, Metric::BlockRatio, Metric::BorrowRatio],
+    },
+    Preset {
+        id: "fig2",
+        build: |s| Ok(vec![fig2(s)?]),
+        metrics: &[Metric::Throughput, Metric::BlockRatio, Metric::BorrowRatio],
+    },
+    Preset {
+        id: "expt3",
+        build: |s| expt3(s).map(|(a, b)| vec![a, b]),
+        metrics: &[Metric::Throughput, Metric::BlockRatio, Metric::BorrowRatio],
+    },
+    Preset {
+        id: "fig3",
+        build: |s| fig3(s).map(|(a, b)| vec![a, b]),
+        metrics: &[Metric::Throughput, Metric::MessagesPerCommit],
+    },
+    Preset {
+        id: "fig4",
+        build: |s| fig4(s).map(|(a, b)| vec![a, b]),
+        metrics: &[Metric::Throughput, Metric::BorrowRatio],
+    },
+    Preset {
+        id: "fig5",
+        build: |s| {
+            let (a, b) = fig5(s)?;
+            Ok(vec![a, b, expt6_high_distribution(s)?])
+        },
+        metrics: &[
+            Metric::Throughput,
+            Metric::AbortFraction,
+            Metric::ForcedWritesPerCommit,
+        ],
+    },
+    Preset {
+        id: "seq",
+        build: |s| Ok(vec![seq(s)?]),
+        metrics: &[Metric::Throughput, Metric::ResponseTime],
+    },
+    Preset {
+        id: "failures",
+        build: |s| Ok(vec![failures(s)?]),
+        metrics: &[
+            Metric::Throughput,
+            Metric::ResponseTime,
+            Metric::BlockRatio,
+            Metric::MasterCrashes,
+        ],
+    },
+    Preset {
+        id: "faults",
+        build: |s| Ok(vec![fault_injection(s)?]),
+        metrics: &[Metric::Throughput, Metric::CrashBlockedTime],
+    },
+    Preset {
+        id: "replication",
+        build: |s| Ok(vec![replication(s)?]),
+        metrics: &[Metric::Throughput, Metric::CrashBlockedTime],
+    },
+    Preset {
+        id: "linear",
+        build: |s| linear(s).map(|(a, b)| vec![a, b]),
+        metrics: &[Metric::Throughput, Metric::MessagesPerCommit],
+    },
+    Preset {
+        id: "scale",
+        build: |s| Ok(vec![at_scale(s)?]),
+        metrics: &[Metric::Throughput],
+    },
+];
+
+/// The preset named `id`, if any.
+pub fn preset(id: &str) -> Option<&'static Preset> {
+    PRESETS.iter().find(|p| p.id == id)
 }
 
 /// Measure the per-committed-transaction overheads in a conflict-free
@@ -759,7 +858,7 @@ mod tests {
     fn sweep_produces_labeled_series() {
         let cfg = SystemConfig::paper_baseline();
         let specs = plain(&cfg, &[ProtocolSpec::TWO_PC, ProtocolSpec::OPT_2PC]);
-        let series = sweep(&cfg, &specs, &tiny()).unwrap();
+        let series = sweep(&specs, &tiny()).unwrap();
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].label, "2PC");
         assert_eq!(series[1].label, "OPT");
@@ -771,7 +870,7 @@ mod tests {
     fn experiment_lookup_and_axis() {
         let cfg = SystemConfig::paper_baseline();
         let specs = plain(&cfg, &[ProtocolSpec::TWO_PC]);
-        let series = sweep(&cfg, &specs, &tiny()).unwrap();
+        let series = sweep(&specs, &tiny()).unwrap();
         let e = Experiment {
             id: "t".into(),
             title: "t".into(),
@@ -789,7 +888,7 @@ mod tests {
         let mut scale = tiny();
         scale.mpls = vec![1, 3];
         let specs = plain(&cfg, &[ProtocolSpec::DPCC]);
-        let series = sweep(&cfg, &specs, &scale).unwrap();
+        let series = sweep(&specs, &scale).unwrap();
         let s = &series[0];
         let peak = s.peak_throughput();
         assert!(s.points.iter().all(|p| p.throughput <= peak));
@@ -806,9 +905,9 @@ mod tests {
         scale.mpls = vec![1, 3];
         scale.replications = 2;
         scale.jobs = Some(1);
-        let serial = sweep(&cfg, &specs, &scale).unwrap();
+        let serial = sweep(&specs, &scale).unwrap();
         scale.jobs = Some(4);
-        let parallel = sweep(&cfg, &specs, &scale).unwrap();
+        let parallel = sweep(&specs, &scale).unwrap();
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.label, b.label);
             for (x, y) in a.points.iter().zip(&b.points) {
@@ -830,7 +929,7 @@ mod tests {
         let cfg = SystemConfig::paper_baseline();
         let specs = plain(&cfg, &[ProtocolSpec::TWO_PC]);
         let scale = tiny();
-        let series = sweep(&cfg, &specs, &scale).unwrap();
+        let series = sweep(&specs, &scale).unwrap();
         let direct = {
             let mut c = scale.apply(&cfg);
             c.mpl = scale.mpls[0];
@@ -851,7 +950,7 @@ mod tests {
         let specs = plain(&cfg, &[ProtocolSpec::TWO_PC]);
         let mut scale = tiny();
         scale.replications = 3;
-        let series = sweep(&cfg, &specs, &scale).unwrap();
+        let series = sweep(&specs, &scale).unwrap();
         assert_eq!(series[0].points.len(), 1);
         let p = &series[0].points[0];
         assert_eq!(p.throughput_ci.batches, 3);
@@ -888,13 +987,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn scale_from_env_defaults_to_quick() {
-        // (no env var set in tests)
-        let s = Scale::from_env();
-        assert_eq!(s.measured, Scale::quick().measured);
     }
 
     #[test]
@@ -948,6 +1040,23 @@ mod tests {
         check(&seq(&micro).unwrap(), 5);
         check(&failures(&micro).unwrap(), 16); // 4 protocols x 4 crash rates
         check(&fault_injection(&micro).unwrap(), 20); // 5 protocols x 4 crash rates
+        let (a, b) = linear(&micro).unwrap();
+        check(&a, 4);
+        check(&b, 4);
+        assert_eq!(b.config.dist_degree, 6);
+    }
+
+    /// Preset ids are unique and every preset reports throughput
+    /// first — the metric its chart and peak summary are drawn from.
+    #[test]
+    fn preset_table_is_well_formed() {
+        let mut ids = std::collections::HashSet::new();
+        for p in PRESETS {
+            assert!(ids.insert(p.id), "duplicate preset id {}", p.id);
+            assert_eq!(p.metrics.first(), Some(&Metric::Throughput), "{}", p.id);
+            assert!(std::ptr::eq(preset(p.id).unwrap(), p));
+        }
+        assert!(preset("nope").is_none());
     }
 
     /// The scale preset pins MPL, spans 4 protocols × 3 network/skew

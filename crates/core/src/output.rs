@@ -31,6 +31,9 @@ pub enum Metric {
     /// blocking protocols (blocked for the full recovery time) from
     /// 3PC termination and Paxos Commit failover.
     CrashBlockedTime,
+    /// Master crashes injected during the measured window (the
+    /// `failures` preset's count beside its throughput).
+    MasterCrashes,
 }
 
 impl Metric {
@@ -46,6 +49,7 @@ impl Metric {
             Metric::ForcedWritesPerCommit => "Forced writes / commit",
             Metric::MessagesPerCommit => "Messages / commit",
             Metric::CrashBlockedTime => "Blocked on crash (s)",
+            Metric::MasterCrashes => "Master crashes",
         }
     }
 
@@ -61,6 +65,7 @@ impl Metric {
             Metric::ForcedWritesPerCommit => r.forced_writes_per_commit,
             Metric::MessagesPerCommit => r.exec_messages_per_commit + r.commit_messages_per_commit,
             Metric::CrashBlockedTime => r.faults.mean_blocked_on_crash_s,
+            Metric::MasterCrashes => r.faults.master_crashes as f64,
         }
     }
 }
@@ -483,7 +488,7 @@ mod tests {
             id: "test".into(),
             title: "test experiment".into(),
             config: cfg.clone(),
-            series: sweep(&cfg, &specs, &scale).unwrap(),
+            series: sweep(&specs, &scale).unwrap(),
         }
     }
 
@@ -605,8 +610,8 @@ mod tests {
             ("OPT".to_string(), ProtocolSpec::OPT_2PC, cfg.clone()),
         ];
         let scfg = crate::engine::SeriesConfig::default();
-        let (_, cells) = crate::experiments::sweep_with_series(&cfg, &specs, &scale, &scfg)
-            .expect("tiny sweep runs");
+        let (_, cells) =
+            crate::experiments::sweep_with_series(&specs, &scale, &scfg).expect("tiny sweep runs");
         cells
     }
 

@@ -6,8 +6,9 @@
 //! cargo run --release --example paper_report
 //! ```
 //!
-//! (The bench harness regenerates the full tables and figures; this
-//! example is the five-minute "does the reproduction hold?" check.)
+//! (`distcommit experiment <id>` and `distcommit tables` regenerate the
+//! full tables and figures; this example is the five-minute "does the
+//! reproduction hold?" check.)
 
 use distcommit::db::experiments::{fig1, fig2, fig4, fig5, Scale};
 
@@ -107,7 +108,7 @@ fn main() {
         "\n{ok}/{} of the paper's headline claims hold at this scale.",
         claims.len()
     );
-    println!("(full-length runs: DISTCOMMIT_FULL=1 cargo bench; details in EXPERIMENTS.md)");
+    println!("(full-length runs: distcommit experiment <id> --full; details in EXPERIMENTS.md)");
     if ok < claims.len() {
         std::process::exit(1);
     }

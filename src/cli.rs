@@ -15,8 +15,8 @@ use commitproto::ProtocolSpec;
 use distdb::config::{
     parse_millis, FailureConfig, ResourceMode, RestartPolicy, SystemConfig, Topology, TransType,
 };
-use distdb::engine::{ChromeStreamSink, FoldSink, SeriesConfig, SeriesFormat, Simulation};
-use distdb::experiments::{self, Scale};
+use distdb::engine::{ChromeStreamSink, FoldSink, SeriesConfig, SeriesFormat, Simulation, Trace};
+use distdb::experiments::{self, Experiment, Scale, PRESETS};
 use distdb::metrics::ReportFormat;
 use distdb::output::{
     render_ascii_chart, render_csv, render_peaks, render_ranking, render_sweep_csv,
@@ -91,8 +91,11 @@ pub enum Command {
         /// Window width / per-site breakdown for `--series-out`.
         series_cfg: SeriesConfig,
     },
-    /// A named paper experiment (`fig1`, `fig2`, `expt3`, `fig3`,
-    /// `fig4`, `fig5`, `seq`).
+    /// A preset from [`experiments::PRESETS`]: `fig1`, `fig2`,
+    /// `expt3`, `fig3`, `fig4`, `fig5` (with the §5.7 `expt6x`
+    /// extension), `seq`, `failures`, `faults`, `replication`,
+    /// `linear` or `scale`. Prints the configuration and one table per
+    /// metric the preset lists, or one CSV block per metric.
     Experiment {
         id: String,
         full: bool,
@@ -116,7 +119,8 @@ pub enum Command {
         /// off-path cost at 3%.
         series: bool,
     },
-    /// Tables 2–4.
+    /// Table 2, and Tables 3–4 with measured columns beside the
+    /// analytic ones.
     Tables,
     /// Usage text.
     Help,
@@ -154,6 +158,7 @@ pub static USAGE: LazyLock<String> = LazyLock::new(|| {
     // The protocol vocabulary renders straight from the spec table, so
     // adding a ProtocolSpec::ALL entry updates the help screen too.
     let protocol_names: String = ProtocolSpec::valid_names().collect::<Vec<_>>().join(" ");
+    let preset_ids = preset_ids();
     format!(
         "\
 distcommit — the SIGMOD'97 commit-processing simulator
@@ -164,13 +169,15 @@ USAGE:
   distcommit trace  [OPTIONS]                per-txn commit choreography
   distcommit fold   [OPTIONS]                collapsed-stack flamegraph fold
   distcommit sweep  [OPTIONS]                protocols x MPLs sweep
-  distcommit experiment <fig1|fig2|expt3|fig3|fig4|fig5|seq|failures|faults|replication|scale>
+  distcommit experiment <{preset_ids}>
                         [--full] [--reps N] [--jobs N] [--csv]
-                        (--csv emits plottable per-metric CSV; the
-                        faults preset adds a blocked-time-on-crash
-                        table/CSV block — its headline curve)
+                        (prints the configuration and one table per
+                        metric the paper plots; --csv prints one
+                        plottable CSV block per metric instead;
+                        --full runs 50 000 transactions per point)
   distcommit bench [OPTIONS]                 canonical engine benchmark
-  distcommit tables                          Tables 2-4
+  distcommit tables                          Tables 2-4, analytic and
+                                             measured overheads
   distcommit help
 
 BENCH:
@@ -298,6 +305,12 @@ Protocols: {protocol_names}
 "
     )
 });
+
+/// The `experiment` ids, `|`-separated, from the preset table — the
+/// usage text and the parser's errors share this one list.
+fn preset_ids() -> String {
+    PRESETS.iter().map(|p| p.id).collect::<Vec<_>>().join("|")
+}
 
 fn take_value<'a>(
     flag: &str,
@@ -428,15 +441,15 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 return err("--reps must be at least 1");
             }
             match id {
-                Some(id) => Ok(Command::Experiment {
+                Some(id) if experiments::preset(&id).is_some() => Ok(Command::Experiment {
                     id,
                     full,
                     reps,
                     jobs,
                     csv,
                 }),
-                None => err("experiment needs an id \
-                     (fig1|fig2|expt3|fig3|fig4|fig5|seq|failures|faults|replication|scale)"),
+                Some(id) => err(format!("unknown experiment {id:?} ({})", preset_ids())),
+                None => err(format!("experiment needs an id ({})", preset_ids())),
             }
         }
         "run" | "sweep" | "trace" | "fold" | "series" => {
@@ -777,12 +790,19 @@ pub fn execute(cmd: Command) -> i32 {
             println!("{}", SystemConfig::paper_baseline());
             for d in [3u32, 6] {
                 println!(
-                    "Table {} — Protocol Overheads (DistDegree = {d}):",
+                    "Table {} — Protocol Overheads (DistDegree = {d}), committing transactions; \
+                     (meas) = per commit in a conflict-free run",
                     if d == 3 { 3 } else { 4 }
                 );
                 println!(
-                    "{:<9} {:>9} {:>13} {:>11}",
-                    "Protocol", "ExecMsgs", "ForcedWrites", "CommitMsgs"
+                    "{:<9} {:>9} {:>9} | {:>12} {:>9} | {:>10} {:>9}",
+                    "Protocol",
+                    "ExecMsgs",
+                    "(meas)",
+                    "ForcedWrites",
+                    "(meas)",
+                    "CommitMsgs",
+                    "(meas)"
                 );
                 for spec in [
                     ProtocolSpec::TWO_PC,
@@ -793,12 +813,30 @@ pub fn execute(cmd: Command) -> i32 {
                     ProtocolSpec::CENT,
                 ] {
                     let o = spec.committed_overheads(d);
+                    let m = match experiments::measured_overheads(d, spec, TABLES_SEED) {
+                        Ok(m) if m.total_aborts() == 0 => m,
+                        Ok(_) => {
+                            eprintln!(
+                                "error: the {} run at DistDegree {d} aborted transactions; \
+                                 the overhead measurement must be conflict-free",
+                                spec.name()
+                            );
+                            return 1;
+                        }
+                        Err(e) => {
+                            eprintln!("error: {e}");
+                            return 1;
+                        }
+                    };
                     println!(
-                        "{:<9} {:>9} {:>13} {:>11}",
+                        "{:<9} {:>9} {:>9.2} | {:>12} {:>9.2} | {:>10} {:>9.2}",
                         spec.name(),
                         o.exec_messages,
+                        m.exec_messages_per_commit,
                         o.forced_writes,
-                        o.commit_messages
+                        m.forced_writes_per_commit,
+                        o.commit_messages,
+                        m.commit_messages_per_commit,
                     );
                 }
                 println!();
@@ -975,7 +1013,7 @@ pub fn execute(cmd: Command) -> i32 {
             seed,
             txns,
             out,
-        } => match Simulation::run_traced(&cfg, protocol, seed, txns) {
+        } => match Simulation::run_with_sink(&cfg, protocol, seed, txns, Trace::default()) {
             Ok((report, trace)) => {
                 println!(
                     "{} — first {txns} transaction(s), seed {seed}",
@@ -1033,31 +1071,29 @@ pub fn execute(cmd: Command) -> i32 {
             // recording does not perturb the runs, so the reports are
             // identical either way.
             let result = match &series_out {
-                Some(path) => {
-                    match experiments::sweep_with_series(&cfg, &specs, &scale, &series_cfg) {
-                        Ok((series, cells)) => {
-                            let rendered = match series_format_for(path) {
-                                SeriesFormat::Json => render_sweep_series_json(&cells),
-                                SeriesFormat::Csv => render_sweep_series_csv(&cells),
-                            };
-                            if let Err(e) = std::fs::write(path, &rendered) {
-                                eprintln!("error: cannot write {path}: {e}");
-                                return 1;
-                            }
-                            eprintln!(
-                                "windowed series for {} sweep cell(s) written to {path}",
-                                cells.len()
-                            );
-                            Ok(series)
+                Some(path) => match experiments::sweep_with_series(&specs, &scale, &series_cfg) {
+                    Ok((series, cells)) => {
+                        let rendered = match series_format_for(path) {
+                            SeriesFormat::Json => render_sweep_series_json(&cells),
+                            SeriesFormat::Csv => render_sweep_series_csv(&cells),
+                        };
+                        if let Err(e) = std::fs::write(path, &rendered) {
+                            eprintln!("error: cannot write {path}: {e}");
+                            return 1;
                         }
-                        Err(e) => Err(e),
+                        eprintln!(
+                            "windowed series for {} sweep cell(s) written to {path}",
+                            cells.len()
+                        );
+                        Ok(series)
                     }
-                }
-                None => experiments::sweep(&cfg, &specs, &scale),
+                    Err(e) => Err(e),
+                },
+                None => experiments::sweep(&specs, &scale),
             };
             match result {
                 Ok(series) => {
-                    let exp = experiments::Experiment {
+                    let exp = Experiment {
                         id: "cli-sweep".into(),
                         title: "CLI sweep".into(),
                         config: cfg,
@@ -1099,69 +1135,18 @@ pub fn execute(cmd: Command) -> i32 {
             jobs,
             csv,
         } => {
-            let mut scale = if full { Scale::full() } else { Scale::quick() };
-            scale.replications = reps;
-            scale.jobs = jobs;
-            let print = |exp: &experiments::Experiment| {
-                if csv {
-                    print!("{}", render_csv(exp, Metric::Throughput));
-                    if exp.id == "faults" {
-                        println!();
-                        print!("{}", render_csv(exp, Metric::CrashBlockedTime));
-                    }
-                    return;
-                }
-                if reps >= 2 {
-                    print!("{}", render_table_ci(exp));
-                } else {
-                    print!("{}", render_table(exp, Metric::Throughput));
-                }
-                println!();
-                print!("{}", render_ascii_chart(exp, Metric::Throughput, 64, 18));
-                print!("{}", render_peaks(exp));
-                if exp.id == "scale" {
-                    // The scale preset pins MPL and varies the
-                    // network/skew mix — the ranking is the result.
-                    println!();
-                    print!("{}", render_ranking(exp));
-                }
-                if exp.id == "faults" {
-                    // Blocked time is the point of the fault sweep:
-                    // the curve vs crash probability separates the
-                    // blocking protocols from 3PC termination and
-                    // Paxos Commit failover.
-                    println!();
-                    print!("{}", render_table(exp, Metric::CrashBlockedTime));
-                    print!(
-                        "{}",
-                        render_ascii_chart(exp, Metric::CrashBlockedTime, 64, 18)
-                    );
-                }
-            };
-            let result: Result<Vec<experiments::Experiment>, _> = match id.as_str() {
-                "fig1" => experiments::fig1(&scale).map(|e| vec![e]),
-                "fig2" => experiments::fig2(&scale).map(|e| vec![e]),
-                "expt3" => experiments::expt3(&scale).map(|(a, b)| vec![a, b]),
-                "fig3" => experiments::fig3(&scale).map(|(a, b)| vec![a, b]),
-                "fig4" => experiments::fig4(&scale).map(|(a, b)| vec![a, b]),
-                "fig5" => experiments::fig5(&scale).map(|(a, b)| vec![a, b]),
-                "seq" => experiments::seq(&scale).map(|e| vec![e]),
-                "failures" => experiments::failures(&scale).map(|e| vec![e]),
-                "faults" => experiments::fault_injection(&scale).map(|e| vec![e]),
-                "replication" => experiments::replication(&scale).map(|e| vec![e]),
-                "scale" => experiments::at_scale(&scale).map(|e| vec![e]),
-                other => {
-                    eprintln!(
-                        "unknown experiment {other:?} \
-                         (fig1|fig2|expt3|fig3|fig4|fig5|seq|failures|faults|replication|scale)"
-                    );
-                    return 1;
-                }
-            };
-            match result {
+            let preset = experiments::preset(&id).expect("`parse` admits only preset ids");
+            let scale = if full { Scale::full() } else { Scale::quick() }
+                .with_replications(reps)
+                .with_jobs(jobs);
+            match (preset.build)(&scale) {
                 Ok(exps) => {
-                    for e in &exps {
-                        print(e);
+                    for exp in &exps {
+                        if csv {
+                            print_csv_blocks(exp, preset.metrics);
+                        } else {
+                            print_tables(exp, preset.metrics, reps);
+                        }
                         println!();
                     }
                     0
@@ -1172,6 +1157,41 @@ pub fn execute(cmd: Command) -> i32 {
                 }
             }
         }
+    }
+}
+
+/// Seed of the conflict-free runs behind `tables`' measured columns.
+const TABLES_SEED: u64 = 0xBE7C;
+
+/// One experiment as `experiment` prints it: the configuration, one
+/// table per metric (throughput as mean ±90% CI with `--reps` ≥ 2),
+/// then the chart and peaks of the first metric over MPL — or, for a
+/// fixed-MPL preset that varies the protocol mix instead, the ranking.
+fn print_tables(exp: &Experiment, metrics: &[Metric], reps: u32) {
+    println!("configuration:\n{}", exp.config);
+    for &m in metrics {
+        if m == Metric::Throughput && reps >= 2 {
+            print!("{}", render_table_ci(exp));
+        } else {
+            print!("{}", render_table(exp, m));
+        }
+        println!();
+    }
+    if exp.mpls().len() > 1 {
+        print!("{}", render_ascii_chart(exp, metrics[0], 64, 18));
+        print!("{}", render_peaks(exp));
+    } else {
+        print!("{}", render_ranking(exp));
+    }
+}
+
+/// One CSV block per metric, separated by blank lines.
+fn print_csv_blocks(exp: &Experiment, metrics: &[Metric]) {
+    for (i, &m) in metrics.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        print!("{}", render_csv(exp, m));
     }
 }
 
@@ -1388,6 +1408,21 @@ mod tests {
         assert!(parse(&argv("experiment")).is_err());
     }
 
+    /// The preset table is the only id list: every id parses, and the
+    /// usage text names each one.
+    #[test]
+    fn every_preset_id_parses_and_is_in_usage() {
+        for p in PRESETS {
+            let cmd = parse(&argv(&format!("experiment {}", p.id))).unwrap();
+            assert!(
+                matches!(&cmd, Command::Experiment { id, .. } if id == p.id),
+                "{cmd:?}"
+            );
+            assert!(USAGE.contains(p.id), "usage missing experiment {}", p.id);
+        }
+        assert!(USAGE.contains(&preset_ids()));
+    }
+
     #[test]
     fn experiment_parses_csv() {
         assert_eq!(
@@ -1492,6 +1527,11 @@ mod tests {
         // validation runs at parse time: dist_degree > sites
         assert!(parse(&argv("run --sites 2 --dist-degree 3")).is_err());
         assert!(parse(&argv("sweep --protocols , --mpls 1")).is_err());
+        // Unknown experiment ids fail at parse time and name the valid
+        // ones.
+        let e = parse(&argv("experiment nope")).unwrap_err();
+        assert!(e.0.contains("unknown experiment \"nope\""), "{e}");
+        assert!(e.0.contains("fig1|fig2"), "{e}");
         // The removed intra-run sharding flag fails loudly rather than
         // being ignored.
         assert_eq!(

@@ -6,7 +6,7 @@
 //! check the field mapping back against the recorded [`TraceEvent`]s.
 
 use distcommit::db::config::{FailureConfig, SystemConfig};
-use distcommit::db::engine::{chrome_trace_json, ChromeStreamSink, Simulation, TraceEvent};
+use distcommit::db::engine::{chrome_trace_json, ChromeStreamSink, Simulation, Trace, TraceEvent};
 use distcommit::proto::ProtocolSpec;
 
 // ---------------------------------------------------------------------
@@ -244,7 +244,8 @@ fn parse_json(s: &str) -> Json {
 fn traced_run() -> (distcommit::db::engine::Trace, String) {
     let cfg = SystemConfig::paper_baseline().with_run_length(10, 60);
     let (_, trace) =
-        Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3).expect("valid config");
+        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3, Trace::default())
+            .expect("valid config");
     let json = chrome_trace_json(&trace);
     (trace, json)
 }
@@ -392,7 +393,8 @@ fn streaming_sink_matches_buffered_export_byte_for_byte() {
     let cfg = SystemConfig::paper_baseline().with_run_length(10, 60);
 
     let (_, trace) =
-        Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3).expect("valid config");
+        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3, Trace::default())
+            .expect("valid config");
     let buffered = chrome_trace_json(&trace);
 
     let tmp = TempFile::new("stream-identity.json");

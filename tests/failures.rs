@@ -5,7 +5,7 @@
 //! a short detection timeout.
 
 use distcommit::db::config::{FailureConfig, SystemConfig};
-use distcommit::db::engine::{MsgLabel, Simulation, TraceEvent};
+use distcommit::db::engine::{MsgLabel, Simulation, Trace, TraceEvent};
 use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
 use simkernel::SimDuration;
@@ -129,8 +129,14 @@ fn termination_choreography() {
     cfg.mpl = 1;
     cfg.run.warmup_transactions = 0;
     cfg.run.measured_transactions = 20;
-    let (report, tr) =
-        Simulation::run_traced(&cfg, ProtocolSpec::THREE_PC, 6 + seed_offset(), 5).unwrap();
+    let (report, tr) = Simulation::run_with_sink(
+        &cfg,
+        ProtocolSpec::THREE_PC,
+        6 + seed_offset(),
+        5,
+        Trace::default(),
+    )
+    .unwrap();
     // p = 1.0: every committed transaction crashed first; up to one
     // crashed-but-unterminated transaction per site may straddle the
     // window end.
@@ -174,8 +180,14 @@ fn blocking_recovery_resumes_and_commits() {
     cfg.mpl = 1;
     cfg.run.warmup_transactions = 0;
     cfg.run.measured_transactions = 10;
-    let (report, tr) =
-        Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 7 + seed_offset(), 3).unwrap();
+    let (report, tr) = Simulation::run_with_sink(
+        &cfg,
+        ProtocolSpec::TWO_PC,
+        7 + seed_offset(),
+        3,
+        Trace::default(),
+    )
+    .unwrap();
     assert!(report.faults.master_crashes > 0);
     // Each crashed transaction eventually decided commit (after
     // recovery) and the response time shows the 5 s stall.
@@ -218,8 +230,14 @@ fn message_loss_hits_both_directions() {
     let mut cfg = lossy_cfg(0.1);
     cfg.run.warmup_transactions = 0;
     cfg.run.measured_transactions = 300;
-    let (report, tr) =
-        Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 9 + seed_offset(), 300).unwrap();
+    let (report, tr) = Simulation::run_with_sink(
+        &cfg,
+        ProtocolSpec::TWO_PC,
+        9 + seed_offset(),
+        300,
+        Trace::default(),
+    )
+    .unwrap();
     assert!(report.faults.messages_lost > 0);
     assert!(report.faults.retransmissions > 0);
 

@@ -290,10 +290,8 @@ fn sweep_series_bytes_identical_across_jobs_and_seed_offsets() {
             replications: 2,
             jobs: Some(jobs),
         };
-        let (_, serial) =
-            experiments::sweep_with_series(&cfg, &specs, &scale(1), &series_cfg).unwrap();
-        let (_, parallel) =
-            experiments::sweep_with_series(&cfg, &specs, &scale(4), &series_cfg).unwrap();
+        let (_, serial) = experiments::sweep_with_series(&specs, &scale(1), &series_cfg).unwrap();
+        let (_, parallel) = experiments::sweep_with_series(&specs, &scale(4), &series_cfg).unwrap();
 
         // 2 protocols x 2 MPLs x 2 replications.
         assert_eq!(serial.len(), 8);
@@ -397,9 +395,9 @@ fn replicated_peaks_agree_with_single_rep() {
         replications: 1,
         jobs: None,
     };
-    let single = experiments::sweep(&cfg, &specs, &scale).unwrap();
+    let single = experiments::sweep(&specs, &scale).unwrap();
     scale.replications = 3;
-    let replicated = experiments::sweep(&cfg, &specs, &scale).unwrap();
+    let replicated = experiments::sweep(&specs, &scale).unwrap();
 
     let s = &single[0];
     let r = &replicated[0];

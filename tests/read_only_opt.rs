@@ -3,7 +3,7 @@
 //! read-only transaction commits in one phase.
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{LogLabel, MsgLabel, Simulation};
+use distcommit::db::engine::{LogLabel, MsgLabel, Simulation, Trace};
 use distcommit::proto::{ProtocolSpec, ReadOnlyScenario};
 
 fn ro_cfg(update_prob: f64) -> SystemConfig {
@@ -39,7 +39,8 @@ fn fully_read_only_transactions_commit_in_one_phase() {
 #[test]
 fn read_only_choreography() {
     let cfg = ro_cfg(0.0);
-    let (_, tr) = Simulation::run_traced(&cfg, ProtocolSpec::TWO_PC, 1, 1).unwrap();
+    let (_, tr) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 1, 1, Trace::default()).unwrap();
     assert_eq!(tr.all_sends(1, MsgLabel::VoteReadOnly), 3);
     assert_eq!(tr.all_sends(1, MsgLabel::VoteYes), 0);
     assert_eq!(tr.all_sends(1, MsgLabel::DecisionCommit), 0);
@@ -51,7 +52,8 @@ fn read_only_choreography() {
 #[test]
 fn read_only_3pc_skips_the_precommit_round_when_empty() {
     let cfg = ro_cfg(0.0);
-    let (r, tr) = Simulation::run_traced(&cfg, ProtocolSpec::THREE_PC, 2, 1).unwrap();
+    let (r, tr) =
+        Simulation::run_with_sink(&cfg, ProtocolSpec::THREE_PC, 2, 1, Trace::default()).unwrap();
     assert_eq!(tr.all_sends(1, MsgLabel::PreCommit), 0);
     assert_eq!(tr.forced_writes(1, LogLabel::MasterPrecommit), 0);
     assert!(r.forced_writes_per_commit < 0.05);

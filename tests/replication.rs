@@ -122,9 +122,9 @@ fn replicated_sweep_is_invariant_under_worker_count() {
     let mut scale = Scale::quick().with_runs(50, 300).with_seed(5);
     scale.mpls = vec![2, 4];
     scale.jobs = Some(1);
-    let serial = experiments::sweep(&cfg, &specs, &scale).unwrap();
+    let serial = experiments::sweep(&specs, &scale).unwrap();
     scale.jobs = Some(4);
-    let parallel = experiments::sweep(&cfg, &specs, &scale).unwrap();
+    let parallel = experiments::sweep(&specs, &scale).unwrap();
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.label, b.label);
         for (x, y) in a.points.iter().zip(&b.points) {

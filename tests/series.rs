@@ -6,6 +6,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use distcommit::db::config::{FailureConfig, SystemConfig};
+use distcommit::db::engine::series::SeriesRunError;
 use distcommit::db::engine::{Series, SeriesConfig, SeriesFormat, Simulation};
 use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
@@ -230,6 +231,57 @@ fn streaming_output_is_byte_identical_to_buffered_render() {
         assert!(report.committed > 0);
         let streamed = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert_eq!(buffered.render(format), streamed);
+    }
+}
+
+/// A writer that takes the header, then fails every write; `flush`
+/// succeeds, like an unbuffered `File` whose disk filled up mid-run.
+#[derive(Clone, Default)]
+struct FailsAfterHeader {
+    writes: Arc<Mutex<u32>>,
+}
+
+impl Write for FailsAfterHeader {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut writes = self.writes.lock().unwrap();
+        *writes += 1;
+        if *writes == 1 {
+            Ok(buf.len())
+        } else {
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A window write that fails mid-run must fail the run with the I/O
+/// error instead of reporting success over a truncated stream, and the
+/// stream goes quiet after the first failure.
+#[test]
+fn streaming_write_error_fails_the_run() {
+    let mut cfg = small_cfg();
+    cfg.run.measured_transactions = 2_000;
+    for format in [SeriesFormat::Csv, SeriesFormat::Json] {
+        let writer = FailsAfterHeader::default();
+        let result = Simulation::run_with_series_stream(
+            &cfg,
+            ProtocolSpec::TWO_PC,
+            5,
+            &series_cfg(2, false),
+            Box::new(writer.clone()),
+            format,
+        );
+        match result {
+            Err(SeriesRunError::Io(e)) => assert_eq!(e.to_string(), "disk full"),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        assert_eq!(
+            *writer.writes.lock().unwrap(),
+            2,
+            "header + first failed window"
+        );
     }
 }
 

@@ -30,7 +30,7 @@ fn build(jobs: Option<usize>) -> Experiment {
         id: "csv-golden".into(),
         title: "sweep csv golden".into(),
         config: cfg.clone(),
-        series: sweep(&cfg, &specs, &scale).unwrap(),
+        series: sweep(&specs, &scale).unwrap(),
     }
 }
 
