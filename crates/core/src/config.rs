@@ -481,7 +481,8 @@ pub struct RunConfig {
     pub batches: u64,
     /// Hard safety cap on simulated time (a thrashing configuration
     /// might otherwise take unbounded wall-clock time to commit the
-    /// requested count). `None` disables the cap.
+    /// requested count). `None` disables the cap. A run that hits it
+    /// reports [`crate::metrics::SimReport::truncated`].
     pub max_sim_time: Option<simkernel::SimTime>,
 }
 
@@ -866,6 +867,16 @@ impl SystemConfig {
         if self.run.measured_transactions == 0 {
             return Err(Invalid("measured_transactions must be positive"));
         }
+        if self
+            .run
+            .warmup_transactions
+            .checked_add(self.run.measured_transactions)
+            .is_none()
+        {
+            return Err(Invalid(
+                "warmup_transactions + measured_transactions overflows u64",
+            ));
+        }
         if self.run.batches < 2 {
             return Err(Invalid(
                 "at least two batches are needed for a confidence interval",
@@ -1014,6 +1025,17 @@ mod tests {
         let mut c = SystemConfig::paper_baseline();
         c.run.batches = 1;
         assert!(c.validate().is_err());
+
+        // The engine's commit target is warm-up + measured.
+        let mut c = SystemConfig::paper_baseline().with_run_length(u64::MAX, 5);
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Invalid(
+                "warmup_transactions + measured_transactions overflows u64"
+            ))
+        );
+        c.run.warmup_transactions = u64::MAX - 5;
+        c.validate().unwrap();
     }
 
     #[test]

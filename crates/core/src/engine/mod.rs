@@ -1331,13 +1331,8 @@ impl Simulation {
             },
             convergence: self.metrics.convergence(),
             events: self.cal.dispatched_count(),
+            truncated: self.truncated,
         }
-    }
-
-    /// Whether the run hit its simulated-time cap before committing the
-    /// requested number of transactions.
-    pub fn was_truncated(&self) -> bool {
-        self.truncated
     }
 
     /// Render every in-flight transaction and cohort — the post-mortem

@@ -4,10 +4,10 @@
 use super::types::{CohortH, CohortPhase, LogWork, MsgKind, TxnH, Vote};
 use super::{Simulation, Trace};
 use crate::config::{ResourceMode, SystemConfig, TransType};
-use crate::metrics::SimReport;
+use crate::metrics::{ReportFormat, SimReport};
 use commitproto::ProtocolSpec;
 use simkernel::slab::Handle;
-use simkernel::SlabKey;
+use simkernel::{SimTime, SlabKey};
 
 /// A transaction handle literal for payload tests (generation 0).
 fn th(n: u32) -> TxnH {
@@ -329,6 +329,46 @@ fn zero_warmup_is_legal() {
     cfg.run.warmup_transactions = 0;
     let r = run(&cfg, ProtocolSpec::OPT_2PC, 9);
     assert_eq!(r.committed, 80);
+}
+
+/// A run that hits its simulated-time cap says so in every format; a
+/// run that commits its target renders no trace of the flag.
+#[test]
+fn capped_runs_are_flagged_truncated() {
+    // Every cohort votes NO, so nothing ever commits and the 30 s cap
+    // ends the run (the capped configuration of tests/choreography.rs).
+    let mut cfg = SystemConfig::paper_baseline()
+        .with_db_size(80_000)
+        .with_mpl(1)
+        .with_cohort_abort_prob(1.0)
+        .with_run_length(0, 10);
+    cfg.run.max_sim_time = Some(SimTime::from_secs(30));
+    let capped = run(&cfg, ProtocolSpec::TWO_PC, 3);
+    assert!(capped.truncated);
+    assert_eq!(capped.committed, 0);
+    assert!(capped.summary().contains("WARNING: TRUNCATED"));
+    assert!(capped
+        .render(ReportFormat::Table)
+        .contains("WARNING: TRUNCATED"));
+    assert!(capped
+        .render(ReportFormat::Json)
+        .ends_with(",\"truncated\":true}"));
+    assert!(capped
+        .render(ReportFormat::Csv)
+        .ends_with("\nrun,truncated,1\n"));
+
+    // The golden configuration commits its target.
+    let golden = SystemConfig::paper_baseline().with_run_length(10, 80);
+    let full = run(&golden, ProtocolSpec::TWO_PC, 2026);
+    assert!(!full.truncated);
+    for format in [ReportFormat::Table, ReportFormat::Csv, ReportFormat::Json] {
+        let text = full.render(format).to_lowercase();
+        assert!(!text.contains("truncated"), "{format:?}");
+    }
+
+    // One capped replication flags the merged cell.
+    assert!(SimReport::merge_replications(&[full.clone(), capped]).truncated);
+    assert!(!SimReport::merge_replications(&[full.clone(), full]).truncated);
 }
 
 #[test]

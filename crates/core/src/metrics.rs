@@ -611,6 +611,10 @@ pub struct SimReport {
     pub convergence: ConvergenceReport,
     /// Total simulation events dispatched (diagnostics).
     pub events: u64,
+    /// The run hit [`crate::config::RunConfig::max_sim_time`] before
+    /// committing its target, so every figure covers a shorter run
+    /// than was asked for. Rendered only when set.
+    pub truncated: bool,
 }
 
 fn merge_latency(
@@ -802,6 +806,7 @@ impl SimReport {
             faults: FaultCounters::merge(reports),
             convergence: ConvergenceReport::merge(reports),
             events: sum(&|r| r.events),
+            truncated: reports.iter().any(|r| r.truncated),
         }
     }
 
@@ -856,6 +861,12 @@ impl SimReport {
                 f.blocked_on_crash_cohorts,
                 f.mean_blocked_on_crash_s,
             ));
+        }
+        if self.truncated {
+            s.push_str(
+                "\n         WARNING: TRUNCATED — the run hit its simulated-time cap before \
+                 committing its target; these numbers cover a shorter run",
+            );
         }
         let c = &self.convergence;
         if !c.converged {
@@ -1179,6 +1190,9 @@ impl SimReport {
                 resource_rows(format!("site{i}"), site);
             }
         }
+        if self.truncated {
+            out.push_str("run,truncated,1\n");
+        }
         out
     }
 
@@ -1312,6 +1326,9 @@ impl SimReport {
             json_f64(c.warmup_ended_s),
             c.warmup_sufficient
         );
+        if self.truncated {
+            out.push_str(",\"truncated\":true");
+        }
         out.push('}');
         out
     }
@@ -1456,6 +1473,7 @@ mod tests {
                 warmup_sufficient: true,
             },
             events: 1,
+            truncated: false,
         }
     }
 

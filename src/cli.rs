@@ -104,21 +104,6 @@ pub enum Command {
         /// Emit per-metric CSV blocks instead of tables/charts.
         csv: bool,
     },
-    /// The canonical engine benchmark: run the fixed seed/protocol
-    /// grid, print events per core-second, optionally append the entry
-    /// to a `BENCH_*.json` trajectory and gate against a committed
-    /// baseline.
-    Bench {
-        quick: bool,
-        label: String,
-        seed: u64,
-        out: Option<String>,
-        baseline: Option<String>,
-        tolerance: f64,
-        /// Run the grid twice (series sink off/on) and gate the sink's
-        /// off-path cost at 3%.
-        series: bool,
-    },
     /// Table 2, and Tables 3–4 with measured columns beside the
     /// analytic ones.
     Tables,
@@ -175,26 +160,9 @@ USAGE:
                         metric the paper plots; --csv prints one
                         plottable CSV block per metric instead;
                         --full runs 50 000 transactions per point)
-  distcommit bench [OPTIONS]                 canonical engine benchmark
   distcommit tables                          Tables 2-4, analytic and
                                              measured overheads
   distcommit help
-
-BENCH:
-  --quick                  short grid (CI smoke) instead of the full
-                           canonical grid
-  --label <S>              label recorded with the trajectory entry
-  --out <FILE>             append the entry to this BENCH_*.json
-                           trajectory (created if missing)
-  --baseline <FILE>        validate FILE's schema and fail if this
-                           run's events/sec regresses beyond tolerance
-                           vs its most recent comparable entry
-  --tolerance <P>          allowed fractional regression (default 0.25)
-  --seed <N>               grid seed (default 42)
-  --series                 run the grid twice (series sink off, then
-                           on) and fail if the sink's off-path cost
-                           exceeds 3% of events/sec; both entries are
-                           appended to --out
 
 RUN OUTPUT:
   --format <F>             report format: table (default), csv
@@ -384,40 +352,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "tables" => Ok(Command::Tables),
-        "bench" => {
-            let mut quick = false;
-            let mut label = String::new();
-            let mut seed = distbench::canonical::GRID_SEED;
-            let mut out = None;
-            let mut baseline = None;
-            let mut tolerance = 0.25f64;
-            let mut series = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--quick" => quick = true,
-                    "--label" => label = take_value(a, &mut it)?.clone(),
-                    "--seed" => seed = parse_num(a, take_value(a, &mut it)?)?,
-                    "--out" => out = Some(take_value(a, &mut it)?.clone()),
-                    "--baseline" => baseline = Some(take_value(a, &mut it)?.clone()),
-                    "--tolerance" => tolerance = parse_num(a, take_value(a, &mut it)?)?,
-                    "--series" => series = true,
-                    other => return err(format!("unknown option {other:?}")),
-                }
-            }
-            if !(0.0..1.0).contains(&tolerance) {
-                return err("--tolerance must be a fraction in [0, 1)");
-            }
-            Ok(Command::Bench {
-                quick,
-                label,
-                seed,
-                out,
-                baseline,
-                tolerance,
-                series,
-            })
-        }
         "experiment" => {
             let mut id = None;
             let mut full = false;
@@ -666,6 +600,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 if protocols.is_empty() || mpls.is_empty() {
                     return err("sweep needs at least one protocol and one MPL");
                 }
+                // Every cell runs the base config at one of these MPLs.
+                for &m in &mpls {
+                    cfg.clone()
+                        .with_mpl(m)
+                        .validate()
+                        .map_err(|e| CliError(e.to_string()))?;
+                }
                 if reps == 0 {
                     return err("--reps must be at least 1");
                 }
@@ -700,89 +641,6 @@ pub fn execute(cmd: Command) -> i32 {
     match cmd {
         Command::Help => {
             println!("{}", *USAGE);
-            0
-        }
-        Command::Bench {
-            quick,
-            label,
-            seed,
-            out,
-            baseline,
-            tolerance,
-            series,
-        } => {
-            use distbench::canonical as bench;
-            let opts = bench::Options {
-                quick,
-                label,
-                seed,
-                series,
-            };
-            // Validate the baseline's schema up front: a malformed
-            // committed trajectory should fail fast, before minutes of
-            // grid runs.
-            let baseline_doc = match baseline.as_deref().map(bench::load_trajectory) {
-                Some(Ok(doc)) => Some(doc),
-                Some(Err(e)) => {
-                    eprintln!("error: {e}");
-                    return 1;
-                }
-                None => None,
-            };
-            // With --series the grid runs twice (sink off, then on);
-            // the off pass is the entry comparable to the baseline.
-            let (entry, overhead) = if opts.series {
-                match bench::series_overhead(&opts) {
-                    Ok(m) => (m.off.clone(), Some(m)),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                }
-            } else {
-                match bench::run_grid(&opts) {
-                    Ok(entry) => (entry, None),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                }
-            };
-            print!("{}", bench::render_entry(&entry));
-            if let Some(m) = &overhead {
-                print!("{}", bench::render_entry(&m.on));
-            }
-            if let Some(path) = &out {
-                let mut entries = vec![&entry];
-                if let Some(m) = &overhead {
-                    entries.push(&m.on);
-                }
-                for e in entries {
-                    if let Err(err) = bench::append_entry(path, e) {
-                        eprintln!("error: {err}");
-                        return 1;
-                    }
-                }
-                println!("[trajectory] appended entry to {path}");
-            }
-            if let Some(doc) = &baseline_doc {
-                match bench::compare_to_baseline(&entry, doc, tolerance) {
-                    Ok(verdict) => println!("[baseline] {verdict}"),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                }
-            }
-            if let Some(m) = &overhead {
-                match bench::render_series_overhead(m) {
-                    Ok(verdict) => println!("[series] {verdict}"),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                }
-            }
             0
         }
         Command::Tables => {
@@ -910,7 +768,7 @@ pub fn execute(cmd: Command) -> i32 {
                     if let Some(path) = &series_out {
                         eprintln!("windowed series streamed to {path}");
                     }
-                    i32::from(!r.overhead_check.is_clean())
+                    i32::from(!r.overhead_check.is_clean() || r.truncated)
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -1532,12 +1390,57 @@ mod tests {
         let e = parse(&argv("experiment nope")).unwrap_err();
         assert!(e.0.contains("unknown experiment \"nope\""), "{e}");
         assert!(e.0.contains("fig1|fig2"), "{e}");
-        // The removed intra-run sharding flag fails loudly rather than
-        // being ignored.
+        // The removed intra-run sharding flag and benchmark command fail
+        // loudly rather than being ignored.
         assert_eq!(
             parse(&argv("run --shards 4")).unwrap_err(),
             CliError("unknown option \"--shards\"".into())
         );
+        let e = parse(&argv("bench --quick")).unwrap_err();
+        assert!(e.0.starts_with("unknown command \"bench\""), "{e}");
+        // A warm-up plus measured count that overflows u64 is rejected
+        // by validation, not wrapped into a 4-commit run.
+        let e = parse(&argv("run --warmup 18446744073709551615 --measured 5")).unwrap_err();
+        assert!(e.0.contains("overflow"), "{e}");
+        // Every --mpls entry is validated at parse time, not by the
+        // first cell that runs it.
+        for mpls in ["0", "4,0"] {
+            let e = parse(&argv(&format!("sweep --protocols 2PC --mpls {mpls}"))).unwrap_err();
+            assert!(e.0.contains("mpl must be positive"), "{mpls}: {e}");
+        }
+    }
+
+    /// `run` exits 1 when the simulated-time cap cuts the run short
+    /// (nothing commits when every cohort votes NO), 0 otherwise.
+    #[test]
+    fn run_exits_nonzero_when_truncated() {
+        let run = |args: &str, cap_s: Option<u64>| {
+            let Command::Run {
+                mut cfg,
+                protocol,
+                seed,
+                series_cfg,
+                ..
+            } = parse(&argv(args)).unwrap()
+            else {
+                panic!("expected Run");
+            };
+            if let Some(s) = cap_s {
+                cfg.run.max_sim_time = Some(simkernel::SimTime::from_secs(s));
+            }
+            execute(Command::Run {
+                cfg,
+                protocol,
+                seed,
+                format: ReportFormat::Json,
+                trace_out: None,
+                series_out: None,
+                series_cfg,
+            })
+        };
+        let never_commits = "run --mpl 1 --db-size 80000 --abort-prob 1 --warmup 0 --measured 10";
+        assert_eq!(run(never_commits, Some(30)), 1);
+        assert_eq!(run("run --warmup 10 --measured 80", None), 0);
     }
 
     /// Every duration input rejects what cannot be a duration with an
@@ -1568,41 +1471,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_parses_flags_and_defaults() {
-        assert_eq!(
-            parse(&argv("bench")).unwrap(),
-            Command::Bench {
-                quick: false,
-                label: String::new(),
-                seed: 42,
-                out: None,
-                baseline: None,
-                tolerance: 0.25,
-                series: false,
-            }
-        );
-        assert_eq!(
-            parse(&argv(
-                "bench --quick --label before --seed 7 --out BENCH_6.json \
-                 --baseline BENCH_6.json --tolerance 0.5 --series"
-            ))
-            .unwrap(),
-            Command::Bench {
-                quick: true,
-                label: "before".into(),
-                seed: 7,
-                out: Some("BENCH_6.json".into()),
-                baseline: Some("BENCH_6.json".into()),
-                tolerance: 0.5,
-                series: true,
-            }
-        );
-        assert!(parse(&argv("bench --tolerance 1.5")).is_err());
-        assert!(parse(&argv("bench --label")).is_err());
-        assert!(parse(&argv("bench --mpl 4")).is_err());
-    }
-
-    #[test]
     fn usage_mentions_every_subcommand() {
         for word in [
             "run",
@@ -1611,7 +1479,6 @@ mod tests {
             "fold",
             "sweep",
             "experiment",
-            "bench",
             "tables",
             "help",
         ] {
