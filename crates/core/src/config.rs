@@ -755,9 +755,10 @@ impl SystemConfig {
         self.db_size / self.num_sites as u64
     }
 
-    /// Largest possible cohort access-list length.
+    /// Largest possible cohort access-list length, `1.5 * cohort_size`
+    /// rounded down (in `u64`, so no `cohort_size` wraps it).
     pub fn max_cohort_pages(&self) -> u64 {
-        (self.cohort_size + self.cohort_size / 2).max(1) as u64
+        (u64::from(self.cohort_size) * 3 / 2).max(1)
     }
 
     /// Check the configuration for internal consistency.
@@ -1036,6 +1037,16 @@ mod tests {
         );
         c.run.warmup_transactions = u64::MAX - 5;
         c.validate().unwrap();
+
+        // 1.5 * cohort_size does not fit in u32: the bound must not wrap.
+        let mut c = SystemConfig::paper_baseline();
+        c.cohort_size = u32::MAX;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Invalid(
+                "a site must hold at least 1.5 * cohort_size pages"
+            ))
+        );
     }
 
     #[test]

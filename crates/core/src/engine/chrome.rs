@@ -29,91 +29,19 @@
 //! sorted by timestamp; the Chrome/Perfetto importers do not require
 //! sorted input.
 //!
-//! The writer is hand-rolled on `std::io::Write` — no serde — because
-//! the repo is dependency-free by charter. Every emitted string passes
-//! through `escape_json`, although in practice labels are plain ASCII.
+//! Serialization goes through the crate's one JSON writer — no serde,
+//! because the repo is dependency-free by charter — which keeps the
+//! `traceEvents` array open between records and escapes every name as
+//! it is formatted, without building it as a `String` first.
 
 use super::trace::{LogLabel, Trace, TraceEvent, TraceSink};
 use super::types::TxnId;
+use crate::json::Json;
 use crate::workload::SiteId;
 use std::collections::HashSet;
-use std::fmt::Write as _;
+use std::fmt;
 use std::io;
 use std::path::Path;
-
-/// Escape a string for inclusion inside a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One flattened trace-event record, pre-serialization.
-struct Record {
-    ts: u64,
-    dur: Option<u64>,
-    ph: char,
-    pid: TxnId,
-    tid: SiteId,
-    name: String,
-    args: Vec<(&'static str, String)>,
-}
-
-impl Record {
-    fn instant(ts: u64, pid: TxnId, tid: SiteId, name: String) -> Self {
-        Record {
-            ts,
-            dur: None,
-            ph: 'i',
-            pid,
-            tid,
-            name,
-            args: Vec::new(),
-        }
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-            escape_json(&self.name),
-            self.ph,
-            self.ts,
-            self.pid,
-            self.tid
-        );
-        if let Some(dur) = self.dur {
-            let _ = write!(out, ",\"dur\":{dur}");
-        }
-        if self.ph == 'i' {
-            // Thread-scoped instant: renders as a tick on the row.
-            out.push_str(",\"s\":\"t\"");
-        }
-        if !self.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (i, (k, v)) in self.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":{v}");
-            }
-            out.push('}');
-        }
-        out.push('}');
-    }
-}
 
 /// A forced write whose durable notification has not arrived yet.
 struct OpenForce {
@@ -133,12 +61,12 @@ struct OpenForce {
 /// seen (for lane-naming metadata).
 pub struct ChromeWriter<W: io::Write> {
     out: W,
-    first: bool,
+    /// The document, its `traceEvents` array open between events; each
+    /// event's records leave through its reused buffer.
+    json: Json,
     open_forces: Vec<OpenForce>,
     max_open_forces: usize,
     seen_txns: HashSet<TxnId>,
-    /// Reused serialization buffer for one record.
-    buf: String,
 }
 
 impl<W: io::Write> ChromeWriter<W> {
@@ -147,14 +75,18 @@ impl<W: io::Write> ChromeWriter<W> {
     /// # Errors
     /// Propagates I/O errors from the underlying writer.
     pub fn new(mut out: W) -> io::Result<Self> {
-        out.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
+        let mut json = Json::default();
+        json.begin_object()
+            .field("displayTimeUnit", "ms")
+            .key("traceEvents")
+            .begin_array();
+        json.flush_to(&mut out)?;
         Ok(ChromeWriter {
             out,
-            first: true,
+            json,
             open_forces: Vec::new(),
             max_open_forces: 0,
             seen_txns: HashSet::new(),
-            buf: String::new(),
         })
     }
 
@@ -164,171 +96,160 @@ impl<W: io::Write> ChromeWriter<W> {
         self.max_open_forces
     }
 
-    fn write_record(&mut self, r: &Record) -> io::Result<()> {
-        self.buf.clear();
-        if !self.first {
-            self.buf.push(',');
+    /// Open a timed record with the members every one carries; an
+    /// instant is thread-scoped, rendering as a tick on its row.
+    fn begin(&mut self, ph: &str, ts: u64, pid: TxnId, tid: SiteId, name: fmt::Arguments<'_>) {
+        self.json
+            .begin_object()
+            .field("name", name)
+            .field("ph", ph)
+            .field("ts", ts)
+            .field("pid", pid)
+            .field("tid", tid);
+        if ph == "i" {
+            self.json.field("s", "t");
         }
-        self.first = false;
-        r.write_json(&mut self.buf);
-        self.out.write_all(self.buf.as_bytes())
     }
 
-    /// Name the transaction's lane the first time it appears.
-    fn ensure_metadata(&mut self, txn: TxnId) -> io::Result<()> {
-        if !self.seen_txns.insert(txn) {
-            return Ok(());
-        }
-        self.buf.clear();
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        let _ = write!(
-            self.buf,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{txn},\"tid\":0,\
-             \"args\":{{\"name\":\"txn {txn}\"}}}}"
-        );
-        self.out.write_all(self.buf.as_bytes())
+    fn instant(&mut self, ts: u64, pid: TxnId, tid: SiteId, name: fmt::Arguments<'_>) {
+        self.begin("i", ts, pid, tid, name);
+        self.json.end_object();
     }
 
-    /// Serialize one trace event.
+    /// A forced write from issue to durable, on its site's row.
+    fn complete(&mut self, ts: u64, dur: u64, pid: TxnId, site: SiteId, name: fmt::Arguments<'_>) {
+        self.begin("X", ts, pid, site, name);
+        self.json
+            .field("dur", dur)
+            .key("args")
+            .begin_object()
+            .field("site", site)
+            .end_object()
+            .end_object();
+    }
+
+    /// Serialize one trace event, naming the transaction's lane first
+    /// the first time it appears.
     ///
     /// # Errors
     /// Propagates I/O errors from the underlying writer.
     pub fn event(&mut self, e: &TraceEvent) -> io::Result<()> {
-        self.ensure_metadata(e.txn())?;
-        let record = match e {
+        let txn = e.txn();
+        if self.seen_txns.insert(txn) {
+            self.json
+                .begin_object()
+                .field("name", "process_name")
+                .field("ph", "M")
+                .field("pid", txn)
+                .field("tid", 0usize)
+                .key("args")
+                .begin_object()
+                .field("name", format_args!("txn {txn}"))
+                .end_object()
+                .end_object();
+        }
+        self.record(e);
+        self.json.flush_to(&mut self.out)
+    }
+
+    fn record(&mut self, e: &TraceEvent) {
+        let (ts, txn) = (e.at().0, e.txn());
+        match e {
             TraceEvent::Send {
-                at,
                 label,
                 from,
                 to,
                 local,
                 ..
             } => {
-                let name = if *local {
-                    format!("{label:?} (local)")
+                if *local {
+                    self.begin("i", ts, txn, *from, format_args!("{label:?} (local)"));
                 } else {
-                    format!("{label:?} {from}\u{2192}{to}")
-                };
-                let mut r = Record::instant(at.0, e.txn(), *from, name);
-                r.args = vec![
-                    ("from", from.to_string()),
-                    ("to", to.to_string()),
-                    ("local", local.to_string()),
-                ];
-                r
+                    let name = format_args!("{label:?} {from}\u{2192}{to}");
+                    self.begin("i", ts, txn, *from, name);
+                }
+                self.json
+                    .key("args")
+                    .begin_object()
+                    .field("from", *from)
+                    .field("to", *to)
+                    .field("local", *local)
+                    .end_object()
+                    .end_object();
             }
-            TraceEvent::ForceLog {
-                at,
-                txn,
-                label,
-                site,
-            } => {
+            TraceEvent::ForceLog { label, site, .. } => {
                 // FIFO-match issue with the durable notification per
                 // (txn, label, site): the log disk at each site serves
                 // records in order, so the first unmatched issue is
                 // always the one completing.
                 self.open_forces.push(OpenForce {
-                    txn: *txn,
+                    txn,
                     label: *label,
                     site: *site,
-                    ts: at.0,
+                    ts,
                 });
                 self.max_open_forces = self.max_open_forces.max(self.open_forces.len());
-                return Ok(());
             }
-            TraceEvent::LogDone {
-                at,
-                txn,
-                label,
-                site,
-            } => {
+            TraceEvent::LogDone { label, site, .. } => {
                 let matched = self
                     .open_forces
                     .iter()
-                    .position(|o| o.txn == *txn && o.label == *label && o.site == *site);
+                    .position(|o| o.txn == txn && o.label == *label && o.site == *site);
                 if let Some(p) = matched {
-                    let open = self.open_forces.remove(p);
-                    Record {
-                        ts: open.ts,
-                        dur: Some(at.0.saturating_sub(open.ts)),
-                        ph: 'X',
-                        pid: *txn,
-                        tid: *site,
-                        name: format!("force {label:?}"),
-                        args: vec![("site", site.to_string())],
-                    }
+                    let issued = self.open_forces.remove(p).ts;
+                    let dur = ts.saturating_sub(issued);
+                    self.complete(issued, dur, txn, *site, format_args!("force {label:?}"));
                 } else {
                     // Durable record with no traced issue (the issue
                     // predated the trace window): keep it as an instant
                     // so the event is not silently dropped.
-                    Record::instant(at.0, *txn, *site, format!("force {label:?} durable"))
+                    self.instant(ts, txn, *site, format_args!("force {label:?} durable"));
                 }
             }
-            TraceEvent::Prepared {
-                at, cohort, site, ..
-            } => Record::instant(at.0, e.txn(), *site, format!("cohort {cohort} PREPARED")),
+            TraceEvent::Prepared { cohort, site, .. } => {
+                self.instant(ts, txn, *site, format_args!("cohort {cohort} PREPARED"))
+            }
             TraceEvent::Borrowed {
-                at,
-                cohort,
-                lenders,
-                ..
-            } => Record::instant(
-                at.0,
-                e.txn(),
-                0,
-                format!("cohort {cohort} borrowed ({lenders} lenders)"),
-            ),
-            TraceEvent::Shelved { at, cohort, .. } => {
-                Record::instant(at.0, e.txn(), 0, format!("cohort {cohort} shelved"))
+                cohort, lenders, ..
+            } => {
+                let name = format_args!("cohort {cohort} borrowed ({lenders} lenders)");
+                self.instant(ts, txn, 0, name)
             }
-            TraceEvent::Unshelved { at, cohort, .. } => {
-                Record::instant(at.0, e.txn(), 0, format!("cohort {cohort} unshelved"))
+            TraceEvent::Shelved { cohort, .. } => {
+                self.instant(ts, txn, 0, format_args!("cohort {cohort} shelved"))
             }
-            TraceEvent::Decided { at, commit, .. } => {
-                let name = if *commit {
-                    "GLOBAL COMMIT"
-                } else {
-                    "GLOBAL ABORT"
-                };
-                Record::instant(at.0, e.txn(), 0, name.to_string())
+            TraceEvent::Unshelved { cohort, .. } => {
+                self.instant(ts, txn, 0, format_args!("cohort {cohort} unshelved"))
             }
-            TraceEvent::Aborted { at, .. } => {
-                Record::instant(at.0, e.txn(), 0, "aborted".to_string())
+            TraceEvent::Decided { commit, .. } => {
+                let decision = if *commit { "COMMIT" } else { "ABORT" };
+                self.instant(ts, txn, 0, format_args!("GLOBAL {decision}"))
             }
-            TraceEvent::MasterCrashed { at, .. } => {
-                Record::instant(at.0, e.txn(), 0, "MASTER CRASH".to_string())
+            TraceEvent::Aborted { .. } => self.instant(ts, txn, 0, format_args!("aborted")),
+            TraceEvent::MasterCrashed { .. } => {
+                self.instant(ts, txn, 0, format_args!("MASTER CRASH"))
             }
-            TraceEvent::CohortCrashed { at, cohort, .. } => {
-                Record::instant(at.0, e.txn(), 0, format!("COHORT {cohort} CRASH"))
+            TraceEvent::CohortCrashed { cohort, .. } => {
+                self.instant(ts, txn, 0, format_args!("COHORT {cohort} CRASH"))
             }
-            TraceEvent::CohortRecovered { at, cohort, .. } => {
-                Record::instant(at.0, e.txn(), 0, format!("cohort {cohort} recovered"))
+            TraceEvent::CohortRecovered { cohort, .. } => {
+                self.instant(ts, txn, 0, format_args!("cohort {cohort} recovered"))
             }
-            TraceEvent::MsgLost { at, label, .. } => {
-                Record::instant(at.0, e.txn(), 0, format!("{label:?} lost"))
+            TraceEvent::MsgLost { label, .. } => {
+                self.instant(ts, txn, 0, format_args!("{label:?} lost"))
             }
-            TraceEvent::Retransmitted {
-                at, label, attempt, ..
-            } => Record::instant(at.0, e.txn(), 0, format!("retransmit {label:?} #{attempt}")),
-            TraceEvent::TerminationStarted {
-                at, coordinator, ..
-            } => Record::instant(
-                at.0,
-                e.txn(),
-                0,
-                format!("termination (coordinator cohort {coordinator})"),
-            ),
-            TraceEvent::FailoverStarted { at, leader, .. } => Record::instant(
-                at.0,
-                e.txn(),
-                *leader,
-                format!("leader failover (new leader site {leader})"),
-            ),
-        };
-        self.write_record(&record)
+            TraceEvent::Retransmitted { label, attempt, .. } => {
+                self.instant(ts, txn, 0, format_args!("retransmit {label:?} #{attempt}"))
+            }
+            TraceEvent::TerminationStarted { coordinator, .. } => {
+                let name = format_args!("termination (coordinator cohort {coordinator})");
+                self.instant(ts, txn, 0, name)
+            }
+            TraceEvent::FailoverStarted { leader, .. } => {
+                let name = format_args!("leader failover (new leader site {leader})");
+                self.instant(ts, txn, *leader, name)
+            }
+        }
     }
 
     /// Close the stream: an unmatched issue at trace end (force still
@@ -339,20 +260,12 @@ impl<W: io::Write> ChromeWriter<W> {
     /// # Errors
     /// Propagates I/O errors from the underlying writer.
     pub fn finish(mut self) -> io::Result<W> {
-        let leftover = std::mem::take(&mut self.open_forces);
-        for o in leftover {
-            let r = Record {
-                ts: o.ts,
-                dur: Some(0),
-                ph: 'X',
-                pid: o.txn,
-                tid: o.site,
-                name: format!("force {:?} (incomplete)", o.label),
-                args: vec![("site", o.site.to_string())],
-            };
-            self.write_record(&r)?;
+        for o in std::mem::take(&mut self.open_forces) {
+            let name = format_args!("force {:?} (incomplete)", o.label);
+            self.complete(o.ts, 0, o.txn, o.site, name);
         }
-        self.out.write_all(b"]}")?;
+        self.json.end_array().end_object();
+        self.json.flush_to(&mut self.out)?;
         Ok(self.out)
     }
 }
@@ -460,12 +373,6 @@ mod tests {
     use super::*;
     use crate::engine::trace::{LogLabel, MsgLabel};
     use simkernel::SimTime;
-
-    #[test]
-    fn escapes_json_special_characters() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn force_pairs_become_complete_events() {

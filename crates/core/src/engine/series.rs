@@ -20,19 +20,23 @@
 //!    the cross-check test in `tests/series.rs`).
 //! 2. **Bounded memory.** Like the Chrome/fold sinks, the recorder can
 //!    stream each closed window straight to a writer (CSV or JSON)
-//!    instead of buffering; the streamed bytes are identical to the
-//!    buffered render because both go through the same row renderers.
+//!    instead of buffering. The streamed bytes are identical to the
+//!    buffered render by construction: [`Series::render`] runs the
+//!    recorder's own streaming serializer over memory, so header,
+//!    separators, rows and footer are written in one place.
 //!
 //! Observation does not perturb the run: the recorder reads counters
 //! that the engine maintains anyway, and its per-site commit tallies
 //! are bumped outside any RNG-consuming path, so a run with the
 //! recorder installed reports bit-identical metrics to one without.
 
-use std::io::Write as IoWrite;
+use std::fmt::Write as _;
+use std::io::{self, Write as IoWrite};
 
 use simkernel::{SimDuration, SimTime};
 
 use super::Site;
+use crate::json::{Fixed6, Json};
 use crate::metrics::Metrics;
 
 /// Error from a streaming series run: the run never started
@@ -222,12 +226,10 @@ pub struct SeriesMeta {
 enum Output {
     Buffer(Vec<SeriesWindow>),
     Stream {
-        writer: Box<dyn IoWrite + Send>,
-        format: SeriesFormat,
-        wrote_window: bool,
+        writer: SeriesWriter<Box<dyn IoWrite + Send>>,
         /// First write error; the stream goes quiet once it is set and
         /// `finish` returns it.
-        error: Option<std::io::Error>,
+        error: Option<io::Error>,
     },
 }
 
@@ -259,21 +261,16 @@ impl SeriesRecorder {
         cfg: &SeriesConfig,
         meta: SeriesMeta,
         sites: usize,
-        mut writer: Box<dyn IoWrite + Send>,
+        writer: Box<dyn IoWrite + Send>,
         format: SeriesFormat,
-    ) -> std::io::Result<Self> {
-        match format {
-            SeriesFormat::Csv => writer.write_all(csv_header().as_bytes())?,
-            SeriesFormat::Json => writer.write_all(json_header(&meta).as_bytes())?,
-        }
+    ) -> io::Result<Self> {
+        let writer = SeriesWriter::new(writer, format, &meta)?;
         Ok(Self::new(
             cfg,
             meta,
             sites,
             Output::Stream {
                 writer,
-                format,
-                wrote_window: false,
                 error: None,
             },
         ))
@@ -367,20 +364,11 @@ impl SeriesRecorder {
         }
         let windows = match self.out {
             Output::Buffer(w) => w,
-            Output::Stream {
-                ref mut writer,
-                format,
-                ref mut error,
-                ..
-            } => {
-                if let Some(e) = error.take() {
+            Output::Stream { writer, error } => {
+                if let Some(e) = error {
                     return Err(e);
                 }
-                match format {
-                    SeriesFormat::Csv => {}
-                    SeriesFormat::Json => writer.write_all(json_footer().as_bytes())?,
-                }
-                writer.flush()?;
+                writer.finish()?.flush()?;
                 Vec::new()
             }
         };
@@ -465,28 +453,12 @@ impl SeriesRecorder {
     fn emit(&mut self, w: SeriesWindow) {
         match &mut self.out {
             Output::Buffer(v) => v.push(w),
-            Output::Stream {
-                writer,
-                format,
-                wrote_window,
-                error,
-            } => {
-                if error.is_some() {
-                    return;
-                }
-                let chunk = match format {
-                    SeriesFormat::Csv => csv_rows(&w),
-                    SeriesFormat::Json => {
-                        let sep = if *wrote_window { "," } else { "" };
-                        format!("{sep}{}", json_window(&w))
-                    }
-                };
-                *wrote_window = true;
+            Output::Stream { writer, error } => {
                 // Streaming failures must not abort the simulation
                 // mid-run (the report is still wanted): latch the first
                 // one and let `finish` return it.
-                if let Err(e) = writer.write_all(chunk.as_bytes()) {
-                    *error = Some(e);
+                if error.is_none() {
+                    *error = writer.window(&w).err();
                 }
             }
         }
@@ -506,64 +478,96 @@ pub struct Series {
 
 impl Series {
     /// Render the whole series in `format` — byte-identical to what
-    /// streaming mode writes.
+    /// streaming mode writes, because it is the same serializer.
     pub fn render(&self, format: SeriesFormat) -> String {
-        match format {
-            SeriesFormat::Csv => {
-                let mut out = csv_header();
-                for w in &self.windows {
-                    out.push_str(&csv_rows(w));
-                }
-                out
-            }
-            SeriesFormat::Json => {
-                let mut out = json_header(&self.meta);
-                for (i, w) in self.windows.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&json_window(w));
-                }
-                out.push_str(&json_footer());
-                out
-            }
+        const IN_MEMORY: &str = "writing to a Vec cannot fail";
+        let mut w = SeriesWriter::new(Vec::new(), format, &self.meta).expect(IN_MEMORY);
+        for window in &self.windows {
+            w.window(window).expect(IN_MEMORY);
         }
+        String::from_utf8(w.finish().expect(IN_MEMORY)).expect("the serializer emits UTF-8")
     }
 }
 
-fn f(v: f64) -> String {
-    format!("{v:.6}")
+/// The one series serializer: a streaming run drives it over the
+/// caller's writer window by window, and [`Series::render`] drives it
+/// over memory. Every window leaves in one write.
+struct SeriesWriter<W: IoWrite> {
+    out: W,
+    /// JSON mode: the document, its `windows` array open between windows.
+    json: Option<Json>,
 }
 
-fn csv_header() -> String {
-    String::from(
-        "window,start_s,end_s,measured,site,committed,aborted_deadlock,aborted_surprise,\
-         aborted_borrower,throughput,block_ratio,lock_wait_s,live_s,exec_msgs,commit_msgs,\
-         retransmits,lost,cpu_q,data_q,log_q\n",
-    )
+impl<W: IoWrite> SeriesWriter<W> {
+    /// Start the document on `out`: the CSV header, or the JSON run
+    /// identity and the opening of its `windows` array.
+    fn new(mut out: W, format: SeriesFormat, meta: &SeriesMeta) -> io::Result<Self> {
+        let json = match format {
+            SeriesFormat::Csv => {
+                out.write_all(
+                    b"window,start_s,end_s,measured,site,committed,aborted_deadlock,\
+                      aborted_surprise,aborted_borrower,throughput,block_ratio,lock_wait_s,live_s,\
+                      exec_msgs,commit_msgs,retransmits,lost,cpu_q,data_q,log_q\n",
+                )?;
+                None
+            }
+            SeriesFormat::Json => {
+                let mut j = Json::default();
+                j.begin_object()
+                    .field("protocol", meta.protocol.as_str())
+                    .field("mpl", meta.mpl)
+                    .field("seed", meta.seed)
+                    .field("window_s", Fixed6(meta.window_s))
+                    .field("per_site", meta.per_site)
+                    .key("windows")
+                    .begin_array();
+                j.flush_to(&mut out)?;
+                Some(j)
+            }
+        };
+        Ok(SeriesWriter { out, json })
+    }
+
+    /// Write one closed window.
+    fn window(&mut self, w: &SeriesWindow) -> io::Result<()> {
+        match &mut self.json {
+            None => self.out.write_all(csv_rows(w).as_bytes()),
+            Some(j) => {
+                json_window(j, w);
+                j.flush_to(&mut self.out)
+            }
+        }
+    }
+
+    /// Close the document and hand back the writer.
+    fn finish(mut self) -> io::Result<W> {
+        if let Some(j) = &mut self.json {
+            j.end_array().end_object();
+            j.flush_to(&mut self.out)?;
+        }
+        Ok(self.out)
+    }
 }
 
 fn csv_rows(w: &SeriesWindow) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let (cpu_q, data_q, log_q) = w.per_site.iter().fold((0, 0, 0), |(c, d, l), s| {
         (c + s.cpu_queued, d + s.data_disk_queued, l + s.log_queued)
     });
+    let (start, end) = (w.start.as_secs_f64(), w.end.as_secs_f64());
     let _ = writeln!(
         out,
-        "{},{},{},{},all,{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        "{},{start:.6},{end:.6},{},all,{},{},{},{},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{},{},{}",
         w.index,
-        f(w.start.as_secs_f64()),
-        f(w.end.as_secs_f64()),
         w.measured as u8,
         w.committed,
         w.aborted_deadlock,
         w.aborted_surprise,
         w.aborted_borrower,
-        f(w.throughput()),
-        f(w.block_ratio),
-        f(w.lock_wait_s),
-        f(w.live_s),
+        w.throughput(),
+        w.block_ratio,
+        w.lock_wait_s,
+        w.live_s,
         w.exec_messages,
         w.commit_messages,
         w.retransmissions,
@@ -577,10 +581,8 @@ fn csv_rows(w: &SeriesWindow) -> String {
         // rendering misleading zeroes.
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},,,,,,,,,,,,{},{},{}",
+            "{},{start:.6},{end:.6},{},{},{},,,,,,,,,,,,{},{},{}",
             w.index,
-            f(w.start.as_secs_f64()),
-            f(w.end.as_secs_f64()),
             w.measured as u8,
             s.site,
             s.committed,
@@ -592,60 +594,36 @@ fn csv_rows(w: &SeriesWindow) -> String {
     out
 }
 
-fn json_header(meta: &SeriesMeta) -> String {
-    format!(
-        "{{\"protocol\":\"{}\",\"mpl\":{},\"seed\":{},\"window_s\":{},\"per_site\":{},\
-         \"windows\":[",
-        meta.protocol,
-        meta.mpl,
-        meta.seed,
-        f(meta.window_s),
-        meta.per_site
-    )
-}
-
-fn json_window(w: &SeriesWindow) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"window\":{},\"start_s\":{},\"end_s\":{},\"measured\":{},\"committed\":{},\
-         \"aborted_deadlock\":{},\"aborted_surprise\":{},\"aborted_borrower\":{},\
-         \"throughput\":{},\"block_ratio\":{},\"lock_wait_s\":{},\"live_s\":{},\
-         \"exec_msgs\":{},\"commit_msgs\":{},\"retransmits\":{},\"lost\":{}",
-        w.index,
-        f(w.start.as_secs_f64()),
-        f(w.end.as_secs_f64()),
-        w.measured,
-        w.committed,
-        w.aborted_deadlock,
-        w.aborted_surprise,
-        w.aborted_borrower,
-        f(w.throughput()),
-        f(w.block_ratio),
-        f(w.lock_wait_s),
-        f(w.live_s),
-        w.exec_messages,
-        w.commit_messages,
-        w.retransmissions,
-        w.messages_lost,
-    );
+fn json_window(j: &mut Json, w: &SeriesWindow) {
+    j.begin_object()
+        .field("window", w.index)
+        .field("start_s", Fixed6(w.start.as_secs_f64()))
+        .field("end_s", Fixed6(w.end.as_secs_f64()))
+        .field("measured", w.measured)
+        .field("committed", w.committed)
+        .field("aborted_deadlock", w.aborted_deadlock)
+        .field("aborted_surprise", w.aborted_surprise)
+        .field("aborted_borrower", w.aborted_borrower)
+        .field("throughput", Fixed6(w.throughput()))
+        .field("block_ratio", Fixed6(w.block_ratio))
+        .field("lock_wait_s", Fixed6(w.lock_wait_s))
+        .field("live_s", Fixed6(w.live_s))
+        .field("exec_msgs", w.exec_messages)
+        .field("commit_msgs", w.commit_messages)
+        .field("retransmits", w.retransmissions)
+        .field("lost", w.messages_lost);
     if !w.per_site.is_empty() {
-        out.push_str(",\"sites\":[");
-        for (i, s) in w.per_site.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"site\":{},\"committed\":{},\"cpu_q\":{},\"data_q\":{},\"log_q\":{}}}",
-                s.site, s.committed, s.cpu_queued, s.data_disk_queued, s.log_queued
-            );
+        j.key("sites").begin_array();
+        for s in &w.per_site {
+            j.begin_object()
+                .field("site", s.site)
+                .field("committed", s.committed)
+                .field("cpu_q", s.cpu_queued)
+                .field("data_q", s.data_disk_queued)
+                .field("log_q", s.log_queued)
+                .end_object();
         }
-        out.push(']');
+        j.end_array();
     }
-    out.push('}');
-    out
-}
-
-fn json_footer() -> String {
-    String::from("]}")
+    j.end_object();
 }

@@ -27,6 +27,7 @@ pub mod analysis;
 pub mod config;
 pub mod engine;
 pub mod experiments;
+mod json;
 pub mod metrics;
 pub mod output;
 pub mod runner;

@@ -15,6 +15,8 @@ use simkernel::stats::{
 };
 use simkernel::{SimDuration, SimTime};
 
+use crate::json::Json;
+
 /// Why a transaction incarnation aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
@@ -90,7 +92,10 @@ pub(crate) struct Metrics {
 
 impl Metrics {
     pub fn new(now: SimTime, measured: u64, batches: u64) -> Self {
-        let batch_size = (measured / batches).max(1);
+        Self::fresh(now, (measured / batches).max(1))
+    }
+
+    fn fresh(now: SimTime, batch_size: u64) -> Self {
         Metrics {
             start: now,
             committed: Counter::default(),
@@ -124,7 +129,7 @@ impl Metrics {
             overhead_check: OverheadCheck::default(),
             blocked_txns: TimeWeighted::new(now, 0.0),
             live_txns: TimeWeighted::new(now, 0.0),
-            throughput_batches: BatchMeans::new(1), // placeholder, see below
+            throughput_batches: BatchMeans::new(1),
             batch_size,
             batch_count_in_progress: 0,
             batch_started: now,
@@ -135,46 +140,20 @@ impl Metrics {
         }
     }
 
-    /// Reset counters at the end of warm-up, preserving current levels.
+    /// Reset counters at the end of warm-up: everything starts afresh
+    /// as in [`Metrics::new`] except the batch size, the blocked/live
+    /// levels (current state, not counts) and the steady-state
+    /// detection samples, which span the whole run, warm-up included.
     pub fn reset(&mut self, now: SimTime) {
-        self.start = now;
-        self.committed = Counter::default();
-        self.aborted_deadlock = Counter::default();
-        self.aborted_surprise = Counter::default();
-        self.aborted_borrower = Counter::default();
-        self.aborted_crash = Counter::default();
-        self.exec_messages = Counter::default();
-        self.commit_messages = Counter::default();
-        self.forced_writes = Counter::default();
-        self.borrowed_pages = Counter::default();
-        self.master_crashes = Counter::default();
-        self.cohort_crashes = Counter::default();
-        self.messages_lost = Counter::default();
-        self.retransmissions = Counter::default();
-        self.retry_escalations = Counter::default();
-        self.termination_rounds = Counter::default();
-        self.master_crash_trials = Counter::default();
-        self.cohort_crash_trials = Counter::default();
-        self.message_loss_trials = Counter::default();
-        self.blocked_on_crash_cohorts = Counter::default();
-        self.crash_block_time = Tally::new();
-        self.response = Tally::new();
-        self.response_hist = DurationHistogram::new();
-        self.attempt_response = Tally::new();
-        self.shelf_time = Tally::new();
-        self.prepared_time = Tally::new();
-        self.phase_execution = DurationHistogram::new();
-        self.phase_voting = DurationHistogram::new();
-        self.phase_decision = DurationHistogram::new();
-        self.overhead_check = OverheadCheck::default();
-        self.blocked_txns.reset(now);
-        self.live_txns.reset(now);
-        self.throughput_batches = BatchMeans::new(1);
-        self.batch_count_in_progress = 0;
-        self.batch_started = now;
-        // Deliberately NOT reset: conv_rates / conv_starts /
-        // conv_count_in_progress / conv_batch_started — steady-state
-        // detection spans the whole run, warm-up included.
+        let mut warm = std::mem::replace(self, Metrics::fresh(now, self.batch_size));
+        warm.blocked_txns.reset(now);
+        warm.live_txns.reset(now);
+        self.blocked_txns = warm.blocked_txns;
+        self.live_txns = warm.live_txns;
+        self.conv_rates = warm.conv_rates;
+        self.conv_starts = warm.conv_starts;
+        self.conv_count_in_progress = warm.conv_count_in_progress;
+        self.conv_batch_started = warm.conv_batch_started;
     }
 
     /// Record a commit at `now` with the given response times.
@@ -333,7 +312,8 @@ impl ResourceReport {
     /// Average a set of per-site reports into one class-level view:
     /// utilizations, queue depths, waits and occupancy percentiles are
     /// averaged; max queue depth is the max over sites. Returns the
-    /// default (all-zero) report for an empty slice.
+    /// default (all-zero) report for an empty slice. Also merges one
+    /// site's replications in [`SimReport::merge_replications`].
     pub fn average(sites: &[ResourceReport]) -> ResourceReport {
         if sites.is_empty() {
             return ResourceReport::default();
@@ -633,27 +613,6 @@ fn merge_latency(
     }
 }
 
-fn merge_resource(
-    reports: &[SimReport],
-    f: &dyn Fn(&SimReport) -> &ResourceStats,
-) -> ResourceStats {
-    let n = reports.len() as f64;
-    let mean = |g: &dyn Fn(&ResourceStats) -> f64| reports.iter().map(|r| g(f(r))).sum::<f64>() / n;
-    ResourceStats {
-        utilization: mean(&|s| s.utilization),
-        mean_queue_depth: mean(&|s| s.mean_queue_depth),
-        max_queue_depth: reports
-            .iter()
-            .map(|r| f(r).max_queue_depth)
-            .max()
-            .unwrap_or(0),
-        mean_wait_s: mean(&|s| s.mean_wait_s),
-        queue_depth_p50: mean(&|s| s.queue_depth_p50),
-        queue_depth_p90: mean(&|s| s.queue_depth_p90),
-        queue_depth_p99: mean(&|s| s.queue_depth_p99),
-    }
-}
-
 /// Output format for [`SimReport::render`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportFormat {
@@ -662,8 +621,8 @@ pub enum ReportFormat {
     /// Long-format CSV: one `section,key,value` row per metric,
     /// including per-site resource rows.
     Csv,
-    /// A single JSON object with every report field (hand-rolled, no
-    /// serde; non-finite floats serialize as `null`).
+    /// A single JSON object with every report field, written by the
+    /// crate's one JSON writer (non-finite floats serialize as `null`).
     Json,
 }
 
@@ -677,15 +636,6 @@ impl std::str::FromStr for ReportFormat {
             "json" => Ok(ReportFormat::Json),
             _ => Err(format!("unknown format {s:?} (table|csv|json)")),
         }
-    }
-}
-
-/// A finite float for JSON (`null` otherwise — JSON has no Infinity).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -789,10 +739,10 @@ impl SimReport {
             site_resources: {
                 let sites = reports.iter().map(|r| r.site_resources.len()).min();
                 (0..sites.unwrap_or(0))
-                    .map(|i| ResourceReport {
-                        cpu: merge_resource(reports, &|r| &r.site_resources[i].cpu),
-                        data_disk: merge_resource(reports, &|r| &r.site_resources[i].data_disk),
-                        log_disk: merge_resource(reports, &|r| &r.site_resources[i].log_disk),
+                    .map(|i| {
+                        let replications: Vec<_> =
+                            reports.iter().map(|r| r.site_resources[i]).collect();
+                        ResourceReport::average(&replications)
                     })
                     .collect()
             },
@@ -1197,140 +1147,127 @@ impl SimReport {
     }
 
     fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let latency = |l: &LatencySummary| {
-            format!(
-                "{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p90_s\":{},\"p99_s\":{}}}",
-                l.count,
-                json_f64(l.mean_s),
-                json_f64(l.p50_s),
-                json_f64(l.p90_s),
-                json_f64(l.p99_s)
-            )
-        };
-        let stats = |s: &ResourceStats| {
-            format!(
-                "{{\"utilization\":{},\"mean_queue_depth\":{},\"max_queue_depth\":{},\
-                 \"mean_wait_s\":{},\"queue_depth_p50\":{},\"queue_depth_p90\":{},\
-                 \"queue_depth_p99\":{}}}",
-                json_f64(s.utilization),
-                json_f64(s.mean_queue_depth),
-                s.max_queue_depth,
-                json_f64(s.mean_wait_s),
-                json_f64(s.queue_depth_p50),
-                json_f64(s.queue_depth_p90),
-                json_f64(s.queue_depth_p99)
-            )
-        };
-        let report = |r: &ResourceReport| {
-            format!(
-                "{{\"cpu\":{},\"data_disk\":{},\"log_disk\":{}}}",
-                stats(&r.cpu),
-                stats(&r.data_disk),
-                stats(&r.log_disk)
-            )
-        };
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"protocol\":\"{}\",\"mpl\":{},\"sim_seconds\":{},\"committed\":{},\
-             \"aborted_deadlock\":{},\"aborted_surprise\":{},\"aborted_borrower\":{},\
-             \"aborted_crash\":{},\"throughput\":{},\"throughput_ci90\":{},\"mean_response_s\":{},\
-             \"p50_response_s\":{},\"p95_response_s\":{},\"p99_response_s\":{},\
-             \"mean_attempt_response_s\":{},\"block_ratio\":{},\"borrow_ratio\":{},\
-             \"exec_messages_per_commit\":{},\"commit_messages_per_commit\":{},\
-             \"forced_writes_per_commit\":{},\"mean_shelf_time_s\":{},\
-             \"mean_prepared_time_s\":{},\"mean_log_batch\":{},\"events\":{}",
-            self.protocol,
-            self.mpl,
-            json_f64(self.sim_seconds),
-            self.committed,
-            self.aborted_deadlock,
-            self.aborted_surprise,
-            self.aborted_borrower,
-            self.aborted_crash,
-            json_f64(self.throughput),
-            json_f64(self.throughput_ci.half_width),
-            json_f64(self.mean_response_s),
-            json_f64(self.p50_response_s),
-            json_f64(self.p95_response_s),
-            json_f64(self.p99_response_s),
-            json_f64(self.mean_attempt_response_s),
-            json_f64(self.block_ratio),
-            json_f64(self.borrow_ratio),
-            json_f64(self.exec_messages_per_commit),
-            json_f64(self.commit_messages_per_commit),
-            json_f64(self.forced_writes_per_commit),
-            json_f64(self.mean_shelf_time_s),
-            json_f64(self.mean_prepared_time_s),
-            json_f64(self.mean_log_batch),
-            self.events
-        );
-        let _ = write!(
-            out,
-            ",\"phase_latencies\":{{\"execution\":{},\"voting\":{},\"decision\":{}}}",
-            latency(&self.phase_latencies.execution),
-            latency(&self.phase_latencies.voting),
-            latency(&self.phase_latencies.decision)
-        );
-        let _ = write!(
-            out,
-            ",\"utilizations\":{{\"cpu\":{},\"data_disk\":{},\"log_disk\":{}}}",
-            json_f64(self.utilizations.cpu),
-            json_f64(self.utilizations.data_disk),
-            json_f64(self.utilizations.log_disk)
-        );
-        let _ = write!(out, ",\"resources\":{}", report(&self.resources()));
-        out.push_str(",\"site_resources\":[");
-        for (i, site) in self.site_resources.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut j = Json::default();
+        self.write_json(&mut j);
+        j.finish()
+    }
+
+    /// Write the report as one JSON object value — the `run --format
+    /// json` document, and each point of the sweep document.
+    pub(crate) fn write_json(&self, j: &mut Json) {
+        let report = |j: &mut Json, r: &ResourceReport| {
+            j.begin_object();
+            for (key, s) in [
+                ("cpu", &r.cpu),
+                ("data_disk", &r.data_disk),
+                ("log_disk", &r.log_disk),
+            ] {
+                j.key(key)
+                    .begin_object()
+                    .field("utilization", s.utilization)
+                    .field("mean_queue_depth", s.mean_queue_depth)
+                    .field("max_queue_depth", s.max_queue_depth)
+                    .field("mean_wait_s", s.mean_wait_s)
+                    .field("queue_depth_p50", s.queue_depth_p50)
+                    .field("queue_depth_p90", s.queue_depth_p90)
+                    .field("queue_depth_p99", s.queue_depth_p99)
+                    .end_object();
             }
-            out.push_str(&report(site));
+            j.end_object();
+        };
+        j.begin_object()
+            .field("protocol", self.protocol.as_str())
+            .field("mpl", self.mpl)
+            .field("sim_seconds", self.sim_seconds)
+            .field("committed", self.committed)
+            .field("aborted_deadlock", self.aborted_deadlock)
+            .field("aborted_surprise", self.aborted_surprise)
+            .field("aborted_borrower", self.aborted_borrower)
+            .field("aborted_crash", self.aborted_crash)
+            .field("throughput", self.throughput)
+            .field("throughput_ci90", self.throughput_ci.half_width)
+            .field("mean_response_s", self.mean_response_s)
+            .field("p50_response_s", self.p50_response_s)
+            .field("p95_response_s", self.p95_response_s)
+            .field("p99_response_s", self.p99_response_s)
+            .field("mean_attempt_response_s", self.mean_attempt_response_s)
+            .field("block_ratio", self.block_ratio)
+            .field("borrow_ratio", self.borrow_ratio)
+            .field("exec_messages_per_commit", self.exec_messages_per_commit)
+            .field(
+                "commit_messages_per_commit",
+                self.commit_messages_per_commit,
+            )
+            .field("forced_writes_per_commit", self.forced_writes_per_commit)
+            .field("mean_shelf_time_s", self.mean_shelf_time_s)
+            .field("mean_prepared_time_s", self.mean_prepared_time_s)
+            .field("mean_log_batch", self.mean_log_batch)
+            .field("events", self.events);
+        j.key("phase_latencies").begin_object();
+        for (key, l) in [
+            ("execution", &self.phase_latencies.execution),
+            ("voting", &self.phase_latencies.voting),
+            ("decision", &self.phase_latencies.decision),
+        ] {
+            j.key(key)
+                .begin_object()
+                .field("count", l.count)
+                .field("mean_s", l.mean_s)
+                .field("p50_s", l.p50_s)
+                .field("p90_s", l.p90_s)
+                .field("p99_s", l.p99_s)
+                .end_object();
         }
-        out.push(']');
+        j.end_object()
+            .key("utilizations")
+            .begin_object()
+            .field("cpu", self.utilizations.cpu)
+            .field("data_disk", self.utilizations.data_disk)
+            .field("log_disk", self.utilizations.log_disk)
+            .end_object();
+        j.key("resources");
+        report(j, &self.resources());
+        j.key("site_resources").begin_array();
+        for site in &self.site_resources {
+            report(j, site);
+        }
         let oc = &self.overhead_check;
-        let _ = write!(
-            out,
-            ",\"overhead_check\":{{\"checked_commits\":{},\"mismatched_commits\":{},\
-             \"message_delta\":{},\"forced_write_delta\":{}}}",
-            oc.checked_commits, oc.mismatched_commits, oc.message_delta, oc.forced_write_delta
-        );
+        j.end_array()
+            .key("overhead_check")
+            .begin_object()
+            .field("checked_commits", oc.checked_commits)
+            .field("mismatched_commits", oc.mismatched_commits)
+            .field("message_delta", oc.message_delta)
+            .field("forced_write_delta", oc.forced_write_delta)
+            .end_object();
         let fc = &self.faults;
-        let _ = write!(
-            out,
-            ",\"faults\":{{\"master_crashes\":{},\"cohort_crashes\":{},\"messages_lost\":{},\
-             \"retransmissions\":{},\"retry_escalations\":{},\"termination_rounds\":{},\
-             \"master_crash_trials\":{},\"cohort_crash_trials\":{},\"message_loss_trials\":{},\
-             \"blocked_on_crash_cohorts\":{},\"mean_blocked_on_crash_s\":{}}}",
-            fc.master_crashes,
-            fc.cohort_crashes,
-            fc.messages_lost,
-            fc.retransmissions,
-            fc.retry_escalations,
-            fc.termination_rounds,
-            fc.master_crash_trials,
-            fc.cohort_crash_trials,
-            fc.message_loss_trials,
-            fc.blocked_on_crash_cohorts,
-            json_f64(fc.mean_blocked_on_crash_s)
-        );
+        j.key("faults")
+            .begin_object()
+            .field("master_crashes", fc.master_crashes)
+            .field("cohort_crashes", fc.cohort_crashes)
+            .field("messages_lost", fc.messages_lost)
+            .field("retransmissions", fc.retransmissions)
+            .field("retry_escalations", fc.retry_escalations)
+            .field("termination_rounds", fc.termination_rounds)
+            .field("master_crash_trials", fc.master_crash_trials)
+            .field("cohort_crash_trials", fc.cohort_crash_trials)
+            .field("message_loss_trials", fc.message_loss_trials)
+            .field("blocked_on_crash_cohorts", fc.blocked_on_crash_cohorts)
+            .field("mean_blocked_on_crash_s", fc.mean_blocked_on_crash_s)
+            .end_object();
         let c = &self.convergence;
-        let _ = write!(
-            out,
-            ",\"convergence\":{{\"samples\":{},\"converged\":{},\"steady_from_s\":{},\
-             \"warmup_ended_s\":{},\"warmup_sufficient\":{}}}",
-            c.samples,
-            c.converged,
-            json_f64(c.steady_from_s),
-            json_f64(c.warmup_ended_s),
-            c.warmup_sufficient
-        );
+        j.key("convergence")
+            .begin_object()
+            .field("samples", c.samples)
+            .field("converged", c.converged)
+            .field("steady_from_s", c.steady_from_s)
+            .field("warmup_ended_s", c.warmup_ended_s)
+            .field("warmup_sufficient", c.warmup_sufficient)
+            .end_object();
         if self.truncated {
-            out.push_str(",\"truncated\":true");
+            j.field("truncated", true);
         }
-        out.push('}');
-        out
+        j.end_object();
     }
 }
 
@@ -1713,6 +1650,11 @@ mod tests {
         assert!(j.contains("\"queue_depth_p99\":5"), "{j}");
         assert!(!j.contains("inf"), "{j}");
         assert!(j.contains("\"convergence\":{\"samples\":11"), "{j}");
+
+        // The protocol name is a JSON string, so it is escaped.
+        r.protocol = "a\"b\\c".into();
+        let j = r.render(ReportFormat::Json);
+        assert!(j.starts_with("{\"protocol\":\"a\\\"b\\\\c\","), "{j}");
     }
 
     #[test]

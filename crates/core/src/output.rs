@@ -1,10 +1,10 @@
 //! Plain-text rendering of experiment results: the "same rows/series
 //! the paper reports", as protocol × MPL tables plus CSV for plotting.
 
-use crate::engine::chrome::escape_json;
 use crate::engine::SeriesFormat;
 use crate::experiments::{Experiment, SeriesCell};
-use crate::metrics::{ReportFormat, SimReport};
+use crate::json::Json;
+use crate::metrics::SimReport;
 use std::fmt::Write as _;
 
 /// A metric extracted from a [`SimReport`] for tabulation.
@@ -136,32 +136,13 @@ pub fn render_table_ci(exp: &Experiment) -> String {
 /// Throughput CSV with a `<series> ci90` half-width column after each
 /// series mean — the plottable form of [`render_table_ci`].
 pub fn render_csv_ci(exp: &Experiment) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "mpl");
-    for s in &exp.series {
-        let label = s.label.replace(',', ";");
-        let _ = write!(out, ",{label},{label} ci90");
-    }
-    let _ = writeln!(out);
-    for (i, mpl) in exp.mpls().iter().enumerate() {
-        let _ = write!(out, "{mpl}");
-        for s in &exp.series {
-            match s.points.get(i) {
-                Some(r) => {
-                    let _ = write!(
-                        out,
-                        ",{:.6},{:.6}",
-                        r.throughput, r.throughput_ci.half_width
-                    );
-                }
-                None => {
-                    let _ = write!(out, ",NaN,NaN");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
+    render_wide_csv(
+        exp,
+        &[
+            ("", &|r| r.throughput),
+            (" ci90", &|r| r.throughput_ci.half_width),
+        ],
+    )
 }
 
 /// Per-phase latency percentiles as CSV: for every series, nine
@@ -169,35 +150,49 @@ pub fn render_csv_ci(exp: &Experiment) -> String {
 /// phases, in seconds. The plottable form of the phase line in
 /// [`SimReport::summary`].
 pub fn render_phase_csv(exp: &Experiment) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "mpl");
+    render_wide_csv(
+        exp,
+        &[
+            (" exec p50", &|r| r.phase_latencies.execution.p50_s),
+            (" exec p90", &|r| r.phase_latencies.execution.p90_s),
+            (" exec p99", &|r| r.phase_latencies.execution.p99_s),
+            (" vote p50", &|r| r.phase_latencies.voting.p50_s),
+            (" vote p90", &|r| r.phase_latencies.voting.p90_s),
+            (" vote p99", &|r| r.phase_latencies.voting.p99_s),
+            (" ack p50", &|r| r.phase_latencies.decision.p50_s),
+            (" ack p90", &|r| r.phase_latencies.decision.p90_s),
+            (" ack p99", &|r| r.phase_latencies.decision.p99_s),
+        ],
+    )
+}
+
+/// One column of a wide CSV, repeated per series: the header suffix
+/// after the series label, and the value it takes from a point.
+type Column<'a> = (&'a str, &'a dyn Fn(&SimReport) -> f64);
+
+/// The `mpl,<series columns>` table every wide CSV shares: one row per
+/// MPL, per series one `<label><suffix>` column for each of `columns`
+/// (commas in labels become `;`), values with six decimals and `NaN`
+/// where a series has no point at that MPL.
+fn render_wide_csv(exp: &Experiment, columns: &[Column<'_>]) -> String {
+    let mut out = String::from("mpl");
     for s in &exp.series {
         let label = s.label.replace(',', ";");
-        for phase in ["exec", "vote", "ack"] {
-            for q in ["p50", "p90", "p99"] {
-                let _ = write!(out, ",{label} {phase} {q}");
-            }
+        for (suffix, _) in columns {
+            let _ = write!(out, ",{label}{suffix}");
         }
     }
-    let _ = writeln!(out);
+    out.push('\n');
     for (i, mpl) in exp.mpls().iter().enumerate() {
         let _ = write!(out, "{mpl}");
         for s in &exp.series {
-            match s.points.get(i) {
-                Some(r) => {
-                    let ph = &r.phase_latencies;
-                    for l in [&ph.execution, &ph.voting, &ph.decision] {
-                        let _ = write!(out, ",{:.6},{:.6},{:.6}", l.p50_s, l.p90_s, l.p99_s);
-                    }
-                }
-                None => {
-                    for _ in 0..9 {
-                        let _ = write!(out, ",NaN");
-                    }
-                }
+            let point = s.points.get(i);
+            for (_, value) in columns {
+                let v = point.map_or(f64::NAN, value);
+                let _ = write!(out, ",{v:.6}");
             }
         }
-        let _ = writeln!(out);
+        out.push('\n');
     }
     out
 }
@@ -259,32 +254,24 @@ pub fn render_sweep_csv(exp: &Experiment) -> String {
 /// [`sweep`](crate::experiments::sweep) result, the output is
 /// byte-identical for every `--jobs` count.
 pub fn render_sweep_json(exp: &Experiment) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"id\":\"{}\",\"title\":\"{}\",\"series\":[",
-        escape_json(&exp.id),
-        escape_json(&exp.title)
-    );
-    for (si, s) in exp.series.iter().enumerate() {
-        if si > 0 {
-            out.push(',');
+    let mut j = Json::default();
+    j.begin_object()
+        .field("id", exp.id.as_str())
+        .field("title", exp.title.as_str())
+        .key("series")
+        .begin_array();
+    for s in &exp.series {
+        j.begin_object()
+            .field("label", s.label.as_str())
+            .key("points")
+            .begin_array();
+        for r in &s.points {
+            r.write_json(&mut j);
         }
-        let _ = write!(
-            out,
-            "{{\"label\":\"{}\",\"points\":[",
-            escape_json(&s.label)
-        );
-        for (pi, r) in s.points.iter().enumerate() {
-            if pi > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.render(ReportFormat::Json));
-        }
-        out.push_str("]}");
+        j.end_array().end_object();
     }
-    out.push_str("]}\n");
-    out
+    j.end_array().end_object();
+    j.finish() + "\n"
 }
 
 /// The sweep CLI's `--series-out` CSV: every grid cell's windowed
@@ -315,41 +302,24 @@ pub fn render_sweep_series_csv(cells: &[SeriesCell]) -> String {
 /// [`Series::render`](crate::engine::Series::render) produces) under
 /// `data`.
 pub fn render_sweep_series_json(cells: &[SeriesCell]) -> String {
-    let mut out = String::from("{\"cells\":[");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"series\":\"{}\",\"mpl\":{},\"rep\":{},\"data\":{}}}",
-            escape_json(&c.label),
-            c.mpl,
-            c.replication,
-            c.series.render(SeriesFormat::Json)
-        );
+    let mut j = Json::default();
+    j.begin_object().key("cells").begin_array();
+    for c in cells {
+        j.begin_object()
+            .field("series", c.label.as_str())
+            .field("mpl", c.mpl)
+            .field("rep", c.replication)
+            .key("data")
+            .raw(&c.series.render(SeriesFormat::Json))
+            .end_object();
     }
-    out.push_str("]}\n");
-    out
+    j.end_array().end_object();
+    j.finish() + "\n"
 }
 
 /// Render one metric as CSV (`mpl,<series...>`), for plotting.
 pub fn render_csv(exp: &Experiment, metric: Metric) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "mpl");
-    for s in &exp.series {
-        let _ = write!(out, ",{}", s.label.replace(',', ";"));
-    }
-    let _ = writeln!(out);
-    for (i, mpl) in exp.mpls().iter().enumerate() {
-        let _ = write!(out, "{mpl}");
-        for s in &exp.series {
-            let v = s.points.get(i).map(|r| metric.of(r)).unwrap_or(f64::NAN);
-            let _ = write!(out, ",{v:.6}");
-        }
-        let _ = writeln!(out);
-    }
-    out
+    render_wide_csv(exp, &[("", &|r| metric.of(r))])
 }
 
 /// Render one metric of an experiment as an ASCII chart in the style

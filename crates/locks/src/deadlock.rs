@@ -11,7 +11,9 @@
 //! site's lock table ([`crate::LockManager::blockers_of`]) and mapping
 //! lock owners (cohorts) to their transactions. Because edges are
 //! derived from current state rather than cached, there are no stale
-//! edges and therefore no phantom deadlocks.
+//! edges and therefore no phantom deadlocks. Choosing the victim is the
+//! caller's job: the simulator restarts the cycle member born last,
+//! ties broken by transaction id.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -76,21 +78,6 @@ where
         }
     }
     None
-}
-
-/// Pick the victim from a deadlock cycle: the *youngest* transaction,
-/// i.e. the one with the largest birth instant; ties broken by the
-/// larger transaction id so the choice is deterministic.
-pub fn youngest_victim<T, B>(cycle: &[T], birth: B) -> T
-where
-    T: Copy + Ord,
-    B: Fn(T) -> u64,
-{
-    assert!(!cycle.is_empty(), "empty cycle");
-    *cycle
-        .iter()
-        .max_by_key(|&&t| (birth(t), t))
-        .expect("non-empty cycle")
 }
 
 #[cfg(test)]
@@ -167,24 +154,6 @@ mod tests {
     fn multi_edges_are_harmless() {
         let g = graph(&[(1, 2), (1, 2), (2, 1)]);
         assert_eq!(find_cycle(1, expand(&g)), Some(vec![1, 2]));
-    }
-
-    #[test]
-    fn youngest_victim_picks_latest_birth() {
-        let births: HashMap<u32, u64> = [(1, 100), (2, 300), (3, 200)].into();
-        assert_eq!(youngest_victim(&[1, 2, 3], |t| births[&t]), 2);
-    }
-
-    #[test]
-    fn youngest_victim_breaks_ties_by_id() {
-        let births: HashMap<u32, u64> = [(1, 100), (2, 100)].into();
-        assert_eq!(youngest_victim(&[1, 2], |t| births[&t]), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty cycle")]
-    fn empty_cycle_panics() {
-        youngest_victim::<u32, _>(&[], |_| 0);
     }
 }
 

@@ -1408,6 +1408,12 @@ mod tests {
             let e = parse(&argv(&format!("sweep --protocols 2PC --mpls {mpls}"))).unwrap_err();
             assert!(e.0.contains("mpl must be positive"), "{mpls}: {e}");
         }
+        // A cohort size whose 1.5x bound overflows u32 is rejected, not
+        // wrapped to a bound every site passes.
+        for size in ["2863311531", "4294967295"] {
+            let e = parse(&argv(&format!("run --cohort-size {size}"))).unwrap_err();
+            assert!(e.0.contains("1.5 * cohort_size"), "{size}: {e}");
+        }
     }
 
     /// `run` exits 1 when the simulated-time cap cuts the run short

@@ -1,5 +1,6 @@
 //! Golden-file checks for the machine-readable outputs: the JSON
-//! report and the folded-stack flamegraph lines. These formats are
+//! report, the windowed series, the sweep documents and the
+//! folded-stack flamegraph lines. These formats are
 //! consumed by external tools (jq pipelines, flamegraph.pl), so any
 //! byte-level drift is a breaking change and must be deliberate.
 //!
@@ -11,7 +12,9 @@
 
 use distcommit::db::config::SystemConfig;
 use distcommit::db::engine::{FoldSink, SeriesConfig, SeriesFormat, Simulation};
+use distcommit::db::experiments::{sweep_with_series, Experiment, Scale};
 use distcommit::db::metrics::ReportFormat;
+use distcommit::db::output::{render_sweep_csv, render_sweep_series_csv, render_sweep_series_json};
 use distcommit::proto::ProtocolSpec;
 use simkernel::SimDuration;
 
@@ -165,6 +168,35 @@ fn faulty_series_json_matches_golden() {
     assert!(report.faults.messages_lost > 0);
     assert!(series.windows.iter().any(|w| w.messages_lost > 0));
     check("series_faulty.json", &series.render(SeriesFormat::Json));
+}
+
+/// A small `sweep --series-out` grid (2PC and OPT at MPL 2 and 4, one
+/// replication): the sweep CSV's three blocks (throughput with CI
+/// half-widths, phase percentiles, per-site occupancy) and both
+/// sweep-series documents, each of which re-frames every cell's series.
+#[test]
+fn sweep_outputs_match_golden() {
+    let specs: Vec<_> = [ProtocolSpec::TWO_PC, ProtocolSpec::OPT_2PC]
+        .into_iter()
+        .map(|s| (s.name().to_string(), s, golden_cfg()))
+        .collect();
+    let scale = Scale::quick()
+        .with_runs(10, 80)
+        .with_mpls(vec![2, 4])
+        .with_seed(2026)
+        .with_jobs(Some(1));
+    let (series, cells) =
+        sweep_with_series(&specs, &scale, &golden_series_cfg()).expect("valid config");
+    assert_eq!(cells.len(), 4, "2 series x 2 MPLs x 1 replication");
+    let exp = Experiment {
+        id: "golden".into(),
+        title: "golden sweep".into(),
+        config: golden_cfg(),
+        series,
+    };
+    check("sweep.csv", &render_sweep_csv(&exp));
+    check("sweep_series.csv", &render_sweep_series_csv(&cells));
+    check("sweep_series.json", &render_sweep_series_json(&cells));
 }
 
 #[test]

@@ -300,6 +300,12 @@ fn json_series_is_structurally_sound() {
     assert!(json.contains("\"windows\":["));
     assert!(json.contains("\"sites\":["));
     assert!(!json.contains("inf") && !json.contains("NaN"));
+
+    // The protocol name is a JSON string, so it is escaped.
+    let mut series = series;
+    series.meta.protocol = "a\"b\\c".into();
+    let json = series.render(SeriesFormat::Json);
+    assert!(json.starts_with("{\"protocol\":\"a\\\"b\\\\c\","), "{json}");
 }
 
 #[test]
