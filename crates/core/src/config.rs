@@ -1,5 +1,6 @@
 //! System configuration — Table 1 of the paper, plus run control.
 
+use commitproto::{ProtocolSpec, Routing};
 use simkernel::SimDuration;
 use std::fmt;
 
@@ -296,6 +297,35 @@ pub struct HotSpot {
 pub struct Zipf {
     /// Skew exponent θ ≥ 0.
     pub theta: f64,
+}
+
+impl Zipf {
+    /// Least access mass validation admits outside a cohort's most
+    /// likely pages. A cohort draws distinct pages by rejection, so its
+    /// last draw takes about `1 / mass` tries: the floor caps that near
+    /// 10^5 (θ ≤ 5 at the baseline's 1000 pages/site and 9-page cohorts).
+    const TAIL_FLOOR: f64 = 1e-5;
+
+    /// An upper bound on the probability mass outside the `m` most
+    /// likely of `n` ranks, in O(m). The head sum is exact; the tail
+    /// `Σ_{k=m+1..n} k^-θ` is at most `∫_{m+1/2}^{n+1/2} x^-θ dx`,
+    /// because `x^-θ` is convex and so each term is at most its
+    /// unit-interval integral.
+    fn tail_mass(&self, n: u64, m: u64) -> f64 {
+        if m >= n {
+            return 0.0;
+        }
+        let head: f64 = (1..=m).map(|k| (k as f64).powf(-self.theta)).sum();
+        let (a, b) = (m as f64 + 0.5, n as f64 + 0.5);
+        let s = 1.0 - self.theta;
+        let log_ratio = (b / a).ln();
+        let tail = if s == 0.0 {
+            log_ratio
+        } else {
+            a.powf(s) * (s * log_ratio).exp_m1() / s
+        };
+        tail / (head + tail)
+    }
 }
 
 /// Site-pair wire topology: sites are partitioned into contiguous
@@ -676,22 +706,6 @@ impl SystemConfig {
         self
     }
 
-    /// Set the page update probability.
-    #[must_use]
-    pub fn with_update_prob(mut self, p: f64) -> Self {
-        self.update_prob = p;
-        self
-    }
-
-    /// Set the transaction shape: `dist_degree` cohorts of
-    /// `cohort_size` mean pages each.
-    #[must_use]
-    pub fn with_shape(mut self, dist_degree: u32, cohort_size: u32) -> Self {
-        self.dist_degree = dist_degree;
-        self.cohort_size = cohort_size;
-        self
-    }
-
     /// Enable the failure model with the given fault configuration.
     #[must_use]
     pub fn with_failures(mut self, failures: FailureConfig) -> Self {
@@ -703,20 +717,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_cohort_abort_prob(mut self, p: f64) -> Self {
         self.cohort_abort_prob = p;
-        self
-    }
-
-    /// Enable or disable the Read-Only commit optimization (§3.2).
-    #[must_use]
-    pub fn with_read_only_optimization(mut self, on: bool) -> Self {
-        self.read_only_optimization = on;
-        self
-    }
-
-    /// Set sequential or parallel cohort execution.
-    #[must_use]
-    pub fn with_trans_type(mut self, t: TransType) -> Self {
-        self.trans_type = t;
         self
     }
 
@@ -820,6 +820,14 @@ impl SystemConfig {
             if !z.theta.is_finite() || z.theta < 0.0 {
                 return Err(Invalid("zipf theta must be finite and non-negative"));
             }
+            // Counting `max_cohort_pages` ranks, not one fewer, also
+            // covers CENT's transaction-wide distinct draw.
+            if z.tail_mass(self.pages_per_site(), self.max_cohort_pages()) < Zipf::TAIL_FLOOR {
+                return Err(Invalid(
+                    "zipf theta too large: under 1e-5 of the accesses fall outside a \
+                     cohort's most likely pages, so distinct-page draws would stall",
+                ));
+            }
         }
         if let Some(t) = &self.topology {
             if t.regions == 0 {
@@ -882,6 +890,46 @@ impl SystemConfig {
             return Err(Invalid(
                 "at least two batches are needed for a confidence interval",
             ));
+        }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate), plus the checks on running this
+    /// configuration under `spec`. Every run calls it before doing any
+    /// work, and so does the CLI at parse time.
+    pub fn validate_for(&self, spec: ProtocolSpec) -> Result<(), ConfigError> {
+        use ConfigError::*;
+        self.validate()?;
+        if !spec.is_valid() {
+            return Err(Invalid("OPT cannot be combined with a baseline protocol"));
+        }
+        if matches!(spec.base.table().routing, Routing::Chain) {
+            if self.read_only_optimization {
+                return Err(Invalid(
+                    "the read-only optimization would break the linear-2PC chain",
+                ));
+            }
+            if self.failures.is_some() {
+                return Err(Invalid(
+                    "failure injection models the parallel decision point and does not \
+                     support chained 2PC",
+                ));
+            }
+        }
+        if self.replication > 0 && !spec.is_replicated() {
+            return Err(Invalid(
+                "replication degree requires a replicated protocol (PAXOS or REP2PC)",
+            ));
+        }
+        if spec.is_replicated() {
+            if self.read_only_optimization {
+                return Err(Invalid(
+                    "the read-only optimization is not modeled for replicated protocols",
+                ));
+            }
+            if 2 * self.replication as usize + 1 > self.num_sites {
+                return Err(Invalid("2F+1 acceptors need at least 2F+1 sites"));
+            }
         }
         Ok(())
     }
@@ -1047,6 +1095,45 @@ mod tests {
                 "a site must hold at least 1.5 * cohort_size pages"
             ))
         );
+
+        // So skewed that a cohort's distinct-page draw would stall.
+        let e = SystemConfig::paper_baseline().with_zipf(8.0).validate();
+        assert!(format!("{}", e.unwrap_err()).contains("zipf theta too large"));
+    }
+
+    /// The (configuration, protocol) checks: each pairing the engine
+    /// cannot run fails `validate_for` but passes `validate`.
+    #[test]
+    fn validate_for_rejects_unsupported_pairs() {
+        let base = SystemConfig::paper_baseline();
+        let ro = SystemConfig {
+            read_only_optimization: true,
+            ..base.clone()
+        };
+        let faults = base
+            .clone()
+            .with_failures(FailureConfig::master_crashes(0.01));
+        let bad = [
+            (
+                base.clone(),
+                ProtocolSpec {
+                    opt: true,
+                    ..ProtocolSpec::CENT
+                },
+            ),
+            (ro.clone(), ProtocolSpec::LINEAR_2PC),
+            (faults, ProtocolSpec::LINEAR_2PC),
+            (base.clone().with_replication(1), ProtocolSpec::TWO_PC),
+            (ro, ProtocolSpec::PAXOS),
+            (base.clone().with_replication(4), ProtocolSpec::REP_2PC),
+        ];
+        for (cfg, spec) in bad {
+            cfg.validate().unwrap();
+            assert!(cfg.validate_for(spec).is_err(), "{}", spec.name());
+        }
+        base.with_replication(3)
+            .validate_for(ProtocolSpec::PAXOS)
+            .unwrap();
     }
 
     #[test]
@@ -1176,6 +1263,18 @@ mod tests {
     fn zipf_validates() {
         let c = SystemConfig::paper_baseline().with_zipf(0.9);
         c.validate().unwrap();
+        // The skews the sampler's chi-square tests use, and the most
+        // skewed one the baseline shape admits.
+        for theta in [0.0, 0.5, 1.0, 1.2, 5.0] {
+            SystemConfig::paper_baseline()
+                .with_zipf(theta)
+                .validate()
+                .unwrap();
+        }
+        assert!(SystemConfig::paper_baseline()
+            .with_zipf(6.0)
+            .validate()
+            .is_err());
 
         let mut bad = c.clone();
         bad.zipf = Some(Zipf { theta: -0.1 });
@@ -1299,25 +1398,16 @@ mod tests {
             .with_mpl(6)
             .with_run_length(100, 1_000)
             .with_db_size(16_000)
-            .with_update_prob(0.5)
-            .with_shape(6, 3)
             .with_failures(FailureConfig::master_crashes(0.01))
             .with_cohort_abort_prob(0.02)
-            .with_read_only_optimization(true)
-            .with_trans_type(TransType::Sequential)
             .with_data_disks(3);
         let mut m = SystemConfig::paper_baseline();
         m.mpl = 6;
         m.run.warmup_transactions = 100;
         m.run.measured_transactions = 1_000;
         m.db_size = 16_000;
-        m.update_prob = 0.5;
-        m.dist_degree = 6;
-        m.cohort_size = 3;
         m.failures = Some(FailureConfig::master_crashes(0.01));
         m.cohort_abort_prob = 0.02;
-        m.read_only_optimization = true;
-        m.trans_type = TransType::Sequential;
         m.num_data_disks = 3;
         assert_eq!(b, m);
         b.validate().unwrap();

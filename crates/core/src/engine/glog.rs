@@ -99,13 +99,12 @@ impl BatchedLog {
     }
 
     /// Records waiting for a batch slot.
-    #[allow(dead_code)] // exercised by unit tests
     pub fn queued(&self) -> usize {
         self.queue.len()
     }
 
     /// True while a batch is being written.
-    #[allow(dead_code)] // exercised by unit tests
+    #[cfg(test)]
     pub fn busy(&self) -> bool {
         !self.in_flight.is_empty()
     }
@@ -118,16 +117,6 @@ impl BatchedLog {
     /// Individual records completed so far.
     pub fn writes_served(&self) -> u64 {
         self.writes_served
-    }
-
-    /// Mean records per completed batch (the group-commit win).
-    #[allow(dead_code)] // exercised by unit tests; the engine aggregates manually
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches_served == 0 {
-            0.0
-        } else {
-            self.writes_served as f64 / self.batches_served as f64
-        }
     }
 
     /// Fraction of the statistics window (last reset to `now`) spent
@@ -227,7 +216,6 @@ mod tests {
         assert!(!b.busy());
         assert_eq!(b.writes_served(), 3);
         assert_eq!(b.batches_served(), 2);
-        assert!((b.mean_batch_size() - 1.5).abs() < 1e-12);
     }
 
     #[test]

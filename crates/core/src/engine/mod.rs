@@ -325,43 +325,8 @@ impl Simulation {
     }
 
     fn new(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        if !spec.is_valid() {
-            return Err(ConfigError::Invalid(
-                "OPT cannot be combined with a baseline protocol",
-            ));
-        }
+        cfg.validate_for(spec)?;
         let table = spec.base.table();
-        if matches!(table.routing, Routing::Chain) {
-            if cfg.read_only_optimization {
-                return Err(ConfigError::Invalid(
-                    "the read-only optimization would break the linear-2PC chain",
-                ));
-            }
-            if cfg.failures.is_some() {
-                return Err(ConfigError::Invalid(
-                    "failure injection models the parallel decision point and does not \
-                     support chained 2PC",
-                ));
-            }
-        }
-        if cfg.replication > 0 && !spec.is_replicated() {
-            return Err(ConfigError::Invalid(
-                "replication degree requires a replicated protocol (PAXOS or REP2PC)",
-            ));
-        }
-        if spec.is_replicated() {
-            if cfg.read_only_optimization {
-                return Err(ConfigError::Invalid(
-                    "the read-only optimization is not modeled for replicated protocols",
-                ));
-            }
-            if 2 * cfg.replication as usize + 1 > cfg.num_sites {
-                return Err(ConfigError::Invalid(
-                    "2F+1 acceptors need at least 2F+1 sites",
-                ));
-            }
-        }
         let wl = WorkloadGenerator::new(cfg, spec.base);
         let num_sites = wl.effective_sites();
         // CENT merges every site's hardware into one station pool
@@ -373,28 +338,19 @@ impl Simulation {
         let log_disks = cfg.num_log_disks as usize * merge;
         let pages_per_site_eff = cfg.pages_per_site() * merge as u64;
 
-        let mk_station = || match cfg.resources {
-            ResourceMode::Finite => None,
-            ResourceMode::Infinite => Some(()),
-        };
+        // Generic over the job type (CPU and disk stations queue
+        // different jobs), so a fn rather than a closure.
+        fn station<J>(resources: ResourceMode, units: usize) -> Station<J> {
+            match resources {
+                ResourceMode::Finite => Station::finite(units as u32),
+                ResourceMode::Infinite => Station::infinite(),
+            }
+        }
         let sites = (0..num_sites)
             .map(|_| Site {
-                cpu: match mk_station() {
-                    None => Station::finite(cpus as u32),
-                    Some(()) => Station::infinite(),
-                },
-                data_disks: (0..data_disks)
-                    .map(|_| match mk_station() {
-                        None => Station::finite(1),
-                        Some(()) => Station::infinite(),
-                    })
-                    .collect(),
-                log_disks: (0..log_disks)
-                    .map(|_| match mk_station() {
-                        None => Station::finite(1),
-                        Some(()) => Station::infinite(),
-                    })
-                    .collect(),
+                cpu: station(cfg.resources, cpus),
+                data_disks: (0..data_disks).map(|_| station(cfg.resources, 1)).collect(),
+                log_disks: (0..log_disks).map(|_| station(cfg.resources, 1)).collect(),
                 batched_logs: match (cfg.group_commit_batch, cfg.resources) {
                     (Some(k), ResourceMode::Finite) => {
                         Some((0..log_disks).map(|_| glog::BatchedLog::new(k)).collect())

@@ -726,6 +726,127 @@ pub fn at_scale(scale: &Scale) -> Result<Experiment, ConfigError> {
     })
 }
 
+/// **Ablations** of the model-fidelity choices DESIGN.md §2 defends
+/// and of the optional §3.2 optimizations, one fixed-MPL experiment
+/// each:
+///
+/// 1. `DBSize`, the data-contention knob: 250–4 000 pages/site, 2PC vs
+///    OPT at MPL 6;
+/// 2. charging the deferred post-commit writes to the data disks, off
+///    and on, at MPL 4;
+/// 3. the restart delay — §4's adaptive heuristic, a fixed 500 ms, or
+///    none — for 2PC at MPL 8;
+/// 4. the Read-Only optimization at `UpdateProb` 0.2, MPL 4;
+/// 5. the group-commit batch cap for 3PC in a log-bound configuration
+///    (fast network, 80 000 pages, 4 data disks per site) at MPL 10.
+pub fn ablate(scale: &Scale) -> Result<Vec<Experiment>, ConfigError> {
+    use crate::config::RestartPolicy;
+    use simkernel::SimDuration;
+    let at = |mpl| SystemConfig::paper_baseline().with_mpl(mpl);
+    let (two, opt) = (ProtocolSpec::TWO_PC, ProtocolSpec::OPT_2PC);
+    let pages = [
+        ("250", 250),
+        ("500", 500),
+        ("1000", 1_000),
+        ("2000", 2_000),
+        ("4000", 4_000),
+    ];
+    let restarts = [
+        ("adaptive", RestartPolicy::AdaptiveResponseTime),
+        (
+            "fixed500ms",
+            RestartPolicy::Fixed(SimDuration::from_millis(500)),
+        ),
+        ("immediate", RestartPolicy::Immediate),
+    ];
+    let batches = [
+        ("off", None),
+        ("2", Some(2)),
+        ("4", Some(4)),
+        ("8", Some(8)),
+        ("16", Some(16)),
+    ];
+    Ok(vec![
+        ablation(
+            "Ablation 1: DBSize (pages/site)",
+            at(6),
+            ("db", &pages, |c, n| c.db_size = n * c.num_sites as u64),
+            &[two, opt],
+            scale,
+        )?,
+        ablation(
+            "Ablation 2: Deferred-Write Charging",
+            at(4),
+            ("writes", &[("free", false), ("charged", true)], |c, on| {
+                c.model_deferred_writes = on
+            }),
+            &[two, opt],
+            scale,
+        )?,
+        ablation(
+            "Ablation 3: Restart-Delay Policy",
+            at(8),
+            ("restart", &restarts, |c, p| c.restart_policy = p),
+            &[two],
+            scale,
+        )?,
+        ablation(
+            "Ablation 4: Read-Only Optimization (UpdateProb 0.2)",
+            SystemConfig {
+                update_prob: 0.2,
+                ..at(4)
+            },
+            ("ro", &[("off", false), ("on", true)], |c, on| {
+                c.read_only_optimization = on
+            }),
+            &[two, ProtocolSpec::PA, ProtocolSpec::PC, opt],
+            scale,
+        )?,
+        ablation(
+            "Ablation 5: Group-Commit Batch Cap (log-bound, 3PC)",
+            at(10)
+                .fast_network()
+                .with_db_size(80_000)
+                .with_data_disks(4),
+            ("batch", &batches, |c, b| c.group_commit_batch = b),
+            &[ProtocolSpec::THREE_PC],
+            scale,
+        )?,
+    ])
+}
+
+/// One knob of an ablation: its name, its labelled values, and how a
+/// value is set on a configuration.
+type Knob<'a, T> = (&'a str, &'a [(&'a str, T)], fn(&mut SystemConfig, T));
+
+/// Ablation `ablate-<knob>`: every protocol in `specs` over `base` with
+/// the knob set to each of its values, as series
+/// `"<protocol> <knob>=<label>"`, at `base`'s MPL whatever the scale's
+/// MPL axis says.
+fn ablation<T: Copy>(
+    title: &str,
+    base: SystemConfig,
+    (knob, values, set): Knob<'_, T>,
+    specs: &[ProtocolSpec],
+    scale: &Scale,
+) -> Result<Experiment, ConfigError> {
+    let mut cells = Vec::new();
+    for &(label, value) in values {
+        let mut cfg = base.clone();
+        set(&mut cfg, value);
+        for &spec in specs {
+            cells.push((format!("{} {knob}={label}", spec.name()), spec, cfg.clone()));
+        }
+    }
+    let series = sweep(&cells, &scale.clone().with_mpls(vec![base.mpl]))?;
+    Ok(Experiment {
+        id: format!("ablate-{knob}"),
+        title: title.into(),
+        config: base,
+        series,
+    })
+}
+
 /// One `distcommit experiment` preset: the id the command takes, the
 /// sweeps it runs, and the metrics the paper plots from them. The CLI
 /// prints one table (or CSV block) per metric for every experiment the
@@ -814,6 +935,19 @@ pub static PRESETS: &[Preset] = &[
         id: "scale",
         build: |s| Ok(vec![at_scale(s)?]),
         metrics: &[Metric::Throughput],
+    },
+    Preset {
+        id: "ablate",
+        build: ablate,
+        metrics: &[
+            Metric::Throughput,
+            Metric::AbortFraction,
+            Metric::BlockRatio,
+            Metric::BorrowRatio,
+            Metric::DataDiskUtilization,
+            Metric::LogDiskUtilization,
+            Metric::WritesPerLogService,
+        ],
     },
 ];
 
@@ -1044,6 +1178,9 @@ mod tests {
         check(&a, 4);
         check(&b, 4);
         assert_eq!(b.config.dist_degree, 6);
+        for e in ablate(&micro).unwrap() {
+            check(&e, 3);
+        }
     }
 
     /// Preset ids are unique and every preset reports throughput
@@ -1081,6 +1218,55 @@ mod tests {
         for s in &e.series {
             assert!(s.points[0].throughput > 0.0, "{}", s.label);
         }
+    }
+
+    /// The ablate preset runs five experiments, each pinned to its own
+    /// MPL, with the series labels EXPERIMENTS.md quotes; group commit
+    /// off serves one write per log service and batching serves more.
+    #[test]
+    fn ablate_preset_shape() {
+        let micro = Scale {
+            warmup: 5,
+            measured: 60,
+            mpls: vec![1, 2],
+            seed: 8,
+            replications: 1,
+            jobs: None,
+        };
+        let exps = ablate(&micro).unwrap();
+        let shape: Vec<(&str, u32, usize)> = exps
+            .iter()
+            .map(|e| (e.id.as_str(), e.mpls()[0], e.series.len()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                ("ablate-db", 6, 10),
+                ("ablate-writes", 4, 4),
+                ("ablate-restart", 8, 3),
+                ("ablate-ro", 4, 8),
+                ("ablate-batch", 10, 5),
+            ]
+        );
+        for (e, label) in exps.iter().zip([
+            "OPT db=250",
+            "2PC writes=charged",
+            "2PC restart=fixed500ms",
+            "PA ro=on",
+            "3PC batch=16",
+        ]) {
+            assert_eq!(e.mpls().len(), 1, "{}", e.id);
+            assert_eq!(e.config.mpl, e.mpls()[0], "{}", e.id);
+            assert!(e.series(label).is_some(), "{}: no {label}", e.id);
+        }
+        let writes = |label: &str| {
+            let s = exps[4].series(label).unwrap();
+            Metric::WritesPerLogService.of(&s.points[0])
+        };
+        assert_eq!(writes("3PC batch=off"), 1.0);
+        assert!(["2", "4", "8", "16"]
+            .iter()
+            .any(|b| writes(&format!("3PC batch={b}")) > 1.0));
     }
 
     #[test]

@@ -640,11 +640,6 @@ impl std::str::FromStr for ReportFormat {
 }
 
 impl SimReport {
-    /// Committed transactions per second — the paper's headline metric.
-    pub fn throughput(&self) -> f64 {
-        self.throughput
-    }
-
     /// The site-averaged resource view, derived from
     /// [`SimReport::site_resources`].
     pub fn resources(&self) -> ResourceReport {

@@ -34,6 +34,14 @@ pub enum Metric {
     /// Master crashes injected during the measured window (the
     /// `failures` preset's count beside its throughput).
     MasterCrashes,
+    /// Mean data-disk utilization (the `ablate` preset's deferred-write
+    /// column).
+    DataDiskUtilization,
+    /// Mean log-disk utilization.
+    LogDiskUtilization,
+    /// Forced writes per log-disk service: 1.0 without group commit,
+    /// more when batching groups writes.
+    WritesPerLogService,
 }
 
 impl Metric {
@@ -50,6 +58,9 @@ impl Metric {
             Metric::MessagesPerCommit => "Messages / commit",
             Metric::CrashBlockedTime => "Blocked on crash (s)",
             Metric::MasterCrashes => "Master crashes",
+            Metric::DataDiskUtilization => "Data-disk utilization",
+            Metric::LogDiskUtilization => "Log-disk utilization",
+            Metric::WritesPerLogService => "Writes / log service",
         }
     }
 
@@ -66,6 +77,9 @@ impl Metric {
             Metric::MessagesPerCommit => r.exec_messages_per_commit + r.commit_messages_per_commit,
             Metric::CrashBlockedTime => r.faults.mean_blocked_on_crash_s,
             Metric::MasterCrashes => r.faults.master_crashes as f64,
+            Metric::DataDiskUtilization => r.utilizations.data_disk,
+            Metric::LogDiskUtilization => r.utilizations.log_disk,
+            Metric::WritesPerLogService => r.mean_log_batch,
         }
     }
 }
@@ -708,6 +722,10 @@ mod tests {
             Metric::ForcedWritesPerCommit,
             Metric::MessagesPerCommit,
             Metric::CrashBlockedTime,
+            Metric::MasterCrashes,
+            Metric::DataDiskUtilization,
+            Metric::LogDiskUtilization,
+            Metric::WritesPerLogService,
         ] {
             assert!(!m.label().is_empty());
             assert!(m.of(r).is_finite());

@@ -39,11 +39,13 @@ pub struct TxnTemplate {
 
 impl TxnTemplate {
     /// Total pages accessed across all cohorts.
+    #[cfg(test)]
     pub fn total_pages(&self) -> usize {
         self.accesses.iter().map(Vec::len).sum()
     }
 
     /// Total pages updated across all cohorts.
+    #[cfg(test)]
     pub fn total_updates(&self) -> usize {
         self.accesses.iter().flatten().filter(|a| a.update).count()
     }
@@ -310,6 +312,7 @@ impl WorkloadGenerator {
     }
 
     /// The site a global page id lives on.
+    #[cfg(test)]
     pub fn site_of_page(&self, page: u64) -> SiteId {
         if self.centralized {
             0

@@ -317,6 +317,7 @@ impl LockManager {
     }
 
     /// Pages currently locked by `owner` (any mode).
+    #[cfg(test)]
     pub fn pages_held(&self, owner: OwnerId) -> usize {
         self.st(owner).held.len()
     }
@@ -330,16 +331,13 @@ impl LockManager {
     }
 
     /// True if `owner` has a queued (waiting) request.
+    #[cfg(test)]
     pub fn is_waiting(&self, owner: OwnerId) -> bool {
         self.st(owner).waiting.is_some()
     }
 
-    /// Number of owners currently waiting in some queue.
-    pub fn waiting_count(&self) -> usize {
-        self.waiting_owners
-    }
-
     /// True if `owner` has been marked prepared.
+    #[cfg(test)]
     pub fn is_prepared(&self, owner: OwnerId) -> bool {
         self.st(owner).prepared
     }
@@ -1285,17 +1283,22 @@ mod tests {
         lm.audit().unwrap();
     }
 
+    /// The waiting-owner count follows the queue (`audit` recounts
+    /// it from the page queues).
     #[test]
     fn waiting_count_tracks_queues() {
         let (mut lm, o) = setup(false, 3);
         lm.request(o[1], 9, LockMode::Update);
         lm.request(o[2], 9, LockMode::Update);
         lm.request(o[3], 9, LockMode::Update);
-        assert_eq!(lm.waiting_count(), 2);
+        assert_eq!(lm.waiting_owners, 2);
+        lm.audit().unwrap();
         lm.release_all(o[1]);
-        assert_eq!(lm.waiting_count(), 1);
+        assert_eq!(lm.waiting_owners, 1);
+        lm.audit().unwrap();
         lm.release_all(o[2]);
-        assert_eq!(lm.waiting_count(), 0);
+        assert_eq!(lm.waiting_owners, 0);
+        lm.audit().unwrap();
     }
 
     #[test]

@@ -88,7 +88,6 @@ pub struct Calendar<E> {
     now_q: VecDeque<(u64, E)>,
     now: SimTime,
     seq: u64,
-    scheduled: u64,
     dispatched: u64,
 }
 
@@ -108,7 +107,6 @@ impl<E> Calendar<E> {
             now_q: VecDeque::new(),
             now: SimTime::ZERO,
             seq: 0,
-            scheduled: 0,
             dispatched: 0,
         }
     }
@@ -131,12 +129,6 @@ impl<E> Calendar<E> {
         self.heap.is_empty() && self.now_q.is_empty()
     }
 
-    /// Total events ever scheduled (diagnostics).
-    #[inline]
-    pub fn scheduled_count(&self) -> u64 {
-        self.scheduled
-    }
-
     /// Total events ever dispatched (diagnostics).
     #[inline]
     pub fn dispatched_count(&self) -> u64 {
@@ -154,7 +146,6 @@ impl<E> Calendar<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled += 1;
         if at == self.now {
             self.now_q.push_back((seq, event));
             return;
@@ -218,15 +209,6 @@ impl<E> Calendar<E> {
         } else {
             let (_, event) = self.now_q.pop_front().expect("checked above");
             Some((self.now, event))
-        }
-    }
-
-    /// Firing time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.now_q.is_empty() {
-            self.heap.peek().map(|&Reverse(k)| unpack(k).0)
-        } else {
-            Some(self.now)
         }
     }
 }
@@ -296,7 +278,6 @@ mod tests {
         let mut cal = Calendar::new();
         cal.schedule_at(SimTime(1), ());
         cal.schedule_at(SimTime(2), ());
-        assert_eq!(cal.scheduled_count(), 2);
         assert_eq!(cal.pending(), 2);
         cal.next();
         assert_eq!(cal.dispatched_count(), 1);
@@ -305,14 +286,6 @@ mod tests {
         cal.next();
         assert!(cal.is_empty());
         assert!(cal.next().is_none());
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut cal = Calendar::new();
-        cal.schedule_at(SimTime(11), ());
-        assert_eq!(cal.peek_time(), Some(SimTime(11)));
-        assert_eq!(cal.now(), SimTime::ZERO);
     }
 
     #[test]

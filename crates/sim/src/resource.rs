@@ -130,6 +130,7 @@ impl<J> Station<J> {
     }
 
     /// Jobs currently in service.
+    #[cfg(test)]
     pub fn in_service(&self) -> u32 {
         self.busy
     }

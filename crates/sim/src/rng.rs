@@ -76,13 +76,6 @@ impl SimRng {
         result
     }
 
-    /// Derive an independent stream for a sub-component; mixing in
-    /// `stream` keeps sibling components decorrelated.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        let base = self.next_u64();
-        SimRng::new(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Unbiased uniform integer in `[0, n)` (Lemire's method).
     ///
     /// # Panics
@@ -205,15 +198,6 @@ mod tests {
         let va: Vec<u64> = (0..32).map(|_| a.uniform_u64(0, u64::MAX - 1)).collect();
         let vb: Vec<u64> = (0..32).map(|_| b.uniform_u64(0, u64::MAX - 1)).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn forked_streams_are_deterministic() {
-        let mut a = SimRng::new(7);
-        let mut b = SimRng::new(7);
-        let mut fa = a.fork(3);
-        let mut fb = b.fork(3);
-        assert_eq!(fa.uniform_u64(0, 999), fb.uniform_u64(0, 999));
     }
 
     #[test]

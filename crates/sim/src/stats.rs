@@ -283,11 +283,6 @@ impl BatchMeans {
         }
     }
 
-    /// Number of completed batches.
-    pub fn completed_batches(&self) -> u64 {
-        self.batch_means.count()
-    }
-
     /// 90% confidence interval over completed batch means.
     pub fn confidence_interval(&self) -> ConfidenceInterval {
         let k = self.batch_means.count();

@@ -512,7 +512,23 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     other => return err(format!("unknown option {other:?}")),
                 }
             }
-            cfg.validate().map_err(|e| CliError(e.to_string()))?;
+            // Every (configuration, protocol) pair is checked here, so a
+            // bad one exits 2 before any run starts.
+            let validate = |cfg: &SystemConfig, spec| {
+                cfg.validate_for(spec).map_err(|e| CliError(e.to_string()))
+            };
+            if sub == "sweep" {
+                if protocols.is_empty() || mpls.is_empty() {
+                    return err("sweep needs at least one protocol and one MPL");
+                }
+                for &spec in &protocols {
+                    for &m in &mpls {
+                        validate(&cfg.clone().with_mpl(m), spec)?;
+                    }
+                }
+            } else {
+                validate(&cfg, protocol)?;
+            }
             if !matches!(sub.as_str(), "trace" | "fold") && txns.is_some() {
                 return err("--txns applies to trace and fold only");
             }
@@ -597,16 +613,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     series_cfg,
                 })
             } else {
-                if protocols.is_empty() || mpls.is_empty() {
-                    return err("sweep needs at least one protocol and one MPL");
-                }
-                // Every cell runs the base config at one of these MPLs.
-                for &m in &mpls {
-                    cfg.clone()
-                        .with_mpl(m)
-                        .validate()
-                        .map_err(|e| CliError(e.to_string()))?;
-                }
                 if reps == 0 {
                     return err("--reps must be at least 1");
                 }
@@ -1413,6 +1419,23 @@ mod tests {
         for size in ["2863311531", "4294967295"] {
             let e = parse(&argv(&format!("run --cohort-size {size}"))).unwrap_err();
             assert!(e.0.contains("1.5 * cohort_size"), "{size}: {e}");
+        }
+        // A skew whose distinct-page draws would stall is rejected.
+        let e = parse(&argv("run --zipf 8")).unwrap_err();
+        assert!(e.0.contains("zipf theta too large"), "{e}");
+        // (configuration, protocol) pairs the engine cannot run fail at
+        // parse time, for a sweep on any of its protocols.
+        for (cmd, why) in [
+            ("run --replication 1", "requires a replicated protocol"),
+            ("run --protocol L2PC --read-only-opt", "linear-2PC chain"),
+            ("trace --protocol L2PC --read-only-opt", "linear-2PC chain"),
+            ("series --protocol L2PC --faults mc=0.01", "chained 2PC"),
+            ("fold --protocol PAXOS --replication 2 --sites 4", "2F+1"),
+            ("run --protocol REP2PC --read-only-opt", "not modeled"),
+            ("sweep --protocols 2PC,L2PC --read-only-opt", "2PC chain"),
+        ] {
+            let e = parse(&argv(cmd)).expect_err(cmd);
+            assert!(e.0.contains(why), "{cmd}: {e}");
         }
     }
 

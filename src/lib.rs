@@ -34,7 +34,7 @@
 //!
 //! let two_pc = Simulation::run(&cfg, ProtocolSpec::TWO_PC, 1).unwrap();
 //! let opt = Simulation::run(&cfg, ProtocolSpec::OPT_2PC, 1).unwrap();
-//! assert!(opt.throughput() > 0.0 && two_pc.throughput() > 0.0);
+//! assert!(opt.throughput > 0.0 && two_pc.throughput > 0.0);
 //! ```
 
 pub mod cli;
