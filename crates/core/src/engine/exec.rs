@@ -3,14 +3,17 @@
 //! execution-phase aborts (deadlock victims and OPT borrower
 //! cascades).
 
-use super::types::{Cohort, CohortH, CohortPhase, DiskJob, Event, MsgKind, Txn, TxnH, TxnPhase};
-use super::Simulation;
+use super::types::{
+    Cohort, CohortH, CohortId, CohortPhase, DiskJob, Event, MsgKind, Txn, TxnH, TxnPhase,
+};
+use super::{Simulation, Site};
 use crate::config::TransType;
 use crate::metrics::AbortReason;
 use crate::workload::{SiteId, TxnTemplate};
+#[cfg(debug_assertions)]
 use distlocks::deadlock::find_cycle;
 use distlocks::{Grant, LockMode, RequestOutcome};
-use simkernel::SimTime;
+use simkernel::{SimTime, Slab};
 
 impl Simulation {
     // ------------------------------------------------------------------
@@ -311,29 +314,40 @@ impl Simulation {
 
     /// Run cycle detection from `start` and abort youngest victims until
     /// no cycle through `start` remains.
+    ///
+    /// Two searches, neither of which allocates once the scratch
+    /// buffers reach their high-water marks: [`Self::cycle_through`]
+    /// decides whether a cycle exists, and only when one does
+    /// [`Self::walk_cycle`] lists the cycle `find_cycle` would report,
+    /// whose youngest member is the victim. Debug builds check both
+    /// against `distlocks::deadlock::find_cycle` over
+    /// [`Self::wait_for_successors`].
+    ///
+    /// Kept out of line: it runs only when a request blocks. Inlined
+    /// into [`Self::cohort_continue`] it made that per-access function
+    /// 4.7 times larger and the deadlock-light `faults-observed`
+    /// benchmark about 6% slower (2-vCPU x86-64 VM).
+    #[inline(never)]
     pub(crate) fn deadlock_check(&mut self, start: TxnH) {
         loop {
             if !self.txns.contains(start) {
                 return; // start itself was the victim
             }
-            // Allocation-free reachability pre-filter: almost every
-            // block is cycle-free, and `find_cycle` (HashMap colouring,
-            // per-node successor vectors) is only worth paying when a
-            // cycle actually exists. Both compute the same boolean —
-            // "is `start` reachable from its own successors" — so the
-            // filter never changes which deadlocks are found.
-            if !self.cycle_through(start) {
+            let reachable = self.cycle_through(start);
+            let found = reachable && self.walk_cycle(start);
+            #[cfg(debug_assertions)]
+            self.cross_check(start, reachable, found);
+            if !found {
                 return;
             }
-            let Some(cycle) = find_cycle(start, |t| self.wait_for_successors(t)) else {
-                return;
-            };
             // Youngest victim: latest birth, ties broken by the external
             // id — every cycle member is live, and external ids are
             // unique, so the maximum is unambiguous.
-            let victim = cycle
+            let victim = self
+                .dl
+                .path
                 .iter()
-                .copied()
+                .map(|&(th, _)| th)
                 .max_by_key(|&th| {
                     self.txns
                         .get(th)
@@ -345,69 +359,114 @@ impl Simulation {
         }
     }
 
-    /// Can `start` reach itself through the wait-for graph? Stamped DFS
-    /// over dense transaction slots: no hashing, no allocation after
-    /// the scratch buffers reach their high-water marks. Edge set is
-    /// identical to [`Self::wait_for_successors`] (self-edges between
-    /// cohorts of one transaction excluded); order and duplicates are
-    /// irrelevant to reachability.
+    /// Is `start` on a cycle of the wait-for graph? A bidirectional
+    /// stamped search: one backward expansion (who waits on the
+    /// transaction) alternates with one forward expansion (what it
+    /// waits on), starting backward. A transaction discovered by one
+    /// side that the other side has already reached closes a cycle
+    /// through `start`; a side that runs dry proves there is none —
+    /// after a single step when nobody waits on `start`, the common
+    /// case. Only reachability matters, so visit order and repeated
+    /// edges are irrelevant.
     fn cycle_through(&mut self, start: TxnH) -> bool {
-        let mut seen = std::mem::take(&mut self.dl_seen);
-        let mut stack = std::mem::take(&mut self.dl_stack);
-        self.dl_stamp = self.dl_stamp.wrapping_add(1);
-        if self.dl_stamp == 0 {
-            seen.fill(0);
-            self.dl_stamp = 1;
-        }
-        let stamp = self.dl_stamp;
-        let mark = |seen: &mut Vec<u32>, t: TxnH| {
-            let slot = t.slot();
-            if slot >= seen.len() {
-                seen.resize(slot + 1, 0);
-            }
-            let fresh = seen[slot] != stamp;
-            seen[slot] = stamp;
-            fresh
+        let g = WaitFor {
+            txns: &self.txns,
+            cohorts: &self.cohorts,
+            sites: &self.sites,
         };
-        stack.clear();
-        mark(&mut seen, start);
-        stack.push(start);
-        let mut found = false;
-        'dfs: while let Some(t) = stack.pop() {
-            let Some(txn) = self.txns.get(t) else {
-                continue;
+        let dl = &mut self.dl;
+        let stamp = dl.next_stamp();
+        mark(&mut dl.fwd, start, stamp);
+        mark(&mut dl.bwd, start, stamp);
+        dl.fstack.clear();
+        dl.bstack.clear();
+        dl.fstack.push(start);
+        dl.bstack.push(start);
+        loop {
+            let Some(t) = dl.bstack.pop() else {
+                return false;
             };
-            for &ch in &txn.cohorts {
-                let Some(c) = self.cohorts.get(ch) else {
-                    continue;
-                };
-                if !c.waiting_lock {
-                    continue;
+            let mut met = false;
+            g.for_each_predecessor(t, |w| {
+                if marked(&dl.fwd, w, stamp) {
+                    met = true;
+                } else if mark(&mut dl.bwd, w, stamp) {
+                    dl.bstack.push(w);
                 }
-                let site = &self.sites[c.site];
-                site.locks.for_each_blocker(c.lock_owner, |o| {
-                    let bt = self.cohorts[site.cohort_of(o)].txn;
-                    if bt == t {
-                        return; // self-edge, excluded from the graph
-                    }
-                    if bt == start {
-                        found = true;
-                    } else if mark(&mut seen, bt) {
-                        stack.push(bt);
-                    }
-                });
-                if found {
-                    break 'dfs;
+            });
+            if met || dl.bstack.is_empty() {
+                return met;
+            }
+            let Some(t) = dl.fstack.pop() else {
+                return false;
+            };
+            g.for_each_successor(t, |b| {
+                if marked(&dl.bwd, b, stamp) {
+                    met = true;
+                } else if mark(&mut dl.fwd, b, stamp) {
+                    dl.fstack.push(b);
                 }
+            });
+            if met || dl.fstack.is_empty() {
+                return met;
             }
         }
-        self.dl_seen = seen;
-        self.dl_stack = stack;
-        found
+    }
+
+    /// The depth-first walk of `find_cycle(start, wait_for_successors)`,
+    /// step for step, over the scratch buffers: successor lists live
+    /// back to back in one flat buffer (the walk pops the last one from
+    /// its end), and a visit stamp replaces the colour map. Leaves the
+    /// cycle in `dl.path`, in wait order from `start`, and returns
+    /// whether there is one.
+    fn walk_cycle(&mut self, start: TxnH) -> bool {
+        let g = WaitFor {
+            txns: &self.txns,
+            cohorts: &self.cohorts,
+            sites: &self.sites,
+        };
+        let dl = &mut self.dl;
+        let stamp = dl.next_stamp();
+        mark(&mut dl.fwd, start, stamp);
+        dl.succ.clear();
+        dl.path.clear();
+        dl.path.push((start, 0));
+        g.push_successors(start, &mut dl.succ);
+        while let Some(&(_, from)) = dl.path.last() {
+            if dl.succ.len() == from {
+                dl.path.pop(); // every successor explored
+                continue;
+            }
+            let (_, next) = dl.succ.pop().expect("segment is non-empty");
+            if next == start {
+                return true;
+            }
+            if mark(&mut dl.fwd, next, stamp) {
+                dl.path.push((next, dl.succ.len()));
+                g.push_successors(next, &mut dl.succ);
+            }
+        }
+        false
+    }
+
+    /// Debug builds: the pre-filter's verdict, and the walked cycle when
+    /// there is one, are exactly the reference `find_cycle`'s.
+    #[cfg(debug_assertions)]
+    fn cross_check(&self, start: TxnH, reachable: bool, found: bool) {
+        let reference = find_cycle(start, |t| self.wait_for_successors(t));
+        assert_eq!(
+            reachable,
+            reference.is_some(),
+            "deadlock pre-filter verdict differs from find_cycle"
+        );
+        let walked = found.then(|| self.dl.path.iter().map(|&(t, _)| t).collect::<Vec<_>>());
+        assert_eq!(walked, reference, "walked cycle differs from find_cycle");
     }
 
     /// Transactions `t` currently waits for, stitched together from the
-    /// live per-site blocker sets of its waiting cohorts.
+    /// live per-site blocker sets of its waiting cohorts: the reference
+    /// successor list [`Self::walk_cycle`] reproduces.
+    #[cfg(debug_assertions)]
     fn wait_for_successors(&self, t: TxnH) -> Vec<TxnH> {
         let Some(txn) = self.txns.get(t) else {
             return Vec::new();
@@ -549,6 +608,140 @@ impl Simulation {
         }
         for &(site, page) in cohort_accesses {
             self.data_disk_arrive(site, page, DiskJob::AsyncWrite);
+        }
+    }
+}
+
+/// Deadlock-detection scratch, kept on the simulation so a check
+/// allocates nothing once the buffers reach their high-water marks.
+#[derive(Debug, Default)]
+pub(crate) struct DeadlockScratch {
+    /// The current search's visit stamp.
+    stamp: u32,
+    /// Visit stamps by transaction slab slot: reached forward from
+    /// `start` (also the walk's visited set), and reached backward.
+    fwd: Vec<u32>,
+    bwd: Vec<u32>,
+    /// The pre-filter's forward and backward work stacks.
+    fstack: Vec<TxnH>,
+    bstack: Vec<TxnH>,
+    /// The walk's successor lists, one segment per path level, each
+    /// entry keyed by the blocking cohort's id.
+    succ: Vec<(CohortId, TxnH)>,
+    /// The walk's path: each transaction with the start of its segment
+    /// in `succ`.
+    path: Vec<(TxnH, usize)>,
+}
+
+impl DeadlockScratch {
+    /// A fresh stamp for a new search; both stamp arrays are reset
+    /// when the counter wraps.
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.fwd.fill(0);
+            self.bwd.fill(0);
+            self.stamp = 1;
+        }
+        self.stamp
+    }
+}
+
+/// Stamp `t` in `seen`; true if it was not stamped yet.
+fn mark(seen: &mut Vec<u32>, t: TxnH, stamp: u32) -> bool {
+    let slot = t.slot();
+    if slot >= seen.len() {
+        seen.resize(slot + 1, 0);
+    }
+    let fresh = seen[slot] != stamp;
+    seen[slot] = stamp;
+    fresh
+}
+
+/// Whether `t` carries `stamp` in `seen`.
+fn marked(seen: &[u32], t: TxnH, stamp: u32) -> bool {
+    seen.get(t.slot()) == Some(&stamp)
+}
+
+/// The transaction-level wait-for graph, read from the live lock
+/// tables: `t` waits for `u` when a waiting cohort of `t` is blocked by
+/// a cohort of `u`. Edges between cohorts of one transaction are
+/// excluded.
+#[derive(Clone, Copy)]
+struct WaitFor<'a> {
+    txns: &'a Slab<TxnH, Txn>,
+    cohorts: &'a Slab<CohortH, Cohort>,
+    sites: &'a [Site],
+}
+
+impl<'a> WaitFor<'a> {
+    /// `t`'s live cohorts, in the transaction's cohort order (none once
+    /// `t` is gone).
+    fn cohorts_of(self, t: TxnH) -> impl Iterator<Item = &'a Cohort> {
+        let cohorts = self.cohorts;
+        self.txns
+            .get(t)
+            .into_iter()
+            .flat_map(|txn| &txn.cohorts)
+            .filter_map(move |&ch| cohorts.get(ch))
+    }
+
+    /// Visit every transaction `t` waits for, in no particular order
+    /// and possibly more than once.
+    fn for_each_successor(self, t: TxnH, mut f: impl FnMut(TxnH)) {
+        for c in self.cohorts_of(t).filter(|c| c.waiting_lock) {
+            let site = &self.sites[c.site];
+            site.locks.for_each_blocker(c.lock_owner, |o| {
+                let bt = self.cohorts[site.cohort_of(o)].txn;
+                if bt != t {
+                    f(bt);
+                }
+            });
+        }
+    }
+
+    /// Visit every transaction that waits for `t`, in no particular
+    /// order and possibly more than once: the converse of
+    /// [`Self::for_each_successor`]. A parted cohort's lock-table
+    /// registration is already retired, and nothing waits on it.
+    fn for_each_predecessor(self, t: TxnH, mut f: impl FnMut(TxnH)) {
+        for c in self
+            .cohorts_of(t)
+            .filter(|c| c.phase != CohortPhase::Parted)
+        {
+            let site = &self.sites[c.site];
+            site.locks.for_each_waiter(c.lock_owner, |o| {
+                let wt = self.cohorts[site.cohort_of(o)].txn;
+                if wt != t {
+                    f(wt);
+                }
+            });
+        }
+    }
+
+    /// Append `t`'s successors to `succ` in the order
+    /// `Simulation::wait_for_successors` lists them: cohort by cohort,
+    /// each cohort's blockers ascending by cohort id (the lock table's
+    /// `blockers_of` order), every transaction at its first occurrence.
+    fn push_successors(self, t: TxnH, succ: &mut Vec<(CohortId, TxnH)>) {
+        let first = succ.len();
+        for c in self.cohorts_of(t).filter(|c| c.waiting_lock) {
+            let site = &self.sites[c.site];
+            let group = succ.len();
+            site.locks.for_each_blocker(c.lock_owner, |o| {
+                let b = &self.cohorts[site.cohort_of(o)];
+                succ.push((b.id, b.txn));
+            });
+            succ[group..].sort_unstable_by_key(|&(id, _)| id);
+            let mut kept = group;
+            for i in group..succ.len() {
+                let bt = succ[i].1;
+                if bt != t && !succ[first..kept].iter().any(|&(_, u)| u == bt) {
+                    succ[kept] = succ[i];
+                    kept += 1;
+                }
+            }
+            succ.truncate(kept);
         }
     }
 }

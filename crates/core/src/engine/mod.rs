@@ -144,13 +144,9 @@ pub struct Simulation {
     /// path, so a degenerate all-zero matrix is byte-identical to no
     /// topology at all.
     wire_latency: Option<Vec<SimDuration>>,
-    /// Deadlock pre-filter scratch: visit stamps indexed by txn slab
-    /// slot, the current stamp, and a reusable DFS work stack. Kept on
-    /// the simulation so the per-block reachability check allocates
-    /// nothing in steady state.
-    dl_seen: Vec<u32>,
-    dl_stamp: u32,
-    dl_stack: Vec<TxnH>,
+    /// Deadlock-detection scratch: the search's stamp arrays and
+    /// stacks, the cycle walk's successor buffer and path.
+    dl: exec::DeadlockScratch,
     /// Optional trace-event consumer; events are recorded for
     /// transactions with id ≤ `trace_txn_limit`.
     sink: Option<Box<dyn TraceSink>>,
@@ -396,9 +392,7 @@ impl Simulation {
             // Keyed by *effective* sites: CENT's merged site pool has
             // no inter-site links, so its matrix is empty/diagonal.
             wire_latency: cfg.topology.map(|t| t.latency_matrix(num_sites, seed)),
-            dl_seen: Vec::new(),
-            dl_stamp: 0,
-            dl_stack: Vec::new(),
+            dl: exec::DeadlockScratch::default(),
             sink: None,
             trace_txn_limit: 0,
             series: None,

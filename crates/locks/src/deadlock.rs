@@ -6,14 +6,23 @@
 //! the cycle is restarted to resolve the deadlock."
 //!
 //! Detection runs over the *live* wait-for relation: whenever a lock
-//! request blocks, the engine calls [`find_cycle`] starting at the
-//! blocked transaction, expanding edges on demand by querying every
-//! site's lock table ([`crate::LockManager::blockers_of`]) and mapping
-//! lock owners (cohorts) to their transactions. Because edges are
-//! derived from current state rather than cached, there are no stale
-//! edges and therefore no phantom deadlocks. Choosing the victim is the
-//! caller's job: the simulator restarts the cycle member born last,
-//! ties broken by transaction id.
+//! request blocks, the cycle search starts at the blocked transaction
+//! and expands edges on demand by querying every site's lock table
+//! ([`crate::LockManager::blockers_of`]) and mapping lock owners
+//! (cohorts) to their transactions. Because edges are derived from
+//! current state rather than cached, there are no stale edges and
+//! therefore no phantom deadlocks. Choosing the victim is the caller's
+//! job: the simulator restarts the cycle member born last, ties broken
+//! by transaction id.
+//!
+//! [`find_cycle`] is the reference search. The simulator's release
+//! builds do not call it: they decide whether a cycle exists with an
+//! allocation-free search from both ends of the graph
+//! ([`crate::LockManager::for_each_blocker`] forward,
+//! [`crate::LockManager::for_each_waiter`] backward) and then list the
+//! cycle with a walk that reproduces `find_cycle` step for step. Debug
+//! builds check both the verdict and the cycle against `find_cycle`,
+//! and perfbench's lock probe times it.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -18,9 +18,13 @@
 //!
 //! Deadlock handling follows §4.2: detection is *immediate* (checked at
 //! every lock conflict) and *global* (the wait-for graph spans sites).
-//! [`deadlock::find_cycle`] runs the detection over a caller-supplied
-//! edge expansion so the engine can stitch the per-site blocker sets
-//! into one transaction-level graph.
+//! Each table exposes its edges in both directions —
+//! [`LockManager::for_each_blocker`] and its exact converse
+//! [`LockManager::for_each_waiter`] — so the engine can stitch the
+//! per-site edges into one transaction-level graph and search it from
+//! both ends. [`deadlock::find_cycle`] runs the reference detection
+//! over a caller-supplied edge expansion; the engine checks its own
+//! search against it in debug builds.
 
 pub mod deadlock;
 pub mod table;

@@ -565,6 +565,51 @@ impl LockManager {
         }
     }
 
+    /// Visit every owner whose outstanding request `owner` blocks: the
+    /// exact converse of [`Self::for_each_blocker`], which visits
+    /// `owner` from `w` exactly when this visits `w` from `owner`.
+    /// Two kinds of waiter qualify:
+    ///
+    /// * requests queued on a page `owner` holds whose mode conflicts
+    ///   with the held mode — `owner`'s own queued upgrade excepted, and
+    ///   none at all while `owner` is a lendable prepared holder;
+    /// * conflicting requests queued behind `owner`'s own waiting
+    ///   request (how an upgrade at the front of a queue gains
+    ///   in-edges).
+    ///
+    /// Allocation-free; as with `for_each_blocker` the visit order is
+    /// unspecified and an owner may be visited twice.
+    pub fn for_each_waiter(&self, owner: OwnerId, mut f: impl FnMut(OwnerId)) {
+        let st = self.st(owner);
+        if !(self.opt_lending && st.prepared) {
+            for &(page, hmode) in &st.held {
+                let Some(entry) = self.page_ro(page) else {
+                    continue;
+                };
+                for w in &entry.queue {
+                    if w.owner != owner.0 && !hmode.compatible(w.mode) {
+                        f(OwnerId(w.owner));
+                    }
+                }
+            }
+        }
+        let Some(page) = st.waiting else {
+            return;
+        };
+        let Some(entry) = self.page_ro(page) else {
+            return;
+        };
+        let Some(pos) = entry.queue.iter().position(|w| w.owner == owner.0) else {
+            return;
+        };
+        let mode = entry.queue[pos].mode;
+        for w in entry.queue.iter().skip(pos + 1) {
+            if !w.mode.compatible(mode) || !mode.compatible(w.mode) {
+                f(OwnerId(w.owner));
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // State changes
     // ------------------------------------------------------------------
@@ -1208,6 +1253,82 @@ mod tests {
         assert_eq!(lm.blockers_of(o[3]), vec![o[2]]);
     }
 
+    fn waiters_of(lm: &LockManager, owner: OwnerId) -> Vec<OwnerId> {
+        let mut out = Vec::new();
+        lm.for_each_waiter(owner, |w| {
+            if !out.contains(&w) {
+                out.push(w);
+            }
+        });
+        out.sort_unstable_by_key(|&w| lm.owner_seq(w));
+        out
+    }
+
+    #[test]
+    fn conflicting_waiter_on_a_held_page_is_a_waiter() {
+        let (mut lm, o) = setup(false, 3);
+        lm.request(o[1], 9, LockMode::Update);
+        lm.request(o[2], 9, LockMode::Read); // blocked by 1
+        lm.request(o[3], 10, LockMode::Update); // unrelated page
+        assert_eq!(waiters_of(&lm, o[1]), vec![o[2]]);
+        assert!(waiters_of(&lm, o[3]).is_empty());
+    }
+
+    #[test]
+    fn lendable_prepared_holder_has_no_waiters() {
+        for lending in [true, false] {
+            let (mut lm, o) = setup(lending, 3);
+            lm.request(o[1], 9, LockMode::Update);
+            lm.request(o[2], 9, LockMode::Update); // active, not lendable
+            lm.request(o[3], 9, LockMode::Update); // queued behind 2
+                                                   // 1 prepares: with lending 2 borrows through it and 3 waits
+                                                   // on 2 alone; without lending both still wait on 1.
+            lm.mark_prepared(o[1]);
+            if lending {
+                assert!(waiters_of(&lm, o[1]).is_empty());
+                assert_eq!(waiters_of(&lm, o[2]), vec![o[3]]);
+            } else {
+                assert_eq!(waiters_of(&lm, o[1]), vec![o[2], o[3]]);
+                assert_eq!(waiters_of(&lm, o[2]), vec![o[3]]);
+            }
+            lm.audit().unwrap();
+        }
+    }
+
+    #[test]
+    fn queued_upgrade_gains_in_edges_from_everything_behind_it() {
+        let (mut lm, o) = setup(false, 4);
+        lm.request(o[1], 9, LockMode::Read);
+        lm.request(o[2], 9, LockMode::Read);
+        lm.request(o[3], 9, LockMode::Update); // queues behind the readers
+        lm.request(o[4], 9, LockMode::Read); // queues behind 3
+                                             // Reader 4 conflicts with no holder, so before the upgrade only
+                                             // 3 waits on 1.
+        assert_eq!(waiters_of(&lm, o[1]), vec![o[3]]);
+        // 1's upgrade waits on reader 2 at the front of the queue, and
+        // everything conflicting behind it now waits on 1.
+        assert!(matches!(
+            lm.request(o[1], 9, LockMode::Update),
+            RequestOutcome::Blocked
+        ));
+        assert_eq!(waiters_of(&lm, o[1]), vec![o[3], o[4]]);
+        assert_eq!(lm.blockers_of(o[4]), vec![o[1], o[3]]);
+        // The upgrade is not its own waiter; it does wait on reader 2.
+        assert_eq!(waiters_of(&lm, o[2]), vec![o[1], o[3]]);
+        lm.audit().unwrap();
+    }
+
+    #[test]
+    fn read_waiter_behind_read_holder_is_not_a_waiter() {
+        let (mut lm, o) = setup(false, 3);
+        lm.request(o[1], 9, LockMode::Read);
+        lm.request(o[2], 9, LockMode::Update); // queued
+        lm.request(o[3], 9, LockMode::Read); // queued behind the update
+        assert_eq!(lm.blockers_of(o[3]), vec![o[2]]);
+        assert_eq!(waiters_of(&lm, o[1]), vec![o[2]]);
+        assert_eq!(waiters_of(&lm, o[2]), vec![o[3]]);
+    }
+
     #[test]
     fn waiter_behind_borrower_unblocks_in_order() {
         // lender prepared; two waiters queue behind an active holder;
@@ -1556,6 +1677,21 @@ mod generative_tests {
                 }
                 if let Err(e) = lm.audit() {
                     panic!("audit failed (lending={lending}): {e}");
+                }
+                // `for_each_waiter` is the exact converse of
+                // `for_each_blocker`.
+                for &owner in &o {
+                    for &w in &o {
+                        let mut blocks = false;
+                        lm.for_each_blocker(w, |b| blocks |= b == owner);
+                        let mut waits = false;
+                        lm.for_each_waiter(owner, |x| waits |= x == w);
+                        assert_eq!(
+                            waits, blocks,
+                            "lending={lending}: seq {} waits on seq {}",
+                            w.0, owner.0
+                        );
+                    }
                 }
             }
         }

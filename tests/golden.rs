@@ -68,6 +68,42 @@ fn every_classic_protocol_report_matches_golden() {
     check("report_all_protocols.txt", &out);
 }
 
+/// The 64-site WAN + Zipf(0.9) scale configuration, where hot lock
+/// queues make deadlock the common abort: hundreds of victims per run,
+/// against at most two in the baseline goldens above.
+fn wan_zipf_cfg() -> SystemConfig {
+    let mut cfg = SystemConfig::paper_baseline()
+        .with_zipf(0.9)
+        .with_topology(
+            "regions=4,lan-ms=1,wan-ms=40,jitter=0.1"
+                .parse()
+                .expect("valid topology"),
+        )
+        .with_run_length(10, 300);
+    cfg.num_sites = 64;
+    cfg.db_size = 64_000;
+    cfg
+}
+
+/// The deadlock detector byte-for-byte: 2PC and OPT (whose lending
+/// changes the wait-for graph) on the deadlock-heavy scale
+/// configuration. Every victim choice feeds the restart schedule, so a
+/// detector that found a different cycle, or picked a different member
+/// of the same one, drifts here.
+#[test]
+fn deadlock_heavy_reports_match_golden() {
+    let mut out = String::new();
+    for spec in [ProtocolSpec::TWO_PC, ProtocolSpec::OPT_2PC] {
+        let report = Simulation::run(&wan_zipf_cfg(), spec, 2026).expect("valid config");
+        // Not vacuous: the detector chose hundreds of victims.
+        assert!(report.aborted_deadlock > 100, "{}", report.aborted_deadlock);
+        out.push_str(&format!("=== {} ===\n", spec.name()));
+        out.push_str(&report.render(ReportFormat::Json));
+        out.push('\n');
+    }
+    check("report_wan_zipf.txt", &out);
+}
+
 /// The same CLI-shaped fault specification the README examples use:
 /// all three fault classes enabled, hot enough that a short run still
 /// fires each of them.
