@@ -14,7 +14,7 @@ use crate::config::TransType;
 use crate::metrics::AbortReason;
 use commitproto::{Routing, Takeover};
 
-impl Simulation {
+impl Simulation<'_> {
     // ------------------------------------------------------------------
     // Master: execution-phase completion
     // ------------------------------------------------------------------

@@ -15,7 +15,7 @@ use distlocks::deadlock::find_cycle;
 use distlocks::{Grant, LockMode, RequestOutcome};
 use simkernel::{SimTime, Slab};
 
-impl Simulation {
+impl Simulation<'_> {
     // ------------------------------------------------------------------
     // Submission
     // ------------------------------------------------------------------

@@ -10,6 +10,14 @@
 //! The engine is event-driven and deterministic: given the same
 //! configuration, protocol, and seed it reproduces the same metrics
 //! bit for bit.
+//!
+//! [`Simulation::run_observed`] is the one run body: it builds the
+//! simulation, lends it the caller's [`Observers`] (a [`TraceSink`] for
+//! the first `n` transactions and a windowed [`Series`], buffered or
+//! streamed, in any combination), executes it, finishes the observers
+//! and builds the report. [`Simulation::run`] is the plain run, and
+//! `run_with_sink` and `run_with_series_stream` are one-statement
+//! wrappers kept for the benchmark, which calls them.
 
 pub mod chrome;
 mod commit;
@@ -24,7 +32,9 @@ mod types;
 
 pub use chrome::{chrome_trace_json, ChromeStreamSink, ChromeWriter};
 pub use fold::FoldSink;
-pub use series::{Series, SeriesConfig, SeriesFormat, SeriesMeta, SeriesWindow, SiteSample};
+pub use series::{
+    Series, SeriesConfig, SeriesFormat, SeriesMeta, SeriesOut, SeriesWindow, SiteSample,
+};
 pub use trace::{LogLabel, MsgLabel, Trace, TraceEvent, TraceSink};
 pub use types::{CohortId, TxnId};
 
@@ -111,8 +121,8 @@ impl Site {
     }
 }
 
-/// A run of the simulator. Construct and execute with [`Simulation::run`].
-pub struct Simulation {
+/// A run of the simulator. Construct and execute with [`Simulation::run_observed`].
+pub struct Simulation<'a> {
     pub(crate) cfg: SystemConfig,
     pub(crate) spec: ProtocolSpec,
     /// The declarative behaviour table of `spec.base` — the engine is a
@@ -149,10 +159,10 @@ pub struct Simulation {
     dl: exec::DeadlockScratch,
     /// Optional trace-event consumer; events are recorded for
     /// transactions with id ≤ `trace_txn_limit`.
-    sink: Option<Box<dyn TraceSink>>,
+    sink: Option<&'a mut dyn TraceSink>,
     trace_txn_limit: TxnId,
     /// Optional windowed-series recorder (the time-series sink family).
-    series: Option<Box<series::SeriesRecorder>>,
+    series: Option<Box<series::SeriesRecorder<'a>>>,
     /// Cached copy of the recorder's next window boundary so the event
     /// loop pays one integer compare per event when no recorder is
     /// installed (`SimTime(u64::MAX)` then).
@@ -170,10 +180,63 @@ const _: () = {
     send_sync::<SystemConfig>();
     send_sync::<ProtocolSpec>();
     send_sync::<SimReport>();
-    send::<Simulation>();
+    send::<Simulation<'static>>();
 };
 
-impl Simulation {
+/// What one run feeds as it executes, borrowed from the caller: an
+/// optional trace sink and an optional windowed series. The default
+/// observes nothing, which is a plain run.
+#[derive(Default)]
+pub struct Observers<'a> {
+    /// Trace the first `n` transactions (`u64::MAX`: all) into the sink.
+    pub trace: Option<(u64, &'a mut dyn TraceSink)>,
+    /// Record a windowed series into a buffer or onto a writer.
+    pub series: Option<(SeriesConfig, SeriesOut<'a>)>,
+}
+
+/// Why a run failed: a bad configuration, or the series writer failed.
+#[derive(Debug)]
+pub enum RunError {
+    /// Invalid configuration, protocol spec or series window.
+    Config(ConfigError),
+    /// The series writer failed.
+    Io(std::io::Error),
+}
+
+impl RunError {
+    /// The error of a run with no series writer to fail.
+    pub(crate) fn into_config(self) -> ConfigError {
+        match self {
+            RunError::Config(e) => e,
+            RunError::Io(e) => unreachable!("a run without a series writer did I/O: {e}"),
+        }
+    }
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Config(e) => write!(f, "{e}"),
+            RunError::Io(e) => write!(f, "series output failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<ConfigError> for RunError {
+    fn from(e: ConfigError) -> Self {
+        RunError::Config(e)
+    }
+}
+
+impl From<std::io::Error> for RunError {
+    fn from(e: std::io::Error) -> Self {
+        RunError::Io(e)
+    }
+}
+
+impl Simulation<'_> {
     /// Run `cfg` under `spec` with the given RNG `seed` and return the
     /// measured report.
     ///
@@ -185,128 +248,103 @@ impl Simulation {
         spec: ProtocolSpec,
         seed: u64,
     ) -> Result<SimReport, ConfigError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        sim.execute();
-        Ok(sim.report())
+        Simulation::run_observed(cfg, spec, seed, Observers::default())
+            .map_err(RunError::into_config)
     }
 
-    /// Like [`Simulation::run`], but feeds every trace event of the
-    /// first `traced_txns` transactions to `sink` as the run progresses
-    /// and hands the sink back with the report. The engine holds no
-    /// event buffer of its own, so memory use is whatever the sink
-    /// retains — bounded for [`chrome::ChromeStreamSink`] and
-    /// [`fold::FoldSink`], the full event vector for a [`Trace`]
-    /// (pass `Trace::default()` to buffer a run's protocol trace).
-    ///
-    /// Observing a run does not perturb it: the report is identical to
-    /// an untraced run with the same inputs.
+    /// [`Simulation::run_observed`] with a trace sink only, handed back
+    /// with the report.
     ///
     /// # Errors
-    /// Returns an error if the configuration is invalid or the spec is
-    /// meaningless (OPT over a baseline).
+    /// As [`Simulation::run`].
     pub fn run_with_sink<S: TraceSink>(
         cfg: &SystemConfig,
         spec: ProtocolSpec,
         seed: u64,
         traced_txns: u64,
-        sink: S,
+        mut sink: S,
     ) -> Result<(SimReport, S), ConfigError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        sim.sink = Some(Box::new(sink));
-        sim.trace_txn_limit = traced_txns;
-        sim.execute();
-        let mut boxed = sim.sink.take().expect("sink installed above");
-        boxed.finish();
-        let any: Box<dyn std::any::Any> = boxed;
-        let sink = *any.downcast::<S>().expect("sink type is preserved");
-        Ok((sim.report(), sink))
+        Simulation::run_observed(
+            cfg,
+            spec,
+            seed,
+            Observers {
+                trace: Some((traced_txns, &mut sink)),
+                series: None,
+            },
+        )
+        .map(|r| (r, sink))
+        .map_err(RunError::into_config)
     }
 
-    /// Like [`Simulation::run`], but also collects a windowed metric
-    /// time series (buffered in memory; see
-    /// [`Simulation::run_with_series_stream`] for the bounded-memory
-    /// variant). Recording does not perturb the run: the report is
-    /// bit-identical to a plain run with the same inputs.
+    /// [`Simulation::run_observed`] with a streamed series only.
     ///
     /// # Errors
-    /// Returns an error if the configuration is invalid or the spec is
-    /// meaningless (OPT over a baseline).
-    pub fn run_with_series(
-        cfg: &SystemConfig,
-        spec: ProtocolSpec,
-        seed: u64,
-        series_cfg: &SeriesConfig,
-    ) -> Result<(SimReport, Series), ConfigError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        let rec = series::SeriesRecorder::new_buffered(
-            series_cfg,
-            sim.series_meta(seed, series_cfg),
-            sim.sites.len(),
-        );
-        sim.install_series(rec);
-        sim.execute();
-        let series = sim
-            .finish_series()
-            .expect("buffered series recording cannot fail");
-        Ok((sim.report(), series))
-    }
-
-    /// Like [`Simulation::run_with_series`], but streams each closed
-    /// window to `writer` as the run progresses instead of buffering —
-    /// the series counterpart of the Chrome-JSON streamer, and
-    /// byte-identical to rendering the buffered series in `format`.
-    ///
-    /// # Errors
-    /// [`series::SeriesRunError::Config`] for an invalid configuration,
-    /// [`series::SeriesRunError::Io`] when the writer fails.
+    /// As [`Simulation::run_observed`].
     pub fn run_with_series_stream(
         cfg: &SystemConfig,
         spec: ProtocolSpec,
         seed: u64,
         series_cfg: &SeriesConfig,
-        writer: Box<dyn std::io::Write + Send>,
+        mut writer: Box<dyn std::io::Write + Send>,
         format: SeriesFormat,
-    ) -> Result<SimReport, series::SeriesRunError> {
-        let mut sim = Simulation::new(cfg, spec, seed)?;
-        let rec = series::SeriesRecorder::new_streaming(
-            series_cfg,
-            sim.series_meta(seed, series_cfg),
-            sim.sites.len(),
-            writer,
-            format,
-        )?;
-        sim.install_series(rec);
-        sim.execute();
-        sim.finish_series()?;
-        Ok(sim.report())
-    }
-
-    fn series_meta(&self, seed: u64, scfg: &SeriesConfig) -> SeriesMeta {
-        SeriesMeta {
-            protocol: self.spec.name().to_string(),
-            mpl: self.cfg.mpl,
+    ) -> Result<SimReport, RunError> {
+        Simulation::run_observed(
+            cfg,
+            spec,
             seed,
-            window_s: scfg.window.as_secs_f64(),
-            per_site: scfg.per_site,
-        }
+            Observers {
+                trace: None,
+                series: Some((*series_cfg, SeriesOut::Stream(&mut *writer, format))),
+            },
+        )
     }
 
-    fn install_series(&mut self, rec: series::SeriesRecorder) {
-        let mut rec = Box::new(rec);
-        if self.warmup_target > 0 {
-            rec.begin_warmup();
+    /// Like [`Simulation::run`], but feeds `obs` as the run executes;
+    /// every other entry point calls this one. The engine buffers no
+    /// events, so memory use is whatever the observers retain. Observing
+    /// a run does not perturb it: the report is identical to a plain
+    /// run's with the same inputs.
+    ///
+    /// # Errors
+    /// [`RunError::Config`] before any event runs, for an invalid
+    /// configuration, a meaningless spec (OPT over a baseline) or a zero
+    /// series window; [`RunError::Io`] when the series writer fails.
+    pub fn run_observed(
+        cfg: &SystemConfig,
+        spec: ProtocolSpec,
+        seed: u64,
+        obs: Observers<'_>,
+    ) -> Result<SimReport, RunError> {
+        if obs.series.as_ref().is_some_and(|(s, _)| s.window.is_zero()) {
+            return Err(ConfigError::Invalid("series window must be positive").into());
         }
-        self.series_boundary = rec.next_boundary();
-        self.series = Some(rec);
-    }
-
-    /// Close the final partial window and hand the series back
-    /// (flushing the writer in streaming mode).
-    fn finish_series(&mut self) -> std::io::Result<Series> {
-        let rec = self.series.take().expect("series recorder installed");
-        self.series_boundary = SimTime(u64::MAX);
-        let now = self.cal.now();
-        rec.finish(now, &mut self.metrics, &self.sites)
+        let mut sim = Simulation::new(cfg, spec, seed)?;
+        if let Some((traced_txns, sink)) = obs.trace {
+            sim.trace_txn_limit = traced_txns;
+            sim.sink = Some(sink);
+        }
+        if let Some((scfg, out)) = obs.series {
+            let meta = SeriesMeta {
+                protocol: spec.name().to_string(),
+                mpl: cfg.mpl,
+                seed,
+                window_s: scfg.window.as_secs_f64(),
+                per_site: scfg.per_site,
+            };
+            let warmup = sim.warmup_target > 0;
+            let rec = series::SeriesRecorder::new(&scfg, meta, sim.sites.len(), warmup, out)?;
+            sim.series_boundary = rec.next_boundary();
+            sim.series = Some(Box::new(rec));
+        }
+        sim.execute();
+        if let Some(sink) = sim.sink.as_mut() {
+            sink.finish();
+        }
+        if let Some(rec) = sim.series.take() {
+            rec.finish(sim.cal.now(), &mut sim.metrics, &sim.sites)?;
+        }
+        Ok(sim.report())
     }
 
     /// Record one trace event for `txn`, if tracing is active and the

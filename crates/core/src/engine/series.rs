@@ -25,6 +25,11 @@
 //!    recorder's own streaming serializer over memory, so header,
 //!    separators, rows and footer are written in one place.
 //!
+//! A run records a series when its [`super::Observers`] hold one: a
+//! [`SeriesConfig`] and a [`SeriesOut`] that borrows the caller's
+//! [`Series`] or writer, beside a trace sink or alone. A zero window is
+//! a configuration error before the run starts.
+//!
 //! Observation does not perturb the run: the recorder reads counters
 //! that the engine maintains anyway, and its per-site commit tallies
 //! are bumped outside any RNG-consuming path, so a run with the
@@ -38,39 +43,6 @@ use simkernel::{SimDuration, SimTime};
 use super::Site;
 use crate::json::{Fixed6, Json};
 use crate::metrics::Metrics;
-
-/// Error from a streaming series run: the run never started
-/// (configuration) or the output writer failed.
-#[derive(Debug)]
-pub enum SeriesRunError {
-    /// Invalid configuration or protocol spec.
-    Config(crate::config::ConfigError),
-    /// The series writer failed.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for SeriesRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SeriesRunError::Config(e) => write!(f, "{e}"),
-            SeriesRunError::Io(e) => write!(f, "series output failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SeriesRunError {}
-
-impl From<crate::config::ConfigError> for SeriesRunError {
-    fn from(e: crate::config::ConfigError) -> Self {
-        SeriesRunError::Config(e)
-    }
-}
-
-impl From<std::io::Error> for SeriesRunError {
-    fn from(e: std::io::Error) -> Self {
-        SeriesRunError::Io(e)
-    }
-}
 
 /// Configuration for windowed series collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +181,7 @@ fn boundary_after(t: SimTime, window: SimDuration) -> SimTime {
 
 /// Identity of the run a series belongs to, carried into the output
 /// header.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SeriesMeta {
     /// Protocol name (paper spelling).
     pub protocol: String,
@@ -223,21 +195,31 @@ pub struct SeriesMeta {
     pub per_site: bool,
 }
 
-enum Output {
-    Buffer(Vec<SeriesWindow>),
+/// Where a run's series goes: windows pushed into the caller's
+/// [`Series`], or each closed window written straight to the caller's
+/// writer in a format (bounded memory).
+pub enum SeriesOut<'a> {
+    /// Buffer the windows; the run replaces the series' contents.
+    Buffer(&'a mut Series),
+    /// Stream the windows: the bytes of the buffered series' render.
+    Stream(&'a mut (dyn IoWrite + Send), SeriesFormat),
+}
+
+enum Output<'a> {
+    Buffer(&'a mut Vec<SeriesWindow>),
     Stream {
-        writer: SeriesWriter<Box<dyn IoWrite + Send>>,
+        writer: SeriesWriter<&'a mut (dyn IoWrite + Send)>,
         /// First write error; the stream goes quiet once it is set and
         /// `finish` returns it.
         error: Option<io::Error>,
     },
 }
 
-/// The engine-side recorder. Installed on a [`super::Simulation`] via
-/// the series run entry points; windows close lazily as events cross
-/// boundaries, plus one forced partial close at the warm-up reset so
-/// measured windows tile the measurement interval exactly.
-pub struct SeriesRecorder {
+/// The engine-side recorder, installed by
+/// [`super::Simulation::run_observed`]; windows close lazily as events
+/// cross boundaries, plus one forced partial close at the warm-up reset
+/// so measured windows tile the measurement interval exactly.
+pub struct SeriesRecorder<'a> {
     window: SimDuration,
     per_site: bool,
     measured: bool,
@@ -248,42 +230,39 @@ pub struct SeriesRecorder {
     /// Cumulative per-home-site commit counts, bumped by the engine at
     /// each commit decision; zeroed at the warm-up reset.
     site_commits: Vec<u64>,
-    meta: SeriesMeta,
-    out: Output,
+    out: Output<'a>,
 }
 
-impl SeriesRecorder {
-    pub(crate) fn new_buffered(cfg: &SeriesConfig, meta: SeriesMeta, sites: usize) -> Self {
-        Self::new(cfg, meta, sites, Output::Buffer(Vec::new()))
-    }
-
-    pub(crate) fn new_streaming(
+impl<'a> SeriesRecorder<'a> {
+    /// A recorder over `sites` effective sites, starting in warm-up when
+    /// `warmup` is set; a stream gets its header here. The window must
+    /// be positive: a zero one would close windows forever.
+    pub(crate) fn new(
         cfg: &SeriesConfig,
         meta: SeriesMeta,
         sites: usize,
-        writer: Box<dyn IoWrite + Send>,
-        format: SeriesFormat,
+        warmup: bool,
+        out: SeriesOut<'a>,
     ) -> io::Result<Self> {
-        let writer = SeriesWriter::new(writer, format, &meta)?;
-        Ok(Self::new(
-            cfg,
-            meta,
-            sites,
-            Output::Stream {
-                writer,
+        let out = match out {
+            SeriesOut::Buffer(series) => {
+                *series = Series {
+                    meta,
+                    windows: Vec::new(),
+                };
+                Output::Buffer(&mut series.windows)
+            }
+            SeriesOut::Stream(writer, format) => Output::Stream {
+                writer: SeriesWriter::new(writer, format, &meta)?,
                 error: None,
             },
-        ))
-    }
-
-    fn new(cfg: &SeriesConfig, meta: SeriesMeta, sites: usize, out: Output) -> Self {
-        assert!(!cfg.window.is_zero(), "series window must be positive");
-        SeriesRecorder {
+        };
+        Ok(SeriesRecorder {
             window: cfg.window,
             per_site: cfg.per_site,
-            // Runs with no warm-up measure from t = 0; `start_measuring`
+            // Runs with no warm-up measure from t = 0; `close_warmup`
             // flips this for warmed-up runs.
-            measured: true,
+            measured: !warmup,
             window_start: SimTime::ZERO,
             next_boundary: SimTime(cfg.window.as_micros()),
             index: 0,
@@ -292,15 +271,8 @@ impl SeriesRecorder {
                 ..Baselines::default()
             },
             site_commits: vec![0; sites],
-            meta,
             out,
-        }
-    }
-
-    /// Mark the windows from here on as warm-up (called at install time
-    /// when the run has a non-zero warm-up target).
-    pub(crate) fn begin_warmup(&mut self) {
-        self.measured = false;
+        })
     }
 
     /// First event time at or after which a window must close.
@@ -349,33 +321,24 @@ impl SeriesRecorder {
         }
     }
 
-    /// Close the final partial window at end of run and hand back the
-    /// finished series (buffered mode), or the first error the
-    /// streaming writer returned during the run or at the final flush.
+    /// Close the final partial window at end of run (flushing the writer
+    /// in streaming mode), or return the first error the streaming
+    /// writer returned during the run or at the final flush.
     pub(crate) fn finish(
         mut self,
         now: SimTime,
         metrics: &mut Metrics,
         sites: &[Site],
-    ) -> std::io::Result<Series> {
+    ) -> io::Result<()> {
         self.close_through(now, metrics, sites);
         if now > self.window_start {
             self.close_at(now, metrics, sites);
         }
-        let windows = match self.out {
-            Output::Buffer(w) => w,
-            Output::Stream { writer, error } => {
-                if let Some(e) = error {
-                    return Err(e);
-                }
-                writer.finish()?.flush()?;
-                Vec::new()
-            }
-        };
-        Ok(Series {
-            meta: self.meta,
-            windows,
-        })
+        match self.out {
+            Output::Buffer(_) => Ok(()),
+            Output::Stream { error: Some(e), .. } => Err(e),
+            Output::Stream { writer, .. } => writer.finish()?.flush(),
+        }
     }
 
     fn close_at(&mut self, end: SimTime, metrics: &mut Metrics, sites: &[Site]) {
@@ -466,13 +429,13 @@ impl SeriesRecorder {
 }
 
 /// A finished, buffered series: the run identity plus every closed
-/// window in order.
-#[derive(Debug, Clone)]
+/// window in order. [`SeriesOut::Buffer`] fills one; the default is an
+/// empty one to hand it.
+#[derive(Debug, Clone, Default)]
 pub struct Series {
     /// Run identity (protocol, MPL, seed, window width).
     pub meta: SeriesMeta,
-    /// Closed windows in time order. Empty when the run streamed to a
-    /// writer instead of buffering.
+    /// Closed windows in time order.
     pub windows: Vec<SeriesWindow>,
 }
 

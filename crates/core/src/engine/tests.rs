@@ -2,7 +2,7 @@
 //! machinery the integration suite exercises only indirectly.
 
 use super::types::{CohortH, CohortPhase, LogWork, MsgKind, TxnH, Vote};
-use super::{Simulation, Trace};
+use super::{Observers, Simulation, Trace};
 use crate::config::{ResourceMode, SystemConfig, TransType};
 use crate::metrics::{ReportFormat, SimReport};
 use commitproto::ProtocolSpec;
@@ -288,8 +288,12 @@ fn trace_render_txn_mentions_all_milestones() {
     let mut cfg = tiny();
     cfg.db_size = 80_000;
     cfg.mpl = 1;
-    let (_, trace) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 3, 1, Trace::default()).unwrap();
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((1, &mut trace)),
+        series: None,
+    };
+    Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 3, obs).unwrap();
     let text = trace.render_txn(1);
     for needle in [
         "InitCohort",

@@ -6,6 +6,10 @@
 //! §2 descriptions step by step (e.g. a 2PC commit is PREPARE out →
 //! prepare records forced → YES votes → master commit record → COMMIT
 //! out → cohort commit records → ACKs, in that causal order).
+//!
+//! A run feeds the events to a [`TraceSink`] the caller lends it through
+//! [`super::Observers`]; the caller keeps the sink, concrete type and
+//! all, and reads its results after the run.
 
 use super::types::{CohortId, TxnId};
 use crate::workload::SiteId;
@@ -243,11 +247,10 @@ impl TraceEvent {
 /// is, and [`super::FoldSink`] keeps only per-transaction aggregation
 /// state.
 ///
-/// `Any` is a supertrait so [`super::Simulation::run_with_sink`] can
-/// hand the concrete sink back to the caller after the run; `Send` so
-/// the simulation (which owns the sink) stays shippable across the
-/// parallel runner's worker threads.
-pub trait TraceSink: std::any::Any + Send {
+/// The caller lends the sink to [`super::Simulation::run_observed`]
+/// and reads it after the run; `Send` so the simulation (which borrows
+/// the sink) stays shippable across the parallel runner's workers.
+pub trait TraceSink: Send {
     /// Observe one event. Events arrive in simulation order.
     fn record(&mut self, event: &TraceEvent);
 
@@ -256,7 +259,7 @@ pub trait TraceSink: std::any::Any + Send {
 }
 
 /// A recorded trace: events in simulation order, bounded by the number
-/// of transactions requested at [`super::Simulation::run_with_sink`].
+/// of transactions requested in [`super::Observers::trace`].
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
     /// All recorded events, in occurrence order.

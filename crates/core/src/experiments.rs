@@ -8,7 +8,7 @@
 //! and borrow-ratio figures (the paper plots them from the same runs).
 
 use crate::config::{ConfigError, SystemConfig, TransType};
-use crate::engine::{Series, SeriesConfig, Simulation};
+use crate::engine::{Observers, RunError, Series, SeriesConfig, SeriesOut, Simulation};
 use crate::metrics::SimReport;
 use crate::output::Metric;
 use crate::runner;
@@ -30,7 +30,8 @@ pub struct Scale {
     /// with its own derived seed; results are merged by
     /// [`SimReport::merge_replications`], so with 2 or more the
     /// throughput confidence interval is computed across replications.
-    /// 1 (the default) is bit-identical to the pre-replication sweep.
+    /// 1 (the default) is bit-identical to the pre-replication sweep;
+    /// a sweep rejects 0 and anything above [`MAX_REPLICATIONS`].
     pub replications: u32,
     /// Worker threads for the sweep: `None` defers to
     /// [`runner::default_jobs`] (`DISTCOMMIT_JOBS`, then available
@@ -166,6 +167,10 @@ impl Experiment {
     }
 }
 
+/// The most replications a sweep cell takes: [`cell_seed`] keeps each
+/// replication index in 16 bits.
+pub const MAX_REPLICATIONS: u32 = u16::MAX as u32;
+
 /// Seed for one (series, MPL-index, replication) cell of a sweep grid.
 ///
 /// The three indices occupy disjoint bit ranges of the base seed and
@@ -208,7 +213,7 @@ pub struct SeriesCell {
 }
 
 /// Like [`sweep`], but every cell additionally records a windowed
-/// metric time series via [`Simulation::run_with_series`].
+/// metric time series via [`Simulation::run_observed`].
 ///
 /// Returns the merged per-protocol report series (identical to what
 /// [`sweep`] returns for the same inputs — recording does not perturb
@@ -230,7 +235,15 @@ pub fn sweep_with_series(
     let series = run_grid(
         specs,
         scale,
-        |cfg, spec, seed| Simulation::run_with_series(cfg, spec, seed, series_cfg),
+        |cfg, spec, seed| {
+            let mut series = Series::default();
+            let obs = Observers {
+                trace: None,
+                series: Some((*series_cfg, SeriesOut::Buffer(&mut series))),
+            };
+            let report = Simulation::run_observed(cfg, spec, seed, obs);
+            Ok((report.map_err(RunError::into_config)?, series))
+        },
         |label, mpl, replication, (report, series)| {
             cells.push(SeriesCell {
                 label: label.to_string(),
@@ -256,7 +269,12 @@ fn run_grid<T: Send>(
     run: impl Fn(&SystemConfig, ProtocolSpec, u64) -> Result<T, ConfigError> + Sync,
     mut keep: impl FnMut(&str, u32, u32, T) -> SimReport,
 ) -> Result<Vec<ProtocolSeries>, ConfigError> {
-    let reps = scale.replications.clamp(1, u16::MAX as u32);
+    let reps = scale.replications;
+    if !(1..=MAX_REPLICATIONS).contains(&reps) {
+        return Err(ConfigError::Invalid(
+            "replications must be between 1 and 65535",
+        ));
+    }
 
     // Flat job grid in output order: series-major, then MPL, then
     // replication.
@@ -1104,6 +1122,23 @@ mod tests {
             .collect();
         let mean = singles.iter().sum::<f64>() / 3.0;
         assert!((p.throughput - mean).abs() < 1e-12);
+    }
+
+    /// A replication count outside 1..=65 535 is a typed error returned
+    /// before any cell runs: the seed keeps only 16 bits of the
+    /// replication index.
+    #[test]
+    fn replication_counts_outside_the_seed_field_are_errors() {
+        let specs = plain(&SystemConfig::paper_baseline(), &[ProtocolSpec::TWO_PC]);
+        for reps in [0, MAX_REPLICATIONS + 1] {
+            let scale = tiny().with_replications(reps);
+            let no_cell = |_: &SystemConfig, _, _| -> Result<SimReport, ConfigError> {
+                panic!("a cell ran with {reps} replications")
+            };
+            let e = run_grid(&specs, &scale, no_cell, |_, _, _, r| r).unwrap_err();
+            assert!(e.to_string().contains("between 1 and 65535"), "{reps}: {e}");
+            assert!(sweep(&specs, &scale).is_err());
+        }
     }
 
     /// Cell seeds never collide across the whole (series, MPL, rep)

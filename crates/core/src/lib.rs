@@ -19,6 +19,10 @@
 //!   with [`config::SystemConfig::paper_baseline`] reproducing Table 2;
 //! * [`engine::Simulation::run`] — one run, one protocol, one seed,
 //!   returning a [`metrics::SimReport`];
+//! * [`engine::Simulation::run_observed`] — the same run, feeding the
+//!   caller's [`engine::Observers`] as it executes: a trace sink (Chrome
+//!   trace, flamegraph fold, buffered [`engine::Trace`]) and a windowed
+//!   series, buffered or streamed, together or apart;
 //! * [`experiments`] — ready-made presets that regenerate every figure
 //!   and table of the paper's evaluation section;
 //! * [`output`] — plain-text rendering of experiment series.

@@ -9,7 +9,7 @@
 //! ```
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{Simulation, Trace};
+use distcommit::db::engine::{Observers, Simulation, Trace};
 use distcommit::proto::ProtocolSpec;
 
 fn main() {
@@ -31,8 +31,12 @@ fn main() {
         .with_run_length(0, 30);
 
     println!("protocol: {spec}   (2 remote cohorts + 1 local, conflict-free)\n");
-    let (report, trace) =
-        Simulation::run_with_sink(&cfg, spec, 7, 1, Trace::default()).expect("valid configuration");
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((1, &mut trace)),
+        series: None,
+    };
+    let report = Simulation::run_observed(&cfg, spec, 7, obs).expect("valid configuration");
     print!("{}", trace.render_txn(1));
 
     println!();
@@ -56,8 +60,12 @@ fn main() {
         let hot = SystemConfig::pure_data_contention()
             .with_mpl(6)
             .with_run_length(0, 300);
-        let (_, tr) = Simulation::run_with_sink(&hot, spec, 11, 100_000, Trace::default())
-            .expect("valid config");
+        let mut tr = Trace::default();
+        let obs = Observers {
+            trace: Some((100_000, &mut tr)),
+            series: None,
+        };
+        Simulation::run_observed(&hot, spec, 11, obs).expect("valid config");
         if let Some(txn) = tr.txns().into_iter().find(|&t| {
             tr.of_txn(t)
                 .iter()

@@ -15,7 +15,10 @@ use commitproto::ProtocolSpec;
 use distdb::config::{
     parse_millis, FailureConfig, ResourceMode, RestartPolicy, SystemConfig, Topology, TransType,
 };
-use distdb::engine::{ChromeStreamSink, FoldSink, SeriesConfig, SeriesFormat, Simulation, Trace};
+use distdb::engine::{
+    ChromeStreamSink, FoldSink, Observers, SeriesConfig, SeriesFormat, SeriesOut, Simulation,
+    Trace, TraceSink,
+};
 use distdb::experiments::{self, Experiment, Scale, PRESETS};
 use distdb::metrics::ReportFormat;
 use distdb::output::{
@@ -25,6 +28,8 @@ use distdb::output::{
 };
 use simkernel::SimDuration;
 use std::fmt;
+use std::io;
+use std::path::Path;
 use std::sync::LazyLock;
 
 /// A parsed invocation.
@@ -173,8 +178,10 @@ RUN OUTPUT:
                            chrome://tracing or https://ui.perfetto.dev
   --series-out <FILE>      also stream the windowed metric series to
                            FILE (CSV, or JSON when FILE ends in .json);
-                           accepts --window/--per-site; incompatible
-                           with --trace-out
+                           accepts --window/--per-site; combines with
+                           --trace-out: one run feeds both files, and
+                           each is byte-identical to what the run
+                           streams with the other flag absent
 
 SERIES:
   --format <F>             series format: csv (default, one row per
@@ -232,7 +239,7 @@ PARALLELISM & REPLICATIONS:
                            per (protocol, MPL) cell, each with its own
                            derived seed; with N >= 2 every point
                            reports mean +-90% CI across replications
-                           (default 1)
+                           (default 1, at most 65535)
 
 OPTIONS (run & sweep):
   --protocol <NAME>        protocol for run/series/trace/fold (default 2PC)
@@ -337,6 +344,15 @@ fn series_format_for(path: &str) -> SeriesFormat {
     }
 }
 
+/// Create the file `path` names, if any; on failure, say why on stderr.
+fn create_out<T>(
+    path: Option<&str>,
+    create: impl FnOnce(&Path) -> io::Result<T>,
+) -> Result<Option<T>, ()> {
+    path.map(|p| create(Path::new(p)).map_err(|e| eprintln!("error: cannot create {p}: {e}")))
+        .transpose()
+}
+
 fn series_format_name(f: SeriesFormat) -> &'static str {
     match f {
         SeriesFormat::Csv => "csv",
@@ -373,6 +389,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }
             if reps == 0 {
                 return err("--reps must be at least 1");
+            }
+            if reps > experiments::MAX_REPLICATIONS {
+                return err("--reps must be at most 65535");
             }
             match id {
                 Some(id) if experiments::preset(&id).is_some() => Ok(Command::Experiment {
@@ -598,10 +617,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         out,
                     });
                 }
-                if trace_out.is_some() && series_out.is_some() {
-                    // The two streamers use separate engine entry
-                    // points; one observed run cannot feed both.
-                    return err("--trace-out and --series-out are mutually exclusive");
+                // Two writers on one file would interleave into garbage.
+                let absolute =
+                    |p: &Option<String>| p.as_deref().map(|p| std::path::absolute(p).ok());
+                if trace_out.is_some() && absolute(&trace_out) == absolute(&series_out) {
+                    return err("--trace-out and --series-out must name different files");
                 }
                 Ok(Command::Run {
                     cfg,
@@ -615,6 +635,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             } else {
                 if reps == 0 {
                     return err("--reps must be at least 1");
+                }
+                if reps > experiments::MAX_REPLICATIONS {
+                    return err("--reps must be at most 65535");
                 }
                 if csv && format.is_some() {
                     return err("--csv is shorthand for --format csv; pass one of them");
@@ -718,47 +741,27 @@ pub fn execute(cmd: Command) -> i32 {
         } => {
             // Both streamers write to disk as the run progresses, so
             // observing a full run needs no in-memory buffer.
-            let result = match &trace_out {
-                Some(path) => match ChromeStreamSink::create(std::path::Path::new(path)) {
-                    Ok(sink) => Simulation::run_with_sink(&cfg, protocol, seed, u64::MAX, sink)
-                        .map(|(r, sink)| (r, Some(sink))),
-                    Err(e) => {
-                        eprintln!("error: cannot create {path}: {e}");
-                        return 1;
-                    }
-                },
-                None => match &series_out {
-                    Some(path) => match std::fs::File::create(path) {
-                        Ok(file) => match Simulation::run_with_series_stream(
-                            &cfg,
-                            protocol,
-                            seed,
-                            &series_cfg,
-                            Box::new(file),
-                            series_format_for(path),
-                        ) {
-                            Ok(r) => Ok((r, None)),
-                            Err(e) => {
-                                eprintln!("error: {e}");
-                                return 1;
-                            }
-                        },
-                        Err(e) => {
-                            eprintln!("error: cannot create {path}: {e}");
-                            return 1;
-                        }
-                    },
-                    None => Simulation::run(&cfg, protocol, seed).map(|r| (r, None)),
-                },
+            let Ok(mut sink) = create_out(trace_out.as_deref(), ChromeStreamSink::create) else {
+                return 1;
             };
-            match result {
-                Ok((r, sink)) => {
+            let Ok(mut file) = create_out(series_out.as_deref(), |p| std::fs::File::create(p))
+            else {
+                return 1;
+            };
+            let obs = Observers {
+                trace: sink.as_mut().map(|s| (u64::MAX, s as &mut dyn TraceSink)),
+                series: file
+                    .as_mut()
+                    .zip(series_out.as_deref())
+                    .map(|(f, path)| (series_cfg, SeriesOut::Stream(f, series_format_for(path)))),
+            };
+            match Simulation::run_observed(&cfg, protocol, seed, obs) {
+                Ok(r) => {
                     if format == ReportFormat::Table {
                         println!("{cfg}");
                     }
                     print!("{}", r.render(format));
-                    if let Some(sink) = sink {
-                        let path = trace_out.as_deref().unwrap_or_default();
+                    if let Some((sink, path)) = sink.zip(trace_out) {
                         match sink.into_result() {
                             // stderr keeps csv/json output machine-readable.
                             Ok(events) => eprintln!(
@@ -789,49 +792,41 @@ pub fn execute(cmd: Command) -> i32 {
             series_cfg,
             format,
             out,
-        } => match &out {
-            Some(path) => match std::fs::File::create(path) {
-                Ok(file) => match Simulation::run_with_series_stream(
-                    &cfg,
-                    protocol,
-                    seed,
-                    &series_cfg,
-                    Box::new(file),
-                    format,
-                ) {
-                    Ok(report) => {
-                        println!(
-                            "windowed series ({}) streamed to {path}",
-                            series_format_name(format)
-                        );
-                        println!("{}", report.summary());
-                        0
+        } => {
+            // Without --out, stdout carries only the series, so
+            // redirecting it to a file gives exactly the --out bytes; the
+            // summary rides on stderr.
+            let Ok(file) = create_out(out.as_deref(), |p| std::fs::File::create(p)) else {
+                return 1;
+            };
+            let mut writer: Box<dyn io::Write + Send> = match file {
+                Some(file) => Box::new(file),
+                None => Box::new(io::BufWriter::new(io::stdout())),
+            };
+            let obs = Observers {
+                trace: None,
+                series: Some((series_cfg, SeriesOut::Stream(&mut *writer, format))),
+            };
+            match Simulation::run_observed(&cfg, protocol, seed, obs) {
+                Ok(report) => {
+                    match &out {
+                        Some(path) => {
+                            println!(
+                                "windowed series ({}) streamed to {path}",
+                                series_format_name(format)
+                            );
+                            println!("{}", report.summary());
+                        }
+                        None => eprintln!("{}", report.summary()),
                     }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        1
-                    }
-                },
-                Err(e) => {
-                    eprintln!("error: cannot create {path}: {e}");
-                    1
-                }
-            },
-            None => match Simulation::run_with_series(&cfg, protocol, seed, &series_cfg) {
-                Ok((report, series)) => {
-                    // stdout carries only the series, so redirecting it
-                    // to a file gives exactly the --out bytes; the
-                    // summary rides on stderr.
-                    print!("{}", series.render(format));
-                    eprintln!("{}", report.summary());
                     0
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
                     1
                 }
-            },
-        },
+            }
+        }
         Command::Fold {
             cfg,
             protocol,
@@ -839,9 +834,13 @@ pub fn execute(cmd: Command) -> i32 {
             txns,
             out,
         } => {
-            let sink = FoldSink::new(protocol.name());
-            match Simulation::run_with_sink(&cfg, protocol, seed, txns, sink) {
-                Ok((report, fold)) => {
+            let mut fold = FoldSink::new(protocol.name());
+            let obs = Observers {
+                trace: Some((txns, &mut fold)),
+                series: None,
+            };
+            match Simulation::run_observed(&cfg, protocol, seed, obs) {
+                Ok(report) => {
                     let rendered = fold.render();
                     match out {
                         Some(path) => {
@@ -877,39 +876,46 @@ pub fn execute(cmd: Command) -> i32 {
             seed,
             txns,
             out,
-        } => match Simulation::run_with_sink(&cfg, protocol, seed, txns, Trace::default()) {
-            Ok((report, trace)) => {
-                println!(
-                    "{} — first {txns} transaction(s), seed {seed}",
-                    protocol.name()
-                );
-                println!();
-                for txn in trace.txns() {
-                    print!("{}", trace.render_txn(txn));
+        } => {
+            let mut trace = Trace::default();
+            let obs = Observers {
+                trace: Some((txns, &mut trace)),
+                series: None,
+            };
+            match Simulation::run_observed(&cfg, protocol, seed, obs) {
+                Ok(report) => {
+                    println!(
+                        "{} — first {txns} transaction(s), seed {seed}",
+                        protocol.name()
+                    );
                     println!();
-                }
-                println!("{}", report.summary());
-                if let Some(path) = out {
-                    let json = distdb::engine::chrome_trace_json(&trace);
-                    match std::fs::write(&path, &json) {
-                        Ok(()) => println!(
-                            "chrome trace ({} events) written to {path} — open in \
-                             chrome://tracing or https://ui.perfetto.dev",
-                            trace.events.len()
-                        ),
-                        Err(e) => {
-                            eprintln!("error: cannot write {path}: {e}");
-                            return 1;
+                    for txn in trace.txns() {
+                        print!("{}", trace.render_txn(txn));
+                        println!();
+                    }
+                    println!("{}", report.summary());
+                    if let Some(path) = out {
+                        let json = distdb::engine::chrome_trace_json(&trace);
+                        match std::fs::write(&path, &json) {
+                            Ok(()) => println!(
+                                "chrome trace ({} events) written to {path} — open in \
+                                 chrome://tracing or https://ui.perfetto.dev",
+                                trace.events.len()
+                            ),
+                            Err(e) => {
+                                eprintln!("error: cannot write {path}: {e}");
+                                return 1;
+                            }
                         }
                     }
+                    0
                 }
-                0
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    1
+                }
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                1
-            }
-        },
+        }
         Command::Sweep {
             cfg,
             protocols,
@@ -1391,6 +1397,12 @@ mod tests {
         // validation runs at parse time: dist_degree > sites
         assert!(parse(&argv("run --sites 2 --dist-degree 3")).is_err());
         assert!(parse(&argv("sweep --protocols , --mpls 1")).is_err());
+        // A cell's seed keeps 16 bits of the replication index, so a
+        // cell takes at most 65 535 replications.
+        let e = parse(&argv("sweep --protocols 2PC --mpls 1 --reps 65536")).unwrap_err();
+        assert!(e.0.contains("--reps must be at most 65535"), "{e}");
+        let e = parse(&argv("experiment fig1 --reps 70000")).unwrap_err();
+        assert!(e.0.contains("--reps must be at most 65535"), "{e}");
         // Unknown experiment ids fail at parse time and name the valid
         // ones.
         let e = parse(&argv("experiment nope")).unwrap_err();
@@ -1678,8 +1690,12 @@ mod tests {
         };
         assert_eq!(series_out.as_deref(), Some("/tmp/s.json"));
         assert_eq!(series_cfg, SeriesConfig::default());
-        // One observed run cannot feed both streamers.
-        assert!(parse(&argv("run --trace-out a.json --series-out b.csv")).is_err());
+        // One observed run feeds both streamers, into two files.
+        assert!(parse(&argv("run --trace-out a.json --series-out b.csv")).is_ok());
+        for same in ["a.json", "./a.json"] {
+            let cmd = format!("run --trace-out a.json --series-out {same}");
+            assert!(parse(&argv(&cmd)).is_err(), "{same}");
+        }
         // --window/--per-site are meaningless without a series.
         assert!(parse(&argv("run --window 2")).is_err());
         assert!(parse(&argv("run --per-site")).is_err());

@@ -4,9 +4,21 @@
 //! causal order.
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{LogLabel, MsgLabel, Simulation, Trace, TraceEvent};
+use distcommit::db::engine::{LogLabel, MsgLabel, Observers, Simulation, Trace, TraceEvent};
+use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
 use simkernel::SimTime;
+
+/// Run with the first `txns` transactions traced into a buffer.
+fn trace_run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64, txns: u64) -> (SimReport, Trace) {
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((txns, &mut trace)),
+        series: None,
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, trace)
+}
 
 /// A conflict-free 3-site setup so transaction 1's trace is pure
 /// protocol, no lock waits or restarts.
@@ -15,8 +27,7 @@ fn traced(spec: ProtocolSpec) -> Trace {
         .with_db_size(80_000)
         .with_mpl(1)
         .with_run_length(0, 40);
-    let (report, trace) =
-        Simulation::run_with_sink(&cfg, spec, 5, 1, Trace::default()).expect("valid config");
+    let (report, trace) = trace_run(&cfg, spec, 5, 1);
     assert_eq!(
         report.total_aborts(),
         0,
@@ -233,8 +244,7 @@ fn all_no_votes_abort_choreography() {
     // 2PC: NO voters force their abort records; there are no prepared
     // cohorts, so no ABORT messages and no ACKs; the master forces its
     // abort record.
-    let (_, tr) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 3, 1, Trace::default()).unwrap();
+    let (_, tr) = trace_run(&cfg, ProtocolSpec::TWO_PC, 3, 1);
     assert_eq!(tr.remote_sends(1, MsgLabel::VoteNo), 2);
     assert_eq!(tr.remote_sends(1, MsgLabel::VoteYes), 0);
     assert_eq!(tr.forced_writes(1, LogLabel::NoVoteAbort), 3);
@@ -247,8 +257,7 @@ fn all_no_votes_abort_choreography() {
         .any(|e| matches!(e, TraceEvent::Aborted { txn: 1, .. })));
 
     // PA: "in case of doubt, abort" — nothing is forced anywhere.
-    let (_, tr) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::PA, 3, 1, Trace::default()).unwrap();
+    let (_, tr) = trace_run(&cfg, ProtocolSpec::PA, 3, 1);
     assert_eq!(tr.forced_writes(1, LogLabel::NoVoteAbort), 0);
     assert_eq!(tr.forced_writes(1, LogLabel::MasterAbort), 0);
     assert_eq!(tr.remote_sends(1, MsgLabel::VoteNo), 2);
@@ -265,8 +274,7 @@ fn single_no_vote_aborts_the_prepared_rest() {
         .with_mpl(1)
         .with_cohort_abort_prob(0.5)
         .with_run_length(0, 30);
-    let (_, tr) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 11, 200, Trace::default()).unwrap();
+    let (_, tr) = trace_run(&cfg, ProtocolSpec::TWO_PC, 11, 200);
     let mut found = false;
     for txn in tr.txns() {
         let yes = tr.all_sends(txn, MsgLabel::VoteYes);
@@ -302,9 +310,7 @@ fn opt_shelf_lifecycle_is_balanced() {
     let cfg = SystemConfig::pure_data_contention()
         .with_mpl(6)
         .with_run_length(0, 400);
-    let (report, tr) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::OPT_2PC, 13, 100_000, Trace::default())
-            .unwrap();
+    let (report, tr) = trace_run(&cfg, ProtocolSpec::OPT_2PC, 13, 100_000);
     assert!(
         report.borrow_ratio > 0.0,
         "need borrowing for this test to bite"
@@ -347,9 +353,7 @@ fn tracing_does_not_perturb_the_simulation() {
         .with_mpl(4)
         .with_run_length(50, 400);
     let plain = Simulation::run(&cfg, ProtocolSpec::OPT_2PC, 17).unwrap();
-    let (traced, trace) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::OPT_2PC, 17, 10_000, Trace::default())
-            .unwrap();
+    let (traced, trace) = trace_run(&cfg, ProtocolSpec::OPT_2PC, 17, 10_000);
     assert_eq!(plain.events, traced.events);
     assert_eq!(plain.committed, traced.committed);
     assert!((plain.throughput - traced.throughput).abs() < 1e-12);

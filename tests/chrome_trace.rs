@@ -6,8 +6,22 @@
 //! check the field mapping back against the recorded [`TraceEvent`]s.
 
 use distcommit::db::config::{FailureConfig, SystemConfig};
-use distcommit::db::engine::{chrome_trace_json, ChromeStreamSink, Simulation, Trace, TraceEvent};
+use distcommit::db::engine::{
+    chrome_trace_json, ChromeStreamSink, Observers, Simulation, Trace, TraceEvent,
+};
+use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
+
+/// Run with the first `txns` transactions traced into a buffer.
+fn trace_run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64, txns: u64) -> (SimReport, Trace) {
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((txns, &mut trace)),
+        series: None,
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, trace)
+}
 
 // ---------------------------------------------------------------------
 // Minimal recursive-descent JSON parser (test-only).
@@ -243,9 +257,7 @@ fn parse_json(s: &str) -> Json {
 
 fn traced_run() -> (distcommit::db::engine::Trace, String) {
     let cfg = SystemConfig::paper_baseline().with_run_length(10, 60);
-    let (_, trace) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3, Trace::default())
-            .expect("valid config");
+    let (_, trace) = trace_run(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3);
     let json = chrome_trace_json(&trace);
     (trace, json)
 }
@@ -392,15 +404,16 @@ impl Drop for TempFile {
 fn streaming_sink_matches_buffered_export_byte_for_byte() {
     let cfg = SystemConfig::paper_baseline().with_run_length(10, 60);
 
-    let (_, trace) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3, Trace::default())
-            .expect("valid config");
+    let (_, trace) = trace_run(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3);
     let buffered = chrome_trace_json(&trace);
 
     let tmp = TempFile::new("stream-identity.json");
-    let sink = ChromeStreamSink::create(&tmp.0).expect("create temp file");
-    let (_, sink) = Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, 3, sink)
-        .expect("valid config");
+    let mut sink = ChromeStreamSink::create(&tmp.0).expect("create temp file");
+    let obs = Observers {
+        trace: Some((3, &mut sink)),
+        series: None,
+    };
+    Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 0xC0FFEE, obs).expect("valid config");
     sink.into_result().expect("no I/O errors");
     let streamed = std::fs::read_to_string(&tmp.0).expect("read streamed trace");
 
@@ -425,9 +438,13 @@ fn long_faulty_streaming_run_stays_bounded_and_valid() {
         );
 
     let tmp = TempFile::new("stream-long.json");
-    let sink = ChromeStreamSink::create(&tmp.0).expect("create temp file");
-    let (report, sink) = Simulation::run_with_sink(&cfg, ProtocolSpec::THREE_PC, 7, u64::MAX, sink)
-        .expect("valid config");
+    let mut sink = ChromeStreamSink::create(&tmp.0).expect("create temp file");
+    let obs = Observers {
+        trace: Some((u64::MAX, &mut sink)),
+        series: None,
+    };
+    let report =
+        Simulation::run_observed(&cfg, ProtocolSpec::THREE_PC, 7, obs).expect("valid config");
     assert!(report.committed >= 600);
 
     // Memory boundedness: the only state the streamer holds per event

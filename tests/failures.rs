@@ -5,10 +5,21 @@
 //! a short detection timeout.
 
 use distcommit::db::config::{FailureConfig, SystemConfig};
-use distcommit::db::engine::{MsgLabel, Simulation, Trace, TraceEvent};
+use distcommit::db::engine::{MsgLabel, Observers, Simulation, Trace, TraceEvent};
 use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
 use simkernel::SimDuration;
+
+/// Run with the first `txns` transactions traced into a buffer.
+fn trace_run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64, txns: u64) -> (SimReport, Trace) {
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((txns, &mut trace)),
+        series: None,
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, trace)
+}
 
 fn failing_cfg(p: f64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline();
@@ -129,14 +140,7 @@ fn termination_choreography() {
     cfg.mpl = 1;
     cfg.run.warmup_transactions = 0;
     cfg.run.measured_transactions = 20;
-    let (report, tr) = Simulation::run_with_sink(
-        &cfg,
-        ProtocolSpec::THREE_PC,
-        6 + seed_offset(),
-        5,
-        Trace::default(),
-    )
-    .unwrap();
+    let (report, tr) = trace_run(&cfg, ProtocolSpec::THREE_PC, 6 + seed_offset(), 5);
     // p = 1.0: every committed transaction crashed first; up to one
     // crashed-but-unterminated transaction per site may straddle the
     // window end.
@@ -180,14 +184,7 @@ fn blocking_recovery_resumes_and_commits() {
     cfg.mpl = 1;
     cfg.run.warmup_transactions = 0;
     cfg.run.measured_transactions = 10;
-    let (report, tr) = Simulation::run_with_sink(
-        &cfg,
-        ProtocolSpec::TWO_PC,
-        7 + seed_offset(),
-        3,
-        Trace::default(),
-    )
-    .unwrap();
+    let (report, tr) = trace_run(&cfg, ProtocolSpec::TWO_PC, 7 + seed_offset(), 3);
     assert!(report.faults.master_crashes > 0);
     // Each crashed transaction eventually decided commit (after
     // recovery) and the response time shows the 5 s stall.
@@ -230,14 +227,7 @@ fn message_loss_hits_both_directions() {
     let mut cfg = lossy_cfg(0.1);
     cfg.run.warmup_transactions = 0;
     cfg.run.measured_transactions = 300;
-    let (report, tr) = Simulation::run_with_sink(
-        &cfg,
-        ProtocolSpec::TWO_PC,
-        9 + seed_offset(),
-        300,
-        Trace::default(),
-    )
-    .unwrap();
+    let (report, tr) = trace_run(&cfg, ProtocolSpec::TWO_PC, 9 + seed_offset(), 300);
     assert!(report.faults.messages_lost > 0);
     assert!(report.faults.retransmissions > 0);
 

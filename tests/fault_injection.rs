@@ -11,9 +11,20 @@
 //! protocol.
 
 use distcommit::db::config::{FailureConfig, SystemConfig};
-use distcommit::db::engine::{Simulation, Trace, TraceEvent};
+use distcommit::db::engine::{Observers, Simulation, Trace, TraceEvent};
 use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
+
+/// Run with the first `txns` transactions traced into a buffer.
+fn trace_run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64, txns: u64) -> (SimReport, Trace) {
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((txns, &mut trace)),
+        series: None,
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, trace)
+}
 
 fn base_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline();
@@ -184,8 +195,7 @@ fn cohort_crash_replays_log_and_rejoins() {
         ProtocolSpec::PA,
         ProtocolSpec::THREE_PC,
     ] {
-        let (report, tr) =
-            Simulation::run_with_sink(&cfg, spec, 21 + seed_offset(), 3, Trace::default()).unwrap();
+        let (report, tr) = trace_run(&cfg, spec, 21 + seed_offset(), 3);
         assert!(report.faults.cohort_crashes > 0, "{}", spec.name());
         assert_eq!(
             report.committed,
@@ -244,14 +254,7 @@ fn precommitted_cohort_crash_resends_preack() {
     cfg.mpl = 1;
     cfg.run.warmup_transactions = 0;
     cfg.run.measured_transactions = 5;
-    let (report, tr) = Simulation::run_with_sink(
-        &cfg,
-        ProtocolSpec::THREE_PC,
-        22 + seed_offset(),
-        2,
-        Trace::default(),
-    )
-    .unwrap();
+    let (report, tr) = trace_run(&cfg, ProtocolSpec::THREE_PC, 22 + seed_offset(), 2);
     assert_eq!(report.committed, 5);
     // With cc = 1.0 a 3PC cohort crashes at both forced-record points:
     // prepare and precommit. dist_degree cohorts × 2 points × ≥ 5 txns.
@@ -363,14 +366,7 @@ fn cohort_crashes_scoped_to_one_region_stay_in_region() {
         crash_region: Some(1),
         ..FailureConfig::default()
     });
-    let (report, trace) = Simulation::run_with_sink(
-        &cfg,
-        ProtocolSpec::TWO_PC,
-        31 + seed_offset(),
-        u64::MAX,
-        Trace::default(),
-    )
-    .unwrap();
+    let (report, trace) = trace_run(&cfg, ProtocolSpec::TWO_PC, 31 + seed_offset(), u64::MAX);
 
     // Every crash — at the execution-phase window or at a replay
     // point — must land on a site of region 1.

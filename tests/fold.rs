@@ -5,20 +5,18 @@
 //! write show up as vote-phase frames 2PC does not have).
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{FoldSink, Simulation};
+use distcommit::db::engine::{FoldSink, Observers, Simulation};
 use distcommit::db::runner::run_ordered;
 use distcommit::proto::ProtocolSpec;
 
 fn fold_run(protocol: ProtocolSpec, seed: u64) -> String {
     let cfg = SystemConfig::paper_baseline().with_run_length(10, 80);
-    let (_, fold) = Simulation::run_with_sink(
-        &cfg,
-        protocol,
-        seed,
-        u64::MAX,
-        FoldSink::new(protocol.name()),
-    )
-    .expect("valid config");
+    let mut fold = FoldSink::new(protocol.name());
+    let obs = Observers {
+        trace: Some((u64::MAX, &mut fold)),
+        series: None,
+    };
+    Simulation::run_observed(&cfg, protocol, seed, obs).expect("valid config");
     fold.render()
 }
 

@@ -11,12 +11,42 @@
 //! ```
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{FoldSink, SeriesConfig, SeriesFormat, Simulation};
+use distcommit::db::engine::{
+    FoldSink, Observers, Series, SeriesConfig, SeriesFormat, SeriesOut, Simulation,
+};
 use distcommit::db::experiments::{sweep_with_series, Experiment, Scale};
-use distcommit::db::metrics::ReportFormat;
+use distcommit::db::metrics::{ReportFormat, SimReport};
 use distcommit::db::output::{render_sweep_csv, render_sweep_series_csv, render_sweep_series_json};
 use distcommit::proto::ProtocolSpec;
 use simkernel::SimDuration;
+
+/// The folded stacks of every transaction of a 3PC run.
+fn fold_run(cfg: &SystemConfig, seed: u64) -> (SimReport, FoldSink) {
+    let spec = ProtocolSpec::THREE_PC;
+    let mut fold = FoldSink::new(spec.name());
+    let obs = Observers {
+        trace: Some((u64::MAX, &mut fold)),
+        series: None,
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, fold)
+}
+
+/// A run's buffered windowed series.
+fn series_run(
+    cfg: &SystemConfig,
+    spec: ProtocolSpec,
+    seed: u64,
+    series_cfg: &SeriesConfig,
+) -> (SimReport, Series) {
+    let mut series = Series::default();
+    let obs = Observers {
+        trace: None,
+        series: Some((*series_cfg, SeriesOut::Buffer(&mut series))),
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, series)
+}
 
 /// Small but non-trivial: long enough to populate every report section
 /// (phases, per-site resources, occupancy percentiles) yet quick to run.
@@ -154,14 +184,7 @@ fn faulty_paxos_report_matches_golden() {
 /// `folded_stacks_match_golden`.
 #[test]
 fn faulty_folded_stacks_match_golden() {
-    let (report, fold) = Simulation::run_with_sink(
-        &faulty_cfg(),
-        ProtocolSpec::THREE_PC,
-        2027,
-        u64::MAX,
-        FoldSink::new(ProtocolSpec::THREE_PC.name()),
-    )
-    .expect("valid config");
+    let (report, fold) = fold_run(&faulty_cfg(), 2027);
     assert!(report.faults.master_crashes > 0);
     check("fold_faulty.txt", &fold.render());
 }
@@ -179,13 +202,12 @@ fn golden_series_cfg() -> SeriesConfig {
 /// so column order and formatting are part of the contract.
 #[test]
 fn series_csv_matches_golden() {
-    let (_, series) = Simulation::run_with_series(
+    let (_, series) = series_run(
         &golden_cfg(),
         ProtocolSpec::TWO_PC,
         2026,
         &golden_series_cfg(),
-    )
-    .expect("valid config");
+    );
     assert!(series.windows.len() > 2, "golden run spans several windows");
     check("series.csv", &series.render(SeriesFormat::Csv));
 }
@@ -194,13 +216,12 @@ fn series_csv_matches_golden() {
 /// counters populated, per-site queues under crash churn.
 #[test]
 fn faulty_series_json_matches_golden() {
-    let (report, series) = Simulation::run_with_series(
+    let (report, series) = series_run(
         &faulty_cfg(),
         ProtocolSpec::OPT_2PC,
         2027,
         &golden_series_cfg(),
-    )
-    .expect("valid config");
+    );
     assert!(report.faults.messages_lost > 0);
     assert!(series.windows.iter().any(|w| w.messages_lost > 0));
     check("series_faulty.json", &series.render(SeriesFormat::Json));
@@ -237,13 +258,6 @@ fn sweep_outputs_match_golden() {
 
 #[test]
 fn folded_stacks_match_golden() {
-    let (_, fold) = Simulation::run_with_sink(
-        &golden_cfg(),
-        ProtocolSpec::THREE_PC,
-        2026,
-        u64::MAX,
-        FoldSink::new(ProtocolSpec::THREE_PC.name()),
-    )
-    .expect("valid config");
+    let (_, fold) = fold_run(&golden_cfg(), 2026);
     check("fold.txt", &fold.render());
 }

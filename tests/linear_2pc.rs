@@ -5,9 +5,20 @@
 //! the chain stretches the prepared state of early cohorts.
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{LogLabel, MsgLabel, Simulation, Trace, TraceEvent};
+use distcommit::db::engine::{LogLabel, MsgLabel, Observers, Simulation, Trace, TraceEvent};
 use distcommit::db::metrics::SimReport;
 use distcommit::proto::ProtocolSpec;
+
+/// Run with the first `txns` transactions traced into a buffer.
+fn trace_run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64, txns: u64) -> (SimReport, Trace) {
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((txns, &mut trace)),
+        series: None,
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, trace)
+}
 
 fn conflict_free() -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline();
@@ -39,14 +50,7 @@ fn linear_overheads_match_the_analytic_model() {
 
 #[test]
 fn linear_commit_choreography() {
-    let (_, tr) = Simulation::run_with_sink(
-        &conflict_free(),
-        ProtocolSpec::LINEAR_2PC,
-        2,
-        1,
-        Trace::default(),
-    )
-    .unwrap();
+    let (_, tr) = trace_run(&conflict_free(), ProtocolSpec::LINEAR_2PC, 2, 1);
     // Chain of 3: three ChainPrepare hops (one local), two backward
     // ChainDecision hops plus one local ChainBack.
     assert_eq!(tr.all_sends(1, MsgLabel::Prepare), 3);
@@ -111,9 +115,7 @@ fn linear_commit_choreography() {
 fn linear_abort_unwinds_the_chain() {
     let mut cfg = conflict_free();
     cfg.cohort_abort_prob = 0.5;
-    let (report, tr) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::LINEAR_2PC, 3, 300, Trace::default())
-            .unwrap();
+    let (report, tr) = trace_run(&cfg, ProtocolSpec::LINEAR_2PC, 3, 300);
     assert!(report.aborted_surprise > 0, "need some NO votes");
     // Find an aborted transaction and check its unwind.
     let mut checked = false;

@@ -9,7 +9,7 @@
 //!    sweeps on the headline peak-throughput comparison.
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{SeriesConfig, Simulation};
+use distcommit::db::engine::{Observers, SeriesConfig, SeriesFormat, SeriesOut, Simulation};
 use distcommit::db::experiments::{self, cell_seed, Scale};
 use distcommit::db::metrics::{ReportFormat, SimReport};
 use distcommit::db::output::{
@@ -191,19 +191,18 @@ fn wan_zipf_64_site_matrix_identical_across_jobs() {
 /// total byte count and the largest single `write` call — the sink's
 /// output-side high-water mark. Streaming a run of any length must
 /// hand over data window by window, never one giant buffered blob.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct MeterWriter {
-    total: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    max_chunk: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    writes: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    total: u64,
+    max_chunk: u64,
+    writes: u64,
 }
 
 impl std::io::Write for MeterWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.total.fetch_add(buf.len() as u64, Relaxed);
-        self.max_chunk.fetch_max(buf.len() as u64, Relaxed);
-        self.writes.fetch_add(1, Relaxed);
+        self.total += buf.len() as u64;
+        self.max_chunk = self.max_chunk.max(buf.len() as u64);
+        self.writes += 1;
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -235,21 +234,18 @@ fn million_transaction_streaming_smoke_stays_bounded() {
         window: SimDuration::from_secs(5),
         per_site: false,
     };
-    let meter = MeterWriter::default();
-    let report = Simulation::run_with_series_stream(
-        &cfg,
-        ProtocolSpec::TWO_PC,
-        42,
-        &series_cfg,
-        Box::new(meter.clone()),
-        distcommit::db::engine::SeriesFormat::Csv,
-    )
-    .unwrap();
-    use std::sync::atomic::Ordering::Relaxed;
+    let mut meter = MeterWriter::default();
+    let obs = Observers {
+        trace: None,
+        series: Some((series_cfg, SeriesOut::Stream(&mut meter, SeriesFormat::Csv))),
+    };
+    let report = Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 42, obs).unwrap();
     assert_eq!(report.committed, 1_000_000);
-    let total = meter.total.load(Relaxed);
-    let max_chunk = meter.max_chunk.load(Relaxed);
-    let writes = meter.writes.load(Relaxed);
+    let MeterWriter {
+        total,
+        max_chunk,
+        writes,
+    } = meter;
     assert!(writes > 100, "expected many window writes, got {writes}");
     assert!(total > 10_000, "series output suspiciously small: {total}");
     // The high-water mark: no single hand-off approaches the total —

@@ -3,8 +3,20 @@
 //! read-only transaction commits in one phase.
 
 use distcommit::db::config::SystemConfig;
-use distcommit::db::engine::{LogLabel, MsgLabel, Simulation, Trace};
+use distcommit::db::engine::{LogLabel, MsgLabel, Observers, Simulation, Trace};
+use distcommit::db::metrics::SimReport;
 use distcommit::proto::{ProtocolSpec, ReadOnlyScenario};
+
+/// Run with the first `txns` transactions traced into a buffer.
+fn trace_run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64, txns: u64) -> (SimReport, Trace) {
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((txns, &mut trace)),
+        series: None,
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, trace)
+}
 
 fn ro_cfg(update_prob: f64) -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline();
@@ -39,8 +51,7 @@ fn fully_read_only_transactions_commit_in_one_phase() {
 #[test]
 fn read_only_choreography() {
     let cfg = ro_cfg(0.0);
-    let (_, tr) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::TWO_PC, 1, 1, Trace::default()).unwrap();
+    let (_, tr) = trace_run(&cfg, ProtocolSpec::TWO_PC, 1, 1);
     assert_eq!(tr.all_sends(1, MsgLabel::VoteReadOnly), 3);
     assert_eq!(tr.all_sends(1, MsgLabel::VoteYes), 0);
     assert_eq!(tr.all_sends(1, MsgLabel::DecisionCommit), 0);
@@ -52,8 +63,7 @@ fn read_only_choreography() {
 #[test]
 fn read_only_3pc_skips_the_precommit_round_when_empty() {
     let cfg = ro_cfg(0.0);
-    let (r, tr) =
-        Simulation::run_with_sink(&cfg, ProtocolSpec::THREE_PC, 2, 1, Trace::default()).unwrap();
+    let (r, tr) = trace_run(&cfg, ProtocolSpec::THREE_PC, 2, 1);
     assert_eq!(tr.all_sends(1, MsgLabel::PreCommit), 0);
     assert_eq!(tr.forced_writes(1, LogLabel::MasterPrecommit), 0);
     assert!(r.forced_writes_per_commit < 0.05);

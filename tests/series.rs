@@ -6,9 +6,11 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use distcommit::db::config::{FailureConfig, SystemConfig};
-use distcommit::db::engine::series::SeriesRunError;
-use distcommit::db::engine::{Series, SeriesConfig, SeriesFormat, Simulation};
-use distcommit::db::metrics::SimReport;
+use distcommit::db::engine::{
+    Observers, RunError, Series, SeriesConfig, SeriesFormat, SeriesOut, Simulation, Trace,
+};
+use distcommit::db::experiments::{sweep_with_series, Scale};
+use distcommit::db::metrics::{ReportFormat, SimReport};
 use distcommit::proto::ProtocolSpec;
 use simkernel::SimDuration;
 
@@ -36,6 +38,39 @@ fn series_cfg(window_s: u64, per_site: bool) -> SeriesConfig {
     }
 }
 
+/// A run's buffered series.
+fn buffered(
+    cfg: &SystemConfig,
+    spec: ProtocolSpec,
+    seed: u64,
+    series_cfg: &SeriesConfig,
+) -> (SimReport, Series) {
+    let mut series = Series::default();
+    let obs = Observers {
+        trace: None,
+        series: Some((*series_cfg, SeriesOut::Buffer(&mut series))),
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, series)
+}
+
+/// A run's series streamed in `format`, as bytes.
+fn streamed(
+    cfg: &SystemConfig,
+    spec: ProtocolSpec,
+    seed: u64,
+    series_cfg: &SeriesConfig,
+    format: SeriesFormat,
+) -> (SimReport, Vec<u8>) {
+    let mut bytes = Vec::new();
+    let obs = Observers {
+        trace: None,
+        series: Some((*series_cfg, SeriesOut::Stream(&mut bytes, format))),
+    };
+    let report = Simulation::run_observed(cfg, spec, seed, obs).expect("valid config");
+    (report, bytes)
+}
+
 fn fingerprint(r: &SimReport) -> (u64, u64, u64, u64, String) {
     (
         r.committed,
@@ -60,7 +95,7 @@ fn measured_windows_sum_exactly_to_report_aggregates() {
         (lossy_cfg(), ProtocolSpec::TWO_PC),
     ] {
         let scfg = series_cfg(2, false);
-        let (report, series) = Simulation::run_with_series(&cfg, spec, 42, &scfg).unwrap();
+        let (report, series) = buffered(&cfg, spec, 42, &scfg);
         let measured: Vec<_> = series.windows.iter().filter(|w| w.measured).collect();
         assert!(
             measured.len() >= 2,
@@ -111,9 +146,7 @@ fn measured_windows_sum_exactly_to_report_aggregates() {
 
 #[test]
 fn windows_tile_without_gaps_and_timestamps_are_monotone() {
-    let (_, series) =
-        Simulation::run_with_series(&small_cfg(), ProtocolSpec::TWO_PC, 7, &series_cfg(2, false))
-            .unwrap();
+    let (_, series) = buffered(&small_cfg(), ProtocolSpec::TWO_PC, 7, &series_cfg(2, false));
     assert!(!series.windows.is_empty());
     for pair in series.windows.windows(2) {
         assert!(pair[0].start < pair[0].end);
@@ -138,8 +171,7 @@ fn window_spanning_the_clock_closes_at_warmup_and_end() {
         window: SimDuration::from_micros(u64::MAX),
         per_site: false,
     };
-    let (report, series) =
-        Simulation::run_with_series(&small_cfg(), ProtocolSpec::TWO_PC, 7, &cfg).unwrap();
+    let (report, series) = buffered(&small_cfg(), ProtocolSpec::TWO_PC, 7, &cfg);
     let measured: Vec<bool> = series.windows.iter().map(|w| w.measured).collect();
     assert_eq!(measured, [false, true]);
     assert_eq!(series.windows[1].committed, report.committed);
@@ -151,18 +183,14 @@ fn window_spanning_the_clock_closes_at_warmup_and_end() {
 fn series_recording_does_not_perturb_the_run() {
     for cfg in [small_cfg(), lossy_cfg()] {
         let plain = Simulation::run(&cfg, ProtocolSpec::THREE_PC, 11).unwrap();
-        let (with_series, _) =
-            Simulation::run_with_series(&cfg, ProtocolSpec::THREE_PC, 11, &series_cfg(1, true))
-                .unwrap();
+        let (with_series, _) = buffered(&cfg, ProtocolSpec::THREE_PC, 11, &series_cfg(1, true));
         assert_eq!(fingerprint(&plain), fingerprint(&with_series));
     }
 }
 
 #[test]
 fn per_site_commits_sum_to_window_commits() {
-    let (_, series) =
-        Simulation::run_with_series(&small_cfg(), ProtocolSpec::TWO_PC, 5, &series_cfg(2, true))
-            .unwrap();
+    let (_, series) = buffered(&small_cfg(), ProtocolSpec::TWO_PC, 5, &series_cfg(2, true));
     let mut some_site_committed = false;
     for w in &series.windows {
         assert!(!w.per_site.is_empty(), "per-site mode records every site");
@@ -176,20 +204,8 @@ fn per_site_commits_sum_to_window_commits() {
 #[test]
 fn series_render_is_deterministic() {
     let run = || -> (Series, Series) {
-        let (_, a) = Simulation::run_with_series(
-            &lossy_cfg(),
-            ProtocolSpec::TWO_PC,
-            99,
-            &series_cfg(2, true),
-        )
-        .unwrap();
-        let (_, b) = Simulation::run_with_series(
-            &lossy_cfg(),
-            ProtocolSpec::TWO_PC,
-            99,
-            &series_cfg(2, true),
-        )
-        .unwrap();
+        let (_, a) = buffered(&lossy_cfg(), ProtocolSpec::TWO_PC, 99, &series_cfg(2, true));
+        let (_, b) = buffered(&lossy_cfg(), ProtocolSpec::TWO_PC, 99, &series_cfg(2, true));
         (a, b)
     };
     let (a, b) = run();
@@ -197,55 +213,28 @@ fn series_render_is_deterministic() {
     assert_eq!(a.render(SeriesFormat::Json), b.render(SeriesFormat::Json));
 }
 
-/// A `Write` handle whose bytes stay reachable after the engine takes
-/// ownership of the boxed writer.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 #[test]
 fn streaming_output_is_byte_identical_to_buffered_render() {
     for format in [SeriesFormat::Csv, SeriesFormat::Json] {
         let scfg = series_cfg(2, true);
-        let (_, buffered) =
-            Simulation::run_with_series(&lossy_cfg(), ProtocolSpec::OPT_2PC, 3, &scfg).unwrap();
-        let buf = SharedBuf::default();
-        let report = Simulation::run_with_series_stream(
-            &lossy_cfg(),
-            ProtocolSpec::OPT_2PC,
-            3,
-            &scfg,
-            Box::new(buf.clone()),
-            format,
-        )
-        .unwrap();
+        let (_, series) = buffered(&lossy_cfg(), ProtocolSpec::OPT_2PC, 3, &scfg);
+        let (report, bytes) = streamed(&lossy_cfg(), ProtocolSpec::OPT_2PC, 3, &scfg, format);
         assert!(report.committed > 0);
-        let streamed = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(buffered.render(format), streamed);
+        assert_eq!(series.render(format).as_bytes(), bytes);
     }
 }
 
 /// A writer that takes the header, then fails every write; `flush`
 /// succeeds, like an unbuffered `File` whose disk filled up mid-run.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct FailsAfterHeader {
-    writes: Arc<Mutex<u32>>,
+    writes: u32,
 }
 
 impl Write for FailsAfterHeader {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut writes = self.writes.lock().unwrap();
-        *writes += 1;
-        if *writes == 1 {
+        self.writes += 1;
+        if self.writes == 1 {
             Ok(buf.len())
         } else {
             Err(std::io::Error::other("disk full"))
@@ -264,32 +253,155 @@ fn streaming_write_error_fails_the_run() {
     let mut cfg = small_cfg();
     cfg.run.measured_transactions = 2_000;
     for format in [SeriesFormat::Csv, SeriesFormat::Json] {
-        let writer = FailsAfterHeader::default();
-        let result = Simulation::run_with_series_stream(
-            &cfg,
-            ProtocolSpec::TWO_PC,
-            5,
-            &series_cfg(2, false),
-            Box::new(writer.clone()),
-            format,
-        );
-        match result {
-            Err(SeriesRunError::Io(e)) => assert_eq!(e.to_string(), "disk full"),
+        let mut writer = FailsAfterHeader::default();
+        let obs = Observers {
+            trace: None,
+            series: Some((series_cfg(2, false), SeriesOut::Stream(&mut writer, format))),
+        };
+        match Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 5, obs) {
+            Err(RunError::Io(e)) => assert_eq!(e.to_string(), "disk full"),
             other => panic!("expected an I/O error, got {other:?}"),
         }
-        assert_eq!(
-            *writer.writes.lock().unwrap(),
-            2,
-            "header + first failed window"
-        );
+        assert_eq!(writer.writes, 2, "header + first failed window");
     }
+}
+
+/// A zero-width window is a typed configuration error returned before
+/// any event runs, whether the series is buffered or streamed (the
+/// stream gets no header), and for every cell of a sweep.
+#[test]
+fn zero_window_is_a_config_error_before_the_run() {
+    let zero = SeriesConfig {
+        window: SimDuration::ZERO,
+        per_site: false,
+    };
+    let mut series = Series::default();
+    let mut bytes = Vec::new();
+    for out in [
+        SeriesOut::Buffer(&mut series),
+        SeriesOut::Stream(&mut bytes, SeriesFormat::Csv),
+    ] {
+        let obs = Observers {
+            trace: None,
+            series: Some((zero, out)),
+        };
+        match Simulation::run_observed(&small_cfg(), ProtocolSpec::TWO_PC, 1, obs) {
+            Err(RunError::Config(e)) => {
+                assert!(
+                    e.to_string().contains("series window must be positive"),
+                    "{e}"
+                )
+            }
+            other => panic!("expected a configuration error, got {other:?}"),
+        }
+    }
+    assert!(bytes.is_empty(), "the stream must receive no bytes");
+    assert!(series.windows.is_empty());
+    let specs = [("2PC".to_string(), ProtocolSpec::TWO_PC, small_cfg())];
+    let scale = Scale::quick().with_mpls(vec![1, 2]).with_jobs(Some(1));
+    assert!(sweep_with_series(&specs, &scale, &zero).is_err());
+}
+
+/// One run observed by a trace of every transaction and a streamed
+/// per-site series gives the plain run's report, the trace-only run's
+/// events and the series-only run's bytes: observers neither perturb
+/// the run nor each other.
+#[test]
+fn one_run_streams_a_trace_and_a_series_together() {
+    let (cfg, spec, seed) = (lossy_cfg(), ProtocolSpec::THREE_PC, 7);
+    let scfg = series_cfg(2, true);
+    let mut trace = Trace::default();
+    let mut bytes = Vec::new();
+    let obs = Observers {
+        trace: Some((u64::MAX, &mut trace)),
+        series: Some((scfg, SeriesOut::Stream(&mut bytes, SeriesFormat::Csv))),
+    };
+    let report = Simulation::run_observed(&cfg, spec, seed, obs).unwrap();
+    assert!(report.faults.messages_lost > 0);
+
+    let plain = Simulation::run(&cfg, spec, seed).unwrap();
+    assert_eq!(
+        report.render(ReportFormat::Json),
+        plain.render(ReportFormat::Json)
+    );
+    let mut trace_only = Trace::default();
+    let obs = Observers {
+        trace: Some((u64::MAX, &mut trace_only)),
+        series: None,
+    };
+    Simulation::run_observed(&cfg, spec, seed, obs).unwrap();
+    assert!(trace.events.len() > 1_000);
+    assert_eq!(trace.events, trace_only.events);
+    let (_, series_only) = streamed(&cfg, spec, seed, &scfg, SeriesFormat::Csv);
+    assert_eq!(bytes, series_only);
+    let (_, series) = buffered(&cfg, spec, seed, &scfg);
+    assert_eq!(bytes, series.render(SeriesFormat::Csv).as_bytes());
+}
+
+/// [`Simulation::run_with_sink`] is a wrapper over
+/// [`Simulation::run_observed`]: same report, same events.
+#[test]
+fn run_with_sink_equals_run_observed() {
+    let (cfg, spec, seed) = (lossy_cfg(), ProtocolSpec::TWO_PC, 9);
+    let (wrapped, wrapped_trace) =
+        Simulation::run_with_sink(&cfg, spec, seed, 50, Trace::default()).unwrap();
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((50, &mut trace)),
+        series: None,
+    };
+    let report = Simulation::run_observed(&cfg, spec, seed, obs).unwrap();
+    assert_eq!(
+        wrapped.render(ReportFormat::Json),
+        report.render(ReportFormat::Json)
+    );
+    assert!(!trace.events.is_empty());
+    assert_eq!(wrapped_trace.events, trace.events);
+}
+
+/// A `Write` handle whose bytes stay reachable after
+/// [`Simulation::run_with_series_stream`] takes ownership of the boxed
+/// writer.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// [`Simulation::run_with_series_stream`] is a wrapper over
+/// [`Simulation::run_observed`]: same report, same bytes.
+#[test]
+fn run_with_series_stream_equals_run_observed() {
+    let (cfg, spec, seed) = (lossy_cfg(), ProtocolSpec::OPT_2PC, 3);
+    let scfg = series_cfg(2, true);
+    let buf = SharedBuf::default();
+    let wrapped = Simulation::run_with_series_stream(
+        &cfg,
+        spec,
+        seed,
+        &scfg,
+        Box::new(buf.clone()),
+        SeriesFormat::Json,
+    )
+    .unwrap();
+    let (report, bytes) = streamed(&cfg, spec, seed, &scfg, SeriesFormat::Json);
+    assert_eq!(
+        wrapped.render(ReportFormat::Json),
+        report.render(ReportFormat::Json)
+    );
+    assert_eq!(*buf.0.lock().unwrap(), bytes);
 }
 
 #[test]
 fn json_series_is_structurally_sound() {
-    let (_, series) =
-        Simulation::run_with_series(&lossy_cfg(), ProtocolSpec::TWO_PC, 21, &series_cfg(2, true))
-            .unwrap();
+    let (_, series) = buffered(&lossy_cfg(), ProtocolSpec::TWO_PC, 21, &series_cfg(2, true));
     let json = series.render(SeriesFormat::Json);
     let balance = json.chars().fold(0i64, |acc, c| match c {
         '{' | '[' => acc + 1,
@@ -310,9 +422,7 @@ fn json_series_is_structurally_sound() {
 
 #[test]
 fn csv_rows_all_have_the_header_field_count() {
-    let (_, series) =
-        Simulation::run_with_series(&small_cfg(), ProtocolSpec::TWO_PC, 8, &series_cfg(2, true))
-            .unwrap();
+    let (_, series) = buffered(&small_cfg(), ProtocolSpec::TWO_PC, 8, &series_cfg(2, true));
     let csv = series.render(SeriesFormat::Csv);
     let mut lines = csv.lines();
     let header = lines.next().unwrap();
