@@ -29,17 +29,22 @@
 //! sorted by timestamp; the Chrome/Perfetto importers do not require
 //! sorted input.
 //!
-//! Serialization goes through the crate's one JSON writer — no serde,
-//! because the repo is dependency-free by charter — which keeps the
-//! `traceEvents` array open between records and escapes every name as
-//! it is formatted, without building it as a `String` first.
+//! Every record has one of four fixed shapes (lane metadata, instant,
+//! message instant, complete), so each is appended straight from
+//! pre-quoted fragments, the labels' [`MsgLabel::name`] and
+//! [`LogLabel::name`] tables and the crate's fmt-free integers: no key
+//! is quoted, no name formatted and no text escaped per event. The
+//! document around the records — preamble, the comma between records,
+//! footer — is the crate's one JSON writer's, and a unit test checks
+//! that every name needs no escaping.
+//!
+//! [`MsgLabel::name`]: super::MsgLabel::name
 
-use super::trace::{LogLabel, Trace, TraceEvent, TraceSink};
+use super::trace::{IdHash, LogLabel, Trace, TraceEvent, TraceSink};
 use super::types::TxnId;
-use crate::json::Json;
+use crate::json::{push_u64, Json};
 use crate::workload::SiteId;
 use std::collections::HashSet;
-use std::fmt;
 use std::io;
 use std::path::Path;
 
@@ -49,6 +54,43 @@ struct OpenForce {
     label: LogLabel,
     site: SiteId,
     ts: u64,
+}
+
+/// One piece of a record's name: text that needs no JSON escaping, or
+/// an integer.
+#[derive(Clone, Copy)]
+enum Part {
+    Text(&'static str),
+    Int(u64),
+}
+
+use Part::{Int, Text};
+
+/// The fixed text of the records, keys and punctuation pre-quoted.
+/// Every record opens with [`NAME`], its name and one of the `ph`
+/// fragments, then carries `pid` and `tid`.
+const NAME: &str = "{\"name\":\"";
+const INSTANT: &str = "\",\"ph\":\"i\",\"ts\":";
+const COMPLETE: &str = "\",\"ph\":\"X\",\"ts\":";
+const PID: &str = ",\"pid\":";
+const TID: &str = ",\"tid\":";
+/// Closes an instant: thread-scoped, a tick on its row.
+const THREAD_SCOPED: &str = ",\"s\":\"t\"}";
+/// A message instant's `args`, between its thread scope and the end.
+const SEND_ARGS: &str = ",\"s\":\"t\",\"args\":{\"from\":";
+const SEND_TO: &str = ",\"to\":";
+const SEND_LOCAL: &str = ",\"local\":true}}";
+const SEND_REMOTE: &str = ",\"local\":false}}";
+const DUR: &str = ",\"dur\":";
+const SITE_ARGS: &str = ",\"args\":{\"site\":";
+const END_COMPLETE: &str = "}}";
+/// Lane metadata: `pid`, then its `txn <id>` name.
+const LANE: &str = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+const LANE_NAME: &str = ",\"tid\":0,\"args\":{\"name\":\"txn ";
+const END_LANE: &str = "\"}}";
+
+fn text(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Incremental Chrome trace-event JSON serializer.
@@ -66,7 +108,7 @@ pub struct ChromeWriter<W: io::Write> {
     json: Json,
     open_forces: Vec<OpenForce>,
     max_open_forces: usize,
-    seen_txns: HashSet<TxnId>,
+    seen_txns: HashSet<TxnId, IdHash>,
 }
 
 impl<W: io::Write> ChromeWriter<W> {
@@ -86,7 +128,7 @@ impl<W: io::Write> ChromeWriter<W> {
             json,
             open_forces: Vec::new(),
             max_open_forces: 0,
-            seen_txns: HashSet::new(),
+            seen_txns: HashSet::default(),
         })
     }
 
@@ -96,36 +138,39 @@ impl<W: io::Write> ChromeWriter<W> {
         self.max_open_forces
     }
 
-    /// Open a timed record with the members every one carries; an
-    /// instant is thread-scoped, rendering as a tick on its row.
-    fn begin(&mut self, ph: &str, ts: u64, pid: TxnId, tid: SiteId, name: fmt::Arguments<'_>) {
-        self.json
-            .begin_object()
-            .field("name", name)
-            .field("ph", ph)
-            .field("ts", ts)
-            .field("pid", pid)
-            .field("tid", tid);
-        if ph == "i" {
-            self.json.field("s", "t");
+    /// Start a timed record: its name, its phase fragment and `ts`,
+    /// `pid` and `tid`. The caller closes it.
+    fn begin(&mut self, ph: &str, ts: u64, pid: TxnId, tid: SiteId, name: &[Part]) -> &mut Vec<u8> {
+        let out = self.json.element();
+        text(out, NAME);
+        for part in name {
+            match *part {
+                Text(s) => text(out, s),
+                Int(v) => push_u64(out, v),
+            }
         }
+        text(out, ph);
+        push_u64(out, ts);
+        text(out, PID);
+        push_u64(out, pid);
+        text(out, TID);
+        push_u64(out, tid as u64);
+        out
     }
 
-    fn instant(&mut self, ts: u64, pid: TxnId, tid: SiteId, name: fmt::Arguments<'_>) {
-        self.begin("i", ts, pid, tid, name);
-        self.json.end_object();
+    fn instant(&mut self, ts: u64, pid: TxnId, tid: SiteId, name: &[Part]) {
+        let out = self.begin(INSTANT, ts, pid, tid, name);
+        text(out, THREAD_SCOPED);
     }
 
     /// A forced write from issue to durable, on its site's row.
-    fn complete(&mut self, ts: u64, dur: u64, pid: TxnId, site: SiteId, name: fmt::Arguments<'_>) {
-        self.begin("X", ts, pid, site, name);
-        self.json
-            .field("dur", dur)
-            .key("args")
-            .begin_object()
-            .field("site", site)
-            .end_object()
-            .end_object();
+    fn complete(&mut self, ts: u64, dur: u64, pid: TxnId, site: SiteId, name: &[Part]) {
+        let out = self.begin(COMPLETE, ts, pid, site, name);
+        text(out, DUR);
+        push_u64(out, dur);
+        text(out, SITE_ARGS);
+        push_u64(out, site as u64);
+        text(out, END_COMPLETE);
     }
 
     /// Serialize one trace event, naming the transaction's lane first
@@ -136,17 +181,12 @@ impl<W: io::Write> ChromeWriter<W> {
     pub fn event(&mut self, e: &TraceEvent) -> io::Result<()> {
         let txn = e.txn();
         if self.seen_txns.insert(txn) {
-            self.json
-                .begin_object()
-                .field("name", "process_name")
-                .field("ph", "M")
-                .field("pid", txn)
-                .field("tid", 0usize)
-                .key("args")
-                .begin_object()
-                .field("name", format_args!("txn {txn}"))
-                .end_object()
-                .end_object();
+            let out = self.json.element();
+            text(out, LANE);
+            push_u64(out, txn);
+            text(out, LANE_NAME);
+            push_u64(out, txn);
+            text(out, END_LANE);
         }
         self.record(e);
         self.json.flush_to(&mut self.out)
@@ -154,7 +194,7 @@ impl<W: io::Write> ChromeWriter<W> {
 
     fn record(&mut self, e: &TraceEvent) {
         let (ts, txn) = (e.at().0, e.txn());
-        match e {
+        match *e {
             TraceEvent::Send {
                 label,
                 from,
@@ -162,20 +202,25 @@ impl<W: io::Write> ChromeWriter<W> {
                 local,
                 ..
             } => {
-                if *local {
-                    self.begin("i", ts, txn, *from, format_args!("{label:?} (local)"));
+                let (from64, to64) = (from as u64, to as u64);
+                let out = if local {
+                    let name = [Text(label.name()), Text(" (local)")];
+                    self.begin(INSTANT, ts, txn, from, &name)
                 } else {
-                    let name = format_args!("{label:?} {from}\u{2192}{to}");
-                    self.begin("i", ts, txn, *from, name);
-                }
-                self.json
-                    .key("args")
-                    .begin_object()
-                    .field("from", *from)
-                    .field("to", *to)
-                    .field("local", *local)
-                    .end_object()
-                    .end_object();
+                    let name = [
+                        Text(label.name()),
+                        Text(" "),
+                        Int(from64),
+                        Text("\u{2192}"),
+                        Int(to64),
+                    ];
+                    self.begin(INSTANT, ts, txn, from, &name)
+                };
+                text(out, SEND_ARGS);
+                push_u64(out, from64);
+                text(out, SEND_TO);
+                push_u64(out, to64);
+                text(out, if local { SEND_LOCAL } else { SEND_REMOTE });
             }
             TraceEvent::ForceLog { label, site, .. } => {
                 // FIFO-match issue with the durable notification per
@@ -184,8 +229,8 @@ impl<W: io::Write> ChromeWriter<W> {
                 // always the one completing.
                 self.open_forces.push(OpenForce {
                     txn,
-                    label: *label,
-                    site: *site,
+                    label,
+                    site,
                     ts,
                 });
                 self.max_open_forces = self.max_open_forces.max(self.open_forces.len());
@@ -194,60 +239,86 @@ impl<W: io::Write> ChromeWriter<W> {
                 let matched = self
                     .open_forces
                     .iter()
-                    .position(|o| o.txn == txn && o.label == *label && o.site == *site);
+                    .position(|o| o.txn == txn && o.label == label && o.site == site);
                 if let Some(p) = matched {
                     let issued = self.open_forces.remove(p).ts;
                     let dur = ts.saturating_sub(issued);
-                    self.complete(issued, dur, txn, *site, format_args!("force {label:?}"));
+                    let name = [Text("force "), Text(label.name())];
+                    self.complete(issued, dur, txn, site, &name);
                 } else {
                     // Durable record with no traced issue (the issue
                     // predated the trace window): keep it as an instant
                     // so the event is not silently dropped.
-                    self.instant(ts, txn, *site, format_args!("force {label:?} durable"));
+                    let name = [Text("force "), Text(label.name()), Text(" durable")];
+                    self.instant(ts, txn, site, &name);
                 }
             }
             TraceEvent::Prepared { cohort, site, .. } => {
-                self.instant(ts, txn, *site, format_args!("cohort {cohort} PREPARED"))
+                let name = [Text("cohort "), Int(cohort), Text(" PREPARED")];
+                self.instant(ts, txn, site, &name)
             }
             TraceEvent::Borrowed {
                 cohort, lenders, ..
             } => {
-                let name = format_args!("cohort {cohort} borrowed ({lenders} lenders)");
-                self.instant(ts, txn, 0, name)
+                let name = [
+                    Text("cohort "),
+                    Int(cohort),
+                    Text(" borrowed ("),
+                    Int(lenders as u64),
+                    Text(" lenders)"),
+                ];
+                self.instant(ts, txn, 0, &name)
             }
             TraceEvent::Shelved { cohort, .. } => {
-                self.instant(ts, txn, 0, format_args!("cohort {cohort} shelved"))
+                let name = [Text("cohort "), Int(cohort), Text(" shelved")];
+                self.instant(ts, txn, 0, &name)
             }
             TraceEvent::Unshelved { cohort, .. } => {
-                self.instant(ts, txn, 0, format_args!("cohort {cohort} unshelved"))
+                let name = [Text("cohort "), Int(cohort), Text(" unshelved")];
+                self.instant(ts, txn, 0, &name)
             }
-            TraceEvent::Decided { commit, .. } => {
-                let decision = if *commit { "COMMIT" } else { "ABORT" };
-                self.instant(ts, txn, 0, format_args!("GLOBAL {decision}"))
+            TraceEvent::Decided { commit: true, .. } => {
+                self.instant(ts, txn, 0, &[Text("GLOBAL COMMIT")])
             }
-            TraceEvent::Aborted { .. } => self.instant(ts, txn, 0, format_args!("aborted")),
-            TraceEvent::MasterCrashed { .. } => {
-                self.instant(ts, txn, 0, format_args!("MASTER CRASH"))
+            TraceEvent::Decided { commit: false, .. } => {
+                self.instant(ts, txn, 0, &[Text("GLOBAL ABORT")])
             }
+            TraceEvent::Aborted { .. } => self.instant(ts, txn, 0, &[Text("aborted")]),
+            TraceEvent::MasterCrashed { .. } => self.instant(ts, txn, 0, &[Text("MASTER CRASH")]),
             TraceEvent::CohortCrashed { cohort, .. } => {
-                self.instant(ts, txn, 0, format_args!("COHORT {cohort} CRASH"))
+                self.instant(ts, txn, 0, &[Text("COHORT "), Int(cohort), Text(" CRASH")])
             }
             TraceEvent::CohortRecovered { cohort, .. } => {
-                self.instant(ts, txn, 0, format_args!("cohort {cohort} recovered"))
+                let name = [Text("cohort "), Int(cohort), Text(" recovered")];
+                self.instant(ts, txn, 0, &name)
             }
             TraceEvent::MsgLost { label, .. } => {
-                self.instant(ts, txn, 0, format_args!("{label:?} lost"))
+                self.instant(ts, txn, 0, &[Text(label.name()), Text(" lost")])
             }
             TraceEvent::Retransmitted { label, attempt, .. } => {
-                self.instant(ts, txn, 0, format_args!("retransmit {label:?} #{attempt}"))
+                let name = [
+                    Text("retransmit "),
+                    Text(label.name()),
+                    Text(" #"),
+                    Int(u64::from(attempt)),
+                ];
+                self.instant(ts, txn, 0, &name)
             }
             TraceEvent::TerminationStarted { coordinator, .. } => {
-                let name = format_args!("termination (coordinator cohort {coordinator})");
-                self.instant(ts, txn, 0, name)
+                let name = [
+                    Text("termination (coordinator cohort "),
+                    Int(coordinator),
+                    Text(")"),
+                ];
+                self.instant(ts, txn, 0, &name)
             }
             TraceEvent::FailoverStarted { leader, .. } => {
-                let name = format_args!("leader failover (new leader site {leader})");
-                self.instant(ts, txn, *leader, name)
+                let name = [
+                    Text("leader failover (new leader site "),
+                    Int(leader as u64),
+                    Text(")"),
+                ];
+                self.instant(ts, txn, leader, &name)
             }
         }
     }
@@ -261,8 +332,8 @@ impl<W: io::Write> ChromeWriter<W> {
     /// Propagates I/O errors from the underlying writer.
     pub fn finish(mut self) -> io::Result<W> {
         for o in std::mem::take(&mut self.open_forces) {
-            let name = format_args!("force {:?} (incomplete)", o.label);
-            self.complete(o.ts, 0, o.txn, o.site, name);
+            let name = [Text("force "), Text(o.label.name()), Text(" (incomplete)")];
+            self.complete(o.ts, 0, o.txn, o.site, &name);
         }
         self.json.end_array().end_object();
         self.json.flush_to(&mut self.out)?;
@@ -288,13 +359,15 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 /// the run progresses, with memory bounded by the number of in-flight
 /// forced writes rather than the run length.
 ///
-/// I/O errors are latched on first occurrence (the sink goes quiet) and
-/// surfaced by [`ChromeStreamSink::into_result`]; a sink cannot return
-/// errors from inside the engine's event loop without perturbing the
-/// simulation it is observing.
+/// I/O errors are latched on first occurrence (the sink drops its
+/// writer and goes quiet) and surfaced by
+/// [`ChromeStreamSink::into_result`]; a sink cannot return errors from
+/// inside the engine's event loop without perturbing the simulation it
+/// is observing.
 pub struct ChromeStreamSink {
     writer: Option<ChromeWriter<io::BufWriter<std::fs::File>>>,
     events: u64,
+    /// The writer's open-force high-water mark, kept once it is gone.
     max_open_forces: usize,
     error: Option<io::Error>,
 }
@@ -320,6 +393,14 @@ impl ChromeStreamSink {
         self.events
     }
 
+    /// High-water mark of forced writes buffered while streaming — the
+    /// sink's only event-derived memory (see [`ChromeWriter`]).
+    pub fn max_open_forces(&self) -> usize {
+        self.writer
+            .as_ref()
+            .map_or(self.max_open_forces, ChromeWriter::max_open_forces)
+    }
+
     /// Consume the sink: the number of events written, or the first
     /// I/O error encountered.
     ///
@@ -331,47 +412,43 @@ impl ChromeStreamSink {
             None => Ok(self.events),
         }
     }
+
+    /// Detach the writer, keeping its high-water mark.
+    fn take_writer(&mut self) -> Option<ChromeWriter<io::BufWriter<std::fs::File>>> {
+        let w = self.writer.take()?;
+        self.max_open_forces = w.max_open_forces();
+        Some(w)
+    }
 }
 
 impl TraceSink for ChromeStreamSink {
     fn record(&mut self, event: &TraceEvent) {
-        if self.error.is_some() {
-            return;
-        }
         if let Some(w) = self.writer.as_mut() {
             match w.event(event) {
-                Ok(()) => {
-                    self.events += 1;
-                    self.max_open_forces = self.max_open_forces.max(w.max_open_forces());
+                Ok(()) => self.events += 1,
+                Err(e) => {
+                    self.error = Some(e);
+                    self.take_writer();
                 }
-                Err(e) => self.error = Some(e),
             }
         }
     }
 
     fn finish(&mut self) {
-        if let Some(w) = self.writer.take() {
-            self.max_open_forces = self.max_open_forces.max(w.max_open_forces());
+        if let Some(w) = self.take_writer() {
             let flushed = w.finish().and_then(|mut out| io::Write::flush(&mut out));
-            if let (Err(e), None) = (flushed, self.error.as_ref()) {
+            if let Err(e) = flushed {
                 self.error = Some(e);
             }
         }
     }
 }
 
-impl ChromeStreamSink {
-    /// High-water mark of forced writes buffered while streaming — the
-    /// sink's only event-derived memory (see [`ChromeWriter`]).
-    pub fn max_open_forces(&self) -> usize {
-        self.max_open_forces
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::trace::{LogLabel, MsgLabel};
+    use crate::engine::trace::MsgLabel;
+    use crate::json::escape_into;
     use simkernel::SimTime;
 
     #[test]
@@ -521,5 +598,191 @@ mod tests {
         }
         assert_eq!(w.max_open_forces(), 4);
         w.finish().unwrap();
+    }
+
+    /// One event of every variant, plus a local send, a durable record
+    /// with no traced issue, a force still open at the end, extreme
+    /// integers and `txn = u64::MAX`: every record shape and every name
+    /// the writer can build.
+    fn every_shape() -> Vec<TraceEvent> {
+        let at = SimTime;
+        vec![
+            TraceEvent::Send {
+                at: at(0),
+                txn: 1,
+                label: MsgLabel::Prepare,
+                from: 0,
+                to: 2,
+                local: false,
+            },
+            TraceEvent::Send {
+                at: at(2),
+                txn: 1,
+                label: MsgLabel::VoteYes,
+                from: 2,
+                to: 2,
+                local: true,
+            },
+            TraceEvent::ForceLog {
+                at: at(3),
+                txn: 1,
+                label: LogLabel::Prepare,
+                site: 2,
+            },
+            TraceEvent::LogDone {
+                at: at(10),
+                txn: 1,
+                label: LogLabel::Prepare,
+                site: 2,
+            },
+            TraceEvent::LogDone {
+                at: at(11),
+                txn: 2,
+                label: LogLabel::CohortCommit,
+                site: 1,
+            },
+            TraceEvent::Prepared {
+                at: at(12),
+                txn: 1,
+                cohort: 3,
+                site: 2,
+            },
+            TraceEvent::Borrowed {
+                at: at(13),
+                txn: 2,
+                cohort: 4,
+                lenders: usize::MAX,
+            },
+            TraceEvent::Shelved {
+                at: at(14),
+                txn: 2,
+                cohort: 4,
+            },
+            TraceEvent::Unshelved {
+                at: at(15),
+                txn: 2,
+                cohort: 4,
+            },
+            TraceEvent::Decided {
+                at: at(16),
+                txn: 1,
+                commit: true,
+            },
+            TraceEvent::Decided {
+                at: at(17),
+                txn: 2,
+                commit: false,
+            },
+            TraceEvent::Aborted { at: at(18), txn: 2 },
+            TraceEvent::MasterCrashed { at: at(19), txn: 3 },
+            TraceEvent::CohortCrashed {
+                at: at(20),
+                txn: 3,
+                cohort: 5,
+                site: 1,
+            },
+            TraceEvent::CohortRecovered {
+                at: at(21),
+                txn: 3,
+                cohort: 5,
+            },
+            TraceEvent::MsgLost {
+                at: at(22),
+                txn: 3,
+                label: MsgLabel::DecisionCommit,
+            },
+            TraceEvent::Retransmitted {
+                at: at(23),
+                txn: 3,
+                label: MsgLabel::DecisionCommit,
+                attempt: u32::MAX,
+            },
+            TraceEvent::TerminationStarted {
+                at: at(24),
+                txn: 3,
+                coordinator: u64::MAX,
+            },
+            TraceEvent::FailoverStarted {
+                at: at(25),
+                txn: u64::MAX,
+                leader: 4,
+            },
+            TraceEvent::ForceLog {
+                at: at(u64::MAX),
+                txn: u64::MAX,
+                label: LogLabel::AcceptorBundle,
+                site: 4,
+            },
+        ]
+    }
+
+    /// The whole record vocabulary, byte for byte.
+    #[test]
+    fn every_record_shape_is_pinned_byte_for_byte() {
+        let expected = concat!(
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"txn 1\"}},",
+            "{\"name\":\"Prepare 0\u{2192}2\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":0,\"s\":\"t\",\"args\":{\"from\":0,\"to\":2,\"local\":false}},",
+            "{\"name\":\"VoteYes (local)\",\"ph\":\"i\",\"ts\":2,\"pid\":1,\"tid\":2,\"s\":\"t\",\"args\":{\"from\":2,\"to\":2,\"local\":true}},",
+            "{\"name\":\"force Prepare\",\"ph\":\"X\",\"ts\":3,\"pid\":1,\"tid\":2,\"dur\":7,\"args\":{\"site\":2}},",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"txn 2\"}},",
+            "{\"name\":\"force CohortCommit durable\",\"ph\":\"i\",\"ts\":11,\"pid\":2,\"tid\":1,\"s\":\"t\"},",
+            "{\"name\":\"cohort 3 PREPARED\",\"ph\":\"i\",\"ts\":12,\"pid\":1,\"tid\":2,\"s\":\"t\"},",
+            "{\"name\":\"cohort 4 borrowed (18446744073709551615 lenders)\",\"ph\":\"i\",\"ts\":13,\"pid\":2,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"cohort 4 shelved\",\"ph\":\"i\",\"ts\":14,\"pid\":2,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"cohort 4 unshelved\",\"ph\":\"i\",\"ts\":15,\"pid\":2,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"GLOBAL COMMIT\",\"ph\":\"i\",\"ts\":16,\"pid\":1,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"GLOBAL ABORT\",\"ph\":\"i\",\"ts\":17,\"pid\":2,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"aborted\",\"ph\":\"i\",\"ts\":18,\"pid\":2,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,\"tid\":0,\"args\":{\"name\":\"txn 3\"}},",
+            "{\"name\":\"MASTER CRASH\",\"ph\":\"i\",\"ts\":19,\"pid\":3,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"COHORT 5 CRASH\",\"ph\":\"i\",\"ts\":20,\"pid\":3,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"cohort 5 recovered\",\"ph\":\"i\",\"ts\":21,\"pid\":3,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"DecisionCommit lost\",\"ph\":\"i\",\"ts\":22,\"pid\":3,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"retransmit DecisionCommit #4294967295\",\"ph\":\"i\",\"ts\":23,\"pid\":3,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"termination (coordinator cohort 18446744073709551615)\",\"ph\":\"i\",\"ts\":24,\"pid\":3,\"tid\":0,\"s\":\"t\"},",
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":18446744073709551615,\"tid\":0,\"args\":{\"name\":\"txn 18446744073709551615\"}},",
+            "{\"name\":\"leader failover (new leader site 4)\",\"ph\":\"i\",\"ts\":25,\"pid\":18446744073709551615,\"tid\":4,\"s\":\"t\"},",
+            "{\"name\":\"force AcceptorBundle (incomplete)\",\"ph\":\"X\",\"ts\":18446744073709551615,\"pid\":18446744073709551615,\"tid\":4,\"dur\":0,\"args\":{\"site\":4}}",
+            "]}"
+        );
+        let events = every_shape();
+        assert_eq!(chrome_trace_json(&Trace { events }), expected);
+    }
+
+    /// Records are written without escaping their names, so every name
+    /// the writer builds, and every label name in them, must be text
+    /// that escaping leaves unchanged.
+    #[test]
+    fn every_name_and_label_needs_no_escaping() {
+        let unchanged = |s: &str| {
+            let mut out = Vec::new();
+            escape_into(&mut out, s);
+            out == s.as_bytes()
+        };
+        for label in MsgLabel::ALL {
+            assert!(unchanged(label.name()), "{label:?}");
+        }
+        for label in LogLabel::ALL {
+            assert!(unchanged(label.name()), "{label:?}");
+        }
+        let json = chrome_trace_json(&Trace {
+            events: every_shape(),
+        });
+        // A name runs from `{"name":"` to the `","ph":"` that follows
+        // it (a lane's `txn <id>` to its `"}}`), so a stray quote in one
+        // is caught rather than cut off.
+        let names: Vec<&str> = json
+            .split(NAME)
+            .skip(1)
+            .map(|rec| {
+                let end = ["\",\"ph\":\"", END_LANE].map(|d| rec.find(d).unwrap_or(rec.len()));
+                &rec[..end[0].min(end[1])]
+            })
+            .collect();
+        assert_eq!(names.len(), 23 + 4, "a name per record, and each lane's");
+        for name in names {
+            assert!(unchanged(name), "{name:?}");
+        }
     }
 }

@@ -23,18 +23,25 @@
 //! forced write and round trip show up as wide `vote` frames that 2PC
 //! simply does not have.
 //!
+//! Per event the sink does two lookups keyed by `Copy` ids — the open
+//! interval by transaction, the stack by (phase, station, activity) —
+//! and builds no string: frame names are spelled, and stacks sorted,
+//! only when the fold is read ([`FoldSink::stacks`], [`FoldSink::render`]).
+//!
 //! Memory is bounded by the number of live traced transactions (one
 //! open interval each) plus one counter per distinct stack — not the
 //! run length.
 
-use super::trace::{MsgLabel, TraceEvent, TraceSink};
+use super::trace::{IdHash, LogLabel, MsgLabel, TraceEvent, TraceSink};
 use super::types::TxnId;
+use crate::workload::SiteId;
 use simkernel::SimTime;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Commit-processing phase of one transaction, in trace order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Phase {
     Exec,
     Vote,
@@ -51,23 +58,85 @@ impl Phase {
     }
 }
 
+/// Where an event ran: a site, or `global` for events without one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Station {
+    Site(SiteId),
+    Global,
+}
+
+impl fmt::Display for Station {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Station::Site(site) => write!(f, "site {site}"),
+            Station::Global => f.write_str("global"),
+        }
+    }
+}
+
+/// What a transaction was doing from an event until its next one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Activity {
+    Send(MsgLabel),
+    Force(LogLabel),
+    Forced(LogLabel),
+    Prepared,
+    Borrowed,
+    Shelved,
+    Unshelved,
+    Decided { commit: bool },
+    Aborted,
+    MasterCrashed,
+    CohortCrashed,
+    CohortRecovered,
+    Lost(MsgLabel),
+    Retransmit(MsgLabel),
+    Termination,
+    Failover,
+}
+
+impl fmt::Display for Activity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Activity::Send(label) => write!(f, "send {}", label.name()),
+            Activity::Force(label) => write!(f, "force {}", label.name()),
+            Activity::Forced(label) => write!(f, "forced {}", label.name()),
+            Activity::Lost(label) => write!(f, "{} lost", label.name()),
+            Activity::Retransmit(label) => write!(f, "retransmit {}", label.name()),
+            Activity::Prepared => f.write_str("prepared"),
+            Activity::Borrowed => f.write_str("borrowed"),
+            Activity::Shelved => f.write_str("shelved"),
+            Activity::Unshelved => f.write_str("unshelved"),
+            Activity::Decided { commit: true } => f.write_str("decided commit"),
+            Activity::Decided { commit: false } => f.write_str("decided abort"),
+            Activity::Aborted => f.write_str("aborted"),
+            Activity::MasterCrashed => f.write_str("master crashed"),
+            Activity::CohortCrashed => f.write_str("cohort crashed"),
+            Activity::CohortRecovered => f.write_str("cohort recovered"),
+            Activity::Termination => f.write_str("termination"),
+            Activity::Failover => f.write_str("leader failover"),
+        }
+    }
+}
+
+/// One stack below the root, as ids.
+type Frames = (Phase, Station, Activity);
+
 /// The open interval of one transaction: the stack its time is
 /// accruing to and when that interval began.
 struct OpenInterval {
     since: SimTime,
-    phase: Phase,
-    station: String,
-    activity: String,
+    frames: Frames,
 }
 
 /// A [`TraceSink`] that folds per-transaction timelines into weighted
 /// collapsed stacks. See the module docs for the stack shape.
 pub struct FoldSink {
     root: String,
-    /// stack → accumulated µs. BTreeMap so rendering is sorted and
-    /// deterministic.
-    stacks: BTreeMap<String, u64>,
-    open: HashMap<TxnId, OpenInterval>,
+    /// Stack → accumulated µs, in no order; [`FoldSink::stacks`] names
+    /// and sorts them.
+    stacks: HashMap<Frames, u64, IdHash>,
+    open: HashMap<TxnId, OpenInterval, IdHash>,
 }
 
 impl FoldSink {
@@ -76,8 +145,8 @@ impl FoldSink {
     pub fn new(root: impl Into<String>) -> Self {
         FoldSink {
             root: root.into(),
-            stacks: BTreeMap::new(),
-            open: HashMap::new(),
+            stacks: HashMap::default(),
+            open: HashMap::default(),
         }
     }
 
@@ -94,71 +163,60 @@ impl FoldSink {
     }
 
     /// The station and activity frames an event opens.
-    fn frames(e: &TraceEvent) -> (String, String) {
-        match e {
-            TraceEvent::Send { label, from, .. } => {
-                (format!("site {from}"), format!("send {label:?}"))
-            }
+    fn frames(e: &TraceEvent) -> (Station, Activity) {
+        match *e {
+            TraceEvent::Send { label, from, .. } => (Station::Site(from), Activity::Send(label)),
             TraceEvent::ForceLog { label, site, .. } => {
-                (format!("site {site}"), format!("force {label:?}"))
+                (Station::Site(site), Activity::Force(label))
             }
             TraceEvent::LogDone { label, site, .. } => {
-                (format!("site {site}"), format!("forced {label:?}"))
+                (Station::Site(site), Activity::Forced(label))
             }
-            TraceEvent::Prepared { site, .. } => (format!("site {site}"), "prepared".to_string()),
-            TraceEvent::Borrowed { .. } => ("global".to_string(), "borrowed".to_string()),
-            TraceEvent::Shelved { .. } => ("global".to_string(), "shelved".to_string()),
-            TraceEvent::Unshelved { .. } => ("global".to_string(), "unshelved".to_string()),
-            TraceEvent::Decided { commit, .. } => (
-                "global".to_string(),
-                if *commit {
-                    "decided commit".to_string()
-                } else {
-                    "decided abort".to_string()
-                },
-            ),
-            TraceEvent::Aborted { .. } => ("global".to_string(), "aborted".to_string()),
-            TraceEvent::MasterCrashed { .. } => {
-                ("global".to_string(), "master crashed".to_string())
-            }
-            TraceEvent::CohortCrashed { .. } => {
-                ("global".to_string(), "cohort crashed".to_string())
-            }
-            TraceEvent::CohortRecovered { .. } => {
-                ("global".to_string(), "cohort recovered".to_string())
-            }
-            TraceEvent::MsgLost { label, .. } => ("global".to_string(), format!("{label:?} lost")),
+            TraceEvent::Prepared { site, .. } => (Station::Site(site), Activity::Prepared),
+            TraceEvent::Borrowed { .. } => (Station::Global, Activity::Borrowed),
+            TraceEvent::Shelved { .. } => (Station::Global, Activity::Shelved),
+            TraceEvent::Unshelved { .. } => (Station::Global, Activity::Unshelved),
+            TraceEvent::Decided { commit, .. } => (Station::Global, Activity::Decided { commit }),
+            TraceEvent::Aborted { .. } => (Station::Global, Activity::Aborted),
+            TraceEvent::MasterCrashed { .. } => (Station::Global, Activity::MasterCrashed),
+            TraceEvent::CohortCrashed { .. } => (Station::Global, Activity::CohortCrashed),
+            TraceEvent::CohortRecovered { .. } => (Station::Global, Activity::CohortRecovered),
+            TraceEvent::MsgLost { label, .. } => (Station::Global, Activity::Lost(label)),
             TraceEvent::Retransmitted { label, .. } => {
-                ("global".to_string(), format!("retransmit {label:?}"))
+                (Station::Global, Activity::Retransmit(label))
             }
-            TraceEvent::TerminationStarted { .. } => {
-                ("global".to_string(), "termination".to_string())
-            }
-            TraceEvent::FailoverStarted { .. } => {
-                ("global".to_string(), "leader failover".to_string())
+            TraceEvent::TerminationStarted { .. } => (Station::Global, Activity::Termination),
+            TraceEvent::FailoverStarted { .. } => (Station::Global, Activity::Failover),
+        }
+    }
+
+    /// The phase an event opens, given the phase of the interval it
+    /// closes (`None` for a transaction's first event).
+    fn phase(e: &TraceEvent, prev: Option<Phase>) -> Phase {
+        match e {
+            // The restart that follows an abort begins a fresh
+            // execution phase.
+            TraceEvent::Aborted { .. } => Phase::Exec,
+            TraceEvent::Decided { .. } => Phase::Ack,
+            e => {
+                let prev = prev.unwrap_or(Phase::Exec);
+                if prev == Phase::Exec && !Self::is_exec_event(e) {
+                    Phase::Vote
+                } else {
+                    prev
+                }
             }
         }
     }
 
-    fn close_interval(&mut self, txn: TxnId, now: SimTime) -> Option<Phase> {
-        let open = self.open.remove(&txn)?;
-        let weight = now.since(open.since).as_micros();
-        if weight > 0 {
-            let stack = format!(
-                "{};{};{};{}",
-                self.root,
-                open.phase.name(),
-                open.station,
-                open.activity
-            );
-            *self.stacks.entry(stack).or_insert(0) += weight;
+    /// Accumulated stacks (stack → µs), named and sorted by stack.
+    pub fn stacks(&self) -> BTreeMap<String, u64> {
+        let mut named = BTreeMap::new();
+        for (&(phase, station, activity), &weight) in &self.stacks {
+            let stack = format!("{};{};{station};{activity}", self.root, phase.name());
+            *named.entry(stack).or_insert(0) += weight;
         }
-        Some(open.phase)
-    }
-
-    /// Accumulated stacks (stack → µs), sorted by stack.
-    pub fn stacks(&self) -> &BTreeMap<String, u64> {
-        &self.stacks
+        named
     }
 
     /// Render the fold in collapsed-stack format: one
@@ -166,7 +224,7 @@ impl FoldSink {
     /// weights in µs.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (stack, weight) in &self.stacks {
+        for (stack, weight) in self.stacks() {
             let _ = writeln!(out, "{stack} {weight}");
         }
         out
@@ -175,33 +233,28 @@ impl FoldSink {
 
 impl TraceSink for FoldSink {
     fn record(&mut self, event: &TraceEvent) {
-        let txn = event.txn();
         let at = event.at();
-        let prev_phase = self.close_interval(txn, at);
-        let phase = match event {
-            // The restart that follows an abort begins a fresh
-            // execution phase.
-            TraceEvent::Aborted { .. } => Phase::Exec,
-            TraceEvent::Decided { .. } => Phase::Ack,
-            e => {
-                let prev = prev_phase.unwrap_or(Phase::Exec);
-                if prev == Phase::Exec && !Self::is_exec_event(e) {
-                    Phase::Vote
-                } else {
-                    prev
-                }
-            }
-        };
         let (station, activity) = Self::frames(event);
-        self.open.insert(
-            txn,
-            OpenInterval {
-                since: at,
-                phase,
-                station,
-                activity,
-            },
-        );
+        match self.open.entry(event.txn()) {
+            Entry::Occupied(mut slot) => {
+                let open = slot.get_mut();
+                let weight = at.since(open.since).as_micros();
+                if weight > 0 {
+                    *self.stacks.entry(open.frames).or_insert(0) += weight;
+                }
+                let phase = Self::phase(event, Some(open.frames.0));
+                *open = OpenInterval {
+                    since: at,
+                    frames: (phase, station, activity),
+                };
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(OpenInterval {
+                    since: at,
+                    frames: (Self::phase(event, None), station, activity),
+                });
+            }
+        }
     }
 
     fn finish(&mut self) {

@@ -309,7 +309,9 @@ impl Simulation<'_> {
     /// # Errors
     /// [`RunError::Config`] before any event runs, for an invalid
     /// configuration, a meaningless spec (OPT over a baseline) or a zero
-    /// series window; [`RunError::Io`] when the series writer fails.
+    /// series window; [`RunError::Io`] when the series writer fails. A
+    /// failed series ends the run at the next window boundary, so the
+    /// trace sink, if any, sees the events up to there and is finished.
     pub fn run_observed(
         cfg: &SystemConfig,
         spec: ProtocolSpec,
@@ -471,6 +473,9 @@ impl Simulation<'_> {
             }
             if now >= self.series_boundary {
                 self.close_series_windows(now);
+                if self.done {
+                    break;
+                }
             }
             self.dispatch(event);
         }
@@ -478,11 +483,15 @@ impl Simulation<'_> {
 
     /// Close every series window with a boundary at or before `now`
     /// (the recorder is briefly detached to appease the borrow
-    /// checker — two pointer moves, only on boundary crossings).
+    /// checker — two pointer moves, only on boundary crossings). A
+    /// series stream that has failed ends the run here, before the
+    /// event past the boundary runs and off the per-event path: its
+    /// result is already [`RunError::Io`].
     fn close_series_windows(&mut self, now: SimTime) {
         if let Some(mut rec) = self.series.take() {
             rec.close_through(now, &mut self.metrics, &self.sites);
             self.series_boundary = rec.next_boundary();
+            self.done |= rec.failed();
             self.series = Some(rec);
         }
     }

@@ -417,14 +417,20 @@ impl<'a> SeriesRecorder<'a> {
         match &mut self.out {
             Output::Buffer(v) => v.push(w),
             Output::Stream { writer, error } => {
-                // Streaming failures must not abort the simulation
-                // mid-run (the report is still wanted): latch the first
-                // one and let `finish` return it.
+                // The recorder cannot unwind the event loop: latch the
+                // first failure, which `failed` reports to the engine
+                // and `finish` returns.
                 if error.is_none() {
                     *error = writer.window(&w).err();
                 }
             }
         }
+    }
+
+    /// Whether the stream has failed. The run's result is then an I/O
+    /// error whatever happens next, so the engine stops simulating.
+    pub(crate) fn failed(&self) -> bool {
+        matches!(self.out, Output::Stream { error: Some(_), .. })
     }
 }
 

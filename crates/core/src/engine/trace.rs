@@ -83,6 +83,96 @@ pub enum LogLabel {
     ReplicaDecision,
 }
 
+impl MsgLabel {
+    /// The message's name, spelled as its `Debug` form spells it, without
+    /// going through `fmt`: how the Chrome trace and the fold name it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            MsgLabel::InitCohort => "InitCohort",
+            MsgLabel::WorkDone => "WorkDone",
+            MsgLabel::Prepare => "Prepare",
+            MsgLabel::VoteYes => "VoteYes",
+            MsgLabel::VoteNo => "VoteNo",
+            MsgLabel::VoteReadOnly => "VoteReadOnly",
+            MsgLabel::PreCommit => "PreCommit",
+            MsgLabel::PreAck => "PreAck",
+            MsgLabel::DecisionCommit => "DecisionCommit",
+            MsgLabel::DecisionAbort => "DecisionAbort",
+            MsgLabel::Ack => "Ack",
+            MsgLabel::TermStateReq => "TermStateReq",
+            MsgLabel::TermStateRep => "TermStateRep",
+            MsgLabel::PaxosVoteYes => "PaxosVoteYes",
+            MsgLabel::PaxosVoteNo => "PaxosVoteNo",
+            MsgLabel::Accepted => "Accepted",
+            MsgLabel::RepDecision => "RepDecision",
+            MsgLabel::RepAck => "RepAck",
+        }
+    }
+}
+
+impl LogLabel {
+    /// The log record's name, spelled as its `Debug` form spells it, without
+    /// going through `fmt`: how the Chrome trace and the fold name it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            LogLabel::Prepare => "Prepare",
+            LogLabel::NoVoteAbort => "NoVoteAbort",
+            LogLabel::CohortPrecommit => "CohortPrecommit",
+            LogLabel::CohortCommit => "CohortCommit",
+            LogLabel::CohortAbort => "CohortAbort",
+            LogLabel::Collecting => "Collecting",
+            LogLabel::MasterPrecommit => "MasterPrecommit",
+            LogLabel::MasterCommit => "MasterCommit",
+            LogLabel::MasterAbort => "MasterAbort",
+            LogLabel::AcceptorBundle => "AcceptorBundle",
+            LogLabel::ReplicaDecision => "ReplicaDecision",
+        }
+    }
+}
+
+#[cfg(test)]
+impl MsgLabel {
+    /// Every label, in declaration order, for tests that cover them all.
+    pub(crate) const ALL: [MsgLabel; 18] = [
+        MsgLabel::InitCohort,
+        MsgLabel::WorkDone,
+        MsgLabel::Prepare,
+        MsgLabel::VoteYes,
+        MsgLabel::VoteNo,
+        MsgLabel::VoteReadOnly,
+        MsgLabel::PreCommit,
+        MsgLabel::PreAck,
+        MsgLabel::DecisionCommit,
+        MsgLabel::DecisionAbort,
+        MsgLabel::Ack,
+        MsgLabel::TermStateReq,
+        MsgLabel::TermStateRep,
+        MsgLabel::PaxosVoteYes,
+        MsgLabel::PaxosVoteNo,
+        MsgLabel::Accepted,
+        MsgLabel::RepDecision,
+        MsgLabel::RepAck,
+    ];
+}
+
+#[cfg(test)]
+impl LogLabel {
+    /// Every label, in declaration order, for tests that cover them all.
+    pub(crate) const ALL: [LogLabel; 11] = [
+        LogLabel::Prepare,
+        LogLabel::NoVoteAbort,
+        LogLabel::CohortPrecommit,
+        LogLabel::CohortCommit,
+        LogLabel::CohortAbort,
+        LogLabel::Collecting,
+        LogLabel::MasterPrecommit,
+        LogLabel::MasterCommit,
+        LogLabel::MasterAbort,
+        LogLabel::AcceptorBundle,
+        LogLabel::ReplicaDecision,
+    ];
+}
+
 /// One traced step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -415,6 +505,45 @@ impl Trace {
     }
 }
 
+/// The hasher of the sinks' per-transaction and per-frame tables: one
+/// rotate-xor-multiply step per integer hashed (the FxHash step). The
+/// keys are ids and labels, not attacker-chosen strings, so SipHash's
+/// flooding resistance buys nothing per event; the multiply keeps the
+/// low bits of sequential ids distinct and spreads them into the high
+/// bits a table also probes with. Memory stays one entry per key
+/// whatever the ids are.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Build-hasher for the sinks' `HashMap`s and `HashSet`s.
+pub(crate) type IdHash = std::hash::BuildHasherDefault<IdHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,6 +556,18 @@ mod tests {
             from: 0,
             to: 1,
             local,
+        }
+    }
+
+    #[test]
+    fn label_names_spell_their_debug_form() {
+        for (i, label) in MsgLabel::ALL.into_iter().enumerate() {
+            assert_eq!(label as usize, i, "MsgLabel::ALL in declaration order");
+            assert_eq!(label.name(), format!("{label:?}"));
+        }
+        for (i, label) in LogLabel::ALL.into_iter().enumerate() {
+            assert_eq!(label as usize, i, "LogLabel::ALL in declaration order");
+            assert_eq!(label.name(), format!("{label:?}"));
         }
     }
 

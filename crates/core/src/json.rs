@@ -3,24 +3,28 @@
 //! per-cell series, and the Chrome trace.
 //!
 //! [`Json`] owns the syntax — braces, brackets, comma placement, key
-//! quoting and string escaping — and the number forms: Rust's shortest
-//! round-trip `{}` for `f64`, six fixed decimals through [`Fixed6`], and
-//! `null` for any non-finite float (JSON has no NaN or Infinity). It
-//! appends to one reusable buffer and allocates nothing per value, so
-//! formatted strings ([`fmt::Arguments`]) are escaped on their way into
-//! the buffer rather than built first. The two streamed documents keep
-//! their top-level array open in the writer across calls and move each
-//! finished record out with [`Json::flush_to`].
+//! quoting and string escaping — and the number forms: integers through
+//! [`push_u64`], which skips `fmt`, Rust's shortest round-trip `{}` for
+//! `f64`, six fixed decimals through [`Fixed6`], and `null` for any
+//! non-finite float (JSON has no NaN or Infinity). It appends to one
+//! reusable byte buffer and allocates nothing per value. The two
+//! streamed documents keep their top-level array open in the writer
+//! across calls and move each finished record out with
+//! [`Json::flush_to`]. A fixed-shape record (the Chrome trace's) takes
+//! its place in the document through [`Json::element`] and writes its
+//! own pre-quoted text, so the frame, the integers and the escaping
+//! stay here.
 //!
 //! Std-only, like the rest of the workspace.
 
-use std::fmt::{self, Write as _};
-use std::io;
+use std::io::{self, Write as _};
 
 /// A JSON document under construction.
 #[derive(Default)]
 pub(crate) struct Json {
-    out: String,
+    /// The document so far; only ever valid UTF-8, because every value
+    /// arrives as `&str` text or ASCII digits.
+    out: Vec<u8>,
     /// One entry per open object or array: whether it already holds a
     /// member, so the next one needs a comma first.
     open: Vec<bool>,
@@ -37,39 +41,39 @@ impl Json {
         }
         if let Some(filled) = self.open.last_mut() {
             if *filled {
-                self.out.push(',');
+                self.out.push(b',');
             }
             *filled = true;
         }
     }
 
-    fn begin(&mut self, bracket: char) -> &mut Self {
+    fn begin(&mut self, bracket: u8) -> &mut Self {
         self.sep();
         self.out.push(bracket);
         self.open.push(false);
         self
     }
 
-    fn end(&mut self, bracket: char) -> &mut Self {
+    fn end(&mut self, bracket: u8) -> &mut Self {
         self.open.pop();
         self.out.push(bracket);
         self
     }
 
     pub(crate) fn begin_object(&mut self) -> &mut Self {
-        self.begin('{')
+        self.begin(b'{')
     }
 
     pub(crate) fn end_object(&mut self) -> &mut Self {
-        self.end('}')
+        self.end(b'}')
     }
 
     pub(crate) fn begin_array(&mut self) -> &mut Self {
-        self.begin('[')
+        self.begin(b'[')
     }
 
     pub(crate) fn end_array(&mut self) -> &mut Self {
-        self.end(']')
+        self.end(b']')
     }
 
     /// Name the next member of the enclosing object; the next value,
@@ -77,7 +81,7 @@ impl Json {
     pub(crate) fn key(&mut self, key: &str) -> &mut Self {
         self.sep();
         key.write(&mut self.out);
-        self.out.push(':');
+        self.out.push(b':');
         self.after_key = true;
         self
     }
@@ -92,16 +96,24 @@ impl Json {
 
     /// Embed a document that is already rendered, as one value.
     pub(crate) fn raw(&mut self, doc: &str) -> &mut Self {
-        self.sep();
-        self.out.push_str(doc);
+        self.element().extend_from_slice(doc.as_bytes());
         self
+    }
+
+    /// Take the next place in the enclosing container and hand back the
+    /// buffer: the caller appends one complete JSON value, and every
+    /// string in it must already be escaped (a fixed-shape record built
+    /// from [`escape_into`]-clean text and [`push_u64`] integers).
+    pub(crate) fn element(&mut self) -> &mut Vec<u8> {
+        self.sep();
+        &mut self.out
     }
 
     /// Move everything written so far to `w`, leaving every open object
     /// and array open: how a streamed document leaves memory one record
     /// at a time. The buffer is emptied even if the write fails.
     pub(crate) fn flush_to(&mut self, w: &mut impl io::Write) -> io::Result<()> {
-        let written = w.write_all(self.out.as_bytes());
+        let written = w.write_all(&self.out);
         self.out.clear();
         written
     }
@@ -109,34 +121,57 @@ impl Json {
     /// The finished document.
     pub(crate) fn finish(self) -> String {
         debug_assert!(self.open.is_empty(), "unclosed JSON container");
-        self.out
+        String::from_utf8(self.out).expect("every value is UTF-8 text or digits")
     }
 }
 
 /// A value [`Json::field`] can write.
 pub(crate) trait Scalar {
-    fn write(self, out: &mut String);
+    fn write(self, out: &mut Vec<u8>);
 }
 
-macro_rules! display_scalar {
+impl Scalar for bool {
+    fn write(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if self { b"true" } else { b"false" });
+    }
+}
+
+macro_rules! integer_scalar {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
-            fn write(self, out: &mut String) {
-                let _ = write!(out, "{self}");
+            fn write(self, out: &mut Vec<u8>) {
+                push_u64(out, self as u64);
             }
         }
     )*};
 }
 
-display_scalar!(bool, u32, u64, usize);
+integer_scalar!(u32, u64, usize);
+
+/// Append `v` in decimal, the digits `{}` prints, without going through
+/// `fmt`: the integer form of every document, and the Chrome trace's
+/// per-record cost.
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
 
 /// Shortest round-trip decimal; `null` when not finite.
 impl Scalar for f64 {
-    fn write(self, out: &mut String) {
+    fn write(self, out: &mut Vec<u8>) {
         if self.is_finite() {
             let _ = write!(out, "{self}");
         } else {
-            out.push_str("null");
+            out.extend_from_slice(b"null");
         }
     }
 }
@@ -146,66 +181,48 @@ impl Scalar for f64 {
 pub(crate) struct Fixed6(pub f64);
 
 impl Scalar for Fixed6 {
-    fn write(self, out: &mut String) {
+    fn write(self, out: &mut Vec<u8>) {
         if self.0.is_finite() {
             let _ = write!(out, "{:.6}", self.0);
         } else {
-            out.push_str("null");
+            out.extend_from_slice(b"null");
         }
     }
 }
 
 /// A quoted, escaped string.
 impl Scalar for &str {
-    fn write(self, out: &mut String) {
-        out.push('"');
+    fn write(self, out: &mut Vec<u8>) {
+        out.push(b'"');
         escape_into(out, self);
-        out.push('"');
-    }
-}
-
-/// A formatted string, escaped as it is formatted.
-impl Scalar for fmt::Arguments<'_> {
-    fn write(self, out: &mut String) {
-        out.push('"');
-        let _ = Escaped(out).write_fmt(self);
-        out.push('"');
-    }
-}
-
-/// `fmt::Write` adapter that escapes everything written through it.
-struct Escaped<'a>(&'a mut String);
-
-impl fmt::Write for Escaped<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        escape_into(self.0, s);
-        Ok(())
+        out.push(b'"');
     }
 }
 
 /// Append `s` with `"`, `\` and the control characters escaped. Runs of
 /// plain characters are copied whole; every byte that needs escaping is
 /// ASCII, so splitting at it never cuts a UTF-8 sequence.
-fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
     let mut plain = 0;
-    for (i, b) in s.bytes().enumerate() {
+    for (i, &b) in bytes.iter().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
-        out.push_str(&s[plain..i]);
+        out.extend_from_slice(&bytes[plain..i]);
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
             _ => {
                 let _ = write!(out, "\\u{b:04x}");
             }
         }
         plain = i + 1;
     }
-    out.push_str(&s[plain..]);
+    out.extend_from_slice(&bytes[plain..]);
 }
 
 #[cfg(test)]
@@ -213,9 +230,9 @@ mod tests {
     use super::*;
 
     fn string(s: &str) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         s.write(&mut out);
-        out
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
@@ -226,12 +243,36 @@ mod tests {
         assert_eq!(string("\u{1f}x"), "\"\\u001fx\"");
         // Non-ASCII passes through untouched.
         assert_eq!(string("0\u{2192}1 é"), "\"0\u{2192}1 é\"");
-        // Formatted strings escape every piece, literal and argument.
+        // Keys are escaped too.
+        let mut j = Json::default();
+        j.begin_object().field("k\"", "\tq").end_object();
+        assert_eq!(j.finish(), "{\"k\\\"\":\"\\tq\"}");
+    }
+
+    #[test]
+    fn integers_print_the_digits_display_prints() {
+        let mut edges = vec![0, 1, 9, u64::MAX, u64::MAX - 1, u64::from(u32::MAX)];
+        for p in 1..20 {
+            let ten = 10u64.pow(p);
+            edges.extend([ten - 1, ten, ten + 1]);
+        }
+        // Every value below 100 000, then a spread of large ones.
+        let spread = (0..100_000).chain((0..64).map(|k| 0x9E37_79B9_7F4A_7C15u64.rotate_left(k)));
+        for v in edges.into_iter().chain(spread) {
+            let mut out = Vec::new();
+            push_u64(&mut out, v);
+            assert_eq!(String::from_utf8(out).unwrap(), v.to_string());
+        }
         let mut j = Json::default();
         j.begin_object()
-            .field("k\"", format_args!("\t{}\\", "q\"\n"))
+            .field("a", u32::MAX)
+            .field("b", usize::MAX)
+            .field("c", 0u64)
             .end_object();
-        assert_eq!(j.finish(), "{\"k\\\"\":\"\\tq\\\"\\n\\\\\"}");
+        assert_eq!(
+            j.finish(),
+            format!("{{\"a\":{},\"b\":{},\"c\":0}}", u32::MAX, usize::MAX)
+        );
     }
 
     #[test]

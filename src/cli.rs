@@ -181,7 +181,9 @@ RUN OUTPUT:
                            accepts --window/--per-site; combines with
                            --trace-out: one run feeds both files, and
                            each is byte-identical to what the run
-                           streams with the other flag absent
+                           streams with the other flag absent; the two
+                           must be different files (a link or `..`
+                           path to the same file exits 2)
 
 SERIES:
   --format <F>             series format: csv (default, one row per
@@ -351,6 +353,26 @@ fn create_out<T>(
 ) -> Result<Option<T>, ()> {
     path.map(|p| create(Path::new(p)).map_err(|e| eprintln!("error: cannot create {p}: {e}")))
         .transpose()
+}
+
+const ALIASED_OUTPUTS: &str = "--trace-out and --series-out must name different files";
+
+/// Whether two created output files are one file: same device and
+/// inode, which `b/../a.json`, a symlink or a hard link share with
+/// `a.json` though their path text differs.
+#[cfg(unix)]
+fn same_file(a: &str, b: &str) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    match (std::fs::metadata(a), std::fs::metadata(b)) {
+        (Ok(a), Ok(b)) => (a.dev(), a.ino()) == (b.dev(), b.ino()),
+        _ => false,
+    }
+}
+
+/// Elsewhere only the path-text check in [`parse`] applies.
+#[cfg(not(unix))]
+fn same_file(_: &str, _: &str) -> bool {
+    false
 }
 
 fn series_format_name(f: SeriesFormat) -> &'static str {
@@ -618,10 +640,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     });
                 }
                 // Two writers on one file would interleave into garbage.
+                // The path text catches `a.json` vs `./a.json` here;
+                // `execute` catches the aliases only the files show.
                 let absolute =
                     |p: &Option<String>| p.as_deref().map(|p| std::path::absolute(p).ok());
                 if trace_out.is_some() && absolute(&trace_out) == absolute(&series_out) {
-                    return err("--trace-out and --series-out must name different files");
+                    return err(ALIASED_OUTPUTS);
                 }
                 Ok(Command::Run {
                     cfg,
@@ -748,6 +772,12 @@ pub fn execute(cmd: Command) -> i32 {
             else {
                 return 1;
             };
+            if let (Some(t), Some(s)) = (&trace_out, &series_out) {
+                if same_file(t, s) {
+                    eprintln!("error: {ALIASED_OUTPUTS}");
+                    return 2;
+                }
+            }
             let obs = Observers {
                 trace: sink.as_mut().map(|s| (u64::MAX, s as &mut dyn TraceSink)),
                 series: file
@@ -1702,6 +1732,42 @@ mod tests {
         assert!(parse(&argv("sweep --protocols 2PC --mpls 1 --per-site")).is_err());
         assert!(parse(&argv("trace --series-out x.csv")).is_err());
         assert!(parse(&argv("fold --series-out x.csv")).is_err());
+    }
+
+    /// Aliases the path text cannot see — a `..` detour, a symlink and
+    /// a hard link to the trace file — exit 2 before the run rather than
+    /// interleave both streams in one file; distinct files still run.
+    #[cfg(unix)]
+    #[test]
+    fn run_rejects_outputs_that_are_one_file() {
+        let dir = std::env::temp_dir().join(format!("distcommit-alias-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("b")).unwrap();
+        let trace = dir.join("a.json");
+        std::fs::write(&trace, "").unwrap();
+        std::os::unix::fs::symlink(&trace, dir.join("link.json")).unwrap();
+        std::fs::hard_link(&trace, dir.join("hard.json")).unwrap();
+        let run = |series: &str| {
+            let cmd = format!(
+                "run --warmup 0 --measured 20 --format csv --trace-out {} --series-out {}",
+                trace.display(),
+                dir.join(series).display()
+            );
+            execute(parse(&argv(&cmd)).expect("the path text differs"))
+        };
+        for alias in ["b/../a.json", "link.json", "hard.json"] {
+            assert_eq!(run(alias), 2, "{alias}");
+            let text = std::fs::read_to_string(&trace).unwrap();
+            assert!(!text.contains("window,"), "{alias}: a series was written");
+            assert!(
+                !text.contains("process_name"),
+                "{alias}: a trace was written"
+            );
+        }
+        assert_eq!(run("b/s.csv"), 0);
+        assert!(std::fs::read_to_string(dir.join("b/s.csv"))
+            .unwrap()
+            .starts_with("window,"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -12,7 +12,8 @@
 
 use distcommit::db::config::SystemConfig;
 use distcommit::db::engine::{
-    FoldSink, Observers, Series, SeriesConfig, SeriesFormat, SeriesOut, Simulation,
+    chrome_trace_json, FoldSink, Observers, Series, SeriesConfig, SeriesFormat, SeriesOut,
+    Simulation, Trace,
 };
 use distcommit::db::experiments::{sweep_with_series, Experiment, Scale};
 use distcommit::db::metrics::{ReportFormat, SimReport};
@@ -187,6 +188,30 @@ fn faulty_folded_stacks_match_golden() {
     let (report, fold) = fold_run(&faulty_cfg(), 2027);
     assert!(report.faults.master_crashes > 0);
     check("fold_faulty.txt", &fold.render());
+}
+
+/// The Chrome trace of the first transactions of the faulty 3PC and
+/// OPT golden runs, byte for byte: the prefixes reach a master crash and
+/// termination (3PC), lending and the shelf (OPT), and cohort crashes,
+/// recovery, losses and retransmissions, so every record shape a run
+/// writes except a force left open at the end is pinned (the unit tests
+/// in `engine::chrome` pin that one). One JSON object keyed by protocol.
+#[test]
+fn faulty_chrome_traces_match_golden() {
+    let mut out = String::new();
+    for (spec, txns) in [(ProtocolSpec::THREE_PC, 10), (ProtocolSpec::OPT_2PC, 15)] {
+        let mut trace = Trace::default();
+        let obs = Observers {
+            trace: Some((txns, &mut trace)),
+            series: None,
+        };
+        Simulation::run_observed(&faulty_cfg(), spec, 2027, obs).expect("valid config");
+        out.push(if out.is_empty() { '{' } else { ',' });
+        out.push_str(&format!("\"{}\":", spec.name()));
+        out.push_str(&chrome_trace_json(&trace));
+    }
+    out.push_str("}\n");
+    check("chrome_faulty.json", &out);
 }
 
 /// Windows narrow enough that the short golden run still spans several

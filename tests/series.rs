@@ -12,7 +12,7 @@ use distcommit::db::engine::{
 use distcommit::db::experiments::{sweep_with_series, Scale};
 use distcommit::db::metrics::{ReportFormat, SimReport};
 use distcommit::proto::ProtocolSpec;
-use simkernel::SimDuration;
+use simkernel::{SimDuration, SimTime};
 
 fn small_cfg() -> SystemConfig {
     let mut cfg = SystemConfig::paper_baseline();
@@ -264,6 +264,45 @@ fn streaming_write_error_fails_the_run() {
         }
         assert_eq!(writer.writes, 2, "header + first failed window");
     }
+}
+
+/// A failed series stream ends the run at the next window boundary,
+/// rather than simulating the rest for a result that is already an
+/// error: a trace observing the same run stops there too.
+#[test]
+fn failed_series_stream_stops_the_run() {
+    let mut cfg = small_cfg();
+    cfg.run.measured_transactions = 2_000;
+    let mut full = Trace::default();
+    let obs = Observers {
+        trace: Some((u64::MAX, &mut full)),
+        series: None,
+    };
+    Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 5, obs).expect("valid config");
+
+    let mut writer = FailsAfterHeader::default();
+    let mut trace = Trace::default();
+    let obs = Observers {
+        trace: Some((u64::MAX, &mut trace)),
+        series: Some((
+            series_cfg(1, false),
+            SeriesOut::Stream(&mut writer, SeriesFormat::Csv),
+        )),
+    };
+    match Simulation::run_observed(&cfg, ProtocolSpec::TWO_PC, 5, obs) {
+        Err(RunError::Io(e)) => assert_eq!(e.to_string(), "disk full"),
+        other => panic!("expected an I/O error, got {other:?}"),
+    }
+    assert_eq!(writer.writes, 2, "header + first failed window");
+    assert!(!trace.events.is_empty());
+    assert!(
+        trace.events.len() * 10 < full.events.len(),
+        "the failed run went on: {} of a full run's {} events",
+        trace.events.len(),
+        full.events.len()
+    );
+    // The stop is at the boundary: nothing after the first window's end.
+    assert!(trace.events.iter().all(|e| e.at() <= SimTime::from_secs(1)));
 }
 
 /// A zero-width window is a typed configuration error returned before
