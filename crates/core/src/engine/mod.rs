@@ -344,7 +344,7 @@ impl Simulation<'_> {
             sink.finish();
         }
         if let Some(rec) = sim.series.take() {
-            rec.finish(sim.cal.now(), &mut sim.metrics, &sim.sites)?;
+            rec.finish(sim.end(), &mut sim.metrics, &sim.sites)?;
         }
         Ok(sim.report())
     }
@@ -1182,8 +1182,17 @@ impl Simulation<'_> {
             .record(message_delta, forced_write_delta);
     }
 
+    /// The instant the run ended: the clock, or for a truncated run the
+    /// cap it hit (the event that crossed the cap never ran).
+    fn end(&self) -> SimTime {
+        match self.cfg.run.max_sim_time {
+            Some(cap) if self.truncated => cap,
+            _ => self.cal.now(),
+        }
+    }
+
     fn report(&mut self) -> SimReport {
-        let now = self.cal.now();
+        let now = self.end();
         let window = now.since(self.metrics.start).as_secs_f64();
         let committed = self.metrics.committed.get();
         let throughput = if window > 0.0 {

@@ -350,6 +350,8 @@ fn capped_runs_are_flagged_truncated() {
     let capped = run(&cfg, ProtocolSpec::TWO_PC, 3);
     assert!(capped.truncated);
     assert_eq!(capped.committed, 0);
+    // The report ends at the cap, not at the event that crossed it.
+    assert_eq!(capped.sim_seconds, 30.0);
     assert!(capped.summary().contains("WARNING: TRUNCATED"));
     assert!(capped
         .render(ReportFormat::Table)

@@ -6,89 +6,128 @@
 //! scheduled (FIFO), which keeps runs deterministic — a requirement for
 //! the reproducibility guarantees this repository makes about every
 //! experiment.
+//!
+//! # A radix heap over the monotone clock
+//!
+//! The clock never moves backwards and nothing is scheduled before it,
+//! so the calendar is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+//! "Faster algorithms for the shortest path problem", J. ACM 1990)
+//! with 65 FIFO buckets:
+//!
+//! - bucket 0 holds the events due at `now`;
+//! - bucket b ≥ 1 holds the events whose firing time first differs
+//!   from `now` in bit b − 1, that is `64 − (now ^ at).leading_zeros()`.
+//!
+//! A time in bucket b ≥ 1 agrees with `now` above bit b − 1 and has
+//! that bit set where `now` has it clear, so every time in bucket b is
+//! below every time in a higher bucket. `next` pops the head of bucket
+//! 0. When bucket 0 is empty, it takes the lowest non-empty bucket b
+//! whole, moves the clock to that bucket's earliest time, and re-appends
+//! the bucket's events, in list order, to their buckets relative to the
+//! new clock. Each lands below b, and every other bucket keeps its
+//! index, because the new clock agrees with the old one on every bit
+//! from b − 1 up. An event therefore moves down at most 64 times before
+//! it fires, and an event due at an instant the clock already shows is
+//! one O(1) append and one O(1) pop. Each bucket's earliest time is
+//! kept up to date as events are appended, so moving the clock walks
+//! the bucket's list once, not twice (EXPERIMENTS.md, "Radix
+//! calendar", measures what that saves).
+//!
+//! # Order
+//!
+//! Delivery is in (time, scheduling order) by construction:
+//!
+//! 1. An event's bucket is a function of its time and the clock, so
+//!    events with equal times always share a bucket.
+//! 2. Scheduling appends at the tail of that bucket, so within a
+//!    bucket, events with equal times sit in scheduling order.
+//! 3. Re-bucketing walks the emptied bucket in list order and appends
+//!    to buckets below it, which are all empty at that point (it was
+//!    the lowest non-empty one). Each target's list is then a
+//!    subsequence of the source's, so equal times keep their order.
+//! 4. Bucket 0 holds exactly the events at `now`, the earliest pending
+//!    time, and pops from its head.
+//!
+//! Scheduling into the past would break fact 1 (a time below `now` has
+//! no bucket), which is why it is a logic error that panics in debug
+//! builds; [`SimTime`] sums saturate, so no delay wraps the clock.
+//!
+//! # The engine's schedule
+//!
+//! The paper's §4 model is a closed queueing network with constant
+//! service times (`PageCPU` 5 ms, `PageDisk` 20 ms, `MsgCPU` 5 ms), so
+//! completions pile onto a shared lattice of instants. Counted over
+//! every run of perfbench's three workloads at seeds 42 and 43: the
+//! share of events that fire at an instant the clock already shows,
+//! the share of schedules made for the current instant, and the mean
+//! number of pending events at a pop.
+//!
+//! | workload | fire at the clock's instant | scheduled for it | pending |
+//! |---|---|---|---|
+//! | `paper-fig1` (7 protocols × MPL 1..10, 8 sites) | 87% | 8% | 20 (25 in the busiest run) |
+//! | `faults-observed` (2PC, Paxos Commit; faults) | 89% | 8% | 32–35 |
+//! | `wan-zipf-64` (2PC, OPT; 64 sites, WAN) | 13% | 6% | 171 |
+//!
+//! So most ties were scheduled ahead, as completions of constant-length
+//! services that meet at one instant. They reach bucket 0 together when
+//! the clock moves to their instant, and then each pops in O(1).
+//!
+//! # Allocation audit
+//!
+//! Every pending event lives in a slot of one arena (`slots`), threaded
+//! into its bucket's singly linked list by slot index; free slots form
+//! an intrusive list through the same `next` field. The steady-state
+//! schedule/pop cycle performs **no heap allocation**: the arena only
+//! grows to the simulation's high-water event population (a few hundred
+//! events at paper-scale MPLs), and every later schedule reuses a freed
+//! slot. Buckets are lists in the arena rather than one `Vec` each,
+//! which would keep up to 65 buffers at their own high-water marks.
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
-/// A packed 16-byte heap key: the firing time in the first word, then
-/// `seq` (40 bits) over `slot` (24 bits) in the second. Tuple order is
-/// `(time, seq, slot)`; `seq` values are unique, so the slot bits are
-/// never reached by a comparison and simultaneous events preserve
-/// scheduling order exactly as they did when the payload lived inside
-/// the heap entry. The packing bounds are asserted at push: 2^40
-/// events per run and 2^24 simultaneously pending events are both
-/// orders of magnitude beyond what a simulation reaches.
-type Key = (u64, u64);
-
-const SLOT_BITS: u32 = 24;
-
-#[inline]
-fn pack(at: SimTime, seq: u64, slot: u32) -> Key {
-    assert!(seq < 1 << (64 - SLOT_BITS), "calendar seq overflow");
-    assert!(slot < 1 << SLOT_BITS, "calendar slot overflow");
-    (at.0, (seq << SLOT_BITS) | slot as u64)
-}
-
-#[inline]
-fn unpack(key: Key) -> (SimTime, u64, u32) {
-    (
-        SimTime(key.0),
-        key.1 >> SLOT_BITS,
-        (key.1 & ((1 << SLOT_BITS) - 1)) as u32,
-    )
-}
-
-/// The event calendar: a min-heap of `(time, seq, slot)` keys plus a
-/// slot arena holding the event payloads, plus the simulation clock.
+/// The event calendar: a radix heap of FIFO buckets threaded through a
+/// slot arena, plus the simulation clock (see the module docs).
 ///
 /// The clock only advances when an event is popped; scheduling in the
 /// past is a logic error and panics in debug builds.
-///
-/// # Current-instant fast path
-///
-/// Events scheduled for the *current* instant — the dominant case in
-/// the engine, whose handlers chain zero-delay continuations — bypass
-/// the heap entirely and go to `now_q`, a FIFO of `(seq, event)`. This
-/// is order-exact, not an approximation: delivery order is `(time,
-/// seq)`, the clock cannot advance while a current-instant event is
-/// pending (the earliest pending key *is* at `now`), so every `now_q`
-/// entry fires before the clock moves, and `next()` breaks the
-/// remaining tie — a heap event also at `now` but scheduled earlier —
-/// by comparing seqs. O(1) push/pop replaces two O(log n) sifts for
-/// every same-instant event.
-///
-/// # Allocation audit
-///
-/// Heap entries are packed 16-byte `(time, seq, slot)` keys; the payloads sit
-/// out-of-line in `events`, a slot arena recycled through a free list.
-/// Sift-up/sift-down therefore moves small fixed-size keys instead of
-/// full event enums (~80 bytes for the engine's event type), which is
-/// what the `memmove` traffic in profiles was. The steady-state
-/// schedule/pop cycle performs **no per-event heap allocation**: a push
-/// only allocates when the heap buffer, slot arena, or now-queue grows,
-/// and every high-water mark is bounded by the simulation's maximum
-/// event population (a few hundred entries at paper-scale MPLs), after
-/// which every push reuses freed capacity and every slot comes off the
-/// free list. The event payloads themselves are plain enums — the only
-/// boxed field in the engine's event type is the restart template
-/// carried by a resubmission, which is allocated once per abort, not
-/// per event. This is why the calendar is left as a binary heap rather
-/// than a bucketed calendar queue: the heap is allocation-free in
-/// steady state, and the calendar-queue literature's win (cheap
-/// same-priority inserts) is already captured by `now_q`.
 #[derive(Debug)]
 pub struct Calendar<E> {
-    heap: BinaryHeap<Reverse<Key>>,
-    /// Slot arena for pending payloads; `None` marks a free slot.
-    events: Vec<Option<E>>,
-    /// Indices of free slots in `events`.
-    free: Vec<u32>,
-    /// FIFO of events scheduled at the current instant (see above).
-    now_q: VecDeque<(u64, E)>,
+    /// Slot arena: pending events, and the free list.
+    slots: Vec<Slot<E>>,
+    /// First slot of each bucket's list; [`NIL`] when the bucket is empty.
+    head: [u32; BUCKETS],
+    /// Last slot of each non-empty bucket's list (stale when empty).
+    tail: [u32; BUCKETS],
+    /// Bit b − 1 is set when bucket b ≥ 1 is non-empty.
+    occupied: u64,
+    /// Earliest firing time in each non-empty bucket (stale when empty).
+    earliest: [u64; BUCKETS],
+    /// First free slot; [`NIL`] when the arena is full.
+    free: u32,
+    pending: usize,
     now: SimTime,
-    seq: u64,
     dispatched: u64,
+}
+
+/// Bucket 0 (due now) plus one bucket per bit of the 64-bit clock.
+const BUCKETS: usize = 65;
+
+/// The end of a slot list.
+const NIL: u32 = u32::MAX;
+
+/// One arena entry: a pending event, or a link in the free list.
+#[derive(Debug)]
+struct Slot<E> {
+    at: u64,
+    /// Next slot in this slot's bucket or in the free list.
+    next: u32,
+    event: Option<E>,
+}
+
+/// The bucket of an event firing at `at` when the clock shows `now`.
+#[inline]
+fn bucket(now: u64, at: u64) -> usize {
+    (64 - (now ^ at).leading_zeros()) as usize
 }
 
 impl<E> Default for Calendar<E> {
@@ -101,12 +140,14 @@ impl<E> Calendar<E> {
     /// An empty calendar with the clock at time zero.
     pub fn new() -> Self {
         Calendar {
-            heap: BinaryHeap::new(),
-            events: Vec::new(),
-            free: Vec::new(),
-            now_q: VecDeque::new(),
+            slots: Vec::new(),
+            head: [NIL; BUCKETS],
+            tail: [NIL; BUCKETS],
+            occupied: 0,
+            earliest: [0; BUCKETS],
+            free: NIL,
+            pending: 0,
             now: SimTime::ZERO,
-            seq: 0,
             dispatched: 0,
         }
     }
@@ -120,13 +161,13 @@ impl<E> Calendar<E> {
     /// Number of events waiting to fire.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.heap.len() + self.now_q.len()
+        self.pending
     }
 
     /// True when no events remain.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.now_q.is_empty()
+        self.pending == 0
     }
 
     /// Total events ever dispatched (diagnostics).
@@ -144,25 +185,23 @@ impl<E> Calendar<E> {
             "scheduling into the past: {at} < {}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        if at == self.now {
-            self.now_q.push_back((seq, event));
-            return;
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                debug_assert!(self.events[s as usize].is_none());
-                self.events[s as usize] = Some(event);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.events.len()).expect("calendar slot overflow");
-                self.events.push(Some(event));
-                s
-            }
+        let slot = Slot {
+            at: at.0,
+            next: NIL,
+            event: Some(event),
         };
-        self.heap.push(Reverse(pack(at, seq, slot)));
+        let s = if self.free == NIL {
+            assert!(self.slots.len() < NIL as usize, "calendar slot overflow");
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
+        } else {
+            let s = self.free;
+            self.free = self.slots[s as usize].next;
+            self.slots[s as usize] = slot;
+            s
+        };
+        self.pending += 1;
+        self.append(bucket(self.now.0, at.0), s, at.0);
     }
 
     /// Schedule `event` to fire `delay` after the current clock.
@@ -185,30 +224,56 @@ impl<E> Calendar<E> {
     /// calendar across exactly the calls that need `&mut` access.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        // A `now_q` event fires unless a heap event also due at `now`
-        // was scheduled earlier (smaller seq).
-        let take_heap = match (self.heap.peek(), self.now_q.front()) {
-            (Some(&Reverse(k)), Some(&(fs, _))) => {
-                let (t, s, _) = unpack(k);
-                (t, s) < (self.now, fs)
+        if self.head[0] == NIL {
+            if self.occupied == 0 {
+                return None;
             }
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
+            self.advance();
+        }
+        let s = self.head[0];
+        let slot = &mut self.slots[s as usize];
+        self.head[0] = slot.next;
+        slot.next = self.free;
+        self.free = s;
+        let event = slot.event.take().expect("bucket lists hold pending slots");
+        self.pending -= 1;
         self.dispatched += 1;
-        if take_heap {
-            let (time, _seq, slot) = unpack(self.heap.pop().expect("peeked above").0);
-            debug_assert!(time >= self.now);
-            self.now = time;
-            let event = self.events[slot as usize]
-                .take()
-                .expect("heap key points at an empty slot");
-            self.free.push(slot);
-            Some((time, event))
+        Some((self.now, event))
+    }
+
+    /// Append slot `s`, firing at `at` and with `next` [`NIL`], to
+    /// bucket `b`.
+    #[inline]
+    fn append(&mut self, b: usize, s: u32, at: u64) {
+        if self.head[b] == NIL {
+            self.head[b] = s;
+            self.earliest[b] = at;
+            if b > 0 {
+                self.occupied |= 1 << (b - 1);
+            }
         } else {
-            let (_, event) = self.now_q.pop_front().expect("checked above");
-            Some((self.now, event))
+            self.slots[self.tail[b] as usize].next = s;
+            self.earliest[b] = self.earliest[b].min(at);
+        }
+        self.tail[b] = s;
+    }
+
+    /// Bucket 0 is empty and some other bucket is not: move the clock
+    /// to the earliest pending time and re-bucket the lowest non-empty
+    /// bucket's events against it, in list order.
+    fn advance(&mut self) {
+        let b = self.occupied.trailing_zeros() as usize + 1;
+        self.occupied &= !(1 << (b - 1));
+        let min = self.earliest[b];
+        debug_assert!(min > self.now.0, "the clock only moves forward");
+        self.now = SimTime(min);
+        let mut s = std::mem::replace(&mut self.head[b], NIL);
+        while s != NIL {
+            let slot = &mut self.slots[s as usize];
+            let (at, next) = (slot.at, slot.next);
+            slot.next = NIL;
+            self.append(bucket(min, at), s, at);
+            s = next;
         }
     }
 }
@@ -347,6 +412,80 @@ mod generative_tests {
                 assert!(t >= last);
                 last = t;
             }
+        }
+    }
+}
+
+// Interleaved schedules and pops against a reference ordered map.
+#[cfg(test)]
+mod reference_tests {
+    use super::*;
+    use crate::rng::SimRng;
+    use std::collections::BTreeMap;
+
+    /// Pending events keyed by `(time, insertion index)`: the order the
+    /// calendar promises, spelled out with an ordered map.
+    type Reference = BTreeMap<(u64, u64), u64>;
+
+    /// A delay from `now`: zero, the distance to an already-pending
+    /// instant, a small step, a step of at least 2^32, or anything up
+    /// to the end of the clock.
+    fn draw_delay(r: &mut SimRng, now: u64, reference: &Reference) -> u64 {
+        let room = u64::MAX - now;
+        match r.uniform_u64(0, 19) {
+            0..=3 => 0,
+            4..=7 if !reference.is_empty() => {
+                let nth = r.uniform_usize(0, reference.len() - 1);
+                let &(at, _) = reference.keys().nth(nth).expect("index in range");
+                at - now
+            }
+            8..=13 => r.uniform_u64(1, 100).min(room),
+            14..=16 if room >= 1 << 32 => {
+                let top_bit = r.uniform_u64(32, 63) as u32;
+                r.uniform_u64(1 << 32, room.min(u64::MAX >> (63 - top_bit)))
+            }
+            _ => r.uniform_u64(0, room),
+        }
+    }
+
+    fn check_counters(cal: &Calendar<u64>, reference: &Reference, pops: u64) {
+        assert_eq!(cal.pending(), reference.len());
+        assert_eq!(cal.is_empty(), reference.is_empty());
+        assert_eq!(cal.dispatched_count(), pops);
+    }
+
+    /// Schedules made after the clock has moved, at every distance from
+    /// it, pop exactly as the reference does: same times, same
+    /// payloads, same order among ties.
+    #[test]
+    fn interleaved_schedules_and_pops_match_a_reference() {
+        let mut r = SimRng::new(0x0DE2_CA1E);
+        for _ in 0..300 {
+            let mut cal = Calendar::new();
+            let mut reference = Reference::new();
+            let (mut inserted, mut pops) = (0u64, 0u64);
+            let schedule_share = r.uniform_u64(30, 70) as f64 / 100.0;
+            for _ in 0..r.uniform_usize(1, 400) {
+                let now = cal.now().0;
+                if r.chance(schedule_share) {
+                    let at = now + draw_delay(&mut r, now, &reference);
+                    cal.schedule_at(SimTime(at), inserted);
+                    reference.insert((at, inserted), inserted);
+                    inserted += 1;
+                } else {
+                    let expected = reference.pop_first().map(|((at, _), e)| (SimTime(at), e));
+                    pops += u64::from(expected.is_some());
+                    assert_eq!(cal.next(), expected);
+                }
+                check_counters(&cal, &reference, pops);
+            }
+            while let Some(((at, _), e)) = reference.pop_first() {
+                pops += 1;
+                assert_eq!(cal.next(), Some((SimTime(at), e)));
+                assert_eq!(cal.now(), SimTime(at));
+                check_counters(&cal, &reference, pops);
+            }
+            assert_eq!(cal.next(), None);
         }
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond simulated time,
 //!   so runs are bit-for-bit deterministic,
-//! * [`Calendar`] — a future-event list with deterministic FIFO
-//!   tie-breaking for simultaneous events,
+//! * [`Calendar`] — a radix-heap future-event list that fires
+//!   simultaneous events in the order they were scheduled,
 //! * [`resource::Station`] — a multi-server FCFS queueing station with
 //!   two priority classes (the paper gives message processing priority
 //!   over data processing at the CPUs) and an *infinite-server* mode

@@ -5,6 +5,11 @@
 //! parameters are all in milliseconds (`PageCPU = 5 ms`,
 //! `PageDisk = 20 ms`, `MsgCPU = 5 or 1 ms`), which microseconds
 //! represent without rounding.
+//!
+//! Sums and products saturate at `u64::MAX` microseconds (about
+//! 584 000 years): an overlong delay parks its event at the end of the
+//! clock instead of wrapping it into the past, where the event calendar
+//! could not order it.
 
 use std::fmt;
 use std::iter::Sum;
@@ -125,14 +130,14 @@ impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -149,14 +154,14 @@ impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -179,7 +184,7 @@ impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 * rhs)
+        SimDuration(self.0.saturating_mul(rhs))
     }
 }
 
@@ -193,7 +198,7 @@ impl Div<u64> for SimDuration {
 
 impl Sum for SimDuration {
     fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> Self {
-        SimDuration(iter.map(|d| d.0).sum())
+        iter.fold(SimDuration::ZERO, |a, b| a + b)
     }
 }
 
@@ -271,6 +276,25 @@ mod tests {
             SimDuration::from_millis(5) * 3,
             SimDuration::from_millis(15)
         );
+    }
+
+    #[test]
+    fn sums_and_products_saturate_at_the_end_of_the_clock() {
+        let end = SimTime(u64::MAX);
+        let long = SimDuration(u64::MAX - 1);
+        assert_eq!(SimTime(2) + long, end);
+        let mut t = SimTime(2);
+        t += long;
+        assert_eq!(t, end);
+        assert_eq!(long + SimDuration(5), SimDuration(u64::MAX));
+        let mut d = long;
+        d += long;
+        assert_eq!(d, SimDuration(u64::MAX));
+        assert_eq!(long * 3, SimDuration(u64::MAX));
+        assert_eq!([long, long].into_iter().sum::<SimDuration>(), d);
+        // The longest delay a duration input accepts, one second in.
+        let longest = SimDuration::try_from_millis_f64(18_446_744_073_709_549.0).unwrap();
+        assert_eq!(SimTime::from_secs(1) + longest, end);
     }
 
     #[test]

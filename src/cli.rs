@@ -1512,6 +1512,15 @@ mod tests {
         let never_commits = "run --mpl 1 --db-size 80000 --abort-prob 1 --warmup 0 --measured 10";
         assert_eq!(run(never_commits, Some(30)), 1);
         assert_eq!(run("run --warmup 10 --measured 80", None), 0);
+        // Delays so long that the clock saturates: each run stalls on
+        // an event parked at the end of the clock and ends at the cap.
+        for longest in [
+            "run --faults mc=0.5,recover-ms=18446744073709549 --measured 20",
+            "run --topology regions=2,wan-ms=18446744073709549 --measured 20",
+            "run --faults loss=0.5,retry-ms=18446744073709549 --measured 20",
+        ] {
+            assert_eq!(run(longest, None), 1, "{longest}");
+        }
     }
 
     /// Every duration input rejects what cannot be a duration with an

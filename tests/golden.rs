@@ -286,3 +286,39 @@ fn folded_stacks_match_golden() {
     let (_, fold) = fold_run(&golden_cfg(), 2026);
     check("fold.txt", &fold.render());
 }
+
+/// The calendar's edge cases through the whole engine, at the CLI
+/// defaults (2PC, seed 42, MPL 4): with every service time zero, all
+/// 16 337 events fire at t = 0, so every pop is a tie at the current
+/// instant; with 1 000 s master recoveries, seven recovery events wait
+/// about 2^30 µs ahead of a clock that keeps moving in 5 ms steps.
+/// An event calendar that reordered ties, or lost track of a far
+/// event while the clock advanced under it, drifts here.
+#[test]
+fn calendar_edge_reports_match_golden() {
+    let base = SystemConfig::paper_baseline().with_run_length(10, 200);
+    let mut zero_service = base.clone();
+    zero_service.page_cpu = SimDuration::ZERO;
+    zero_service.page_disk = SimDuration::ZERO;
+    zero_service.msg_cpu = SimDuration::ZERO;
+    let far_recovery = base.with_failures(
+        "mc=0.05,recover-ms=1000000"
+            .parse()
+            .expect("valid fault spec"),
+    );
+    let mut out = String::new();
+    for (name, cfg) in [
+        ("zero-service", zero_service),
+        ("far-recovery", far_recovery),
+    ] {
+        let report = Simulation::run(&cfg, ProtocolSpec::TWO_PC, 42).expect("valid config");
+        assert!(!report.truncated, "{name}");
+        // Not vacuous: the zero-service clock never moved, and the
+        // far recoveries really were scheduled.
+        assert!(report.sim_seconds == 0.0 || report.faults.master_crashes > 0);
+        out.push_str(&format!("=== {name} ===\n"));
+        out.push_str(&report.render(ReportFormat::Json));
+        out.push('\n');
+    }
+    check("report_calendar_edges.txt", &out);
+}
