@@ -439,12 +439,12 @@ impl Simulation<'_> {
                 return false;
             }
         }
-        self.metrics.cohort_crash_trials.bump();
+        self.metrics.faults.cohort_crash_trials += 1;
         if !self.rng.chance(p) {
             return false;
         }
         let now = self.cal.now();
-        self.metrics.cohort_crashes.bump();
+        self.metrics.faults.cohort_crashes += 1;
         let c = self.cohorts.get_mut(cohort).expect("live cohort");
         c.down = true;
         let (cid, site) = (c.id, c.site);
@@ -701,10 +701,10 @@ impl Simulation<'_> {
         if commit {
             if let Some(f) = self.cfg.failures {
                 if f.master_crash_prob > 0.0 && self.table.voting {
-                    self.metrics.master_crash_trials.bump();
+                    self.metrics.faults.master_crash_trials += 1;
                     if self.rng.chance(f.master_crash_prob) {
                         let now = self.cal.now();
-                        self.metrics.master_crashes.bump();
+                        self.metrics.faults.master_crashes += 1;
                         let t = self.txns.get_mut(txn).expect("live txn");
                         t.crashed = true;
                         t.crashed_at.get_or_insert(now);
@@ -764,7 +764,7 @@ impl Simulation<'_> {
     /// failover (Paxos Commit). Both count as termination rounds in the
     /// fault report.
     pub(crate) fn start_termination(&mut self, txn: TxnH) {
-        self.metrics.termination_rounds.bump();
+        self.metrics.faults.termination_rounds += 1;
         if self.table.takeover == Takeover::LeaderFailover {
             self.start_leader_failover(txn);
         } else {
@@ -1073,7 +1073,7 @@ impl Simulation<'_> {
                 } else {
                     since
                 };
-                self.metrics.blocked_on_crash_cohorts.bump();
+                self.metrics.faults.blocked_on_crash_cohorts += 1;
                 self.metrics
                     .crash_block_time
                     .record(now.since(from).as_secs_f64());

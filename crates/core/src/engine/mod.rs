@@ -877,10 +877,10 @@ impl Simulation<'_> {
             if let Some(f) = self.cfg.failures {
                 if f.msg_loss_prob > 0.0 && attempt < f.max_retransmits && self.loss_eligible(&kind)
                 {
-                    self.metrics.message_loss_trials.bump();
+                    self.metrics.faults.message_loss_trials += 1;
                     if self.rng.chance(f.msg_loss_prob) {
                         lost = true;
-                        self.metrics.messages_lost.bump();
+                        self.metrics.faults.messages_lost += 1;
                         if let Some(t) = owner.and_then(|th| self.txns.get_mut(th)) {
                             // Loss traffic is outside the analytic
                             // overhead model of Tables 3–4.
@@ -982,12 +982,12 @@ impl Simulation<'_> {
             Retry::WorkDone { .. } => (c.site, self.txns[th].control_site()),
             _ => (self.txns[th].control_site(), c.site),
         };
-        self.metrics.retransmissions.bump();
+        self.metrics.faults.retransmissions += 1;
         if attempt + 1 >= f.max_retransmits {
             // Out of retries: this repeat goes over the reliable
             // out-of-band path (cooperative termination / operator
             // action in a real system).
-            self.metrics.retry_escalations.bump();
+            self.metrics.faults.retry_escalations += 1;
         }
         let t = self.txns.get_mut(th).expect("live txn");
         // A retransmission — even a spurious one fired while the
@@ -1323,17 +1323,8 @@ impl Simulation<'_> {
             overhead_check: self.metrics.overhead_check,
             mean_log_batch,
             faults: crate::metrics::FaultCounters {
-                master_crashes: self.metrics.master_crashes.get(),
-                cohort_crashes: self.metrics.cohort_crashes.get(),
-                messages_lost: self.metrics.messages_lost.get(),
-                retransmissions: self.metrics.retransmissions.get(),
-                retry_escalations: self.metrics.retry_escalations.get(),
-                termination_rounds: self.metrics.termination_rounds.get(),
-                master_crash_trials: self.metrics.master_crash_trials.get(),
-                cohort_crash_trials: self.metrics.cohort_crash_trials.get(),
-                message_loss_trials: self.metrics.message_loss_trials.get(),
-                blocked_on_crash_cohorts: self.metrics.blocked_on_crash_cohorts.get(),
                 mean_blocked_on_crash_s: self.metrics.crash_block_time.mean(),
+                ..self.metrics.faults
             },
             convergence: self.metrics.convergence(),
             events: self.cal.dispatched_count(),

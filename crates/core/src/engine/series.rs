@@ -393,10 +393,10 @@ impl<'a> SeriesRecorder<'a> {
                 &mut self.base.commit_messages,
             ),
             retransmissions: delta(
-                metrics.retransmissions.get(),
+                metrics.faults.retransmissions,
                 &mut self.base.retransmissions,
             ),
-            messages_lost: delta(metrics.messages_lost.get(), &mut self.base.messages_lost),
+            messages_lost: delta(metrics.faults.messages_lost, &mut self.base.messages_lost),
             lock_wait_s,
             live_s,
             block_ratio: if live_s > 0.0 {

@@ -10,12 +10,14 @@
 //! paper's Tables 3 and 4 — plus response times, abort breakdowns and
 //! resource utilizations.
 
+use std::fmt::{self, Write as _};
+
 use simkernel::stats::{
     BatchMeans, ConfidenceInterval, Counter, DurationHistogram, Tally, TimeWeighted,
 };
 use simkernel::{SimDuration, SimTime};
 
-use crate::json::Json;
+use crate::json::{Json, Scalar};
 
 /// Why a transaction incarnation aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,16 +48,10 @@ pub(crate) struct Metrics {
     pub commit_messages: Counter,
     pub forced_writes: Counter,
     pub borrowed_pages: Counter,
-    pub master_crashes: Counter,
-    pub cohort_crashes: Counter,
-    pub messages_lost: Counter,
-    pub retransmissions: Counter,
-    pub retry_escalations: Counter,
-    pub termination_rounds: Counter,
-    pub master_crash_trials: Counter,
-    pub cohort_crash_trials: Counter,
-    pub message_loss_trials: Counter,
-    pub blocked_on_crash_cohorts: Counter,
+    /// The fault counters as reported; the engine bumps them in place.
+    /// Only `mean_blocked_on_crash_s` stays zero here: the report takes
+    /// it from `crash_block_time`.
+    pub faults: FaultCounters,
     /// Per-cohort time spent prepared *and* waiting out a crash, from
     /// the later of (crash instant, prepared instant) to the decision.
     pub crash_block_time: Tally,
@@ -107,16 +103,7 @@ impl Metrics {
             commit_messages: Counter::default(),
             forced_writes: Counter::default(),
             borrowed_pages: Counter::default(),
-            master_crashes: Counter::default(),
-            cohort_crashes: Counter::default(),
-            messages_lost: Counter::default(),
-            retransmissions: Counter::default(),
-            retry_escalations: Counter::default(),
-            termination_rounds: Counter::default(),
-            master_crash_trials: Counter::default(),
-            cohort_crash_trials: Counter::default(),
-            message_loss_trials: Counter::default(),
-            blocked_on_crash_cohorts: Counter::default(),
+            faults: FaultCounters::default(),
             crash_block_time: Tally::new(),
             response: Tally::new(),
             response_hist: DurationHistogram::new(),
@@ -220,6 +207,284 @@ impl Metrics {
     }
 }
 
+// The report schema. Each report struct lists its fields once, as the
+// rows of one table (`Table`); the JSON and CSV writers and the merge
+// of replications walk the tables, while `render_table` and `summary`
+// keep their hand layouts.
+
+/// One report value, as the writers see it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Value<'a> {
+    Int(u64),
+    Real(f64),
+    Flag(bool),
+    Text(&'a str),
+}
+
+/// The JSON form: the number forms of the crate's JSON writer.
+impl Scalar for Value<'_> {
+    fn write(self, out: &mut Vec<u8>) {
+        match self {
+            Value::Int(v) => v.write(out),
+            Value::Real(v) => v.write(out),
+            Value::Flag(v) => v.write(out),
+            Value::Text(v) => v.write(out),
+        }
+    }
+}
+
+/// The CSV form: reals with six decimals and flags as 0/1. A NaN or an
+/// infinity is written as 0 where the JSON writes `null`; only
+/// `throughput_ci90` and `steady_from_s` can be non-finite, and the
+/// form is inside recorded digests (DESIGN.md §6).
+impl fmt::Display for Value<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Real(v) => write!(f, "{:.6}", if v.is_finite() { v } else { 0.0 }),
+            Value::Flag(v) => write!(f, "{}", u8::from(v)),
+            Value::Text(v) => f.write_str(v),
+        }
+    }
+}
+
+/// A report field's type: the [`Value`] it reads as.
+trait Cell {
+    fn get(&self) -> Value<'_>;
+}
+
+macro_rules! cell {
+    ($($t:ty: $kind:ident),*) => {$(
+        impl Cell for $t {
+            fn get(&self) -> Value<'_> {
+                Value::$kind((*self).into())
+            }
+        }
+    )*};
+}
+
+cell!(u64: Int, u32: Int, f64: Real, bool: Flag);
+
+impl Cell for String {
+    fn get(&self) -> Value<'_> {
+        Value::Text(self)
+    }
+}
+
+/// A confidence interval reads as its half-width, the one number both
+/// formats write.
+impl Cell for ConfidenceInterval {
+    fn get(&self) -> Value<'_> {
+        Value::Real(self.half_width)
+    }
+}
+
+// Merge rules: each folds the replications' values of one field, in
+// report order, so merged floats are the same bits for the same
+// reports. A rule with a second field reads it alongside.
+
+/// The first replication's: what names the cell.
+fn first<'a, T: Clone + 'a>(mut values: impl Iterator<Item = &'a T>) -> T {
+    values.next().expect("at least one replication").clone()
+}
+
+/// The sum: counts, and the total simulated time.
+fn sum<'a, T: Copy + std::iter::Sum + 'a>(values: impl Iterator<Item = &'a T>) -> T {
+    values.copied().sum()
+}
+
+/// `sum / n`, unweighted: every replication runs the same number of
+/// measured transactions.
+fn mean<'a>(values: impl ExactSizeIterator<Item = &'a f64>) -> f64 {
+    let n = values.len() as f64;
+    values.copied().sum::<f64>() / n
+}
+
+/// The largest value; a flag is set if any replication's is.
+fn max<'a, T: Copy + Ord + Default + 'a>(values: impl Iterator<Item = &'a T>) -> T {
+    values.copied().max().unwrap_or_default()
+}
+
+/// Set only if every replication's is.
+fn all<'a>(mut values: impl Iterator<Item = &'a bool>) -> bool {
+    values.all(|&v| v)
+}
+
+/// The mean weighted by the second field (0 when those weights sum to 0).
+fn weighted<'a>(values: impl Iterator<Item = (&'a f64, &'a u64)> + Clone) -> f64 {
+    let total: u64 = values.clone().map(|(_, &w)| w).sum();
+    if total == 0 {
+        return 0.0;
+    }
+    values.map(|(&v, &w)| v * w as f64).sum::<f64>() / total as f64
+}
+
+/// The largest value if the second field is set in every replication,
+/// NaN otherwise: the conservative steady-state onset.
+fn max_if_all<'a>(values: impl Iterator<Item = (&'a f64, &'a bool)> + Clone) -> f64 {
+    if values.clone().all(|(_, &set)| set) {
+        values.map(|(&v, _)| v).fold(0.0, f64::max)
+    } else {
+        f64::NAN
+    }
+}
+
+/// The independent-replications estimate from the second field: its
+/// mean ± `t₀.₉₅(n−1)·s/√n`, which supersedes each run's batch-means
+/// interval.
+fn interval_of<'a, T: 'a>(values: impl Iterator<Item = (&'a T, &'a f64)>) -> ConfidenceInterval {
+    let mut t = Tally::new();
+    values.for_each(|(_, &v)| t.record(v));
+    let n = t.count();
+    let half_width =
+        simkernel::stats::t_critical_90(n.saturating_sub(1)) * t.std_dev() / (n as f64).sqrt();
+    ConfidenceInterval {
+        mean: t.mean(),
+        half_width,
+        batches: n,
+    }
+}
+
+/// The mean over replications, accumulated as [`interval_of`]
+/// accumulates it: that interval's centre, bit for bit.
+fn replicated<'a>(values: impl Iterator<Item = &'a f64>) -> f64 {
+    interval_of(values.map(|v| (v, v))).mean
+}
+
+/// One report field: its JSON key, its CSV key (`None` when only the
+/// JSON has it), its getter, and its merge rule applied to the
+/// replications. The setter writes the schema tests' sentinels.
+struct Row<T> {
+    json: &'static str,
+    csv: Option<&'static str>,
+    get: for<'a> fn(&'a T) -> Value<'a>,
+    merge: fn(&mut T, &[&T]),
+    #[cfg(test)]
+    set: fn(&mut T, Value<'_>),
+}
+
+/// The [`Row`] of `field`, which it names once for the getter, the
+/// setter and the merge. `row!(field, rule)` is in the JSON only, under
+/// the field's name; `csv` adds it to the CSV under the same key,
+/// `csv "key"` under its own, and `as "key"` renames it in both. A
+/// rule in parentheses reads another field alongside.
+macro_rules! row {
+    ($field:ident $(as $key:literal)?, $rule:ident $(($arg:ident))? $(, $csv:ident $($csv_key:literal)?)?) => {
+        Row {
+            json: row!(@key $field $($key)?),
+            csv: row!(@csv row!(@key $field $($key)?) $(, $csv $($csv_key)?)?),
+            get: |r| r.$field.get(),
+            merge: |out, parts| out.$field = $rule(parts.iter().map(|p| (&p.$field $(, &p.$arg)?))),
+            #[cfg(test)]
+            set: |r, v| tests::Set::set(&mut r.$field, v),
+        }
+    };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (@csv $key:expr) => { None };
+    (@csv $key:expr, csv) => { Some($key) };
+    (@csv $key:expr, csv $csv_key:literal) => { Some($csv_key) };
+}
+
+/// A nested report struct: its JSON key, its CSV key prefix (`None`
+/// when the CSV writes it elsewhere or not at all), and its writers and
+/// merge, through the one place that names the field.
+struct Nest<T> {
+    json: &'static str,
+    csv: Option<&'static str>,
+    write_json: fn(&T, &mut Json),
+    write_csv: fn(&T, &str, &str, &mut String),
+    merge: fn(&mut T, &[&T]),
+}
+
+/// The [`Nest`] of `field`, a [`Table`] written under the field's name.
+macro_rules! nest {
+    ($field:ident, $csv:expr) => {
+        Nest {
+            json: stringify!($field),
+            csv: $csv,
+            write_json: |r, j| write_object(j, &r.$field),
+            write_csv: |r, section, prefix, out| write_csv(out, section, prefix, &r.$field),
+            merge: |out, parts| out.$field = merge_by(parts, |p| &p.$field),
+        }
+    };
+}
+
+/// A report struct whose fields are the rows of one table.
+trait Table: Clone + 'static {
+    /// Scalars, in both formats' order.
+    const ROWS: &'static [Row<Self>] = &[];
+    /// Nested structs, after the scalars.
+    const NESTED: &'static [Nest<Self>] = &[];
+    /// Scalars written after everything else, and only when set, so a
+    /// report without them keeps its bytes.
+    const TRAILER: &'static [Row<Self>] = &[];
+}
+
+/// Write `v` as one JSON object.
+fn write_object<T: Table>(j: &mut Json, v: &T) {
+    j.begin_object();
+    for row in T::ROWS {
+        j.field(row.json, (row.get)(v));
+    }
+    for nest in T::NESTED {
+        j.key(nest.json);
+        (nest.write_json)(v, j);
+    }
+    for row in set_rows(T::TRAILER, v) {
+        j.field(row.json, (row.get)(v));
+    }
+    j.end_object();
+}
+
+/// Write `v`'s CSV rows and those of each nested struct with a prefix.
+fn write_csv<T: Table>(out: &mut String, section: &str, prefix: &str, v: &T) {
+    csv_rows(out, section, prefix, T::ROWS, v);
+    for nest in T::NESTED {
+        if let Some(prefix) = nest.csv {
+            (nest.write_csv)(v, section, prefix, out);
+        }
+    }
+}
+
+/// One `section,prefix+key,value` line per CSV row.
+fn csv_rows<'r, T: 'r>(
+    out: &mut String,
+    section: &str,
+    prefix: &str,
+    rows: impl IntoIterator<Item = &'r Row<T>>,
+    v: &T,
+) {
+    for row in rows {
+        if let Some(key) = row.csv {
+            let _ = writeln!(out, "{section},{prefix}{key},{}", (row.get)(v));
+        }
+    }
+}
+
+/// The rows whose flag is set in `v`.
+fn set_rows<'r, T>(rows: &'r [Row<T>], v: &'r T) -> impl Iterator<Item = &'r Row<T>> {
+    rows.iter().filter(|row| (row.get)(v) == Value::Flag(true))
+}
+
+/// Merge the `T` that `f` picks out of each replication.
+fn merge_by<P, T: Table>(parts: &[&P], f: impl Fn(&P) -> &T) -> T {
+    merge(&parts.iter().map(|p| f(p)).collect::<Vec<_>>())
+}
+
+/// Merge replications (`parts` is never empty), every row by its rule
+/// and every nested struct by its own table.
+fn merge<T: Table>(parts: &[&T]) -> T {
+    let mut out = parts[0].clone();
+    for row in T::ROWS.iter().chain(T::TRAILER) {
+        (row.merge)(&mut out, parts);
+    }
+    for nest in T::NESTED {
+        (nest.merge)(&mut out, parts);
+    }
+    out
+}
+
 /// Per-resource-class mean utilization over the measurement window.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Utilizations {
@@ -229,6 +494,11 @@ pub struct Utilizations {
     pub data_disk: f64,
     /// Log disks, averaged over all sites and disks.
     pub log_disk: f64,
+}
+
+impl Table for Utilizations {
+    const ROWS: &'static [Row<Self>] =
+        &[row!(cpu, mean), row!(data_disk, mean), row!(log_disk, mean)];
 }
 
 /// Summary statistics of one latency distribution, in seconds.
@@ -260,6 +530,16 @@ impl LatencySummary {
     }
 }
 
+impl Table for LatencySummary {
+    const ROWS: &'static [Row<Self>] = &[
+        row!(count, sum),
+        row!(mean_s, mean),
+        row!(p50_s, mean, csv),
+        row!(p90_s, mean, csv),
+        row!(p99_s, mean, csv),
+    ];
+}
+
 /// Where a committed transaction's time went, split at the commit
 /// protocol's phase boundaries (the decomposition behind Tables 3–4:
 /// execution messages vs. voting-phase vs. decision-phase overheads).
@@ -273,6 +553,14 @@ pub struct PhaseLatencies {
     /// Master decision to the last cohort acknowledgment (decision/ack
     /// drain; the transaction holds no locks for most of it).
     pub decision: LatencySummary,
+}
+
+impl Table for PhaseLatencies {
+    const NESTED: &'static [Nest<Self>] = &[
+        nest!(execution, Some("exec_")),
+        nest!(voting, Some("vote_")),
+        nest!(decision, Some("ack_")),
+    ];
 }
 
 /// Observed behaviour of one resource class over the window.
@@ -296,6 +584,18 @@ pub struct ResourceStats {
     pub queue_depth_p99: f64,
 }
 
+impl Table for ResourceStats {
+    const ROWS: &'static [Row<Self>] = &[
+        row!(utilization, mean, csv "util"),
+        row!(mean_queue_depth, mean, csv "queue_mean"),
+        row!(max_queue_depth, max, csv "queue_max"),
+        row!(mean_wait_s, mean, csv "wait_s"),
+        row!(queue_depth_p50, mean, csv "occ_p50"),
+        row!(queue_depth_p90, mean, csv "occ_p90"),
+        row!(queue_depth_p99, mean, csv "occ_p99"),
+    ];
+}
+
 /// Queue-depth and utilization report for the three station classes of
 /// the paper's physical model (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -308,39 +608,25 @@ pub struct ResourceReport {
     pub log_disk: ResourceStats,
 }
 
+impl Table for ResourceReport {
+    const NESTED: &'static [Nest<Self>] = &[
+        nest!(cpu, Some("cpu_")),
+        nest!(data_disk, Some("data_disk_")),
+        nest!(log_disk, Some("log_disk_")),
+    ];
+}
+
 impl ResourceReport {
-    /// Average a set of per-site reports into one class-level view:
-    /// utilizations, queue depths, waits and occupancy percentiles are
-    /// averaged; max queue depth is the max over sites. Returns the
+    /// Average a set of per-site reports into one class-level view by
+    /// [`ResourceStats`]' merge rules: the max queue depth is the max
+    /// over sites, and every other statistic is averaged. Returns the
     /// default (all-zero) report for an empty slice. Also merges one
     /// site's replications in [`SimReport::merge_replications`].
     pub fn average(sites: &[ResourceReport]) -> ResourceReport {
         if sites.is_empty() {
             return ResourceReport::default();
         }
-        let avg = |f: &dyn Fn(&ResourceReport) -> &ResourceStats| {
-            let n = sites.len() as f64;
-            let mean =
-                |g: &dyn Fn(&ResourceStats) -> f64| sites.iter().map(|r| g(f(r))).sum::<f64>() / n;
-            ResourceStats {
-                utilization: mean(&|s| s.utilization),
-                mean_queue_depth: mean(&|s| s.mean_queue_depth),
-                max_queue_depth: sites
-                    .iter()
-                    .map(|r| f(r).max_queue_depth)
-                    .max()
-                    .unwrap_or(0),
-                mean_wait_s: mean(&|s| s.mean_wait_s),
-                queue_depth_p50: mean(&|s| s.queue_depth_p50),
-                queue_depth_p90: mean(&|s| s.queue_depth_p90),
-                queue_depth_p99: mean(&|s| s.queue_depth_p99),
-            }
-        };
-        ResourceReport {
-            cpu: avg(&|r| &r.cpu),
-            data_disk: avg(&|r| &r.data_disk),
-            log_disk: avg(&|r| &r.log_disk),
-        }
+        merge(&sites.iter().collect::<Vec<_>>())
     }
 }
 
@@ -360,6 +646,15 @@ pub struct OverheadCheck {
     pub message_delta: u64,
     /// Sum of |measured − predicted| forced writes over checked commits.
     pub forced_write_delta: u64,
+}
+
+impl Table for OverheadCheck {
+    const ROWS: &'static [Row<Self>] = &[
+        row!(checked_commits, sum),
+        row!(mismatched_commits, sum),
+        row!(message_delta, sum),
+        row!(forced_write_delta, sum),
+    ];
 }
 
 impl OverheadCheck {
@@ -417,54 +712,26 @@ pub struct FaultCounters {
     pub mean_blocked_on_crash_s: f64,
 }
 
+impl Table for FaultCounters {
+    const ROWS: &'static [Row<Self>] = &[
+        row!(master_crashes, sum),
+        row!(cohort_crashes, sum),
+        row!(messages_lost, sum),
+        row!(retransmissions, sum),
+        row!(retry_escalations, sum),
+        row!(termination_rounds, sum),
+        row!(master_crash_trials, sum),
+        row!(cohort_crash_trials, sum),
+        row!(message_loss_trials, sum),
+        row!(blocked_on_crash_cohorts, sum),
+        row!(mean_blocked_on_crash_s, weighted(blocked_on_crash_cohorts)),
+    ];
+}
+
 impl FaultCounters {
     /// True when no fault of any kind fired (the no-failure invariant).
     pub fn is_quiet(&self) -> bool {
-        self.master_crashes == 0
-            && self.cohort_crashes == 0
-            && self.messages_lost == 0
-            && self.retransmissions == 0
-            && self.retry_escalations == 0
-            && self.termination_rounds == 0
-            && self.master_crash_trials == 0
-            && self.cohort_crash_trials == 0
-            && self.message_loss_trials == 0
-            && self.blocked_on_crash_cohorts == 0
-            && self.mean_blocked_on_crash_s == 0.0
-    }
-
-    /// Merge replications: counts sum; the blocked-time mean is
-    /// weighted by each replication's blocked-cohort count.
-    pub(crate) fn merge(reports: &[SimReport]) -> FaultCounters {
-        let sum = |f: &dyn Fn(&FaultCounters) -> u64| reports.iter().map(|r| f(&r.faults)).sum();
-        let blocked: u64 = reports
-            .iter()
-            .map(|r| r.faults.blocked_on_crash_cohorts)
-            .sum();
-        let mean_blocked = if blocked == 0 {
-            0.0
-        } else {
-            reports
-                .iter()
-                .map(|r| {
-                    r.faults.mean_blocked_on_crash_s * r.faults.blocked_on_crash_cohorts as f64
-                })
-                .sum::<f64>()
-                / blocked as f64
-        };
-        FaultCounters {
-            master_crashes: sum(&|f| f.master_crashes),
-            cohort_crashes: sum(&|f| f.cohort_crashes),
-            messages_lost: sum(&|f| f.messages_lost),
-            retransmissions: sum(&|f| f.retransmissions),
-            retry_escalations: sum(&|f| f.retry_escalations),
-            termination_rounds: sum(&|f| f.termination_rounds),
-            master_crash_trials: sum(&|f| f.master_crash_trials),
-            cohort_crash_trials: sum(&|f| f.cohort_crash_trials),
-            message_loss_trials: sum(&|f| f.message_loss_trials),
-            blocked_on_crash_cohorts: blocked,
-            mean_blocked_on_crash_s: mean_blocked,
-        }
+        *self == Self::default()
     }
 }
 
@@ -490,33 +757,14 @@ pub struct ConvergenceReport {
     pub warmup_sufficient: bool,
 }
 
-impl ConvergenceReport {
-    /// Merge replications: samples sum; the run is converged only if
-    /// every replication converged; steady-state onset is the latest
-    /// (most conservative) across replications.
-    pub(crate) fn merge(reports: &[SimReport]) -> ConvergenceReport {
-        let converged = reports.iter().all(|r| r.convergence.converged);
-        let steady_from_s = if converged {
-            reports
-                .iter()
-                .map(|r| r.convergence.steady_from_s)
-                .fold(0.0, f64::max)
-        } else {
-            f64::NAN
-        };
-        let n = reports.len() as f64;
-        ConvergenceReport {
-            samples: reports.iter().map(|r| r.convergence.samples).sum(),
-            converged,
-            steady_from_s,
-            warmup_ended_s: reports
-                .iter()
-                .map(|r| r.convergence.warmup_ended_s)
-                .sum::<f64>()
-                / n,
-            warmup_sufficient: reports.iter().all(|r| r.convergence.warmup_sufficient),
-        }
-    }
+impl Table for ConvergenceReport {
+    const ROWS: &'static [Row<Self>] = &[
+        row!(samples, sum, csv),
+        row!(converged, all, csv),
+        row!(steady_from_s, max_if_all(converged), csv),
+        row!(warmup_ended_s, mean, csv),
+        row!(warmup_sufficient, all, csv),
+    ];
 }
 
 /// The result of one simulation run — everything the experiment
@@ -597,21 +845,85 @@ pub struct SimReport {
     pub truncated: bool,
 }
 
-fn merge_latency(
-    reports: &[SimReport],
-    f: &dyn Fn(&SimReport) -> &LatencySummary,
-) -> LatencySummary {
-    let n = reports.len() as f64;
-    let mean =
-        |g: &dyn Fn(&LatencySummary) -> f64| reports.iter().map(|r| g(f(r))).sum::<f64>() / n;
-    LatencySummary {
-        count: reports.iter().map(|r| f(r).count).sum(),
-        mean_s: mean(&|l| l.mean_s),
-        p50_s: mean(&|l| l.p50_s),
-        p90_s: mean(&|l| l.p90_s),
-        p99_s: mean(&|l| l.p99_s),
-    }
+/// The scalars are the CSV's `run` section; the CSV writes the nested
+/// structs in its own order (`render_csv`).
+impl Table for SimReport {
+    const ROWS: &'static [Row<Self>] = &[
+        row!(protocol, first, csv),
+        row!(mpl, first, csv),
+        row!(sim_seconds, sum, csv),
+        row!(committed, sum, csv),
+        row!(aborted_deadlock, sum, csv),
+        row!(aborted_surprise, sum, csv),
+        row!(aborted_borrower, sum, csv),
+        row!(aborted_crash, sum, csv),
+        row!(throughput, replicated, csv),
+        row!(throughput_ci as "throughput_ci90", interval_of(throughput), csv),
+        row!(mean_response_s, mean, csv),
+        row!(p50_response_s, mean, csv),
+        row!(p95_response_s, mean, csv),
+        row!(p99_response_s, mean, csv),
+        row!(mean_attempt_response_s, mean),
+        row!(block_ratio, mean, csv),
+        row!(borrow_ratio, mean, csv),
+        row!(exec_messages_per_commit, mean, csv),
+        row!(commit_messages_per_commit, mean, csv),
+        row!(forced_writes_per_commit, mean, csv),
+        row!(mean_shelf_time_s, mean),
+        row!(mean_prepared_time_s, mean),
+        row!(mean_log_batch, mean, csv),
+        row!(events, sum, csv),
+    ];
+    const NESTED: &'static [Nest<Self>] = &[
+        PHASES,
+        nest!(utilizations, None),
+        RESOURCES,
+        SITES,
+        nest!(overhead_check, None),
+        nest!(faults, None),
+        CONVERGENCE,
+    ];
+    const TRAILER: &'static [Row<Self>] = &[row!(truncated, max, csv)];
 }
+
+const PHASES: Nest<SimReport> = nest!(phase_latencies, None);
+const CONVERGENCE: Nest<SimReport> = nest!(convergence, None);
+
+/// The site-averaged view: derived, not stored, so the merge passes it
+/// by.
+const RESOURCES: Nest<SimReport> = Nest {
+    json: "resources",
+    csv: None,
+    write_json: |r, j| write_object(j, &r.resources()),
+    write_csv: |r, section, prefix, out| write_csv(out, section, prefix, &r.resources()),
+    merge: |_, _| {},
+};
+
+/// One resource report per site: a JSON array, CSV sections
+/// `{section}{i}`, merged site by site over the sites every replication
+/// has.
+const SITES: Nest<SimReport> = Nest {
+    json: "site_resources",
+    csv: None,
+    write_json: |r, j| {
+        j.begin_array();
+        for site in &r.site_resources {
+            write_object(j, site);
+        }
+        j.end_array();
+    },
+    write_csv: |r, section, _, out| {
+        for (i, site) in r.site_resources.iter().enumerate() {
+            write_csv(out, &format!("{section}{i}"), "", site);
+        }
+    },
+    merge: |out, parts| {
+        let sites = parts.iter().map(|r| r.site_resources.len()).min();
+        out.site_resources = (0..sites.unwrap_or(0))
+            .map(|i| merge_by(parts, |r| &r.site_resources[i]))
+            .collect();
+    },
+};
 
 /// Output format for [`SimReport::render`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -664,15 +976,16 @@ impl SimReport {
     /// Merge independent replications of the *same* (protocol, MPL)
     /// cell into one report.
     ///
-    /// Counts (commits, aborts, messages, events) and simulated time
-    /// are summed; rates, ratios and response times are averaged
-    /// unweighted (every replication runs the same number of measured
-    /// transactions). The throughput confidence interval is computed
-    /// *across replications* — mean ± `t₀.₉₅(n−1)·s/√n` over the
-    /// per-replication throughputs — which is the textbook independent-
-    /// replications estimator and supersedes the per-run batch-means
-    /// interval. A single replication is returned unchanged, so
-    /// `replications = 1` is bit-identical to a plain run.
+    /// Each field merges by the rule named in its row of this module's
+    /// field tables (`row!(field, rule, ..)`), over the replications in
+    /// report order. Per-site resources merge site by site over the
+    /// sites every replication has. The throughput confidence interval
+    /// is computed *across replications* — mean ± `t₀.₉₅(n−1)·s/√n`
+    /// over the per-replication throughputs — which is the textbook
+    /// independent-replications estimator and supersedes the per-run
+    /// batch-means interval. A single replication is returned
+    /// unchanged, so `replications = 1` is bit-identical to a plain
+    /// run.
     ///
     /// # Panics
     ///
@@ -682,77 +995,7 @@ impl SimReport {
         if reports.len() == 1 {
             return reports[0].clone();
         }
-        let n = reports.len() as f64;
-        let mean = |f: &dyn Fn(&SimReport) -> f64| reports.iter().map(f).sum::<f64>() / n;
-        let sum = |f: &dyn Fn(&SimReport) -> u64| reports.iter().map(f).sum::<u64>();
-
-        let mut throughputs = Tally::new();
-        for r in reports {
-            throughputs.record(r.throughput);
-        }
-        let df = throughputs.count().saturating_sub(1);
-        let half_width = simkernel::stats::t_critical_90(df) * throughputs.std_dev()
-            / (throughputs.count() as f64).sqrt();
-
-        SimReport {
-            protocol: reports[0].protocol.clone(),
-            mpl: reports[0].mpl,
-            sim_seconds: reports.iter().map(|r| r.sim_seconds).sum(),
-            committed: sum(&|r| r.committed),
-            aborted_deadlock: sum(&|r| r.aborted_deadlock),
-            aborted_surprise: sum(&|r| r.aborted_surprise),
-            aborted_borrower: sum(&|r| r.aborted_borrower),
-            aborted_crash: sum(&|r| r.aborted_crash),
-            throughput: throughputs.mean(),
-            throughput_ci: ConfidenceInterval {
-                mean: throughputs.mean(),
-                half_width,
-                batches: throughputs.count(),
-            },
-            mean_response_s: mean(&|r| r.mean_response_s),
-            p50_response_s: mean(&|r| r.p50_response_s),
-            p95_response_s: mean(&|r| r.p95_response_s),
-            p99_response_s: mean(&|r| r.p99_response_s),
-            mean_attempt_response_s: mean(&|r| r.mean_attempt_response_s),
-            block_ratio: mean(&|r| r.block_ratio),
-            borrow_ratio: mean(&|r| r.borrow_ratio),
-            exec_messages_per_commit: mean(&|r| r.exec_messages_per_commit),
-            commit_messages_per_commit: mean(&|r| r.commit_messages_per_commit),
-            forced_writes_per_commit: mean(&|r| r.forced_writes_per_commit),
-            mean_shelf_time_s: mean(&|r| r.mean_shelf_time_s),
-            mean_prepared_time_s: mean(&|r| r.mean_prepared_time_s),
-            phase_latencies: PhaseLatencies {
-                execution: merge_latency(reports, &|r| &r.phase_latencies.execution),
-                voting: merge_latency(reports, &|r| &r.phase_latencies.voting),
-                decision: merge_latency(reports, &|r| &r.phase_latencies.decision),
-            },
-            utilizations: Utilizations {
-                cpu: mean(&|r| r.utilizations.cpu),
-                data_disk: mean(&|r| r.utilizations.data_disk),
-                log_disk: mean(&|r| r.utilizations.log_disk),
-            },
-            site_resources: {
-                let sites = reports.iter().map(|r| r.site_resources.len()).min();
-                (0..sites.unwrap_or(0))
-                    .map(|i| {
-                        let replications: Vec<_> =
-                            reports.iter().map(|r| r.site_resources[i]).collect();
-                        ResourceReport::average(&replications)
-                    })
-                    .collect()
-            },
-            overhead_check: OverheadCheck {
-                checked_commits: sum(&|r| r.overhead_check.checked_commits),
-                mismatched_commits: sum(&|r| r.overhead_check.mismatched_commits),
-                message_delta: sum(&|r| r.overhead_check.message_delta),
-                forced_write_delta: sum(&|r| r.overhead_check.forced_write_delta),
-            },
-            mean_log_batch: mean(&|r| r.mean_log_batch),
-            faults: FaultCounters::merge(reports),
-            convergence: ConvergenceReport::merge(reports),
-            events: sum(&|r| r.events),
-            truncated: reports.iter().any(|r| r.truncated),
-        }
+        merge(&reports.iter().collect::<Vec<_>>())
     }
 
     /// Compact summary for logs and examples: the headline line, the
@@ -842,7 +1085,6 @@ impl SimReport {
     }
 
     fn render_table(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.summary());
         let _ = writeln!(out);
@@ -979,165 +1221,17 @@ impl SimReport {
     }
 
     fn render_csv(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::from("section,key,value\n");
-        {
-            let kv = |out: &mut String, sec: &str, key: &str, val: String| {
-                let _ = writeln!(out, "{sec},{key},{val}");
-            };
-            let f = |v: f64| format!("{v:.6}");
-            kv(&mut out, "run", "protocol", self.protocol.clone());
-            kv(&mut out, "run", "mpl", self.mpl.to_string());
-            kv(&mut out, "run", "sim_seconds", f(self.sim_seconds));
-            kv(&mut out, "run", "committed", self.committed.to_string());
-            kv(
-                &mut out,
-                "run",
-                "aborted_deadlock",
-                self.aborted_deadlock.to_string(),
-            );
-            kv(
-                &mut out,
-                "run",
-                "aborted_surprise",
-                self.aborted_surprise.to_string(),
-            );
-            kv(
-                &mut out,
-                "run",
-                "aborted_borrower",
-                self.aborted_borrower.to_string(),
-            );
-            kv(
-                &mut out,
-                "run",
-                "aborted_crash",
-                self.aborted_crash.to_string(),
-            );
-            kv(&mut out, "run", "throughput", f(self.throughput));
-            kv(
-                &mut out,
-                "run",
-                "throughput_ci90",
-                f(if self.throughput_ci.half_width.is_finite() {
-                    self.throughput_ci.half_width
-                } else {
-                    0.0
-                }),
-            );
-            kv(&mut out, "run", "mean_response_s", f(self.mean_response_s));
-            kv(&mut out, "run", "p50_response_s", f(self.p50_response_s));
-            kv(&mut out, "run", "p95_response_s", f(self.p95_response_s));
-            kv(&mut out, "run", "p99_response_s", f(self.p99_response_s));
-            kv(&mut out, "run", "block_ratio", f(self.block_ratio));
-            kv(&mut out, "run", "borrow_ratio", f(self.borrow_ratio));
-            kv(
-                &mut out,
-                "run",
-                "exec_messages_per_commit",
-                f(self.exec_messages_per_commit),
-            );
-            kv(
-                &mut out,
-                "run",
-                "commit_messages_per_commit",
-                f(self.commit_messages_per_commit),
-            );
-            kv(
-                &mut out,
-                "run",
-                "forced_writes_per_commit",
-                f(self.forced_writes_per_commit),
-            );
-            kv(&mut out, "run", "mean_log_batch", f(self.mean_log_batch));
-            kv(&mut out, "run", "events", self.events.to_string());
-            let c = &self.convergence;
-            kv(&mut out, "convergence", "samples", c.samples.to_string());
-            kv(
-                &mut out,
-                "convergence",
-                "converged",
-                (c.converged as u8).to_string(),
-            );
-            kv(
-                &mut out,
-                "convergence",
-                "steady_from_s",
-                f(if c.steady_from_s.is_finite() {
-                    c.steady_from_s
-                } else {
-                    0.0
-                }),
-            );
-            kv(
-                &mut out,
-                "convergence",
-                "warmup_ended_s",
-                f(c.warmup_ended_s),
-            );
-            kv(
-                &mut out,
-                "convergence",
-                "warmup_sufficient",
-                (c.warmup_sufficient as u8).to_string(),
-            );
-            for (name, l) in [
-                ("exec", &self.phase_latencies.execution),
-                ("vote", &self.phase_latencies.voting),
-                ("ack", &self.phase_latencies.decision),
-            ] {
-                kv(&mut out, "phase", &format!("{name}_p50_s"), f(l.p50_s));
-                kv(&mut out, "phase", &format!("{name}_p90_s"), f(l.p90_s));
-                kv(&mut out, "phase", &format!("{name}_p99_s"), f(l.p99_s));
-            }
-            let mut resource_rows = |sec: String, r: &ResourceReport| {
-                for (name, s) in [
-                    ("cpu", &r.cpu),
-                    ("data_disk", &r.data_disk),
-                    ("log_disk", &r.log_disk),
-                ] {
-                    kv(&mut out, &sec, &format!("{name}_util"), f(s.utilization));
-                    kv(
-                        &mut out,
-                        &sec,
-                        &format!("{name}_queue_mean"),
-                        f(s.mean_queue_depth),
-                    );
-                    kv(
-                        &mut out,
-                        &sec,
-                        &format!("{name}_queue_max"),
-                        s.max_queue_depth.to_string(),
-                    );
-                    kv(&mut out, &sec, &format!("{name}_wait_s"), f(s.mean_wait_s));
-                    kv(
-                        &mut out,
-                        &sec,
-                        &format!("{name}_occ_p50"),
-                        f(s.queue_depth_p50),
-                    );
-                    kv(
-                        &mut out,
-                        &sec,
-                        &format!("{name}_occ_p90"),
-                        f(s.queue_depth_p90),
-                    );
-                    kv(
-                        &mut out,
-                        &sec,
-                        &format!("{name}_occ_p99"),
-                        f(s.queue_depth_p99),
-                    );
-                }
-            };
-            resource_rows("resources".to_string(), &self.resources());
-            for (i, site) in self.site_resources.iter().enumerate() {
-                resource_rows(format!("site{i}"), site);
-            }
+        csv_rows(&mut out, "run", "", Self::ROWS, self);
+        for (section, nest) in [
+            ("convergence", CONVERGENCE),
+            ("phase", PHASES),
+            ("resources", RESOURCES),
+            ("site", SITES),
+        ] {
+            (nest.write_csv)(self, section, "", &mut out);
         }
-        if self.truncated {
-            out.push_str("run,truncated,1\n");
-        }
+        csv_rows(&mut out, "run", "", set_rows(Self::TRAILER, self), self);
         out
     }
 
@@ -1150,125 +1244,38 @@ impl SimReport {
     /// Write the report as one JSON object value — the `run --format
     /// json` document, and each point of the sweep document.
     pub(crate) fn write_json(&self, j: &mut Json) {
-        let report = |j: &mut Json, r: &ResourceReport| {
-            j.begin_object();
-            for (key, s) in [
-                ("cpu", &r.cpu),
-                ("data_disk", &r.data_disk),
-                ("log_disk", &r.log_disk),
-            ] {
-                j.key(key)
-                    .begin_object()
-                    .field("utilization", s.utilization)
-                    .field("mean_queue_depth", s.mean_queue_depth)
-                    .field("max_queue_depth", s.max_queue_depth)
-                    .field("mean_wait_s", s.mean_wait_s)
-                    .field("queue_depth_p50", s.queue_depth_p50)
-                    .field("queue_depth_p90", s.queue_depth_p90)
-                    .field("queue_depth_p99", s.queue_depth_p99)
-                    .end_object();
-            }
-            j.end_object();
-        };
-        j.begin_object()
-            .field("protocol", self.protocol.as_str())
-            .field("mpl", self.mpl)
-            .field("sim_seconds", self.sim_seconds)
-            .field("committed", self.committed)
-            .field("aborted_deadlock", self.aborted_deadlock)
-            .field("aborted_surprise", self.aborted_surprise)
-            .field("aborted_borrower", self.aborted_borrower)
-            .field("aborted_crash", self.aborted_crash)
-            .field("throughput", self.throughput)
-            .field("throughput_ci90", self.throughput_ci.half_width)
-            .field("mean_response_s", self.mean_response_s)
-            .field("p50_response_s", self.p50_response_s)
-            .field("p95_response_s", self.p95_response_s)
-            .field("p99_response_s", self.p99_response_s)
-            .field("mean_attempt_response_s", self.mean_attempt_response_s)
-            .field("block_ratio", self.block_ratio)
-            .field("borrow_ratio", self.borrow_ratio)
-            .field("exec_messages_per_commit", self.exec_messages_per_commit)
-            .field(
-                "commit_messages_per_commit",
-                self.commit_messages_per_commit,
-            )
-            .field("forced_writes_per_commit", self.forced_writes_per_commit)
-            .field("mean_shelf_time_s", self.mean_shelf_time_s)
-            .field("mean_prepared_time_s", self.mean_prepared_time_s)
-            .field("mean_log_batch", self.mean_log_batch)
-            .field("events", self.events);
-        j.key("phase_latencies").begin_object();
-        for (key, l) in [
-            ("execution", &self.phase_latencies.execution),
-            ("voting", &self.phase_latencies.voting),
-            ("decision", &self.phase_latencies.decision),
-        ] {
-            j.key(key)
-                .begin_object()
-                .field("count", l.count)
-                .field("mean_s", l.mean_s)
-                .field("p50_s", l.p50_s)
-                .field("p90_s", l.p90_s)
-                .field("p99_s", l.p99_s)
-                .end_object();
-        }
-        j.end_object()
-            .key("utilizations")
-            .begin_object()
-            .field("cpu", self.utilizations.cpu)
-            .field("data_disk", self.utilizations.data_disk)
-            .field("log_disk", self.utilizations.log_disk)
-            .end_object();
-        j.key("resources");
-        report(j, &self.resources());
-        j.key("site_resources").begin_array();
-        for site in &self.site_resources {
-            report(j, site);
-        }
-        let oc = &self.overhead_check;
-        j.end_array()
-            .key("overhead_check")
-            .begin_object()
-            .field("checked_commits", oc.checked_commits)
-            .field("mismatched_commits", oc.mismatched_commits)
-            .field("message_delta", oc.message_delta)
-            .field("forced_write_delta", oc.forced_write_delta)
-            .end_object();
-        let fc = &self.faults;
-        j.key("faults")
-            .begin_object()
-            .field("master_crashes", fc.master_crashes)
-            .field("cohort_crashes", fc.cohort_crashes)
-            .field("messages_lost", fc.messages_lost)
-            .field("retransmissions", fc.retransmissions)
-            .field("retry_escalations", fc.retry_escalations)
-            .field("termination_rounds", fc.termination_rounds)
-            .field("master_crash_trials", fc.master_crash_trials)
-            .field("cohort_crash_trials", fc.cohort_crash_trials)
-            .field("message_loss_trials", fc.message_loss_trials)
-            .field("blocked_on_crash_cohorts", fc.blocked_on_crash_cohorts)
-            .field("mean_blocked_on_crash_s", fc.mean_blocked_on_crash_s)
-            .end_object();
-        let c = &self.convergence;
-        j.key("convergence")
-            .begin_object()
-            .field("samples", c.samples)
-            .field("converged", c.converged)
-            .field("steady_from_s", c.steady_from_s)
-            .field("warmup_ended_s", c.warmup_ended_s)
-            .field("warmup_sufficient", c.warmup_sufficient)
-            .end_object();
-        if self.truncated {
-            j.field("truncated", true);
-        }
-        j.end_object();
+        write_object(j, self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The setter half of [`Cell`], which only the schema tests write
+    /// through.
+    pub(super) trait Set {
+        fn set(&mut self, value: Value<'_>);
+    }
+
+    macro_rules! set {
+        ($($t:ty: $kind:ident),*) => {$(
+            impl Set for $t {
+                fn set(&mut self, value: Value<'_>) {
+                    let Value::$kind(v) = value else { panic!("{value:?} set into a {}", stringify!($t)) };
+                    *self = v.try_into().expect("a sentinel of the field's type");
+                }
+            }
+        )*};
+    }
+
+    set!(u64: Int, u32: Int, f64: Real, bool: Flag, String: Text);
+
+    impl Set for ConfidenceInterval {
+        fn set(&mut self, value: Value<'_>) {
+            self.half_width.set(value);
+        }
+    }
 
     fn at(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -1732,5 +1739,197 @@ mod tests {
         assert!(!m.convergence.converged);
         assert!(!m.convergence.warmup_sufficient);
         assert!(m.convergence.steady_from_s.is_nan());
+    }
+
+    /// Every field of every report struct, by name: a new field fails to
+    /// compile here until it is listed, and the test fails until its
+    /// struct's table has a row (or a nested struct) under its name.
+    #[test]
+    fn every_report_field_has_a_row() {
+        fn keys<T: Table>() -> Vec<&'static str> {
+            let rows = T::ROWS.iter().chain(T::TRAILER).map(|row| row.json);
+            let mut keys: Vec<_> = rows.chain(T::NESTED.iter().map(|n| n.json)).collect();
+            keys.sort_unstable();
+            keys
+        }
+        /// The field names of `$t`, destructured from `$value` without `..`.
+        macro_rules! fields {
+            ($value:expr => $t:ident { $($field:ident),* $(,)? }) => {{
+                let $t { $($field: _),* } = $value;
+                let mut fields = vec![$(stringify!($field)),*];
+                fields.sort_unstable();
+                fields
+            }};
+        }
+        let r = sample_report();
+        let latency = fields!(r.phase_latencies.execution => LatencySummary {
+            count, mean_s, p50_s, p90_s, p99_s,
+        });
+        assert_eq!(latency, keys::<LatencySummary>());
+        let phases = fields!(r.phase_latencies => PhaseLatencies { execution, voting, decision });
+        assert_eq!(phases, keys::<PhaseLatencies>());
+        let utilizations = fields!(r.utilizations => Utilizations { cpu, data_disk, log_disk });
+        assert_eq!(utilizations, keys::<Utilizations>());
+        let stats = fields!(r.site_resources[0].cpu => ResourceStats {
+            utilization, mean_queue_depth, max_queue_depth, mean_wait_s,
+            queue_depth_p50, queue_depth_p90, queue_depth_p99,
+        });
+        assert_eq!(stats, keys::<ResourceStats>());
+        let classes = fields!(r.site_resources[0] => ResourceReport { cpu, data_disk, log_disk });
+        assert_eq!(classes, keys::<ResourceReport>());
+        let overheads = fields!(r.overhead_check => OverheadCheck {
+            checked_commits, mismatched_commits, message_delta, forced_write_delta,
+        });
+        assert_eq!(overheads, keys::<OverheadCheck>());
+        let faults = fields!(r.faults => FaultCounters {
+            master_crashes, cohort_crashes, messages_lost, retransmissions,
+            retry_escalations, termination_rounds, master_crash_trials,
+            cohort_crash_trials, message_loss_trials, blocked_on_crash_cohorts,
+            mean_blocked_on_crash_s,
+        });
+        assert_eq!(faults, keys::<FaultCounters>());
+        let convergence = fields!(r.convergence => ConvergenceReport {
+            samples, converged, steady_from_s, warmup_ended_s, warmup_sufficient,
+        });
+        assert_eq!(convergence, keys::<ConvergenceReport>());
+        let mut report = fields!(r => SimReport {
+            protocol, mpl, sim_seconds, committed, aborted_deadlock, aborted_surprise,
+            aborted_borrower, aborted_crash, throughput, throughput_ci, mean_response_s,
+            p50_response_s, p95_response_s, p99_response_s, mean_attempt_response_s,
+            block_ratio, borrow_ratio, exec_messages_per_commit, commit_messages_per_commit,
+            forced_writes_per_commit, mean_shelf_time_s, mean_prepared_time_s,
+            phase_latencies, utilizations, site_resources, overhead_check, mean_log_batch,
+            faults, convergence, events, truncated,
+        });
+        // The report's table writes `throughput_ci` as `throughput_ci90`,
+        // and adds the derived site average.
+        for name in &mut report {
+            if *name == "throughput_ci" {
+                *name = "throughput_ci90";
+            }
+        }
+        report.push("resources");
+        report.sort_unstable();
+        assert_eq!(report, keys::<SimReport>());
+    }
+
+    /// Writes a sentinel through every row's setter and checks that the
+    /// JSON changed at that row's key and nowhere else, and the CSV at
+    /// that row's CSV key or, for a JSON-only row, not at all. Two rows
+    /// bound to one field, a getter and setter of different fields, or
+    /// a JSON-only row leaking into the CSV fail here.
+    #[test]
+    fn every_row_reads_and_writes_its_own_key() {
+        fn check<T: Table>(base: &T) {
+            let json = |v: &T| {
+                let mut j = Json::default();
+                write_object(&mut j, v);
+                j.finish()
+            };
+            let csv = |v: &T| {
+                let mut out = String::new();
+                write_csv(&mut out, "s", "", v);
+                out
+            };
+            let member = |key: &str, value: Value<'_>| {
+                let mut j = Json::default();
+                j.begin_object().field(key, value).end_object();
+                let m = j.finish();
+                m[1..m.len() - 1].to_string()
+            };
+            for row in T::ROWS {
+                let key = row.json;
+                let old = (row.get)(base);
+                let new = match old {
+                    Value::Int(_) => Value::Int(4_242_424_242),
+                    Value::Real(_) => Value::Real(4242.125),
+                    Value::Flag(v) => Value::Flag(!v),
+                    Value::Text(_) => Value::Text("sentinel"),
+                };
+                let mut set = base.clone();
+                (row.set)(&mut set, new);
+                assert_eq!((row.get)(&set), new, "{key}");
+                let before = json(base);
+                assert_eq!(before.matches(&format!("\"{key}\":")).count(), 1, "{key}");
+                let moved = before.replacen(&member(key, old), &member(key, new), 1);
+                assert_eq!(json(&set), moved, "{key}");
+                let moved = match row.csv {
+                    Some(k) => {
+                        csv(base).replacen(&format!("s,{k},{old}\n"), &format!("s,{k},{new}\n"), 1)
+                    }
+                    None => csv(base),
+                };
+                assert_eq!(csv(&set), moved, "{key}");
+            }
+        }
+        let mut r = sample_report();
+        r.utilizations = Utilizations {
+            cpu: 0.25,
+            data_disk: 0.5,
+            log_disk: 0.75,
+        };
+        r.faults.master_crashes = 3;
+        check(&r);
+        check(&r.phase_latencies.voting);
+        check(&r.utilizations);
+        check(&r.site_resources[0].cpu);
+        check(&r.overhead_check);
+        check(&r.faults);
+        check(&r.convergence);
+        // The trailer is written last, and only when set.
+        let mut cut = r.clone();
+        cut.truncated = true;
+        let json = r.render(ReportFormat::Json);
+        let cut_json = format!("{},\"truncated\":true}}", &json[..json.len() - 1]);
+        assert_eq!(cut.render(ReportFormat::Json), cut_json);
+        let cut_csv = r.render(ReportFormat::Csv) + "run,truncated,1\n";
+        assert_eq!(cut.render(ReportFormat::Csv), cut_csv);
+    }
+
+    /// One two-report case per merge rule, bit for bit.
+    #[test]
+    fn each_merge_rule_on_two_reports() {
+        let a = sample_report();
+        let mut b = sample_report();
+        b.protocol = "3PC".into(); // first
+        b.mpl = 8;
+        b.committed = 1_100; // sum
+        b.sim_seconds = 0.1;
+        b.block_ratio = 0.4; // mean
+        b.site_resources[0].cpu.max_queue_depth = 10; // max
+        b.truncated = true; // max, of a flag
+        b.convergence.warmup_sufficient = false; // all
+        b.convergence.steady_from_s = 4.0; // max_if_all
+        b.faults.blocked_on_crash_cohorts = 3; // weighted
+        b.faults.mean_blocked_on_crash_s = 1.0;
+        let mut a_faults = a.clone();
+        a_faults.faults.blocked_on_crash_cohorts = 1;
+        a_faults.faults.mean_blocked_on_crash_s = 5.0;
+        b.throughput = 11.0; // replicated, interval_of
+        let m = SimReport::merge_replications(&[a_faults.clone(), b.clone()]);
+        assert_eq!((m.protocol.as_str(), m.mpl), ("2PC", 4));
+        assert_eq!(m.committed, 2_000);
+        assert_eq!(m.sim_seconds.to_bits(), (100.0_f64 + 0.1).to_bits());
+        assert_eq!(m.block_ratio.to_bits(), ((0.2_f64 + 0.4) / 2.0).to_bits());
+        assert_eq!(m.site_resources[0].cpu.max_queue_depth, 10);
+        assert!(m.truncated);
+        assert!(!m.convergence.warmup_sufficient && m.convergence.converged);
+        assert_eq!(m.convergence.steady_from_s, 4.0);
+        assert_eq!(m.faults.mean_blocked_on_crash_s, (5.0 + 3.0) / 4.0);
+        let mut t = Tally::new();
+        t.record(9.0);
+        t.record(11.0);
+        assert_eq!(m.throughput.to_bits(), t.mean().to_bits());
+        let ci = m.throughput_ci;
+        assert_eq!((ci.mean.to_bits(), ci.batches), (t.mean().to_bits(), 2));
+        let half = simkernel::stats::t_critical_90(1) * t.std_dev() / 2.0_f64.sqrt();
+        assert_eq!(ci.half_width.to_bits(), half.to_bits());
+        // No blocked cohorts weigh to 0, and one unconverged
+        // replication leaves no steady-state onset.
+        b.convergence.converged = false;
+        b.faults.blocked_on_crash_cohorts = 0;
+        let m = SimReport::merge_replications(&[a, b]);
+        assert_eq!(m.faults.mean_blocked_on_crash_s, 0.0);
+        assert!(m.convergence.steady_from_s.is_nan() && !m.convergence.converged);
     }
 }

@@ -1,5 +1,5 @@
-//! Golden-file checks for the machine-readable outputs: the JSON
-//! report, the windowed series, the sweep documents and the
+//! Golden-file checks for the machine-readable outputs: the report in
+//! every format, the windowed series, the sweep documents and the
 //! folded-stack flamegraph lines. These formats are
 //! consumed by external tools (jq pipelines, flamegraph.pl), so any
 //! byte-level drift is a breaking change and must be deliberate.
@@ -19,7 +19,7 @@ use distcommit::db::experiments::{sweep_with_series, Experiment, Scale};
 use distcommit::db::metrics::{ReportFormat, SimReport};
 use distcommit::db::output::{render_sweep_csv, render_sweep_series_csv, render_sweep_series_json};
 use distcommit::proto::ProtocolSpec;
-use simkernel::SimDuration;
+use simkernel::{SimDuration, SimTime};
 
 /// The folded stacks of every transaction of a 3PC run.
 fn fold_run(cfg: &SystemConfig, seed: u64) -> (SimReport, FoldSink) {
@@ -321,4 +321,68 @@ fn calendar_edge_reports_match_golden() {
         out.push('\n');
     }
     check("report_calendar_edges.txt", &out);
+}
+
+/// The CLI's `never_commits` shape: every cohort votes NO, so nothing
+/// commits and the 30 s simulated-time cap cuts the run short, with an
+/// infinite throughput CI, no steady state and `truncated` set.
+fn never_commits_cfg() -> SystemConfig {
+    let mut cfg = SystemConfig::paper_baseline()
+        .with_mpl(1)
+        .with_db_size(80_000)
+        .with_cohort_abort_prob(1.0)
+        .with_run_length(0, 10);
+    cfg.run.max_sim_time = Some(SimTime::from_secs(30));
+    cfg
+}
+
+/// Every report format — table, CSV, JSON and `summary` — over one
+/// faulty run, merged replications of the faulty 2PC and Paxos (F = 1)
+/// runs, and a truncated zero-commit run alone and merged with itself.
+/// The other report goldens pin only the JSON of single runs; here the
+/// CSV, the merge rules and the non-finite and truncated forms drift
+/// too.
+#[test]
+fn report_formats_match_golden() {
+    let runs = |cfg: &SystemConfig, spec: ProtocolSpec| -> Vec<SimReport> {
+        (2027..=2029)
+            .map(|seed| Simulation::run(cfg, spec, seed).expect("valid config"))
+            .collect()
+    };
+    let two_pc = runs(&faulty_cfg(), ProtocolSpec::TWO_PC);
+    let paxos = runs(&faulty_cfg().with_replication(1), ProtocolSpec::PAXOS);
+    let never =
+        Simulation::run(&never_commits_cfg(), ProtocolSpec::TWO_PC, 42).expect("valid config");
+    // Not vacuous: the truncated run has the forms the others lack.
+    assert!(never.truncated && never.committed == 0);
+    assert!(never.throughput_ci.half_width.is_infinite());
+    assert!(!never.convergence.converged);
+    let reports = [
+        ("2PC faulty, seed 2027", two_pc[0].clone()),
+        (
+            "2PC faulty, seeds 2027-2029 merged",
+            SimReport::merge_replications(&two_pc),
+        ),
+        (
+            "PAXOS F=1 faulty, seeds 2027-2029 merged",
+            SimReport::merge_replications(&paxos),
+        ),
+        (
+            "never commits, merged with itself",
+            SimReport::merge_replications(&[never.clone(), never.clone()]),
+        ),
+        ("never commits", never),
+    ];
+    let mut out = String::new();
+    for (name, report) in &reports {
+        for (format, text) in [
+            ("table", report.render(ReportFormat::Table)),
+            ("csv", report.render(ReportFormat::Csv)),
+            ("json", report.render(ReportFormat::Json)),
+            ("summary", report.summary()),
+        ] {
+            out.push_str(&format!("=== {name}: {format} ===\n{text}\n"));
+        }
+    }
+    check("report_formats.txt", &out);
 }
