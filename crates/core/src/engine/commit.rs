@@ -8,10 +8,13 @@
 //! phase-1 messages are routed, who takes over on a crash — is a
 //! column of the table, never a `match` on the protocol name.
 
-use super::types::{CohortH, CohortId, CohortPhase, LogWork, MsgKind, TxnH, TxnPhase, Vote};
+use super::types::{
+    CohortH, CohortId, CohortPhase, LogWork, MsgKind, Restart, TxnH, TxnPhase, Vote,
+};
 use super::Simulation;
 use crate::config::TransType;
 use crate::metrics::AbortReason;
+use crate::workload::SiteId;
 use commitproto::{Routing, Takeover};
 
 impl Simulation<'_> {
@@ -169,25 +172,49 @@ impl Simulation<'_> {
         let quorum = self.table.routing == Routing::Quorum;
         let t = self.txns.get_mut(txn).expect("live txn");
         t.phase = TxnPhase::Voting;
-        t.pending_votes = t.cohorts.len();
+        let n = t.cohorts.len();
+        t.pending_votes = n;
         if quorum {
             // Quorum routing: votes bypass the master and fan out to
             // the `2F+1` acceptors of the home shard's replica group.
             // Each acceptor waits for every cohort's vote, forces its
             // bundle, and reports ACCEPTED to the leader (the master,
             // co-located with acceptor 0).
-            t.acc_pending = vec![t.cohorts.len() as u32; group];
+            t.acc_pending.clear();
+            t.acc_pending.resize(group, n as u32);
             t.accepts_outstanding = group;
         }
         let home = t.home;
-        let targets: Vec<(CohortH, usize)> = t
-            .cohorts
-            .iter()
-            .map(|&c| (c, self.cohorts[c].site))
-            .collect();
-        for (cohort, site) in targets {
-            self.send(home, site, MsgKind::Prepare { cohort });
+        // Every cohort is live and executing-complete here: none has
+        // voted, so none has parted.
+        let sent = self.send_to_cohorts(txn, home, |cohort| MsgKind::Prepare { cohort });
+        debug_assert_eq!(sent, n, "a cohort left before PREPARE");
+    }
+
+    /// Send `msg(cohort)` from `from` to each of `txn`'s cohorts that is
+    /// still live and has not parted, in cohort order; returns how many
+    /// went out. Sending only schedules events, so the cohort list
+    /// cannot change under the loop and no copy of it is needed.
+    fn send_to_cohorts(
+        &mut self,
+        txn: TxnH,
+        from: SiteId,
+        msg: impl Fn(CohortH) -> MsgKind,
+    ) -> usize {
+        let mut sent = 0;
+        for i in 0..self.txns[txn].cohorts.len() {
+            let cohort = self.txns[txn].cohorts[i];
+            let Some(c) = self.cohorts.get(cohort) else {
+                continue;
+            };
+            if c.phase == CohortPhase::Parted {
+                continue;
+            }
+            let site = c.site;
+            self.send(from, site, msg(cohort));
+            sent += 1;
         }
+        sent
     }
 
     // ------------------------------------------------------------------
@@ -573,11 +600,11 @@ impl Simulation<'_> {
             return;
         }
         let no_vote = t.no_vote;
-        let cohort_hs = t.cohorts.clone();
         // Phase-two participants: cohorts still alive (READ voters
         // already left the slab — via `cohort_done`, or via parting
         // once their vote was received above).
-        let participants = cohort_hs
+        let participants = t
+            .cohorts
             .iter()
             .filter(|&&c| {
                 self.cohorts
@@ -604,23 +631,9 @@ impl Simulation<'_> {
     /// 3PC: the master's precommit record is on disk — run the
     /// precommit round (participants only; READ voters dropped out).
     pub(crate) fn master_precommit_logged(&mut self, txn: TxnH) {
-        let t = self.txns.get_mut(txn).expect("live txn");
-        let home = t.home;
-        let targets: Vec<(CohortH, usize)> = t
-            .cohorts
-            .iter()
-            .filter_map(|&c| {
-                self.cohorts
-                    .get(c)
-                    .filter(|x| x.phase != CohortPhase::Parted)
-                    .map(|x| (c, x.site))
-            })
-            .collect();
-        let t = self.txns.get_mut(txn).expect("live txn");
-        t.pending_preacks = targets.len();
-        for (cohort, site) in targets {
-            self.send(home, site, MsgKind::PreCommit { cohort });
-        }
+        let home = self.txns[txn].home;
+        let sent = self.send_to_cohorts(txn, home, |cohort| MsgKind::PreCommit { cohort });
+        self.txns.get_mut(txn).expect("live txn").pending_preacks = sent;
     }
 
     pub(crate) fn cohort_precommit(&mut self, cohort: CohortH, attempt: u32) {
@@ -933,8 +946,7 @@ impl Simulation<'_> {
             self.metrics.phase_voting.record(now.since(started));
             self.cal.schedule_now(super::types::Event::Submit {
                 home,
-                template: None,
-                original_birth: None,
+                restart: None,
             });
             self.note_commit_for_run_control();
         } else {
@@ -943,16 +955,22 @@ impl Simulation<'_> {
                 at,
                 txn: txn_ext,
             });
+            // The restart re-executes a copy of the template: this
+            // incarnation keeps its own until its cohorts finish.
+            let mut template = self.spares.templates.pop().unwrap_or_default();
             let t = self.txns.get(txn).expect("live txn");
-            let template = t.template.clone();
+            template.clone_from(&t.template);
             let original_birth = t.original_birth;
             let delay = self.restart_delay();
+            let restart = self.restarts.insert(Restart {
+                template,
+                original_birth,
+            });
             self.cal.schedule_in(
                 delay,
                 super::types::Event::Submit {
                     home,
-                    template: Some(Box::new(template)),
-                    original_birth: Some(original_birth),
+                    restart: Some(restart),
                 },
             );
         }
@@ -960,10 +978,11 @@ impl Simulation<'_> {
         if !self.table.voting {
             // Baselines: commit processing is the single decision
             // record — every cohort completes instantly, no messages
-            // (§5.1).
+            // (§5.1). The master is not done yet, so finishing cohorts
+            // cannot retire the transaction under the loop.
             debug_assert!(commit);
-            let cohort_hs = self.txns[txn].cohorts.clone();
-            for ch in cohort_hs {
+            for i in 0..self.txns[txn].cohorts.len() {
+                let ch = self.txns[txn].cohorts[i];
                 self.baseline_finish_cohort(ch);
             }
             let t = self.txns.get_mut(txn).expect("live txn");
@@ -972,28 +991,16 @@ impl Simulation<'_> {
         } else {
             // Send the decision to the surviving (prepared /
             // precommitted) cohorts; NO voters aborted unilaterally.
-            let t = &self.txns[txn];
-            let targets: Vec<(CohortH, usize)> = t
-                .cohorts
-                .iter()
-                .filter_map(|&ch| {
-                    self.cohorts
-                        .get(ch)
-                        .filter(|c| c.phase != CohortPhase::Parted)
-                        .map(|c| (ch, c.site))
-                })
-                .collect();
+            let sent =
+                self.send_to_cohorts(txn, control, |cohort| MsgKind::Decision { cohort, commit });
             let acks = if self.table.cohort_ack.on(commit) {
-                targets.len()
+                sent
             } else {
                 0
             };
             let t = self.txns.get_mut(txn).expect("live txn");
             t.pending_acks = acks;
             t.master_done = acks == 0;
-            for (cohort, site) in targets {
-                self.send(control, site, MsgKind::Decision { cohort, commit });
-            }
             self.try_cleanup(txn);
         }
     }
@@ -1002,14 +1009,9 @@ impl Simulation<'_> {
     fn baseline_finish_cohort(&mut self, cohort: CohortH) {
         let c = self.cohorts.get(cohort).expect("live cohort");
         let (site, txn, owner, acc_index) = (c.site, c.txn, c.lock_owner, c.acc_index);
-        let writes: Vec<(usize, u64)> = self.txns[txn].template.accesses[acc_index]
-            .iter()
-            .filter(|a| a.update)
-            .map(|a| (site, a.page))
-            .collect();
         let grants = self.sites[site].locks.release_all(owner);
         self.process_grants(site, grants);
-        self.enqueue_deferred_writes(&writes);
+        self.enqueue_deferred_writes(txn, acc_index, site);
         self.cohort_done(cohort);
     }
 
@@ -1099,15 +1101,6 @@ impl Simulation<'_> {
         // ACKs go wherever protocol control lives (the termination
         // coordinator after a 3PC master crash).
         let home = self.txns[txn].control_site();
-        let writes: Vec<(usize, u64)> = if commit {
-            self.txns[txn].template.accesses[acc_index]
-                .iter()
-                .filter(|a| a.update)
-                .map(|a| (site, a.page))
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         // Order matters: the cohort's borrow edges are settled and its
         // locks released *before* any borrower is unshelved or aborted.
@@ -1127,9 +1120,9 @@ impl Simulation<'_> {
         // below can unregister (and recycle) them.
         let borrowers: Vec<CohortH> = borrower_owners.iter().map(|&o| sref.cohort_of(o)).collect();
         self.process_grants(site, grants);
-        self.enqueue_deferred_writes(&writes);
 
         if commit {
+            self.enqueue_deferred_writes(txn, acc_index, site);
             for b in borrowers {
                 let unshelve = match self.cohorts.get(b) {
                     Some(bc) if bc.phase == CohortPhase::OnShelf => {
@@ -1301,6 +1294,8 @@ impl Simulation<'_> {
                 self.metrics.phase_decision.record(now.since(decided));
                 self.check_commit_overheads(&t);
             }
+            let template = self.spares.retire(t);
+            self.spares.templates.push(template);
         }
     }
 

@@ -4,7 +4,8 @@
 //! cascades).
 
 use super::types::{
-    Cohort, CohortH, CohortId, CohortPhase, DiskJob, Event, MsgKind, Txn, TxnH, TxnPhase,
+    Cohort, CohortH, CohortId, CohortPhase, DiskJob, Event, MsgKind, Restart, RestartH, Txn, TxnH,
+    TxnPhase,
 };
 use super::{Simulation, Site};
 use crate::config::TransType;
@@ -13,33 +14,49 @@ use crate::workload::{SiteId, TxnTemplate};
 #[cfg(debug_assertions)]
 use distlocks::deadlock::find_cycle;
 use distlocks::{Grant, LockMode, RequestOutcome};
-use simkernel::{SimTime, Slab};
+use simkernel::Slab;
 
 impl Simulation<'_> {
     // ------------------------------------------------------------------
     // Submission
     // ------------------------------------------------------------------
 
-    /// Submit a transaction at `home`; restarts carry their original
-    /// template and birth instant.
-    pub(crate) fn submit_txn(
-        &mut self,
-        home: SiteId,
-        template: Option<TxnTemplate>,
-        original_birth: Option<SimTime>,
-    ) {
+    /// Submit a transaction at `home`: the parked `restart` with its
+    /// original template and birth instant, or a fresh one generated
+    /// into a spare template.
+    pub(crate) fn submit_txn(&mut self, home: SiteId, restart: Option<RestartH>) {
         let now = self.cal.now();
-        let template = template.unwrap_or_else(|| self.wl.generate(home, &mut self.rng));
+        let (template, original_birth) = match restart {
+            Some(r) => {
+                let r = self
+                    .restarts
+                    .remove(r)
+                    .expect("a restart is submitted once");
+                (r.template, r.original_birth)
+            }
+            None => {
+                let mut t = self.spares.templates.pop().unwrap_or_default();
+                self.wl
+                    .generate_into(home, &mut self.rng, &mut t, &mut self.spares.picks);
+                (t, now)
+            }
+        };
         let txn_id = self.alloc_txn_id();
         let n = template.sites.len();
+        let cohorts = self
+            .spares
+            .cohort_lists
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(n));
+        let acc_pending = self.spares.acc_lists.pop().unwrap_or_default();
 
         let th = self.txns.insert(Txn {
             id: txn_id,
             home,
             template,
             birth: now,
-            original_birth: original_birth.unwrap_or(now),
-            cohorts: Vec::new(),
+            original_birth,
+            cohorts,
             phase: TxnPhase::Executing,
             pending_workdone: n,
             pending_votes: 0,
@@ -52,7 +69,7 @@ impl Simulation<'_> {
             master_done: false,
             coordinator_site: None,
             pending_term_reps: 0,
-            acc_pending: Vec::new(),
+            acc_pending,
             accepts_outstanding: 0,
             pending_rep_acks: 0,
             commit_started: None,
@@ -64,7 +81,6 @@ impl Simulation<'_> {
             crashed_at: None,
         });
 
-        let mut cohort_hs = Vec::with_capacity(n);
         for i in 0..n {
             let (site, n_accesses) = {
                 let t = &self.txns[th].template;
@@ -100,24 +116,23 @@ impl Simulation<'_> {
             } else {
                 mirror[owner.index()] = ch;
             }
-            cohort_hs.push(ch);
+            self.txns[th].cohorts.push(ch);
         }
-        self.txns[th].cohorts = cohort_hs.clone();
         self.metrics.live_txns.add(now, 1.0);
 
-        match self.cfg.trans_type {
-            TransType::Parallel => {
-                // All cohorts started together (§4.1). The local cohort
-                // starts directly; remote ones via an initiation message.
-                for &ch in &cohort_hs {
-                    self.start_cohort(ch, home);
-                }
-            }
-            TransType::Sequential => {
-                // Only the first (local) cohort starts; the rest chain
-                // off WORKDONE arrivals.
-                self.start_cohort(cohort_hs[0], home);
-            }
+        // All cohorts start together (§4.1), or for sequential
+        // transactions only the first (local) one, the rest chaining off
+        // WORKDONE arrivals. The local cohort starts directly, remote
+        // ones via an initiation message. A new transaction holds no
+        // lock yet, so no deadlock started here can pick it as victim:
+        // its cohort list outlives the loop.
+        let starting = match self.cfg.trans_type {
+            TransType::Parallel => n,
+            TransType::Sequential => 1,
+        };
+        for i in 0..starting {
+            let ch = self.txns[th].cohorts[i];
+            self.start_cohort(ch, home);
         }
     }
 
@@ -515,13 +530,13 @@ impl Simulation<'_> {
             self.metrics.blocked_txns.add(now, -1.0);
         }
         let home = txn.home;
-        let original_birth = txn.original_birth;
         let txn_ext = txn.id;
-        let cohort_hs = txn.cohorts.clone();
         // Tear the cohorts down; collect cascade victims (borrowers of
         // this transaction's cohorts — impossible here since none is
-        // prepared, asserted below).
-        for ch in cohort_hs {
+        // prepared, asserted below). Releasing locks only grants other
+        // transactions' cohorts, so this one's list stands meanwhile.
+        for i in 0..txn.cohorts.len() {
+            let ch = self.txns[th].cohorts[i];
             let Some(c) = self.cohorts.remove(ch) else {
                 continue;
             };
@@ -543,12 +558,17 @@ impl Simulation<'_> {
             txn: txn_ext,
         });
         let delay = self.restart_delay();
+        let original_birth = txn.original_birth;
+        let template = self.spares.retire(txn);
+        let restart = self.restarts.insert(Restart {
+            template,
+            original_birth,
+        });
         self.cal.schedule_in(
             delay,
             Event::Submit {
                 home,
-                template: Some(Box::new(txn.template)),
-                original_birth: Some(original_birth),
+                restart: Some(restart),
             },
         );
     }
@@ -600,15 +620,54 @@ impl Simulation<'_> {
         }
     }
 
-    /// Deferred write-back of a committed cohort's updates: the pages go
+    /// Deferred write-back of a committed cohort's updates (its access
+    /// list `acc_index` of `txn`'s template, at `site`): the pages go
     /// to the data disks asynchronously; nothing waits on them (§4.1).
-    pub(crate) fn enqueue_deferred_writes(&mut self, cohort_accesses: &[(SiteId, u64)]) {
+    pub(crate) fn enqueue_deferred_writes(&mut self, txn: TxnH, acc_index: usize, site: SiteId) {
         if !self.cfg.model_deferred_writes {
             return;
         }
-        for &(site, page) in cohort_accesses {
-            self.data_disk_arrive(site, page, DiskJob::AsyncWrite);
+        // Index walk: each write re-borrows the engine, and the
+        // template is immutable while its transaction lives.
+        for i in 0..self.txns[txn].template.accesses[acc_index].len() {
+            let a = self.txns[txn].template.accesses[acc_index][i];
+            if a.update {
+                self.data_disk_arrive(site, a.page, DiskJob::AsyncWrite);
+            }
         }
+    }
+}
+
+/// Retired transactions' buffers, kept for the next submissions. The
+/// closed MPL loop keeps a fixed population in flight, so once the pool
+/// holds the most ever in use at once, submitting and retiring a
+/// transaction allocates nothing. Cohort lists and acceptor tallies are
+/// kept empty; templates are refilled whole before reuse
+/// (`generate_into`, or `clone_from` for a restart's copy).
+#[derive(Debug, Default)]
+pub(crate) struct Spares {
+    pub templates: Vec<TxnTemplate>,
+    pub cohort_lists: Vec<Vec<CohortH>>,
+    pub acc_lists: Vec<Vec<u32>>,
+    /// Scratch for the workload's distinct draws.
+    pub picks: Vec<usize>,
+}
+
+impl Spares {
+    /// Keep a retired incarnation's lists, emptied, and hand back its
+    /// template, which the caller parks for a restart or pools.
+    pub fn retire(&mut self, t: Txn) -> TxnTemplate {
+        let Txn {
+            template,
+            mut cohorts,
+            mut acc_pending,
+            ..
+        } = t;
+        cohorts.clear();
+        acc_pending.clear();
+        self.cohort_lists.push(cohorts);
+        self.acc_lists.push(acc_pending);
+        template
     }
 }
 

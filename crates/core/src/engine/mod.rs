@@ -47,7 +47,10 @@ use commitproto::{ProtocolSpec, Routing, SpecTable};
 use distlocks::{LockManager, OwnerId};
 use simkernel::stats::Tally;
 use simkernel::{Calendar, JobClass, SimDuration, SimRng, SimTime, Slab, Station};
-use types::{Cohort, CohortH, CpuJob, DiskJob, Event, LogWork, Message, MsgKind, Retry, Txn, TxnH};
+use types::{
+    Cohort, CohortH, CpuJob, DiskJob, Event, LogWork, Message, MsgKind, Restart, RestartH, Retry,
+    Txn, TxnH,
+};
 
 /// Accumulates per-station observations into one [`ResourceStats`] for
 /// a resource class *within one site* (utilizations/queue depths
@@ -135,6 +138,10 @@ pub struct Simulation<'a> {
     pub(crate) sites: Vec<Site>,
     pub(crate) txns: Slab<TxnH, Txn>,
     pub(crate) cohorts: Slab<CohortH, Cohort>,
+    /// Aborted transactions waiting out their restart delay.
+    pub(crate) restarts: Slab<RestartH, Restart>,
+    /// Retired transactions' buffers, reused by the next submissions.
+    pub(crate) spares: exec::Spares,
     next_txn_id: TxnId,
     next_cohort_id: CohortId,
     pub(crate) metrics: Metrics,
@@ -419,6 +426,8 @@ impl Simulation<'_> {
             sites,
             txns: Slab::new(),
             cohorts: Slab::new(),
+            restarts: Slab::new(),
+            spares: exec::Spares::default(),
             next_txn_id: 1,
             next_cohort_id: 1,
             metrics,
@@ -445,8 +454,7 @@ impl Simulation<'_> {
             for _ in 0..mpl_per_site {
                 sim.cal.schedule_now(Event::Submit {
                     home,
-                    template: None,
-                    original_birth: None,
+                    restart: None,
                 });
             }
         }
@@ -498,13 +506,7 @@ impl Simulation<'_> {
 
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::Submit {
-                home,
-                template,
-                original_birth,
-            } => {
-                self.submit_txn(home, template.map(|b| *b), original_birth);
-            }
+            Event::Submit { home, restart } => self.submit_txn(home, restart),
             Event::CpuDone { site, job } => {
                 let now = self.cal.now();
                 if let Some(started) = self.sites[site].cpu.complete(now) {

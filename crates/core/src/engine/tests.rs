@@ -446,6 +446,98 @@ fn opt_lending_under_master_crashes_leaks_no_locks() {
 }
 
 #[test]
+fn recycled_buffers_are_conserved_and_bounded_by_the_closed_loop() {
+    // The spare pools must neither leak (a retired template or list
+    // dropped and later made again) nor grow with run length. Step the
+    // event loop by hand and check after every event:
+    // - every undecided incarnation and every parked restart holds one
+    //   of the population's MPL × sites slots (the closed loop);
+    // - no template or cohort list is ever dropped, and one is made
+    //   only when the pool is empty;
+    // so what exists is the most ever in use at once: the population
+    // plus the decided transactions still draining their decision
+    // phase, which keep their template until their cohorts finish.
+    use super::types::TxnPhase;
+    use crate::config::FailureConfig;
+    let mut faulty = tiny();
+    faulty.run.measured_transactions = 1_500;
+    faulty.failures = Some(FailureConfig {
+        master_crash_prob: 0.05,
+        cohort_crash_prob: 0.02,
+        msg_loss_prob: 0.05,
+        ..FailureConfig::default()
+    });
+    let mut contended = tiny();
+    contended.mpl = 8;
+    contended.run.measured_transactions = 1_500;
+    for (cfg, spec) in [
+        (faulty, ProtocolSpec::THREE_PC),
+        (contended, ProtocolSpec::OPT_2PC),
+    ] {
+        let name = spec.name();
+        let mut sim = Simulation::new(&cfg, spec, 13).expect("valid config");
+        let population = cfg.mpl as usize * sim.sites.len();
+        let (mut templates, mut lists, mut most_decided) = (0, 0, 0);
+        while !sim.done {
+            let (_, event) = sim.cal.next().expect("a closed system never drains");
+            sim.dispatch(event);
+            let live = sim.txns.len();
+            let parked = sim.restarts.len();
+            let decided = sim
+                .txns
+                .values()
+                .filter(|t| matches!(t.phase, TxnPhase::Decided { .. }))
+                .count();
+            most_decided = most_decided.max(decided);
+            assert!(
+                live - decided + parked <= population,
+                "{name}: {live} live ({decided} decided) and {parked} parked exceed {population}"
+            );
+            let spares = &sim.spares;
+            let now_templates = spares.templates.len() + live + parked;
+            let now_lists = spares.cohort_lists.len() + live;
+            assert_eq!(spares.acc_lists.len(), spares.cohort_lists.len(), "{name}");
+            for (now, before, pooled, what) in [
+                (
+                    now_templates,
+                    templates,
+                    spares.templates.len(),
+                    "templates",
+                ),
+                (now_lists, lists, spares.cohort_lists.len(), "cohort lists"),
+            ] {
+                assert!(now >= before, "{name}: {} {what} dropped", before - now);
+                assert!(
+                    now == before || (now == before + 1 && pooled == 0),
+                    "{name}: {what} went {before} -> {now} with {pooled} spare"
+                );
+            }
+            (templates, lists) = (now_templates, now_lists);
+        }
+        let report = sim.report();
+        assert!(report.aborted_deadlock > 0, "{name}: no restarts exercised");
+        assert!(
+            templates <= population + most_decided,
+            "{name}: {templates} templates"
+        );
+        assert!(
+            lists <= population + most_decided,
+            "{name}: {lists} cohort lists"
+        );
+        assert!(
+            sim.spares.cohort_lists.iter().all(Vec::is_empty)
+                && sim.spares.acc_lists.iter().all(Vec::is_empty),
+            "{name}: a spare list was kept dirty"
+        );
+        for (si, site) in sim.sites.iter().enumerate() {
+            site.locks
+                .audit()
+                .unwrap_or_else(|e| panic!("{name}: lock table at site {si}: {e}"));
+        }
+    }
+}
+
+#[test]
 fn control_site_defaults_to_home() {
     // Covered indirectly everywhere; pin the accessor contract here.
     use super::types::{Txn, TxnPhase};

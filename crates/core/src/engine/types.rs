@@ -51,17 +51,37 @@ impl SlabKey for CohortH {
     }
 }
 
+/// Dense slab handle of a parked restart in `Simulation::restarts`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RestartH(Handle);
+
+impl SlabKey for RestartH {
+    fn from_handle(h: Handle) -> Self {
+        RestartH(h)
+    }
+    fn handle(self) -> Handle {
+        self.0
+    }
+}
+
+/// An aborted transaction waiting out its restart delay: the template
+/// its next incarnation re-executes (it "makes the same data accesses
+/// as its original incarnation", §4) and the first incarnation's
+/// submission instant, where its response time starts.
+#[derive(Debug)]
+pub(crate) struct Restart {
+    pub template: TxnTemplate,
+    pub original_birth: SimTime,
+}
+
 /// A simulation event.
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
-    /// Submit a transaction at `home`. `template`/`original_birth` are
-    /// set for restarts (an aborted transaction "makes the same data
-    /// accesses as its original incarnation", §4) and `None` for fresh
-    /// submissions.
+    /// Submit a transaction at `home`: the parked restart `restart`, or
+    /// a fresh transaction when `None`.
     Submit {
         home: SiteId,
-        template: Option<Box<TxnTemplate>>,
-        original_birth: Option<SimTime>,
+        restart: Option<RestartH>,
     },
     /// A CPU service completed at `site`.
     CpuDone { site: SiteId, job: CpuJob },

@@ -26,8 +26,10 @@ pub struct Access {
 }
 
 /// The immutable plan of one transaction: where its cohorts run and
-/// what each accesses. Restarted incarnations reuse the template.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// what each accesses. Restarted incarnations reuse the template, and
+/// the engine refills retired templates in place
+/// ([`WorkloadGenerator::generate_into`]).
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TxnTemplate {
     /// The originating site (master and first cohort live here).
     pub home: SiteId,
@@ -35,6 +37,24 @@ pub struct TxnTemplate {
     pub sites: Vec<SiteId>,
     /// Access list per cohort, parallel to `sites`.
     pub accesses: Vec<Vec<Access>>,
+}
+
+impl Clone for TxnTemplate {
+    fn clone(&self) -> Self {
+        TxnTemplate {
+            home: self.home,
+            sites: self.sites.clone(),
+            accesses: self.accesses.clone(),
+        }
+    }
+
+    /// Copy `src` into `self`'s own buffers: no allocation when `self`
+    /// already has room for every list of `src`.
+    fn clone_from(&mut self, src: &Self) {
+        self.home = src.home;
+        self.sites.clone_from(&src.sites);
+        self.accesses.clone_from(&src.accesses);
+    }
 }
 
 impl TxnTemplate {
@@ -141,6 +161,10 @@ pub struct WorkloadGenerator {
     zipf: Option<ZipfSampler>,
     hot_site_prob: f64,
     centralized: bool,
+    /// The most picks one template's distinct draws hold at once (see
+    /// [`SimRng::sample_distinct_len`]): what [`Self::generate`]
+    /// reserves for its scratch.
+    max_picks: usize,
 }
 
 impl WorkloadGenerator {
@@ -148,6 +172,22 @@ impl WorkloadGenerator {
     /// `centralized` column of the protocol's spec table folds the
     /// whole database into one site and one cohort (§5.1).
     pub fn new(cfg: &SystemConfig, base: BaseProtocol) -> Self {
+        let centralized = base.table().centralized;
+        let cohorts = cfg.dist_degree as usize;
+        // The unforced remote-site draw is the longer of the two site
+        // draws; only uniform access draws its pages through picks, at
+        // most `around_mean`'s upper end of them per cohort.
+        let site_picks = if centralized || cohorts < 2 {
+            0
+        } else {
+            SimRng::sample_distinct_len(cfg.num_sites - 1, cohorts - 1)
+        };
+        let page_picks = if centralized || cfg.hot_spot.is_some() || cfg.zipf.is_some() {
+            0
+        } else {
+            let most = (cfg.cohort_size + cfg.cohort_size / 2).max(1) as usize;
+            SimRng::sample_distinct_len(cfg.pages_per_site() as usize, most)
+        };
         WorkloadGenerator {
             pages_per_site: cfg.pages_per_site(),
             num_sites: cfg.num_sites,
@@ -159,7 +199,8 @@ impl WorkloadGenerator {
                 .zipf
                 .map(|z| ZipfSampler::new(cfg.pages_per_site(), z.theta)),
             hot_site_prob: cfg.topology.map_or(0.0, |t| t.hot_site_prob),
-            centralized: base.table().centralized,
+            centralized,
+            max_picks: site_picks.max(page_picks),
         }
     }
 
@@ -200,14 +241,45 @@ impl WorkloadGenerator {
     /// §5.1 defines CENT as "equivalent (in terms of database size and
     /// physical resources)": the workload is unchanged, only messages
     /// and distributed commit processing disappear.
+    ///
+    /// A wrapper over [`Self::generate_into`] that reserves every
+    /// buffer at its exact final size, so nothing grows while it fills.
     pub fn generate(&self, home: SiteId, rng: &mut SimRng) -> TxnTemplate {
+        let cohorts = self.dist_degree as usize;
+        let mut t = TxnTemplate {
+            home,
+            sites: Vec::with_capacity(cohorts),
+            accesses: Vec::with_capacity(cohorts),
+        };
+        let mut picks = Vec::with_capacity(self.max_picks);
+        self.generate_into(home, rng, &mut t, &mut picks);
+        t
+    }
+
+    /// Refill `t` in place with a fresh template originating at `home`:
+    /// the same draws in the same order as [`Self::generate`], and the
+    /// same template whatever `t` held before. `picks` is scratch for
+    /// the distinct draws. A recycled template and scratch allocate
+    /// nothing once they have held the workload's largest transaction.
+    pub fn generate_into(
+        &self,
+        home: SiteId,
+        rng: &mut SimRng,
+        t: &mut TxnTemplate,
+        picks: &mut Vec<usize>,
+    ) {
+        let cohorts = self.dist_degree as usize;
+        t.home = home;
+        t.sites.clear();
+        t.accesses.truncate(cohorts);
         if self.centralized {
             assert_eq!(home, 0, "CENT has a single merged site");
-            let mut taken = std::collections::HashSet::new();
-            let mut accesses = Vec::with_capacity(self.dist_degree as usize);
-            for _ in 0..self.dist_degree {
+            t.sites.resize(cohorts, 0);
+            for c in 0..cohorts {
                 let n = rng.around_mean(self.cohort_size) as usize;
-                let mut cohort = Vec::with_capacity(n);
+                cohort_list(&mut t.accesses, c, n);
+                let (drawn, rest) = t.accesses.split_at_mut(c);
+                let cohort = &mut rest[0];
                 for _ in 0..n {
                     // distinct pages across the whole transaction, so
                     // sibling cohorts never self-conflict; drawn as
@@ -217,7 +289,11 @@ impl WorkloadGenerator {
                     loop {
                         let site = rng.uniform_u64(0, self.num_sites as u64 - 1);
                         let p = site * self.pages_per_site + self.local_page(rng);
-                        if taken.insert(p) {
+                        let taken = cohort
+                            .iter()
+                            .chain(drawn.iter().flatten())
+                            .any(|a| a.page == p);
+                        if !taken {
                             cohort.push(Access {
                                 page: p,
                                 update: rng.chance(self.update_prob),
@@ -226,18 +302,11 @@ impl WorkloadGenerator {
                         }
                     }
                 }
-                accesses.push(cohort);
             }
-            let sites = vec![0; self.dist_degree as usize];
-            return TxnTemplate {
-                home: 0,
-                sites,
-                accesses,
-            };
+            return;
         }
 
-        let mut sites = Vec::with_capacity(self.dist_degree as usize);
-        sites.push(home);
+        t.sites.push(home);
         if self.dist_degree > 1 {
             // Topology hot site: with probability `hot`, site 0 is
             // forced into the cohort set, concentrating traffic there.
@@ -246,69 +315,66 @@ impl WorkloadGenerator {
             // unchanged without a hot site.
             let force_hot = self.hot_site_prob > 0.0 && home != 0 && rng.chance(self.hot_site_prob);
             if force_hot {
-                sites.push(0);
+                t.sites.push(0);
             }
-            let remaining = self.dist_degree as usize - sites.len();
+            let remaining = cohorts - t.sites.len();
             if remaining > 0 {
                 if force_hot {
                     // map 0..num_sites-2 onto all sites except {0, home}
-                    let picks = rng.sample_distinct(self.num_sites - 2, remaining);
-                    for p in picks {
+                    rng.sample_distinct_into(self.num_sites - 2, remaining, picks);
+                    t.sites.extend(picks.iter().map(|&p| {
                         let mut site = p + 1;
                         if site >= home {
                             site += 1;
                         }
-                        sites.push(site);
-                    }
+                        site
+                    }));
                 } else {
                     // Remote sites: distinct, uniform over the others;
                     // map 0..num_sites-1 onto all sites except `home`.
-                    let picks = rng.sample_distinct(self.num_sites - 1, remaining);
-                    for p in picks {
-                        let site = if p < home { p } else { p + 1 };
-                        sites.push(site);
-                    }
+                    rng.sample_distinct_into(self.num_sites - 1, remaining, picks);
+                    t.sites
+                        .extend(picks.iter().map(|&p| if p < home { p } else { p + 1 }));
                 }
             }
         }
-        let accesses = sites
-            .iter()
-            .map(|&s| self.cohort_accesses(s, rng))
-            .collect();
-        TxnTemplate {
-            home,
-            sites,
-            accesses,
+        for (c, &site) in t.sites.iter().enumerate() {
+            let n = rng.around_mean(self.cohort_size) as usize;
+            let out = cohort_list(&mut t.accesses, c, n);
+            self.cohort_accesses(site, n, rng, out, picks);
         }
     }
 
-    fn cohort_accesses(&self, site: SiteId, rng: &mut SimRng) -> Vec<Access> {
-        let n = rng.around_mean(self.cohort_size) as usize;
+    /// Fill `out` (empty, with room for `n`) with one cohort's `n`
+    /// distinct page accesses at `site`.
+    fn cohort_accesses(
+        &self,
+        site: SiteId,
+        n: usize,
+        rng: &mut SimRng,
+        out: &mut Vec<Access>,
+        picks: &mut Vec<usize>,
+    ) {
         let base = site as u64 * self.pages_per_site;
         if self.hot_spot.is_none() && self.zipf.is_none() {
-            return rng
-                .sample_distinct(self.pages_per_site as usize, n)
-                .into_iter()
-                .map(|local| Access {
-                    page: base + local as u64,
-                    update: rng.chance(self.update_prob),
-                })
-                .collect();
+            rng.sample_distinct_into(self.pages_per_site as usize, n, picks);
+            out.extend(picks.iter().map(|&local| Access {
+                page: base + local as u64,
+                update: rng.chance(self.update_prob),
+            }));
+            return;
         }
         // Skewed draw with rejection for distinctness (the hot region
         // always holds at least one full cohort, see config validation).
-        let mut taken = std::collections::HashSet::with_capacity(n);
-        let mut out = Vec::with_capacity(n);
         while out.len() < n {
-            let local = self.local_page(rng);
-            if taken.insert(local) {
+            let page = base + self.local_page(rng);
+            if !out.iter().any(|a| a.page == page) {
                 out.push(Access {
-                    page: base + local,
+                    page,
                     update: rng.chance(self.update_prob),
                 });
             }
         }
-        out
     }
 
     /// The site a global page id lives on.
@@ -320,6 +386,19 @@ impl WorkloadGenerator {
             (page / self.pages_per_site) as usize
         }
     }
+}
+
+/// Cohort `c`'s access list in `accesses` (at most one past the end),
+/// emptied and with room for `n` pages: a recycled list keeps its
+/// buffer, a new one gets exactly `n`.
+fn cohort_list(accesses: &mut Vec<Vec<Access>>, c: usize, n: usize) -> &mut Vec<Access> {
+    if c == accesses.len() {
+        accesses.push(Vec::with_capacity(n));
+    }
+    let list = &mut accesses[c];
+    list.clear();
+    list.reserve_exact(n);
+    list
 }
 
 #[cfg(test)]
@@ -522,6 +601,93 @@ mod tests {
             access_fraction: 0.8,
         });
         cfg.validate().unwrap();
+    }
+
+    /// Every generator shape the engine uses: uniform, hot-spot, Zipf,
+    /// topology hot site, and CENT (uniform and hot-spot).
+    fn every_generator() -> Vec<(&'static str, WorkloadGenerator)> {
+        let base = SystemConfig::paper_baseline();
+        let mut hot_spot = base.clone();
+        hot_spot.hot_spot = Some(HotSpot {
+            data_fraction: 0.2,
+            access_fraction: 0.8,
+        });
+        let zipf = base.clone().with_zipf(0.9);
+        let hot_site = base.clone().with_topology("hot=0.5".parse().unwrap());
+        vec![
+            (
+                "uniform",
+                WorkloadGenerator::new(&base, BaseProtocol::TwoPC),
+            ),
+            (
+                "hot-spot",
+                WorkloadGenerator::new(&hot_spot, BaseProtocol::TwoPC),
+            ),
+            ("zipf", WorkloadGenerator::new(&zipf, BaseProtocol::TwoPC)),
+            (
+                "hot-site",
+                WorkloadGenerator::new(&hot_site, BaseProtocol::TwoPC),
+            ),
+            (
+                "cent",
+                WorkloadGenerator::new(&base, BaseProtocol::Centralized),
+            ),
+            (
+                "cent-hot-spot",
+                WorkloadGenerator::new(&hot_spot, BaseProtocol::Centralized),
+            ),
+        ]
+    }
+
+    #[test]
+    fn generate_into_a_dirty_template_equals_generate() {
+        // Dirty templates: last filled with more cohorts and longer
+        // access lists, and by the other kind of generator (CENT versus
+        // distributed), so every list is shrunk, regrown or re-sited.
+        let mut big = SystemConfig::paper_baseline();
+        big.dist_degree = 6;
+        big.cohort_size = 12;
+        let dirty_from = [
+            WorkloadGenerator::new(&big, BaseProtocol::TwoPC),
+            WorkloadGenerator::new(&big, BaseProtocol::Centralized),
+        ];
+        for (name, g) in every_generator() {
+            let mut rng = SimRng::new(0x7e57 + seed_offset());
+            let mut scratch = SimRng::new(5);
+            let mut picks = vec![usize::MAX; 3];
+            for i in 0..200 {
+                let mut t = dirty_from[i % 2].generate(0, &mut scratch);
+                let home = if g.centralized { 0 } else { i % 8 };
+                let mut twin = rng.clone();
+                let want = g.generate(home, &mut twin);
+                g.generate_into(home, &mut rng, &mut t, &mut picks);
+                assert_eq!(t, want, "{name}: template {i}");
+                assert_eq!(rng.next_u64(), twin.next_u64(), "{name}: RNG after {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn generate_reserves_exact_capacities() {
+        // The fresh path fills buffers reserved at their final size:
+        // nothing grows past it (which would reallocate) and nothing is
+        // over-reserved. Its pick scratch never outgrows `max_picks`.
+        for (name, g) in every_generator() {
+            let mut rng = SimRng::new(0xca9 + seed_offset());
+            let mut picks = Vec::with_capacity(g.max_picks);
+            let mut recycled = TxnTemplate::default();
+            for i in 0..200 {
+                let home = if g.centralized { 0 } else { i % 8 };
+                let t = g.generate(home, &mut rng);
+                assert_eq!(t.sites.capacity(), t.sites.len(), "{name}");
+                assert_eq!(t.accesses.capacity(), t.accesses.len(), "{name}");
+                for a in &t.accesses {
+                    assert_eq!(a.capacity(), a.len(), "{name}");
+                }
+                g.generate_into(home, &mut rng, &mut recycled, &mut picks);
+                assert_eq!(picks.capacity(), g.max_picks, "{name}");
+            }
+        }
     }
 
     #[test]

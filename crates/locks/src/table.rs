@@ -32,6 +32,14 @@
 //!   state (held pages, waiting request, prepared flag, borrow edges)
 //!   lives in one `OwnerState` record — no hashing anywhere on the
 //!   request/release paths.
+//! * A vacated record stays in place, empty but with its lists'
+//!   buffers, and the slot's next owner reuses them; `release_all`
+//!   and `drop_borrower` hand their lists back cleared instead of
+//!   dropping them. A caller that cycles a fixed population of owners
+//!   (the engine's closed MPL loop) therefore allocates nothing for
+//!   them once each slot has held its largest lists.
+//!   [`LockManager::audit`] checks that every vacant record holds
+//!   nothing and that the vacant records are exactly the free list.
 //! * Pages live in a flat `Vec` indexed by `page % page_modulus`.
 //!   Callers must keep the page ids used against one table *injective*
 //!   modulo the modulus (the engine passes its pages-per-site, and page
@@ -134,9 +142,13 @@ struct PageLock {
     queue: VecDeque<WaitReq>,
 }
 
-/// All state of one registered owner, in one record.
+/// All state of one owner slot, in one record. A vacant record (after
+/// [`LockManager::unregister`]) holds nothing, but keeps its lists'
+/// buffers for the next owner registered into the slot.
 #[derive(Debug)]
 struct OwnerState {
+    /// A registered owner occupies the slot.
+    live: bool,
     /// Caller-assigned sequence number (the engine's cohort id). Unique
     /// among live owners; the determinism key for every sorted output.
     seq: u64,
@@ -158,7 +170,8 @@ pub struct LockManager {
     /// Pages are stored at slot `page % page_modulus`.
     page_modulus: u64,
     pages: Vec<PageLock>,
-    owners: Vec<Option<OwnerState>>,
+    owners: Vec<OwnerState>,
+    /// Vacant slots, reused most recently vacated first.
     free_owners: Vec<u32>,
     /// Count of owners with `waiting.is_some()`.
     waiting_owners: usize,
@@ -198,25 +211,28 @@ impl LockManager {
 
     /// Register a new owner with caller-assigned sequence number `seq`
     /// (must be unique among live owners — the engine passes the
-    /// globally unique cohort id). Returns its dense handle.
+    /// globally unique cohort id). Returns its dense handle. A recycled
+    /// slot's record is reused with its lists' buffers.
     pub fn register_owner(&mut self, seq: u64) -> OwnerId {
-        let st = OwnerState {
-            seq,
-            held: Vec::new(),
-            waiting: None,
-            prepared: false,
-            lends: Vec::new(),
-            borrows: Vec::new(),
-        };
         self.registered += 1;
         match self.free_owners.pop() {
             Some(slot) => {
-                debug_assert!(self.owners[slot as usize].is_none());
-                self.owners[slot as usize] = Some(st);
+                let st = &mut self.owners[slot as usize];
+                debug_assert!(!st.live, "free slot {slot} is occupied");
+                st.live = true;
+                st.seq = seq;
                 OwnerId(slot)
             }
             None => {
-                self.owners.push(Some(st));
+                self.owners.push(OwnerState {
+                    live: true,
+                    seq,
+                    held: Vec::new(),
+                    waiting: None,
+                    prepared: false,
+                    lends: Vec::new(),
+                    borrows: Vec::new(),
+                });
                 OwnerId((self.owners.len() - 1) as u32)
             }
         }
@@ -224,9 +240,10 @@ impl LockManager {
 
     /// Unregister `owner`, recycling its slot. Panics if the owner
     /// still holds locks, waits, lends, borrows, or is prepared — the
-    /// caller must fully tear it down first.
+    /// caller must fully tear it down first. The vacated record keeps
+    /// its (empty) lists' buffers for the slot's next owner.
     pub fn unregister(&mut self, owner: OwnerId) {
-        let st = self.st(owner);
+        let st = self.st_mut(owner);
         assert!(
             st.held.is_empty()
                 && st.waiting.is_none()
@@ -236,7 +253,7 @@ impl LockManager {
             "owner seq {} unregistered with live lock state",
             st.seq
         );
-        self.owners[owner.index()] = None;
+        st.live = false;
         self.free_owners.push(owner.0);
         self.registered -= 1;
     }
@@ -244,10 +261,7 @@ impl LockManager {
     /// The sequence number `owner` was registered with, or `None` if
     /// the slot is currently vacant.
     pub fn owner_seq(&self, owner: OwnerId) -> Option<u64> {
-        self.owners
-            .get(owner.index())
-            .and_then(|o| o.as_ref())
-            .map(|s| s.seq)
+        self.live_record(owner.0).map(|s| s.seq)
     }
 
     /// Number of currently registered owners.
@@ -255,33 +269,45 @@ impl LockManager {
         self.registered
     }
 
+    /// The record of the live owner in `slot`, if one occupies it.
+    #[inline]
+    fn live_record(&self, slot: u32) -> Option<&OwnerState> {
+        self.owners.get(slot as usize).filter(|s| s.live)
+    }
+
     #[inline]
     fn st(&self, owner: OwnerId) -> &OwnerState {
-        self.owners[owner.index()]
-            .as_ref()
-            .expect("unregistered lock owner")
+        self.slot_st(owner.0)
     }
 
     #[inline]
     fn st_mut(&mut self, owner: OwnerId) -> &mut OwnerState {
-        self.owners[owner.index()]
-            .as_mut()
-            .expect("unregistered lock owner")
+        self.slot_st_mut(owner.0)
+    }
+
+    #[inline]
+    fn slot_st(&self, slot: u32) -> &OwnerState {
+        let st = &self.owners[slot as usize];
+        assert!(st.live, "unregistered lock owner");
+        st
+    }
+
+    #[inline]
+    fn slot_st_mut(&mut self, slot: u32) -> &mut OwnerState {
+        let st = &mut self.owners[slot as usize];
+        assert!(st.live, "unregistered lock owner");
+        st
     }
 
     #[inline]
     fn seq_of(&self, slot: u32) -> u64 {
-        self.owners[slot as usize]
-            .as_ref()
-            .expect("unregistered lock owner")
-            .seq
+        self.slot_st(slot).seq
     }
 
+    /// A vacant record is never prepared (`unregister` checks it).
     #[inline]
     fn prepared_slot(&self, slot: u32) -> bool {
-        self.owners[slot as usize]
-            .as_ref()
-            .is_some_and(|s| s.prepared)
+        self.owners[slot as usize].prepared
     }
 
     #[inline]
@@ -471,17 +497,11 @@ impl LockManager {
         self.borrow_grants += 1;
         for &l in lenders {
             debug_assert!(self.prepared_slot(l));
-            let lends = &mut self.owners[l as usize]
-                .as_mut()
-                .expect("unregistered lock owner")
-                .lends;
+            let lends = &mut self.slot_st_mut(l).lends;
             if !lends.contains(&borrower) {
                 lends.push(borrower);
             }
-            let borrows = &mut self.owners[borrower as usize]
-                .as_mut()
-                .expect("unregistered lock owner")
-                .borrows;
+            let borrows = &mut self.slot_st_mut(borrower).borrows;
             if !borrows.contains(&l) {
                 borrows.push(l);
             }
@@ -682,12 +702,18 @@ impl LockManager {
             // Removing a queued conflicting request can unblock those behind it.
             self.drain_queue(page, &mut grants);
         }
-        let held = std::mem::take(&mut self.st_mut(owner).held);
+        // The waiting request is cancelled above, so draining cannot
+        // grant `owner` anything while its list is out: the emptied
+        // list goes back with its buffer.
+        let mut held = std::mem::take(&mut self.st_mut(owner).held);
         for &(p, _) in &held {
             self.remove_holder_entry_only(owner, p);
             self.drain_queue(p, &mut grants);
         }
-        self.st_mut(owner).prepared = false;
+        held.clear();
+        let st = self.st_mut(owner);
+        st.held = held;
+        st.prepared = false;
         grants
     }
 
@@ -700,11 +726,7 @@ impl LockManager {
         let mut borrowers: Vec<u32> = std::mem::take(&mut self.st_mut(lender).lends);
         borrowers.sort_unstable_by_key(|&b| self.seq_of(b)); // deterministic processing order
         for &b in &borrowers {
-            self.owners[b as usize]
-                .as_mut()
-                .expect("unregistered lock owner")
-                .borrows
-                .retain(|&l| l != lender.0);
+            self.slot_st_mut(b).borrows.retain(|&l| l != lender.0);
         }
         borrowers.into_iter().map(OwnerId).collect()
     }
@@ -712,14 +734,12 @@ impl LockManager {
     /// A borrower is going away (abort or full release): drop its
     /// borrow edges from both directions.
     pub fn drop_borrower(&mut self, borrower: OwnerId) {
-        let lenders = std::mem::take(&mut self.st_mut(borrower).borrows);
-        for l in lenders {
-            self.owners[l as usize]
-                .as_mut()
-                .expect("unregistered lock owner")
-                .lends
-                .retain(|&b| b != borrower.0);
+        let mut lenders = std::mem::take(&mut self.st_mut(borrower).borrows);
+        for &l in &lenders {
+            self.slot_st_mut(l).lends.retain(|&b| b != borrower.0);
         }
+        lenders.clear();
+        self.st_mut(borrower).borrows = lenders;
     }
 
     fn remove_holder_entry_only(&mut self, owner: OwnerId, page: PageId) {
@@ -816,8 +836,19 @@ impl LockManager {
     /// 4. Each owner's `held` list is sorted and matches the holder
     ///    entries exactly.
     /// 5. Borrow edges are symmetric and reference prepared lenders only.
+    /// 6. Every vacant record holds, waits for, lends and borrows
+    ///    nothing and is not prepared; holders, queued requests and
+    ///    borrow edges name live owners only; and the vacant records
+    ///    are exactly the free list.
     pub fn audit(&self) -> Result<(), String> {
         for (pi, entry) in self.pages.iter().enumerate() {
+            if let Some(&(v, _)) = entry
+                .holders
+                .iter()
+                .find(|&&(h, _)| !self.owners[h as usize].live)
+            {
+                return Err(format!("page slot {pi}: holder slot {v} is vacant"));
+            }
             for (i, &(a, am)) in entry.holders.iter().enumerate() {
                 for &(b, bm) in entry.holders.iter().skip(i + 1) {
                     if a == b {
@@ -855,9 +886,7 @@ impl LockManager {
             }
             for w in &entry.queue {
                 let ok = self
-                    .owners
-                    .get(w.owner as usize)
-                    .and_then(|o| o.as_ref())
+                    .live_record(w.owner)
                     .is_some_and(|s| s.waiting.is_some_and(|p| self.page_slot(p) == pi));
                 if !ok {
                     return Err(format!(
@@ -870,7 +899,17 @@ impl LockManager {
         let mut waiting_seen = 0usize;
         let mut registered_seen = 0usize;
         for (slot, st) in self.owners.iter().enumerate() {
-            let Some(st) = st.as_ref() else { continue };
+            if !st.live {
+                let clean = st.held.is_empty()
+                    && st.waiting.is_none()
+                    && !st.prepared
+                    && st.lends.is_empty()
+                    && st.borrows.is_empty();
+                if !clean {
+                    return Err(format!("vacant owner slot {slot} keeps lock state"));
+                }
+                continue;
+            }
             registered_seen += 1;
             if !st.held.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!(
@@ -911,9 +950,7 @@ impl LockManager {
             }
             for &b in &st.lends {
                 let ok = self
-                    .owners
-                    .get(b as usize)
-                    .and_then(|o| o.as_ref())
+                    .live_record(b)
                     .is_some_and(|bs| bs.borrows.contains(&(slot as u32)));
                 if !ok {
                     return Err(format!("asymmetric borrow edge seq {} -> slot {b}", st.seq));
@@ -921,9 +958,7 @@ impl LockManager {
             }
             for &l in &st.borrows {
                 let ok = self
-                    .owners
-                    .get(l as usize)
-                    .and_then(|o| o.as_ref())
+                    .live_record(l)
                     .is_some_and(|ls| ls.lends.contains(&(slot as u32)));
                 if !ok {
                     return Err(format!(
@@ -944,6 +979,20 @@ impl LockManager {
                 "registered counter {} != actual {registered_seen}",
                 self.registered
             ));
+        }
+        let vacant = self.owners.len() - registered_seen;
+        if vacant != self.free_owners.len() {
+            return Err(format!(
+                "{vacant} vacant owner records but {} free slots",
+                self.free_owners.len()
+            ));
+        }
+        if let Some(&f) = self
+            .free_owners
+            .iter()
+            .find(|&&f| self.owners[f as usize].live)
+        {
+            return Err(format!("free slot {f} is occupied"));
         }
         Ok(())
     }
@@ -1541,6 +1590,96 @@ mod tests {
         assert_eq!(lm.owner_seq(c), Some(12));
         assert_eq!(lm.owner_seq(b), Some(11));
         lm.audit().unwrap();
+    }
+
+    #[test]
+    fn recycled_owner_records_keep_their_buffers_and_audit_clean() {
+        // Owners cycle through every state change and back into
+        // recycled slots; the table audits clean after every step.
+        let mut lm = LockManager::new(true);
+        let step = |lm: &LockManager, what: &str| {
+            lm.audit().unwrap_or_else(|e| panic!("after {what}: {e}"));
+        };
+        let (o1, o2) = (lm.register_owner(1), lm.register_owner(2));
+        // o1's held list grows past its first capacity.
+        for p in 0..9 {
+            assert!(granted(&lm.request(o1, p, LockMode::Update)));
+            step(&lm, "grant");
+        }
+        let held_cap = lm.owners[o1.index()].held.capacity();
+        assert!(held_cap >= 9);
+        assert!(granted(&lm.request(o2, 20, LockMode::Read)));
+        assert!(granted(&lm.request(o2, 20, LockMode::Update)));
+        step(&lm, "upgrade");
+        assert_eq!(lm.request(o2, 0, LockMode::Update), RequestOutcome::Blocked);
+        step(&lm, "block");
+        // Preparing o1 lends page 0 to the waiting o2.
+        let grants = lm.mark_prepared(o1);
+        assert_eq!(grants.len(), 1);
+        assert_eq!(grants[0].borrowed_from, vec![o1]);
+        step(&lm, "prepare");
+        let o3 = lm.register_owner(3);
+        assert_eq!(
+            lm.request(o3, 1, LockMode::Read),
+            RequestOutcome::Granted {
+                borrowed_from: vec![o1]
+            }
+        );
+        step(&lm, "borrow");
+        // o1 commits: its borrowers are settled, its locks released and
+        // its slot vacated, buffers kept.
+        assert_eq!(lm.settle_borrows(o1), vec![o2, o3]);
+        step(&lm, "settle");
+        assert!(lm.release_all(o1).is_empty());
+        step(&lm, "release");
+        lm.unregister(o1);
+        step(&lm, "unregister");
+        assert_eq!(lm.owners[o1.index()].held.capacity(), held_cap);
+        // A new owner moves into the recycled slot, buffers and all.
+        let o4 = lm.register_owner(4);
+        assert_eq!(o4.index(), o1.index());
+        assert_eq!(lm.pages_held(o4), 0);
+        assert!(!lm.is_prepared(o4) && !lm.has_live_borrows(o4));
+        assert_eq!(lm.owners[o4.index()].held.capacity(), held_cap);
+        step(&lm, "re-register");
+        assert!(granted(&lm.request(o4, 30, LockMode::Update)));
+        assert!(lm.mark_prepared(o4).is_empty());
+        assert_eq!(
+            lm.request(o2, 30, LockMode::Read),
+            RequestOutcome::Granted {
+                borrowed_from: vec![o4]
+            }
+        );
+        step(&lm, "borrow from the recycled slot");
+        // The borrower aborts first, then everyone tears down.
+        lm.drop_borrower(o2);
+        assert!(lm.owners[o2.index()].borrows.capacity() >= 1);
+        step(&lm, "drop borrower");
+        for o in [o2, o3, o4] {
+            assert!(lm.settle_borrows(o).is_empty());
+            lm.drop_borrower(o);
+            assert!(lm.release_all(o).is_empty());
+            lm.unregister(o);
+            step(&lm, "teardown");
+        }
+        assert_eq!(lm.registered_count(), 0);
+        // Every slot is recycled, most recently vacated first.
+        let again: Vec<OwnerId> = (5..8).map(|s| lm.register_owner(s)).collect();
+        assert_eq!(again, vec![o4, o3, o2]);
+        assert_eq!(lm.owners[o4.index()].held.capacity(), held_cap);
+        step(&lm, "re-register all");
+    }
+
+    #[test]
+    fn audit_detects_vacant_records_with_state() {
+        let (mut lm, o) = setup(false, 1);
+        lm.unregister(o[1]);
+        lm.audit().unwrap();
+        lm.owners[o[1].index()].held.push((3, LockMode::Read));
+        assert!(lm.audit().unwrap_err().contains("vacant owner slot"));
+        lm.owners[o[1].index()].held.clear();
+        lm.free_owners.clear();
+        assert!(lm.audit().unwrap_err().contains("free slots"));
     }
 
     #[test]

@@ -139,26 +139,47 @@ impl SimRng {
     /// # Panics
     /// Panics if `k > n`.
     pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut out = Vec::with_capacity(Self::sample_distinct_len(n, k));
+        self.sample_distinct_into(n, k, &mut out);
+        out
+    }
+
+    /// [`Self::sample_distinct`] into `out`, replacing its contents:
+    /// the same draws in the same order, and no allocation once `out`
+    /// can hold [`Self::sample_distinct_len`]`(n, k)` values.
+    ///
+    /// # Panics
+    /// Panics if `k > n`.
+    pub fn sample_distinct_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} distinct values from {n}");
+        out.clear();
         // Partial Fisher–Yates over an index vector for small n; for
         // large n with small k, rejection sampling is cheaper.
         if k * 4 >= n {
-            let mut idx: Vec<usize> = (0..n).collect();
+            out.extend(0..n);
             for i in 0..k {
                 let j = self.uniform_usize(i, n - 1);
-                idx.swap(i, j);
+                out.swap(i, j);
             }
-            idx.truncate(k);
-            idx
+            out.truncate(k);
         } else {
-            let mut chosen = Vec::with_capacity(k);
-            while chosen.len() < k {
+            while out.len() < k {
                 let v = self.uniform_usize(0, n - 1);
-                if !chosen.contains(&v) {
-                    chosen.push(v);
+                if !out.contains(&v) {
+                    out.push(v);
                 }
             }
-            chosen
+        }
+    }
+
+    /// The most values [`Self::sample_distinct_into`] holds in its
+    /// buffer for `k` of `n`: all `n` candidates when it shuffles, only
+    /// the `k` picks when it rejects.
+    pub fn sample_distinct_len(n: usize, k: usize) -> usize {
+        if k * 4 >= n {
+            n
+        } else {
+            k
         }
     }
 
@@ -274,6 +295,52 @@ mod tests {
             let set: HashSet<_> = s.iter().collect();
             assert_eq!(set.len(), k, "duplicates in sample");
             assert!(s.iter().all(|&v| v < n));
+        }
+    }
+
+    #[test]
+    fn sample_distinct_into_makes_the_same_draws() {
+        // Both branches (k·4 ≥ n shuffles, k·4 < n rejects) and both
+        // ends (k = 0, k = n), each into a dirty buffer.
+        let mut r = SimRng::new(27);
+        let mut out = vec![usize::MAX; 50];
+        for &(n, k) in &[
+            (8usize, 2usize),
+            (7, 2),
+            (100, 3),
+            (100, 25),
+            (1000, 9),
+            (5, 0),
+            (0, 0),
+            (1000, 0),
+            (6, 6),
+            (64, 64),
+        ] {
+            for _ in 0..20 {
+                let mut twin = r.clone();
+                let want = twin.sample_distinct(n, k);
+                r.sample_distinct_into(n, k, &mut out);
+                assert_eq!(out, want, "n={n} k={k}");
+                assert_eq!(r.next_u64(), twin.next_u64(), "RNG state after n={n} k={k}");
+                assert!(out.capacity() >= SimRng::sample_distinct_len(n, k));
+            }
+        }
+    }
+
+    #[test]
+    fn sample_distinct_len_is_what_the_draw_fills() {
+        assert_eq!(SimRng::sample_distinct_len(7, 2), 7);
+        assert_eq!(SimRng::sample_distinct_len(1000, 9), 9);
+        assert_eq!(SimRng::sample_distinct_len(0, 0), 0);
+        // The one-shot draw reserves exactly that, and never grows.
+        let mut r = SimRng::new(19);
+        for &(n, k) in &[(7usize, 2usize), (1000, 9), (36, 9), (37, 9)] {
+            let v = r.sample_distinct(n, k);
+            assert_eq!(
+                v.capacity(),
+                SimRng::sample_distinct_len(n, k),
+                "n={n} k={k}"
+            );
         }
     }
 
