@@ -285,11 +285,11 @@ impl Simulation<'_> {
                 .all(|a| !a.update)
         {
             let home = self.txns[txn].home;
-            let locks = &mut self.sites[site].locks;
-            debug_assert!(!locks.has_live_borrows(owner), "shelf rule was bypassed");
-            locks.drop_borrower(owner);
-            let grants = locks.release_all(owner);
-            self.process_grants(site, grants);
+            self.change_locks(site, |locks, grants| {
+                debug_assert!(!locks.has_live_borrows(owner), "shelf rule was bypassed");
+                locks.drop_borrower(owner);
+                locks.release_all_into(owner, grants);
+            });
             let reply = MsgKind::Vote {
                 txn,
                 cohort,
@@ -302,8 +302,9 @@ impl Simulation<'_> {
 
         // "the cohort releases all its read locks but retains its update
         // locks until it receives and implements the global decision"
-        let grants = self.sites[site].locks.release_read_locks(owner);
-        self.process_grants(site, grants);
+        self.change_locks(site, |locks, grants| {
+            locks.release_read_locks_into(owner, grants)
+        });
 
         let votes_no =
             self.cfg.cohort_abort_prob > 0.0 && self.rng.chance(self.cfg.cohort_abort_prob);
@@ -330,14 +331,14 @@ impl Simulation<'_> {
         // A NO voter was never prepared, so it cannot have lent data;
         // it may itself have borrowed (all lenders committed, or it
         // could not have sent WORKDONE).
-        let locks = &mut self.sites[site].locks;
-        assert!(
-            locks.borrowers_of(owner).next().is_none(),
-            "NO voter lent data"
-        );
-        locks.drop_borrower(owner);
-        let grants = locks.release_all(owner);
-        self.process_grants(site, grants);
+        self.change_locks(site, |locks, grants| {
+            assert!(
+                locks.borrowers_of(owner).next().is_none(),
+                "NO voter lent data"
+            );
+            locks.drop_borrower(owner);
+            locks.release_all_into(owner, grants);
+        });
         match self.table.routing {
             Routing::Chain => {
                 // The veto turns the chain around: predecessors (all
@@ -391,8 +392,9 @@ impl Simulation<'_> {
             return;
         }
         let home = self.txns[txn].home;
-        let grants = self.sites[site].locks.mark_prepared(owner);
-        self.process_grants(site, grants);
+        self.change_locks(site, |locks, grants| {
+            locks.mark_prepared_into(owner, grants)
+        });
         match self.table.routing {
             Routing::Chain => self.linear_forward(cohort),
             Routing::Quorum => self.quorum_vote(cohort, txn, true),
@@ -528,8 +530,9 @@ impl Simulation<'_> {
                 // The replayed prepare record re-enters the prepared
                 // state: only now do the locks become lendable (a down
                 // site cannot serve borrow requests).
-                let grants = self.sites[site].locks.mark_prepared(owner);
-                self.process_grants(site, grants);
+                self.change_locks(site, |locks, grants| {
+                    locks.mark_prepared_into(owner, grants)
+                });
                 if self.table.routing == Routing::Quorum {
                     // The crash hit before the vote fan-out left (the
                     // roll precedes the sends), so the acceptors are
@@ -1009,8 +1012,7 @@ impl Simulation<'_> {
     fn baseline_finish_cohort(&mut self, cohort: CohortH) {
         let c = self.cohorts.get(cohort).expect("live cohort");
         let (site, txn, owner, acc_index) = (c.site, c.txn, c.lock_owner, c.acc_index);
-        let grants = self.sites[site].locks.release_all(owner);
-        self.process_grants(site, grants);
+        self.change_locks(site, |locks, grants| locks.release_all_into(owner, grants));
         self.enqueue_deferred_writes(txn, acc_index, site);
         self.cohort_done(cohort);
     }
@@ -1048,10 +1050,10 @@ impl Simulation<'_> {
         if c.phase == CohortPhase::WorkDone {
             debug_assert!(self.table.routing == Routing::Chain && !commit);
             let (site, owner) = (c.site, c.lock_owner);
-            let locks = &mut self.sites[site].locks;
-            locks.drop_borrower(owner);
-            let grants = locks.release_all(owner);
-            self.process_grants(site, grants);
+            self.change_locks(site, |locks, grants| {
+                locks.drop_borrower(owner);
+                locks.release_all_into(owner, grants);
+            });
             self.cohort_done(cohort);
             return;
         }
@@ -1109,21 +1111,22 @@ impl Simulation<'_> {
         // which is still marked prepared until `release_all` — leaving
         // dangling borrow edges to a dead lender (a shelf hang).
         let sref = &mut self.sites[site];
-        let borrower_owners = sref.locks.settle_borrows(owner);
+        sref.locks.settle_borrows_into(owner, &mut self.settled);
         debug_assert!(
             !sref.locks.has_live_borrows(owner),
             "a deciding cohort cannot be borrowing"
         );
         sref.locks.drop_borrower(owner);
-        let grants = sref.locks.release_all(owner);
         // Resolve borrower owner slots to cohorts before any teardown
-        // below can unregister (and recycle) them.
-        let borrowers: Vec<CohortH> = borrower_owners.iter().map(|&o| sref.cohort_of(o)).collect();
-        self.process_grants(site, grants);
+        // below can unregister (and recycle) them. The buffer is out
+        // until the borrowers are handled.
+        let mut borrowers = std::mem::take(&mut self.borrowers);
+        borrowers.extend(self.settled.drain(..).map(|o| sref.cohort_of(o)));
+        self.change_locks(site, |locks, grants| locks.release_all_into(owner, grants));
 
         if commit {
             self.enqueue_deferred_writes(txn, acc_index, site);
-            for b in borrowers {
+            for &b in &borrowers {
                 let unshelve = match self.cohorts.get(b) {
                     Some(bc) if bc.phase == CohortPhase::OnShelf => {
                         !self.sites[site].locks.has_live_borrows(bc.lock_owner)
@@ -1137,7 +1140,7 @@ impl Simulation<'_> {
                 }
             }
         } else {
-            for b in borrowers {
+            for &b in &borrowers {
                 if let Some(bc) = self.cohorts.get(b) {
                     // "the borrower is also aborted since it has utilized
                     // inconsistent data" (§3)
@@ -1146,6 +1149,8 @@ impl Simulation<'_> {
                 }
             }
         }
+        borrowers.clear();
+        self.borrowers = borrowers;
 
         if self.table.cohort_ack.on(commit) {
             let req = self.cohorts[cohort].req_attempt;

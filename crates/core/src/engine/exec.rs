@@ -13,7 +13,7 @@ use crate::metrics::AbortReason;
 use crate::workload::{SiteId, TxnTemplate};
 #[cfg(debug_assertions)]
 use distlocks::deadlock::find_cycle;
-use distlocks::{Grant, LockMode, RequestOutcome};
+use distlocks::{Grant, LockManager, LockMode, RequestOutcome};
 use simkernel::Slab;
 
 impl Simulation<'_> {
@@ -179,16 +179,15 @@ impl Simulation<'_> {
             LockMode::Read
         };
         match self.sites[site].locks.request(owner, access.page, mode) {
-            RequestOutcome::Granted { borrowed_from } => {
-                if !borrowed_from.is_empty() {
+            RequestOutcome::Granted { lenders } => {
+                if lenders > 0 {
                     self.metrics.borrowed_pages.bump();
-                    let lenders = borrowed_from.len();
                     let txn = self.txns[th].id;
                     self.trace_event(txn, |at| super::trace::TraceEvent::Borrowed {
                         at,
                         txn,
                         cohort: cid,
-                        lenders,
+                        lenders: lenders as usize,
                     });
                 }
                 self.data_disk_arrive(site, access.page, DiskJob::Read { cohort });
@@ -273,11 +272,20 @@ impl Simulation<'_> {
     // Lock grants
     // ------------------------------------------------------------------
 
-    /// Apply grants returned by a state change of `site`'s lock table:
-    /// unblock each waiter and resume its access (the read it was
-    /// waiting to issue).
-    pub(crate) fn process_grants(&mut self, site: SiteId, grants: Vec<Grant>) {
-        for g in grants {
+    /// Make a state change of `site`'s lock table, which appends the
+    /// grants it releases to the engine's grant buffer, then apply
+    /// them: unblock each waiter and resume its access (the read it was
+    /// waiting to issue). The buffer is out while the grants run and
+    /// goes back emptied, so a change allocates nothing once the buffer
+    /// has grown.
+    pub(crate) fn change_locks(
+        &mut self,
+        site: SiteId,
+        change: impl FnOnce(&mut LockManager, &mut Vec<Grant>),
+    ) {
+        let mut grants = std::mem::take(&mut self.grants);
+        change(&mut self.sites[site].locks, &mut grants);
+        for g in grants.drain(..) {
             let ch = self.sites[site].cohort_of(g.owner);
             let Some(c) = self.cohorts.get_mut(ch) else {
                 // A grant to a cohort being torn down would be a lock
@@ -289,19 +297,19 @@ impl Simulation<'_> {
             c.waiting_lock = false;
             let (th, cid) = (c.txn, c.id);
             self.txn_unblock(th);
-            if !g.borrowed_from.is_empty() {
+            if g.lenders > 0 {
                 self.metrics.borrowed_pages.bump();
-                let lenders = g.borrowed_from.len();
                 let txn = self.txns[th].id;
                 self.trace_event(txn, |at| super::trace::TraceEvent::Borrowed {
                     at,
                     txn,
                     cohort: cid,
-                    lenders,
+                    lenders: g.lenders as usize,
                 });
             }
             self.data_disk_arrive(site, g.page, DiskJob::Read { cohort: ch });
         }
+        self.grants = grants;
     }
 
     fn txn_block(&mut self, th: TxnH) {
@@ -540,15 +548,16 @@ impl Simulation<'_> {
             let Some(c) = self.cohorts.remove(ch) else {
                 continue;
             };
-            let locks = &mut self.sites[c.site].locks;
-            assert!(
-                locks.borrowers_of(c.lock_owner).next().is_none(),
-                "an executing cohort cannot have lent data"
-            );
-            locks.drop_borrower(c.lock_owner);
-            let grants = locks.release_all(c.lock_owner);
-            locks.unregister(c.lock_owner);
-            self.process_grants(c.site, grants);
+            let owner = c.lock_owner;
+            self.change_locks(c.site, |locks, grants| {
+                assert!(
+                    locks.borrowers_of(owner).next().is_none(),
+                    "an executing cohort cannot have lent data"
+                );
+                locks.drop_borrower(owner);
+                locks.release_all_into(owner, grants);
+                locks.unregister(owner);
+            });
         }
         let txn = self.txns.remove(th).expect("checked above");
         self.metrics.live_txns.add(now, -1.0);

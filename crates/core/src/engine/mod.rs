@@ -44,7 +44,7 @@ use crate::metrics::{
 };
 use crate::workload::{SiteId, WorkloadGenerator};
 use commitproto::{ProtocolSpec, Routing, SpecTable};
-use distlocks::{LockManager, OwnerId};
+use distlocks::{Grant, LockManager, OwnerId};
 use simkernel::stats::Tally;
 use simkernel::{Calendar, JobClass, SimDuration, SimRng, SimTime, Slab, Station};
 use types::{
@@ -164,6 +164,13 @@ pub struct Simulation<'a> {
     /// Deadlock-detection scratch: the search's stamp arrays and
     /// stacks, the cycle walk's successor buffer and path.
     dl: exec::DeadlockScratch,
+    /// The buffer `change_locks` lends each lock-table change for the
+    /// grants it releases.
+    grants: Vec<Grant>,
+    /// A decided lender's borrowers, as owner slots and then as
+    /// cohorts (`cohort_finish_decision`'s reused buffers).
+    settled: Vec<OwnerId>,
+    borrowers: Vec<CohortH>,
     /// Optional trace-event consumer; events are recorded for
     /// transactions with id ≤ `trace_txn_limit`.
     sink: Option<&'a mut dyn TraceSink>,
@@ -347,6 +354,14 @@ impl Simulation<'_> {
             sim.series = Some(Box::new(rec));
         }
         sim.execute();
+        // Every debug run, test and golden ends by auditing its tables.
+        if cfg!(debug_assertions) {
+            for (si, site) in sim.sites.iter().enumerate() {
+                if let Err(e) = site.locks.audit() {
+                    panic!("lock table at site {si} fails its audit: {e}");
+                }
+            }
+        }
         if let Some(sink) = sim.sink.as_mut() {
             sink.finish();
         }
@@ -442,6 +457,9 @@ impl Simulation<'_> {
             // no inter-site links, so its matrix is empty/diagonal.
             wire_latency: cfg.topology.map(|t| t.latency_matrix(num_sites, seed)),
             dl: exec::DeadlockScratch::default(),
+            grants: Vec::new(),
+            settled: Vec::new(),
+            borrowers: Vec::new(),
             sink: None,
             trace_txn_limit: 0,
             series: None,

@@ -33,15 +33,28 @@
 //!   lives in one `OwnerState` record — no hashing anywhere on the
 //!   request/release paths.
 //! * A vacated record stays in place, empty but with its lists'
-//!   buffers, and the slot's next owner reuses them; `release_all`
+//!   buffers, and the slot's next owner reuses them; `release_all_into`
 //!   and `drop_borrower` hand their lists back cleared instead of
-//!   dropping them. A caller that cycles a fixed population of owners
-//!   (the engine's closed MPL loop) therefore allocates nothing for
-//!   them once each slot has held its largest lists.
+//!   dropping them; `settle_borrows_into` empties the lender's list in
+//!   place. A caller that cycles a fixed population of owners (the
+//!   engine's closed MPL loop) therefore allocates nothing for them
+//!   once each slot has held its largest lists.
 //!   [`LockManager::audit`] checks that every vacant record holds
 //!   nothing and that the vacant records are exactly the free list.
-//! * Pages live in a flat `Vec` indexed by `page % page_modulus`.
-//!   Callers must keep the page ids used against one table *injective*
+//! * Only pages that are locked or waited for have a record (their
+//!   holders and FCFS queue), so the records number the pages in use
+//!   at once, not the pages ever touched. A page index with one `u32`
+//!   per slot `page % page_modulus`, grown to the highest slot
+//!   requested, names each page's record, or holds the sentinel
+//!   `IDLE` while nothing holds or waits for the page. A page takes a
+//!   record from a free list on its first request and hands it back,
+//!   buffers kept, as soon as a release or a cancelled wait leaves it
+//!   with no holder and no queued request. A caller that cycles owners
+//!   over any number of pages therefore stops allocating records once
+//!   the pool has grown to the most pages in use at once.
+//!   [`LockManager::audit`] checks that indexed records are in use and
+//!   indexed once, and that every other record is empty and free.
+//! * Callers must keep the page ids used against one table *injective*
 //!   modulo the modulus (the engine passes its pages-per-site, and page
 //!   ids within a site are distinct residues by construction);
 //!   [`LockManager::new`] uses an identity mapping for callers with
@@ -57,7 +70,9 @@
 //!
 //! The table never schedules events and never decides policy: all
 //! outcomes (grants released by state changes, borrowers to abort) are
-//! returned to the caller.
+//! returned to the caller, appended to the caller's buffer by the
+//! `_into` forms. A grant carries how many lenders it borrowed
+//! through; [`LockManager::lenders_of`] names them.
 
 use std::collections::VecDeque;
 
@@ -99,12 +114,11 @@ impl LockMode {
 }
 
 /// Outcome of [`LockManager::request`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
-    /// Lock granted. `borrowed_from` lists the prepared lenders whose
-    /// conflicting locks were borrowed through (empty for a plain
-    /// grant).
-    Granted { borrowed_from: Vec<OwnerId> },
+    /// Lock granted, borrowing through the conflicting locks of
+    /// `lenders` prepared holders (0 for a plain grant).
+    Granted { lenders: u32 },
     /// The owner already holds the page in this or a stronger mode.
     AlreadyHeld,
     /// The request queued. Query [`LockManager::blockers_of`] (or walk
@@ -115,7 +129,7 @@ pub enum RequestOutcome {
 }
 
 /// A grant released by a state change (release, abort, prepare).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
     /// The owner whose waiting request was just granted.
     pub owner: OwnerId,
@@ -123,9 +137,13 @@ pub struct Grant {
     pub page: PageId,
     /// The granted mode.
     pub mode: LockMode,
-    /// Prepared lenders borrowed through (empty for a plain grant).
-    pub borrowed_from: Vec<OwnerId>,
+    /// How many prepared lenders the grant borrowed through (0 for a
+    /// plain grant).
+    pub lenders: u32,
 }
+
+/// The page index's entry for a page that nothing holds or waits for.
+const IDLE: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct WaitReq {
@@ -136,10 +154,18 @@ struct WaitReq {
     upgrade: bool,
 }
 
+/// The holders and FCFS queue of a page in use. A record in the free
+/// pool holds nothing, but keeps its buffers for the next page.
 #[derive(Debug, Default)]
 struct PageLock {
     holders: Vec<(u32, LockMode)>,
     queue: VecDeque<WaitReq>,
+}
+
+impl PageLock {
+    fn is_idle(&self) -> bool {
+        self.holders.is_empty() && self.queue.is_empty()
+    }
 }
 
 /// All state of one owner slot, in one record. A vacant record (after
@@ -167,9 +193,14 @@ struct OwnerState {
 #[derive(Debug)]
 pub struct LockManager {
     opt_lending: bool,
-    /// Pages are stored at slot `page % page_modulus`.
+    /// Pages are indexed at slot `page % page_modulus`.
     page_modulus: u64,
-    pages: Vec<PageLock>,
+    /// Page slot → its page's record in `records`, or `IDLE`.
+    index: Vec<u32>,
+    /// Page records: the ones `index` names, and the free pool.
+    records: Vec<PageLock>,
+    /// Records no page uses, reused most recently freed first.
+    free_records: Vec<u32>,
     owners: Vec<OwnerState>,
     /// Vacant slots, reused most recently vacated first.
     free_owners: Vec<u32>,
@@ -196,7 +227,9 @@ impl LockManager {
         LockManager {
             opt_lending,
             page_modulus,
-            pages: Vec::new(),
+            index: Vec::new(),
+            records: Vec::new(),
+            free_records: Vec::new(),
             owners: Vec::new(),
             free_owners: Vec::new(),
             waiting_owners: 0,
@@ -315,17 +348,57 @@ impl LockManager {
         (page % self.page_modulus) as usize
     }
 
-    /// Slot for `page`, growing the table if needed.
-    fn ensure_page(&mut self, page: PageId) -> usize {
+    /// The record of `page`, taken from the free pool (or made) if the
+    /// page is idle, growing the index if needed.
+    fn take_record(&mut self, page: PageId) -> usize {
         let pi = self.page_slot(page);
-        if pi >= self.pages.len() {
-            self.pages.resize_with(pi + 1, PageLock::default);
+        if pi >= self.index.len() {
+            self.index.resize(pi + 1, IDLE);
         }
-        pi
+        if self.index[pi] == IDLE {
+            self.index[pi] = match self.free_records.pop() {
+                Some(r) => r,
+                None => {
+                    assert!(
+                        self.records.len() < IDLE as usize,
+                        "lock table out of page records"
+                    );
+                    self.records.push(PageLock::default());
+                    (self.records.len() - 1) as u32
+                }
+            };
+        }
+        self.index[pi] as usize
+    }
+
+    /// The record of `page`, which something holds or waits for.
+    #[inline]
+    fn record_of(&self, page: PageId) -> usize {
+        let r = self.index[self.page_slot(page)];
+        debug_assert_ne!(r, IDLE, "page {page} is idle");
+        r as usize
+    }
+
+    /// A holder or a queued request just left `page`, in slot `pi` with
+    /// record `r`: grant what that unblocks, or hand the record back to
+    /// the free pool, buffers kept, if nothing holds or waits for the
+    /// page any more. A grant adds a holder, so a page with a queue
+    /// never falls idle.
+    fn drain_or_free(&mut self, pi: usize, r: usize, page: PageId, grants: &mut Vec<Grant>) {
+        let rec = &self.records[r];
+        if !rec.queue.is_empty() {
+            self.drain_queue(r, page, grants);
+        } else if rec.holders.is_empty() {
+            self.index[pi] = IDLE;
+            self.free_records.push(r as u32);
+        }
     }
 
     fn page_ro(&self, page: PageId) -> Option<&PageLock> {
-        self.pages.get(self.page_slot(page))
+        match self.index.get(self.page_slot(page)) {
+            Some(&r) if r != IDLE => Some(&self.records[r as usize]),
+            _ => None,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -369,7 +442,8 @@ impl LockManager {
     }
 
     /// Current lenders of `owner` (owners whose data it borrowed and
-    /// whose global decision is still pending).
+    /// whose global decision is still pending), in the order the
+    /// borrow edges were made.
     pub fn lenders_of(&self, owner: OwnerId) -> impl Iterator<Item = OwnerId> + '_ {
         self.st(owner).borrows.iter().map(|&s| OwnerId(s))
     }
@@ -406,33 +480,19 @@ impl LockManager {
     }
 
     fn request_fresh(&mut self, owner: OwnerId, page: PageId, mode: LockMode) -> RequestOutcome {
-        let pi = self.ensure_page(page);
+        let r = self.take_record(page);
+        let rec = &self.records[r];
+        debug_assert!(rec.holders.iter().all(|&(h, _)| h != owner.0));
         // Fairness: never bypass a non-empty queue.
-        if self.pages[pi].queue.is_empty() {
-            let mut lenders = Vec::new();
-            let mut hard = false;
-            for &(h, hmode) in &self.pages[pi].holders {
-                debug_assert_ne!(h, owner.0);
-                if hmode.compatible(mode) {
-                    continue;
-                }
-                if self.opt_lending && self.prepared_slot(h) {
-                    lenders.push(h);
-                } else {
-                    hard = true;
-                    break;
-                }
-            }
-            if !hard {
-                self.pages[pi].holders.push((owner.0, mode));
+        if rec.queue.is_empty() {
+            if let Some(lenders) = self.lenders_for(rec, owner.0, mode) {
+                self.records[r].holders.push((owner.0, mode));
                 self.held_insert(owner, page, mode);
-                self.note_borrows(owner.0, &lenders);
-                return RequestOutcome::Granted {
-                    borrowed_from: lenders.into_iter().map(OwnerId).collect(),
-                };
+                self.note_borrows(r, owner.0, mode, lenders);
+                return RequestOutcome::Granted { lenders };
             }
         }
-        self.pages[pi].queue.push_back(WaitReq {
+        self.records[r].queue.push_back(WaitReq {
             owner: owner.0,
             mode,
             upgrade: false,
@@ -443,36 +503,22 @@ impl LockManager {
     }
 
     fn request_upgrade(&mut self, owner: OwnerId, page: PageId) -> RequestOutcome {
-        let pi = self.page_slot(page);
-        let mut lenders = Vec::new();
-        let mut hard = false;
-        for &(h, _) in &self.pages[pi].holders {
-            if h == owner.0 {
-                continue;
-            }
-            // Any other holder conflicts with an upgrade to Update.
-            if self.opt_lending && self.prepared_slot(h) {
-                lenders.push(h);
-            } else {
-                hard = true;
-            }
-        }
-        if !hard {
-            for h in self.pages[pi].holders.iter_mut() {
+        let r = self.record_of(page);
+        // Any other holder conflicts with an upgrade to Update.
+        if let Some(lenders) = self.lenders_for(&self.records[r], owner.0, LockMode::Update) {
+            for h in self.records[r].holders.iter_mut() {
                 if h.0 == owner.0 {
                     h.1 = LockMode::Update;
                 }
             }
             self.held_insert(owner, page, LockMode::Update);
-            self.note_borrows(owner.0, &lenders);
-            return RequestOutcome::Granted {
-                borrowed_from: lenders.into_iter().map(OwnerId).collect(),
-            };
+            self.note_borrows(r, owner.0, LockMode::Update, lenders);
+            return RequestOutcome::Granted { lenders };
         }
         // Upgrades wait at the *front* of the queue (they hold a read
         // lock already; anything granted ahead of them could only
         // deadlock against that read lock).
-        self.pages[pi].queue.push_front(WaitReq {
+        self.records[r].queue.push_front(WaitReq {
             owner: owner.0,
             mode: LockMode::Update,
             upgrade: true,
@@ -490,18 +536,46 @@ impl LockManager {
         }
     }
 
-    fn note_borrows(&mut self, borrower: u32, lenders: &[u32]) {
-        if lenders.is_empty() {
+    /// How many prepared lenders a grant of `mode` to `owner` on the
+    /// page of `rec` would borrow through, or `None` while a
+    /// conflicting holder cannot lend. The owner's own read lock, under
+    /// an upgrade, is no conflict.
+    #[inline]
+    fn lenders_for(&self, rec: &PageLock, owner: u32, mode: LockMode) -> Option<u32> {
+        let mut lenders = 0;
+        for &(h, hmode) in &rec.holders {
+            if h == owner || hmode.compatible(mode) {
+                continue;
+            }
+            if self.opt_lending && self.prepared_slot(h) {
+                lenders += 1;
+            } else {
+                return None;
+            }
+        }
+        Some(lenders)
+    }
+
+    /// Record a borrow edge to `borrower`, just granted `mode` on the
+    /// page of record `r`, from each of the `lenders` conflicting
+    /// holders that [`Self::lenders_for`] counted there, in holder
+    /// order.
+    fn note_borrows(&mut self, r: usize, borrower: u32, mode: LockMode, lenders: u32) {
+        if lenders == 0 {
             return;
         }
         self.borrow_grants += 1;
-        for &l in lenders {
-            debug_assert!(self.prepared_slot(l));
-            let lends = &mut self.slot_st_mut(l).lends;
+        let owners = &mut self.owners;
+        for &(l, lmode) in &self.records[r].holders {
+            if l == borrower || lmode.compatible(mode) {
+                continue;
+            }
+            debug_assert!(owners[l as usize].prepared);
+            let lends = &mut owners[l as usize].lends;
             if !lends.contains(&borrower) {
                 lends.push(borrower);
             }
-            let borrows = &mut self.slot_st_mut(borrower).borrows;
+            let borrows = &mut owners[borrower as usize].borrows;
             if !borrows.contains(&l) {
                 borrows.push(l);
             }
@@ -636,41 +710,38 @@ impl LockManager {
 
     /// Mark `owner` prepared. With lending enabled this may unblock
     /// waiters on every page it holds; the resulting grants are
-    /// returned, in ascending page order (`held` is kept sorted, so no
-    /// sort happens here).
-    pub fn mark_prepared(&mut self, owner: OwnerId) -> Vec<Grant> {
+    /// appended to `grants`, in ascending page order (`held` is kept
+    /// sorted, so no sort happens here).
+    pub fn mark_prepared_into(&mut self, owner: OwnerId, grants: &mut Vec<Grant>) {
         {
             let st = self.st_mut(owner);
             debug_assert!(!st.prepared, "owner seq {} prepared twice", st.seq);
             st.prepared = true;
         }
         if !self.opt_lending {
-            return Vec::new();
+            return;
         }
         // Index walk, no page snapshot: draining a held page can only
         // re-grant *this* owner an upgrade it already queued there,
         // which rewrites the held entry's mode in place — the list's
         // length and order never change under the cursor.
-        let mut grants = Vec::new();
         let mut i = 0;
         while let Some(&(p, _)) = self.st(owner).held.get(i) {
-            self.drain_queue(p, &mut grants);
+            self.drain_queue(self.record_of(p), p, grants);
             i += 1;
         }
-        grants
     }
 
     /// Release `owner`'s read locks (the paper: on PREPARE receipt "the
     /// cohort releases all its read locks but retains its update
-    /// locks"). Returns grants unblocked by the release, in ascending
-    /// page order.
-    pub fn release_read_locks(&mut self, owner: OwnerId) -> Vec<Grant> {
+    /// locks"). Appends the grants unblocked by the release to
+    /// `grants`, in ascending page order.
+    pub fn release_read_locks_into(&mut self, owner: OwnerId, grants: &mut Vec<Grant>) {
         // Walk the held list by index instead of snapshotting the read
         // pages: this path runs once per cohort prepare. Releasing the
         // read lock under the owner's own queued upgrade re-grants it as
         // `Update` at the same (sorted) position, which the cursor then
         // skips — exactly the snapshot semantics, without the Vec.
-        let mut grants = Vec::new();
         let mut i = 0;
         while let Some(&(p, m)) = self.st(owner).held.get(i) {
             if m != LockMode::Read {
@@ -678,57 +749,85 @@ impl LockManager {
                 continue;
             }
             self.st_mut(owner).held.remove(i);
-            self.remove_holder_entry_only(owner, p);
-            self.drain_queue(p, &mut grants);
+            self.release_page(owner.0, p, grants);
         }
-        grants
     }
 
     /// Release every lock `owner` holds and cancel its waiting request,
-    /// if any. Clears prepared status. Returns grants unblocked by the
-    /// release, held pages in ascending order.
+    /// if any. Clears prepared status. Appends the grants unblocked by
+    /// the release to `grants`, held pages in ascending order.
     ///
-    /// Borrow edges are *not* touched — call [`LockManager::settle_borrows`]
-    /// (for a decided lender) and/or [`LockManager::drop_borrower`] (for
-    /// an aborting borrower) first.
-    pub fn release_all(&mut self, owner: OwnerId) -> Vec<Grant> {
-        let mut grants = Vec::new();
+    /// Borrow edges are *not* touched — call
+    /// [`LockManager::settle_borrows_into`] (for a decided lender)
+    /// and/or [`LockManager::drop_borrower`] (for an aborting borrower)
+    /// first.
+    pub fn release_all_into(&mut self, owner: OwnerId, grants: &mut Vec<Grant>) {
         if let Some(page) = self.st_mut(owner).waiting.take() {
             self.waiting_owners -= 1;
             let pi = self.page_slot(page);
-            if let Some(entry) = self.pages.get_mut(pi) {
-                entry.queue.retain(|w| w.owner != owner.0);
-            }
+            let r = self.index[pi] as usize;
+            self.records[r].queue.retain(|w| w.owner != owner.0);
             // Removing a queued conflicting request can unblock those behind it.
-            self.drain_queue(page, &mut grants);
+            self.drain_or_free(pi, r, page, grants);
         }
         // The waiting request is cancelled above, so draining cannot
         // grant `owner` anything while its list is out: the emptied
         // list goes back with its buffer.
         let mut held = std::mem::take(&mut self.st_mut(owner).held);
         for &(p, _) in &held {
-            self.remove_holder_entry_only(owner, p);
-            self.drain_queue(p, &mut grants);
+            self.release_page(owner.0, p, grants);
         }
         held.clear();
         let st = self.st_mut(owner);
         st.held = held;
         st.prepared = false;
+    }
+
+    /// [`Self::release_all_into`] into a new `Vec`.
+    pub fn release_all(&mut self, owner: OwnerId) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        self.release_all_into(owner, &mut grants);
         grants
     }
 
-    /// A lender's global decision arrived: dissolve its borrow edges and
-    /// return its (former) borrowers, sorted by registration sequence.
-    /// On commit the engine re-checks each borrower's shelf condition;
-    /// on abort it aborts them all — the abort chain of OPT, bounded at
-    /// length one.
+    /// `release_read_locks_into` into a new `Vec`.
+    #[cfg(test)]
+    pub fn release_read_locks(&mut self, owner: OwnerId) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        self.release_read_locks_into(owner, &mut grants);
+        grants
+    }
+
+    /// `mark_prepared_into` into a new `Vec`.
+    #[cfg(test)]
+    pub fn mark_prepared(&mut self, owner: OwnerId) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        self.mark_prepared_into(owner, &mut grants);
+        grants
+    }
+
+    /// `settle_borrows_into` into a new `Vec`.
+    #[cfg(test)]
     pub fn settle_borrows(&mut self, lender: OwnerId) -> Vec<OwnerId> {
-        let mut borrowers: Vec<u32> = std::mem::take(&mut self.st_mut(lender).lends);
-        borrowers.sort_unstable_by_key(|&b| self.seq_of(b)); // deterministic processing order
-        for &b in &borrowers {
-            self.slot_st_mut(b).borrows.retain(|&l| l != lender.0);
+        let mut borrowers = Vec::new();
+        self.settle_borrows_into(lender, &mut borrowers);
+        borrowers
+    }
+
+    /// A lender's global decision arrived: dissolve its borrow edges and
+    /// append its (former) borrowers to `out`, sorted by registration
+    /// sequence. The lender keeps its emptied list's buffer. On commit
+    /// the engine re-checks each borrower's shelf condition; on abort
+    /// it aborts them all — the abort chain of OPT, bounded at length
+    /// one.
+    pub fn settle_borrows_into(&mut self, lender: OwnerId, out: &mut Vec<OwnerId>) {
+        let start = out.len();
+        out.extend(self.st_mut(lender).lends.drain(..).map(OwnerId));
+        let settled = &mut out[start..];
+        settled.sort_unstable_by_key(|&b| self.seq_of(b.0)); // deterministic processing order
+        for &b in settled.iter() {
+            self.slot_st_mut(b.0).borrows.retain(|&l| l != lender.0);
         }
-        borrowers.into_iter().map(OwnerId).collect()
     }
 
     /// A borrower is going away (abort or full release): drop its
@@ -742,86 +841,57 @@ impl LockManager {
         self.st_mut(borrower).borrows = lenders;
     }
 
-    fn remove_holder_entry_only(&mut self, owner: OwnerId, page: PageId) {
+    /// Drop `owner`'s hold on `page`.
+    fn release_page(&mut self, owner: u32, page: PageId, grants: &mut Vec<Grant>) {
         let pi = self.page_slot(page);
-        if let Some(entry) = self.pages.get_mut(pi) {
-            entry.holders.retain(|&(h, _)| h != owner.0);
+        let r = self.index[pi] as usize;
+        let holders = &mut self.records[r].holders;
+        if let Some(i) = holders.iter().position(|&(h, _)| h == owner) {
+            holders.remove(i);
         }
+        self.drain_or_free(pi, r, page, grants);
     }
 
-    /// Greedily grant from the head of `page`'s queue.
-    fn drain_queue(&mut self, page: PageId, grants: &mut Vec<Grant>) {
-        let pi = self.page_slot(page);
-        loop {
-            let Some(entry) = self.pages.get(pi) else {
+    /// Greedily grant from the head of the queue of `page`, whose record
+    /// is `r`.
+    fn drain_queue(&mut self, r: usize, page: PageId, grants: &mut Vec<Grant>) {
+        while let Some(&head) = self.records[r].queue.front() {
+            let Some(lenders) = self.lenders_for(&self.records[r], head.owner, head.mode) else {
                 return;
             };
-            let Some(head) = entry.queue.front() else {
-                return;
-            };
-            let owner = head.owner;
-            let mode = head.mode;
-            let upgrade = head.upgrade;
-            let mut lenders: Vec<u32> = Vec::new();
-            let mut grantable = true;
-            for &(h, hmode) in &entry.holders {
-                if h == owner {
-                    debug_assert!(upgrade);
-                    continue;
+            let rec = &mut self.records[r];
+            rec.queue.pop_front();
+            // An upgrade promotes the read lock in place; if the owner
+            // released its read locks while the upgrade was queued
+            // (legal for a caller, even if the engine never does it),
+            // the upgrade degenerates into a fresh grant.
+            match rec.holders.iter().position(|&(h, _)| h == head.owner) {
+                Some(i) => {
+                    debug_assert!(head.upgrade, "a fresh request's owner already holds");
+                    rec.holders[i].1 = LockMode::Update;
                 }
-                if hmode.compatible(mode) {
-                    continue;
-                }
-                if self.opt_lending && self.prepared_slot(h) {
-                    lenders.push(h);
-                } else {
-                    grantable = false;
-                    break;
-                }
+                None => rec.holders.push((head.owner, head.mode)),
             }
-            if !grantable {
-                return;
-            }
-            let entry = &mut self.pages[pi];
-            entry.queue.pop_front();
-            if upgrade {
-                // Promote the read lock in place; if the owner released
-                // its read locks while the upgrade was queued (legal for
-                // a caller, even if the engine never does it), the
-                // upgrade degenerates into a fresh grant.
-                let mut promoted = false;
-                for h in entry.holders.iter_mut() {
-                    if h.0 == owner {
-                        h.1 = LockMode::Update;
-                        promoted = true;
-                    }
-                }
-                if !promoted {
-                    entry.holders.push((owner, mode));
-                }
-            } else {
-                entry.holders.push((owner, mode));
-            }
-            let oid = OwnerId(owner);
-            self.held_insert(oid, page, mode);
+            let oid = OwnerId(head.owner);
+            self.held_insert(oid, page, head.mode);
             {
                 let st = self.st_mut(oid);
                 debug_assert_eq!(st.waiting, Some(page));
                 st.waiting = None;
             }
             self.waiting_owners -= 1;
-            self.note_borrows(owner, &lenders);
+            self.note_borrows(r, head.owner, head.mode, lenders);
             grants.push(Grant {
                 owner: oid,
                 page,
-                mode,
-                borrowed_from: lenders.into_iter().map(OwnerId).collect(),
+                mode: head.mode,
+                lenders,
             });
         }
     }
 
     // ------------------------------------------------------------------
-    // Auditing (used by the integration test-suite)
+    // Auditing (unit tests, and the end of every debug engine run)
     // ------------------------------------------------------------------
 
     /// Check internal invariants; returns a description of the first
@@ -840,8 +910,34 @@ impl LockManager {
     ///    nothing and is not prepared; holders, queued requests and
     ///    borrow edges name live owners only; and the vacant records
     ///    are exactly the free list.
+    /// 7. Every page record the index names has a holder or a queued
+    ///    request and is named by exactly one page slot; every free
+    ///    record is empty and unnamed; and the named records plus the
+    ///    free ones are all the records.
     pub fn audit(&self) -> Result<(), String> {
-        for (pi, entry) in self.pages.iter().enumerate() {
+        // The page slot naming each record, if one does.
+        let mut named_by: Vec<Option<usize>> = vec![None; self.records.len()];
+        for (pi, &r) in self.index.iter().enumerate() {
+            if r == IDLE {
+                continue;
+            }
+            let Some(name) = named_by.get_mut(r as usize) else {
+                return Err(format!(
+                    "page slot {pi}: record {r} is past the {} records",
+                    self.records.len()
+                ));
+            };
+            if let Some(other) = name.replace(pi) {
+                return Err(format!(
+                    "record {r} is indexed by page slots {other} and {pi}"
+                ));
+            }
+            let entry = &self.records[r as usize];
+            if entry.is_idle() {
+                return Err(format!(
+                    "page slot {pi}: record {r} is indexed but nothing holds or waits for it"
+                ));
+            }
             if let Some(&(v, _)) = entry
                 .holders
                 .iter()
@@ -895,6 +991,29 @@ impl LockManager {
                     ));
                 }
             }
+        }
+        let mut free = vec![false; self.records.len()];
+        for &f in &self.free_records {
+            let Some(seen) = free.get_mut(f as usize) else {
+                return Err(format!("free record {f} does not exist"));
+            };
+            if std::mem::replace(seen, true) {
+                return Err(format!("record {f} is on the free list twice"));
+            }
+            if let Some(pi) = named_by[f as usize] {
+                return Err(format!("free record {f} is indexed by page slot {pi}"));
+            }
+            if !self.records[f as usize].is_idle() {
+                return Err(format!("free record {f} holds or queues requests"));
+            }
+        }
+        let named = named_by.iter().flatten().count();
+        if named + self.free_records.len() != self.records.len() {
+            return Err(format!(
+                "{named} indexed and {} free page records, but {} records",
+                self.free_records.len(),
+                self.records.len()
+            ));
         }
         let mut waiting_seen = 0usize;
         let mut registered_seen = 0usize;
@@ -1181,12 +1300,8 @@ mod tests {
         lm.request(o[1], 9, LockMode::Update);
         lm.mark_prepared(o[1]);
         let out = lm.request(o[2], 9, LockMode::Read);
-        assert_eq!(
-            out,
-            RequestOutcome::Granted {
-                borrowed_from: vec![o[1]]
-            }
-        );
+        assert_eq!(out, RequestOutcome::Granted { lenders: 1 });
+        assert_eq!(lm.lenders_of(o[2]).collect::<Vec<_>>(), vec![o[1]]);
         assert!(lm.has_live_borrows(o[2]));
         assert_eq!(lm.borrowers_of(o[1]).collect::<Vec<_>>(), vec![o[2]]);
         assert_eq!(lm.borrow_grants(), 1);
@@ -1211,7 +1326,8 @@ mod tests {
         let grants = lm.mark_prepared(o[1]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].owner, o[2]);
-        assert_eq!(grants[0].borrowed_from, vec![o[1]]);
+        assert_eq!(grants[0].lenders, 1);
+        assert_eq!(lm.lenders_of(o[2]).collect::<Vec<_>>(), vec![o[1]]);
         lm.audit().unwrap();
     }
 
@@ -1396,7 +1512,8 @@ mod tests {
         let grants = lm.release_all(o[2]);
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].owner, o[3]);
-        assert_eq!(grants[0].borrowed_from, vec![o[1]]); // 1 still prepared
+        assert_eq!(grants[0].lenders, 1); // 1 still prepared
+        assert_eq!(lm.lenders_of(o[3]).collect::<Vec<_>>(), vec![o[1]]);
         lm.audit().unwrap();
     }
 
@@ -1511,8 +1628,8 @@ mod tests {
         let (mut lm, o) = setup(false, 2);
         lm.request(o[1], 9, LockMode::Update);
         // Corrupt the table directly to prove audit sees it.
-        let pi = lm.page_slot(9);
-        lm.pages[pi].holders.push((o[2].0, LockMode::Update));
+        let r = lm.record_of(9);
+        lm.records[r].holders.push((o[2].0, LockMode::Update));
         assert!(lm.audit().is_err());
     }
 
@@ -1616,15 +1733,15 @@ mod tests {
         // Preparing o1 lends page 0 to the waiting o2.
         let grants = lm.mark_prepared(o1);
         assert_eq!(grants.len(), 1);
-        assert_eq!(grants[0].borrowed_from, vec![o1]);
+        assert_eq!(grants[0].lenders, 1);
+        assert_eq!(lm.lenders_of(o2).collect::<Vec<_>>(), vec![o1]);
         step(&lm, "prepare");
         let o3 = lm.register_owner(3);
         assert_eq!(
             lm.request(o3, 1, LockMode::Read),
-            RequestOutcome::Granted {
-                borrowed_from: vec![o1]
-            }
+            RequestOutcome::Granted { lenders: 1 }
         );
+        assert_eq!(lm.lenders_of(o3).collect::<Vec<_>>(), vec![o1]);
         step(&lm, "borrow");
         // o1 commits: its borrowers are settled, its locks released and
         // its slot vacated, buffers kept.
@@ -1646,10 +1763,9 @@ mod tests {
         assert!(lm.mark_prepared(o4).is_empty());
         assert_eq!(
             lm.request(o2, 30, LockMode::Read),
-            RequestOutcome::Granted {
-                borrowed_from: vec![o4]
-            }
+            RequestOutcome::Granted { lenders: 1 }
         );
+        assert_eq!(lm.lenders_of(o2).collect::<Vec<_>>(), vec![o4]);
         step(&lm, "borrow from the recycled slot");
         // The borrower aborts first, then everyone tears down.
         lm.drop_borrower(o2);
@@ -1698,7 +1814,7 @@ mod tests {
         let a = lm.register_owner(1);
         let b = lm.register_owner(2);
         assert!(granted(&lm.request(a, 1_000_003, LockMode::Update)));
-        assert!(lm.pages.len() <= 8);
+        assert!(lm.index.len() <= 8);
         assert_eq!(lm.mode_held(a, 1_000_003), Some(LockMode::Update));
         assert!(matches!(
             lm.request(b, 1_000_003, LockMode::Read),
@@ -1709,6 +1825,138 @@ mod tests {
         assert_eq!(grants[0].owner, b);
         lm.release_all(b);
         lm.audit().unwrap();
+    }
+
+    // ---------------- page index and record pool ----------------
+
+    /// Owners sweep 64 000 pages, each locking four and waiting for a
+    /// fifth that its predecessor holds, eight owners at a time. The
+    /// record pool never outgrows the most pages locked or waited for
+    /// at once, and the pages left behind are all idle.
+    #[test]
+    fn record_pool_never_exceeds_the_most_pages_in_use_at_once() {
+        const PAGES: u64 = 64_000;
+        let mut lm = LockManager::for_pages(false, PAGES);
+        // Live owners, oldest first, with the pages each requested.
+        let mut live: std::collections::VecDeque<(OwnerId, Vec<PageId>)> = Default::default();
+        let mut most = 0;
+        for (seq, first) in (0..PAGES).step_by(4).enumerate() {
+            if live.len() == 8 {
+                let (gone, _) = live.pop_front().expect("eight live owners");
+                lm.release_all(gone);
+                lm.unregister(gone);
+            }
+            let o = lm.register_owner(seq as u64);
+            let mut pages: Vec<PageId> = (first..first + 4).collect();
+            for &p in &pages {
+                assert!(granted(&lm.request(o, p, LockMode::Update)));
+            }
+            if let Some((_, before)) = live.back() {
+                assert_eq!(
+                    lm.request(o, before[0], LockMode::Read),
+                    RequestOutcome::Blocked
+                );
+                pages.push(before[0]);
+            }
+            live.push_back((o, pages));
+            let in_use: std::collections::BTreeSet<PageId> =
+                live.iter().flat_map(|(_, ps)| ps.iter().copied()).collect();
+            most = most.max(in_use.len());
+            assert!(
+                lm.records.len() <= most,
+                "{} page records, but at most {most} pages in use",
+                lm.records.len()
+            );
+            if seq % 1000 == 0 {
+                lm.audit().unwrap();
+            }
+        }
+        // Four pages each, and the oldest owner also holds the page it
+        // waited for, whose holder has left.
+        assert_eq!(most, 8 * 4 + 1);
+        assert_eq!(lm.index.len(), PAGES as usize);
+        while let Some((gone, _)) = live.pop_front() {
+            lm.release_all(gone);
+            lm.unregister(gone);
+        }
+        assert!(lm.index.iter().all(|&r| r == IDLE));
+        assert_eq!(lm.free_records.len(), lm.records.len());
+        lm.audit().unwrap();
+    }
+
+    #[test]
+    fn into_forms_append_and_settling_keeps_the_lends_buffer() {
+        let (mut lm, o) = setup(true, 3);
+        lm.request(o[1], 9, LockMode::Update);
+        assert_eq!(lm.request(o[2], 9, LockMode::Read), RequestOutcome::Blocked);
+        let earlier = Grant {
+            owner: o[3],
+            page: 1,
+            mode: LockMode::Read,
+            lenders: 0,
+        };
+        let mut grants = vec![earlier];
+        lm.mark_prepared_into(o[1], &mut grants);
+        let lent = Grant {
+            owner: o[2],
+            page: 9,
+            mode: LockMode::Read,
+            lenders: 1,
+        };
+        assert_eq!(grants, vec![earlier, lent]);
+        let lends_cap = lm.owners[o[1].index()].lends.capacity();
+        assert!(lends_cap >= 1);
+        let mut borrowers = vec![o[3]];
+        lm.settle_borrows_into(o[1], &mut borrowers);
+        assert_eq!(borrowers, vec![o[3], o[2]]);
+        assert!(lm.borrowers_of(o[1]).next().is_none());
+        assert!(!lm.has_live_borrows(o[2]));
+        assert_eq!(lm.owners[o[1].index()].lends.capacity(), lends_cap);
+        lm.audit().unwrap();
+    }
+
+    #[test]
+    fn audit_detects_an_idle_record_left_indexed() {
+        let (mut lm, o) = setup(false, 1);
+        lm.request(o[1], 9, LockMode::Update);
+        lm.audit().unwrap();
+        // Drop the lock behind the table's back: the page is idle, but
+        // its record stays indexed instead of going back to the pool.
+        let r = lm.record_of(9);
+        lm.records[r].holders.clear();
+        lm.owners[o[1].index()].held.clear();
+        let err = lm.audit().unwrap_err();
+        assert!(err.contains("indexed but nothing holds"), "{err}");
+    }
+
+    #[test]
+    fn audit_detects_a_stale_index_entry() {
+        let (mut lm, o) = setup(false, 2);
+        lm.request(o[1], 9, LockMode::Update);
+        lm.request(o[1], 10, LockMode::Update);
+        lm.release_all(o[1]);
+        // Page 11 takes the record page 10 gave back last.
+        lm.request(o[2], 11, LockMode::Update);
+        lm.audit().unwrap();
+        let (slot9, r11) = (lm.page_slot(9), lm.record_of(11) as u32);
+        let freed = lm.free_records[0];
+        // Page 9's entry still names a record another page now uses ...
+        lm.index[slot9] = r11;
+        let err = lm.audit().unwrap_err();
+        assert!(err.contains("indexed by page slots"), "{err}");
+        // ... or the record it gave back.
+        lm.index[slot9] = freed;
+        let err = lm.audit().unwrap_err();
+        assert!(err.contains("indexed but nothing holds"), "{err}");
+        lm.index[slot9] = IDLE;
+        lm.audit().unwrap();
+        // A record in use must not also be free, nor a record be lost.
+        lm.free_records.push(r11);
+        let err = lm.audit().unwrap_err();
+        assert!(err.contains("is indexed by page slot"), "{err}");
+        lm.free_records.clear();
+        let err = lm.audit().unwrap_err();
+        assert!(err.contains("but 2 records"), "{err}");
     }
 }
 
