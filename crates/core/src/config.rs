@@ -44,14 +44,69 @@ pub enum ResourceMode {
 /// A message naming `key` when `val` is not a number, or is a number
 /// that [`SimDuration::try_from_millis_f64`] rejects.
 pub fn parse_millis(key: &str, val: &str) -> Result<SimDuration, String> {
-    let ms: f64 = val
-        .parse()
-        .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
-    SimDuration::try_from_millis_f64(ms).ok_or_else(|| {
+    SimDuration::try_from_millis_f64(num(key, val)?).ok_or_else(|| {
         format!(
             "{key}: {val:?} is not a finite, non-negative duration the microsecond clock can hold"
         )
     })
+}
+
+/// Parse `val` as a `T`, or say which `key` it could not be.
+fn num<T: std::str::FromStr>(key: &str, val: &str) -> Result<T, String> {
+    val.parse()
+        .map_err(|_| format!("{key}: cannot parse {val:?}"))
+}
+
+/// One key of a comma-separated `key=value` spec, the form that
+/// [`FailureConfig`]'s and [`Topology`]'s `FromStr` parse: its name and
+/// value shape, its help text and what it sets. Each key is named in
+/// one row, which the parser, its unknown-key error and the CLI usage
+/// text all read.
+pub struct Key<T> {
+    /// `name=SHAPE`, as the CLI usage lists it.
+    pub key: &'static str,
+    /// What the key sets; defaults in parentheses.
+    pub help: &'static str,
+    /// Set the field from `(target, name, value)`.
+    set: fn(&mut T, &str, &str) -> Result<(), String>,
+}
+
+impl<T> Key<T> {
+    /// The bare key name, before the `=`.
+    pub fn name(&self) -> &'static str {
+        self.key.split_once('=').map_or(self.key, |(name, _)| name)
+    }
+}
+
+/// A [`Key`] row whose setter body is one assignment.
+macro_rules! key {
+    ($key:literal, $help:literal, |$t:ident, $k:ident, $v:ident| $set:expr) => {
+        Key {
+            key: $key,
+            help: $help,
+            set: |$t, $k, $v| {
+                $set;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// Parse a comma-separated `key=value` spec over `T::default()`;
+/// unspecified keys keep their defaults.
+fn parse_keys<T: Default>(s: &str, keys: &[Key<T>]) -> Result<T, String> {
+    let mut t = T::default();
+    for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let Some((name, val)) = part.split_once('=') else {
+            return Err(format!("expected key=value, got {part:?}"));
+        };
+        let Some(key) = keys.iter().find(|k| k.name() == name) else {
+            let names: Vec<&str> = keys.iter().map(Key::name).collect();
+            return Err(format!("unknown key {name:?} ({})", names.join(", ")));
+        };
+        (key.set)(&mut t, name, val)?;
+    }
+    Ok(t)
 }
 
 /// Fault injection (an extension beyond the paper's no-failure
@@ -146,40 +201,28 @@ pub struct FailureConfig {
 }
 
 impl FailureConfig {
-    /// The `key=value` vocabulary accepted by [`std::str::FromStr`], as
-    /// `(key=SHAPE, description)` pairs. This table is the single
-    /// source of truth: the parser derives its unknown-key error from
-    /// it and the CLI usage text renders it verbatim, so the two can
-    /// never drift apart. Defaults in parentheses are those of
+    /// The `key=value` vocabulary of [`std::str::FromStr`] (the CLI's
+    /// `--faults`). Defaults in parentheses are those of
     /// [`FailureConfig::default`].
-    pub const CLI_KEYS: [(&'static str, &'static str); 10] = [
-        ("mc=P", "master crash probability"),
-        ("cc=P", "cohort crash probability"),
-        (
-            "exec-cc=P",
-            "execution-phase cohort crash probability (follows cc)",
-        ),
-        ("loss=P", "message loss probability"),
-        ("detect-ms=MS", "3PC crash-detection timeout (300)"),
-        ("recover-ms=MS", "master recovery time (5000)"),
-        ("cohort-recover-ms=MS", "cohort recovery time (1000)"),
-        ("retry-ms=MS", "retransmission timeout (100)"),
-        ("retries=N", "max retransmissions (3)"),
-        (
-            "crash-region=R",
-            "confine cohort crashes to topology region R",
-        ),
+    #[rustfmt::skip]
+    pub const KEYS: [Key<Self>; 10] = [
+        key!("mc=P", "master crash probability", |f, k, v| f.master_crash_prob = num(k, v)?),
+        key!("cc=P", "cohort crash probability", |f, k, v| f.cohort_crash_prob = num(k, v)?),
+        key!("exec-cc=P", "execution-phase cohort crash probability (follows cc)",
+             |f, k, v| f.exec_crash_prob = Some(num(k, v)?)),
+        key!("loss=P", "message loss probability", |f, k, v| f.msg_loss_prob = num(k, v)?),
+        key!("detect-ms=MS", "3PC crash-detection timeout (300)",
+             |f, k, v| f.detection_timeout = parse_millis(k, v)?),
+        key!("recover-ms=MS", "master recovery time (5000)",
+             |f, k, v| f.recovery_time = parse_millis(k, v)?),
+        key!("cohort-recover-ms=MS", "cohort recovery time (1000)",
+             |f, k, v| f.cohort_recovery_time = parse_millis(k, v)?),
+        key!("retry-ms=MS", "retransmission timeout (100)",
+             |f, k, v| f.msg_timeout = parse_millis(k, v)?),
+        key!("retries=N", "max retransmissions (3)", |f, k, v| f.max_retransmits = num(k, v)?),
+        key!("crash-region=R", "confine cohort crashes to topology region R",
+             |f, k, v| f.crash_region = Some(num(k, v)?)),
     ];
-
-    /// The bare key names from [`Self::CLI_KEYS`], comma-joined — the
-    /// vocabulary listed in unknown-key errors.
-    fn known_keys() -> String {
-        Self::CLI_KEYS
-            .iter()
-            .map(|(k, _)| k.split('=').next().unwrap_or(k))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 
     /// Master crashes only, matching the pre-existing single-fault
     /// model: crash probability `p`, 300 ms detection timeout, 5 s
@@ -197,7 +240,7 @@ impl std::str::FromStr for FailureConfig {
 
     /// Parse a comma-separated `key=value` failure specification over
     /// [`FailureConfig::default`] — the format the CLI's `--faults`
-    /// flag takes. Keys are listed in [`FailureConfig::CLI_KEYS`];
+    /// flag takes. Keys are listed in [`FailureConfig::KEYS`];
     /// unspecified keys keep their defaults.
     ///
     /// ```
@@ -208,50 +251,7 @@ impl std::str::FromStr for FailureConfig {
     /// assert_eq!(f.cohort_crash_prob, 0.0); // default preserved
     /// ```
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut f = FailureConfig::default();
-        for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let Some((key, val)) = part.split_once('=') else {
-                return Err(format!("expected key=value, got {part:?}"));
-            };
-            let num = |out: &mut f64| -> Result<(), String> {
-                *out = val
-                    .parse()
-                    .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
-                Ok(())
-            };
-            let ms = |out: &mut SimDuration| -> Result<(), String> {
-                *out = parse_millis(key, val)?;
-                Ok(())
-            };
-            match key {
-                "mc" => num(&mut f.master_crash_prob)?,
-                "cc" => num(&mut f.cohort_crash_prob)?,
-                "exec-cc" => {
-                    f.exec_crash_prob = Some(
-                        val.parse()
-                            .map_err(|_| format!("{key}: cannot parse {val:?}"))?,
-                    )
-                }
-                "loss" => num(&mut f.msg_loss_prob)?,
-                "detect-ms" => ms(&mut f.detection_timeout)?,
-                "recover-ms" => ms(&mut f.recovery_time)?,
-                "cohort-recover-ms" => ms(&mut f.cohort_recovery_time)?,
-                "retry-ms" => ms(&mut f.msg_timeout)?,
-                "retries" => {
-                    f.max_retransmits = val
-                        .parse()
-                        .map_err(|_| format!("{key}: cannot parse {val:?}"))?
-                }
-                "crash-region" => {
-                    f.crash_region = Some(
-                        val.parse()
-                            .map_err(|_| format!("{key}: cannot parse {val:?}"))?,
-                    )
-                }
-                other => return Err(format!("unknown key {other:?} ({})", Self::known_keys())),
-            }
-        }
-        Ok(f)
+        parse_keys(s, &Self::KEYS)
     }
 }
 
@@ -373,29 +373,21 @@ impl Default for Topology {
 }
 
 impl Topology {
-    /// The `key=value` vocabulary accepted by [`std::str::FromStr`]
-    /// (the CLI's `--topology` flag), as `(key=SHAPE, description)`
-    /// pairs — same single-source-of-truth contract as
-    /// [`FailureConfig::CLI_KEYS`]. Defaults in parentheses.
-    pub const CLI_KEYS: [(&'static str, &'static str); 5] = [
-        ("regions=N", "number of contiguous site regions (1)"),
-        ("lan-ms=MS", "intra-region one-way wire latency (0)"),
-        ("wan-ms=MS", "inter-region one-way wire latency (0)"),
-        ("jitter=F", "per-pair latency jitter fraction in [0,1) (0)"),
-        (
-            "hot=P",
-            "probability a txn's cohort set includes site 0 (0)",
-        ),
+    /// The `key=value` vocabulary of [`std::str::FromStr`] (the CLI's
+    /// `--topology`). Defaults in parentheses.
+    #[rustfmt::skip]
+    pub const KEYS: [Key<Self>; 5] = [
+        key!("regions=N", "number of contiguous site regions (1)",
+             |t, k, v| t.regions = num(k, v)?),
+        key!("lan-ms=MS", "intra-region one-way wire latency (0)",
+             |t, k, v| t.lan_latency = parse_millis(k, v)?),
+        key!("wan-ms=MS", "inter-region one-way wire latency (0)",
+             |t, k, v| t.wan_latency = parse_millis(k, v)?),
+        key!("jitter=F", "per-pair latency jitter fraction in [0,1) (0)",
+             |t, k, v| t.jitter = num(k, v)?),
+        key!("hot=P", "probability a txn's cohort set includes site 0 (0)",
+             |t, k, v| t.hot_site_prob = num(k, v)?),
     ];
-
-    /// The bare key names from [`Self::CLI_KEYS`], comma-joined.
-    fn known_keys() -> String {
-        Self::CLI_KEYS
-            .iter()
-            .map(|(k, _)| k.split('=').next().unwrap_or(k))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
 
     /// Region of `site` among `num_sites`: contiguous blocks, first
     /// regions padded when the division is uneven. Pure arithmetic —
@@ -441,7 +433,7 @@ impl std::str::FromStr for Topology {
 
     /// Parse a comma-separated `key=value` topology specification over
     /// [`Topology::default`] — the format the CLI's `--topology` flag
-    /// takes. Keys are listed in [`Topology::CLI_KEYS`]; unspecified
+    /// takes. Keys are listed in [`Topology::KEYS`]; unspecified
     /// keys keep their defaults.
     ///
     /// ```
@@ -452,35 +444,7 @@ impl std::str::FromStr for Topology {
     /// assert_eq!(t.hot_site_prob, 0.0); // default preserved
     /// ```
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut t = Topology::default();
-        for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let Some((key, val)) = part.split_once('=') else {
-                return Err(format!("expected key=value, got {part:?}"));
-            };
-            let ms = |out: &mut SimDuration| -> Result<(), String> {
-                *out = parse_millis(key, val)?;
-                Ok(())
-            };
-            let num = |out: &mut f64| -> Result<(), String> {
-                *out = val
-                    .parse()
-                    .map_err(|_| format!("{key}: cannot parse {val:?}"))?;
-                Ok(())
-            };
-            match key {
-                "regions" => {
-                    t.regions = val
-                        .parse()
-                        .map_err(|_| format!("{key}: cannot parse {val:?}"))?
-                }
-                "lan-ms" => ms(&mut t.lan_latency)?,
-                "wan-ms" => ms(&mut t.wan_latency)?,
-                "jitter" => num(&mut t.jitter)?,
-                "hot" => num(&mut t.hot_site_prob)?,
-                other => return Err(format!("unknown key {other:?} ({})", Self::known_keys())),
-            }
-        }
-        Ok(t)
+        parse_keys(s, &Self::KEYS)
     }
 }
 
@@ -855,6 +819,9 @@ impl SystemConfig {
             if !(0.0..=1.0).contains(&f.cohort_crash_prob) {
                 return Err(Invalid("cohort_crash_prob must be a probability"));
             }
+            if f.exec_crash_prob.is_some_and(|p| !(0.0..=1.0).contains(&p)) {
+                return Err(Invalid("exec_crash_prob must be a probability"));
+            }
             if f.cohort_crash_prob > 0.0 && f.cohort_recovery_time.is_zero() {
                 return Err(Invalid("cohort_recovery_time must be positive"));
             }
@@ -1168,6 +1135,21 @@ mod tests {
         });
         assert!(c.validate().is_err());
 
+        // The execution-phase window is a probability too, NaN included.
+        for p in [2.0, 1.000_000_1, -1.0, f64::NAN] {
+            let c = SystemConfig::paper_baseline().with_failures(FailureConfig {
+                exec_crash_prob: Some(p),
+                ..FailureConfig::default()
+            });
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::Invalid(
+                    "exec_crash_prob must be a probability"
+                )),
+                "{p}"
+            );
+        }
+
         // The all-defaults config (zero probabilities) is valid.
         let mut c = SystemConfig::paper_baseline();
         c.failures = Some(FailureConfig::default());
@@ -1217,7 +1199,7 @@ mod tests {
     fn failure_config_parse_errors_name_the_problem() {
         let e = "bogus=1".parse::<FailureConfig>().unwrap_err();
         assert!(e.contains("unknown key \"bogus\""), "{e}");
-        // The error lists the vocabulary, sourced from CLI_KEYS.
+        // The error lists the vocabulary, sourced from KEYS.
         for key in ["mc", "cc", "loss", "detect-ms", "retries"] {
             assert!(e.contains(key), "{e} missing {key}");
         }
@@ -1233,10 +1215,10 @@ mod tests {
     fn cli_keys_cover_every_failure_field() {
         // 10 struct fields, 10 documented keys: adding a field without
         // extending the key table fails here.
-        assert_eq!(FailureConfig::CLI_KEYS.len(), 10);
-        for (key, desc) in FailureConfig::CLI_KEYS {
-            assert!(key.contains('='), "{key} lacks a value shape");
-            assert!(!desc.is_empty());
+        assert_eq!(FailureConfig::KEYS.len(), 10);
+        for k in FailureConfig::KEYS {
+            assert!(k.key.contains('='), "{} lacks a value shape", k.key);
+            assert!(!k.help.is_empty());
         }
     }
 

@@ -512,8 +512,9 @@ impl ProtocolSpec {
     /// The accepted spellings of every spec, in [`ProtocolSpec::ALL`]
     /// order; the first alias of each entry is the canonical name.
     /// This single vocabulary drives [`ProtocolSpec::from_str`], its
-    /// error text, and the CLI usage screen (the same pattern as
-    /// `FailureConfig::CLI_KEYS`).
+    /// error text, and the CLI usage screen (as the key tables
+    /// `FailureConfig::KEYS` and `Topology::KEYS` do for `--faults`
+    /// and `--topology`).
     pub const CLI_NAMES: [(ProtocolSpec, &'static [&'static str]); 14] = [
         (ProtocolSpec::CENT, &["CENT", "CENTRALIZED"]),
         (ProtocolSpec::DPCC, &["DPCC"]),

@@ -13,7 +13,8 @@
 
 use commitproto::ProtocolSpec;
 use distdb::config::{
-    parse_millis, FailureConfig, ResourceMode, RestartPolicy, SystemConfig, Topology, TransType,
+    parse_millis, FailureConfig, HotSpot, ResourceMode, RestartPolicy, SystemConfig, Topology,
+    TransType, Zipf,
 };
 use distdb::engine::{
     ChromeStreamSink, FoldSink, Observers, SeriesConfig, SeriesFormat, SeriesOut, Simulation,
@@ -28,8 +29,10 @@ use distdb::output::{
 };
 use simkernel::SimDuration;
 use std::fmt;
+use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::LazyLock;
 
 /// A parsed invocation.
@@ -128,23 +131,270 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError(msg)
+    }
+}
+
 fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
-/// Usage text printed by `help` and on errors. Built lazily so the
-/// `--faults` key table renders straight from
-/// [`FailureConfig::CLI_KEYS`] — the parser and the help text share
-/// one vocabulary by construction.
+/// Every subcommand but `help`; bit `i` of an [`Opt::subs`] mask names
+/// `SUBCOMMANDS[i]`.
+const SUBCOMMANDS: [&str; 7] = [
+    "run",
+    "series",
+    "trace",
+    "fold",
+    "sweep",
+    "experiment",
+    "tables",
+];
+const RUN: u8 = 1;
+const SERIES: u8 = 1 << 1;
+const TRACE: u8 = 1 << 2;
+const FOLD: u8 = 1 << 3;
+const SWEEP: u8 = 1 << 4;
+const EXPERIMENT: u8 = 1 << 5;
+/// The subcommands that simulate one configuration under one protocol.
+const ONE_RUN: u8 = RUN | SERIES | TRACE | FOLD;
+/// The subcommands that take the configuration flags.
+const CONFIG: u8 = ONE_RUN | SWEEP;
+
+/// The subcommands in `subs`, as "run, series and sweep".
+fn sub_list(subs: u8) -> String {
+    let names: Vec<&str> = (0..SUBCOMMANDS.len())
+        .filter(|i| subs & 1 << i != 0)
+        .map(|i| SUBCOMMANDS[i])
+        .collect();
+    match names.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} and {last}", rest.join(", ")),
+        _ => names.concat(),
+    }
+}
+
+/// One command-line option: its flag and value shape, the subcommands
+/// that take it, its usage text and what it sets.
+struct Opt {
+    /// `--flag`, or `--flag <SHAPE>` when it takes a value.
+    spec: &'static str,
+    /// The subcommands that take it, as [`SUBCOMMANDS`] bits.
+    subs: u8,
+    /// Usage text; each `\n` starts another line of it.
+    help: &'static str,
+    /// Apply the option from `(settings, flag, value)`; a switch gets
+    /// an empty value.
+    set: fn(&mut Settings, &str, &str) -> Result<(), CliError>,
+}
+
+impl Opt {
+    fn flag(&self) -> &'static str {
+        self.spec
+            .split_once(' ')
+            .map_or(self.spec, |(flag, _)| flag)
+    }
+
+    fn takes_value(&self) -> bool {
+        self.spec.contains(' ')
+    }
+}
+
+/// An [`OPTIONS`] row whose setter body is one assignment.
+macro_rules! opt {
+    ($spec:literal, $subs:expr, $help:literal, |$s:tt, $f:tt, $v:tt| $set:expr) => {
+        Opt {
+            spec: $spec,
+            subs: $subs,
+            help: $help,
+            set: |$s, $f, $v| {
+                $set;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// Every option, one row per meaning (`--format`, `--out`, `--txns`,
+/// `--series-out` and `--csv` mean different things to different
+/// subcommands), rows that share their subcommands kept together:
+/// [`parse`], its errors and the option sections of [`USAGE`] all read
+/// these rows.
+#[rustfmt::skip]
+static OPTIONS: &[Opt] = &[
+    opt!("--format <FORMAT>", RUN, "report format: table (default), csv\n\
+          (long-form section,key,value) or json",
+         |s, f, v| s.format = Some(parsed(f, v)?)),
+    opt!("--trace-out <FILE>", RUN, "stream Chrome trace-event JSON to FILE while\n\
+          the run executes — bounded memory, so it\n\
+          works for arbitrarily long runs; loadable in\n\
+          chrome://tracing or https://ui.perfetto.dev",
+         |s, _, v| s.trace_out = Some(v.into())),
+    opt!("--series-out <FILE>", RUN, "also stream the windowed metric series to\n\
+          FILE (CSV, or JSON when FILE ends in .json);\n\
+          accepts --window/--per-site; combines with\n\
+          --trace-out: one run feeds both files, and\n\
+          each is byte-identical to what the run\n\
+          streams with the other flag absent; the two\n\
+          must be different files (a link or `..`\n\
+          path to the same file exits 2)",
+         |s, _, v| s.series_out = Some(v.into())),
+    opt!("--format <FORMAT>", SERIES, "series format: csv (default, one row per\n\
+          window) or json (one document with a\n\
+          `windows` array)",
+         |s, f, v| s.format = Some(parsed(f, v)?)),
+    opt!("--out <FILE>", SERIES, "stream windows to FILE as the run executes\n\
+          (bounded memory) and print the report\n\
+          summary to stdout; without --out the series\n\
+          goes to stdout and the summary to stderr",
+         |s, _, v| s.out = Some(v.into())),
+    opt!("--window <SECS>", RUN | SERIES | SWEEP, "series window width in simulated seconds\n\
+          (default 5); run and sweep need --series-out",
+         |s, f, v| s.window = Some(parse_window(f, v)?)),
+    opt!("--per-site", RUN | SERIES | SWEEP, "add a per-site breakdown (per-site commits\n\
+          and instantaneous queue depths) to every\n\
+          series window",
+         |s, _, _| s.per_site = true),
+    opt!("--txns <N>", TRACE, "transactions to trace from the start of the\n\
+          run (default 3)",
+         |s, f, v| s.txns = Some(count(f, v)?)),
+    opt!("--out <FILE>", TRACE, "also write Chrome trace-event JSON, loadable\n\
+          in chrome://tracing or Perfetto",
+         |s, _, v| s.out = Some(v.into())),
+    opt!("--txns <N>", FOLD, "transactions to fold (default: all)",
+         |s, f, v| s.txns = Some(count(f, v)?)),
+    opt!("--out <FILE>", FOLD, "write the collapsed stacks to FILE instead\n\
+          of stdout; lines are\n\
+          `protocol;phase;station;activity weight`\n\
+          (weights in simulated µs), ready for\n\
+          flamegraph.pl / inferno / speedscope",
+         |s, _, v| s.out = Some(v.into())),
+    opt!("--protocols <A,B,..>", SWEEP, "protocols (default CENT,DPCC,2PC,3PC,OPT)",
+         |s, f, v| s.protocols = list(v, |p| parsed(f, p))?),
+    opt!("--mpls <N,N,..>", SWEEP, "MPL axis (default 1..10)",
+         |s, f, v| s.mpls = list(v, |m| num(f, m))?),
+    opt!("--format <FORMAT>", SWEEP, "table (default): aligned tables plus an\n\
+          ASCII chart and peak summary; csv: the three\n\
+          CSV blocks below; json: one document with\n\
+          every point's full report object",
+         |s, f, v| s.format = Some(parsed(f, v)?)),
+    opt!("--csv", SWEEP, "shorthand for --format csv: throughput\n\
+          (mean + 90% CI half-width per series), then\n\
+          per-phase p50/p90/p99 latencies, then\n\
+          per-site occupancy percentiles, separated by\n\
+          blank lines; byte-identical for every --jobs",
+         |s, _, _| s.csv = true),
+    opt!("--series-out <FILE>", SWEEP, "record every grid cell's windowed series to\n\
+          FILE — CSV rows gain series,mpl,rep identity\n\
+          columns (JSON when FILE ends in .json);\n\
+          accepts --window/--per-site",
+         |s, _, v| s.series_out = Some(v.into())),
+    opt!("--full", EXPERIMENT, "run 50 000 transactions per point",
+         |s, _, _| s.full = true),
+    opt!("--csv", EXPERIMENT, "print one plottable CSV block per metric\n\
+          instead of the tables",
+         |s, _, _| s.csv = true),
+    opt!("--jobs <N>", SWEEP | EXPERIMENT, "worker threads for the run grid (default:\n\
+          DISTCOMMIT_JOBS, else all cores); results\n\
+          are byte-identical for every N",
+         |s, f, v| s.jobs = Some(count(f, v)?)),
+    opt!("--reps <N>", SWEEP | EXPERIMENT, "independent replications per (protocol, MPL)\n\
+          cell, each with its own derived seed; with\n\
+          N >= 2 every point reports mean +-90% CI\n\
+          across replications (default 1, at most\n\
+          65535)",
+         |s, f, v| s.reps = match count(f, v)? {
+             n @ ..=experiments::MAX_REPLICATIONS => n,
+             _ => return err(format!("{f} must be at most 65535")),
+         }),
+    opt!("--protocol <NAME>", ONE_RUN, "protocol (default 2PC)",
+         |s, f, v| s.protocol = parsed(f, v)?),
+    opt!("--mpl <N>", ONE_RUN, "multiprogramming level (default 4)",
+         |s, f, v| s.cfg.mpl = num(f, v)?),
+    opt!("--seed <N>", CONFIG, "RNG seed (default 42)",
+         |s, f, v| s.seed = num(f, v)?),
+    opt!("--sites <N>", CONFIG, "number of sites (default 8)",
+         |s, f, v| s.cfg.num_sites = num(f, v)?),
+    opt!("--db-size <PAGES>", CONFIG, "database size (default 8000)",
+         |s, f, v| s.cfg.db_size = num(f, v)?),
+    opt!("--dist-degree <N>", CONFIG, "cohorts per transaction (default 3)",
+         |s, f, v| s.cfg.dist_degree = num(f, v)?),
+    opt!("--cohort-size <N>", CONFIG, "mean pages per cohort (default 6)",
+         |s, f, v| s.cfg.cohort_size = num(f, v)?),
+    opt!("--update-prob <P>", CONFIG, "page update probability (default 1.0)",
+         |s, f, v| s.cfg.update_prob = num(f, v)?),
+    opt!("--msg-cpu-ms <MS>", CONFIG, "message send/receive CPU time (default 5)",
+         |s, f, v| s.cfg.msg_cpu = parse_millis(f, v)?),
+    opt!("--page-cpu-ms <MS>", CONFIG, "page processing CPU time (default 5)",
+         |s, f, v| s.cfg.page_cpu = parse_millis(f, v)?),
+    opt!("--page-disk-ms <MS>", CONFIG, "disk page access time (default 20)",
+         |s, f, v| s.cfg.page_disk = parse_millis(f, v)?),
+    opt!("--cpus <N>", CONFIG, "CPUs per site (default 1)",
+         |s, f, v| s.cfg.num_cpus = num(f, v)?),
+    opt!("--data-disks <N>", CONFIG, "data disks per site (default 2)",
+         |s, f, v| s.cfg.num_data_disks = num(f, v)?),
+    opt!("--log-disks <N>", CONFIG, "log disks per site (default 1)",
+         |s, f, v| s.cfg.num_log_disks = num(f, v)?),
+    opt!("--abort-prob <P>", CONFIG, "cohort surprise NO-vote probability (default 0)",
+         |s, f, v| s.cfg.cohort_abort_prob = num(f, v)?),
+    opt!("--replication <F>", CONFIG, "replica-group tolerance F: every shard gets\n\
+          2F+1 acceptors / standby coordinators\n\
+          (PAXOS and REP2PC only; default 0)",
+         |s, f, v| s.cfg.replication = num(f, v)?),
+    opt!("--hot-spot <D,A>", CONFIG, "b-c access skew: A of accesses hit first D of pages",
+         |s, f, v| s.cfg.hot_spot = match list(v, |x| num::<f64>(f, x))?[..] {
+             [data_fraction, access_fraction] => Some(HotSpot { data_fraction, access_fraction }),
+             _ => return err(format!("{f} wants DATA_FRACTION,ACCESS_FRACTION")),
+         }),
+    opt!("--zipf <THETA>", CONFIG, "Zipf(theta) page-access skew per site\n\
+          (excludes --hot-spot; 0 = uniform)",
+         |s, f, v| s.cfg.zipf = Some(Zipf { theta: num(f, v)? })),
+    opt!("--topology <K=V,..>", CONFIG, "LAN/WAN topology: sites split into regions,\n\
+          messages spend wire latency in flight (keys:\n\
+          TOPOLOGY KEYS)",
+         |s, f, v| s.cfg.topology = Some(parsed(f, v)?)),
+    opt!("--faults <K=V,..>", CONFIG, "enable the failure model (keys: FAULT KEYS)",
+         |s, f, v| s.cfg.failures = Some(parsed(f, v)?)),
+    opt!("--sequential", CONFIG, "sequential cohort execution",
+         |s, _, _| s.cfg.trans_type = TransType::Sequential),
+    opt!("--infinite", CONFIG, "infinite resources (pure data contention)",
+         |s, _, _| s.cfg.resources = ResourceMode::Infinite),
+    opt!("--read-only-opt", CONFIG, "enable the Read-Only commit optimization",
+         |s, _, _| s.cfg.read_only_optimization = true),
+    opt!("--group-commit <N>", CONFIG, "batch up to N forced writes per log service",
+         |s, f, v| s.cfg.group_commit_batch = Some(num(f, v)?)),
+    opt!("--restart-fixed-ms <MS>", CONFIG, "fixed restart delay instead of adaptive",
+         |s, f, v| s.cfg.restart_policy = RestartPolicy::Fixed(parse_millis(f, v)?)),
+    opt!("--warmup <N>", CONFIG, "warm-up transactions (default 500; trace 50)",
+         |s, f, v| s.cfg.run.warmup_transactions = num(f, v)?),
+    opt!("--measured <N>", CONFIG, "measured transactions (default 5000; trace 200)",
+         |s, f, v| s.cfg.run.measured_transactions = num(f, v)?),
+];
+
+/// Usage text printed by `help` and on errors. Its option sections
+/// render from the option table, one per set of subcommands, and its key
+/// lists from [`FailureConfig::KEYS`] and [`Topology::KEYS`]: the
+/// parsers and the help text share one vocabulary by construction.
 pub static USAGE: LazyLock<String> = LazyLock::new(|| {
-    let fault_keys: String = FailureConfig::CLI_KEYS
-        .iter()
-        .map(|(key, desc)| format!("                             {key:<20} {desc}\n"))
+    let line = |spec: &str, help: &str| {
+        format!(
+            "  {spec:<24} {}\n",
+            help.replace('\n', "\n                           ")
+        )
+    };
+    let sections: String = OPTIONS
+        .chunk_by(|a, b| a.subs == b.subs)
+        .map(|rows| {
+            let lines: String = rows.iter().map(|o| line(o.spec, o.help)).collect();
+            format!("OPTIONS ({}):\n{lines}\n", sub_list(rows[0].subs))
+        })
         .collect();
-    let topology_keys: String = Topology::CLI_KEYS
+    let fault_keys: String = FailureConfig::KEYS
         .iter()
-        .map(|(key, desc)| format!("                             {key:<20} {desc}\n"))
+        .map(|k| line(k.key, k.help))
         .collect();
+    let topology_keys: String = Topology::KEYS.iter().map(|k| line(k.key, k.help)).collect();
     // The protocol vocabulary renders straight from the spec table, so
     // adding a ProtocolSpec::ALL entry updates the help screen too.
     let protocol_names: String = ProtocolSpec::valid_names().collect::<Vec<_>>().join(" ");
@@ -159,124 +409,18 @@ USAGE:
   distcommit trace  [OPTIONS]                per-txn commit choreography
   distcommit fold   [OPTIONS]                collapsed-stack flamegraph fold
   distcommit sweep  [OPTIONS]                protocols x MPLs sweep
-  distcommit experiment <{preset_ids}>
-                        [--full] [--reps N] [--jobs N] [--csv]
-                        (prints the configuration and one table per
-                        metric the paper plots; --csv prints one
-                        plottable CSV block per metric instead;
-                        --full runs 50 000 transactions per point)
+  distcommit experiment <ID> [OPTIONS]       one paper preset: its configuration
+                                             and one table per metric it plots
+      ID: {preset_ids}
   distcommit tables                          Tables 2-4, analytic and
                                              measured overheads
   distcommit help
 
-RUN OUTPUT:
-  --format <F>             report format: table (default), csv
-                           (long-form section,key,value) or json
-  --trace-out <FILE>       stream Chrome trace-event JSON to FILE while
-                           the run executes — bounded memory, so it
-                           works for arbitrarily long runs; loadable in
-                           chrome://tracing or https://ui.perfetto.dev
-  --series-out <FILE>      also stream the windowed metric series to
-                           FILE (CSV, or JSON when FILE ends in .json);
-                           accepts --window/--per-site; combines with
-                           --trace-out: one run feeds both files, and
-                           each is byte-identical to what the run
-                           streams with the other flag absent; the two
-                           must be different files (a link or `..`
-                           path to the same file exits 2)
+{sections}FAULT KEYS (--faults K=V,..; unset keys keep the defaults in parentheses):
+{fault_keys}  e.g. --faults mc=0.01,cc=0.005,loss=0.01
 
-SERIES:
-  --format <F>             series format: csv (default, one row per
-                           window) or json (one document with a
-                           `windows` array)
-  --window <SECS>          window width in simulated seconds
-                           (default 5)
-  --per-site               add a per-site breakdown (per-site commits
-                           and instantaneous queue depths) to every
-                           window
-  --out <FILE>             stream windows to FILE as the run executes
-                           (bounded memory) and print the report
-                           summary to stdout; without --out the series
-                           goes to stdout and the summary to stderr
-
-TRACE:
-  --txns <N>               transactions to trace from the start of the
-                           run (default 3)
-  --out <FILE>             also write Chrome trace-event JSON, loadable
-                           in chrome://tracing or Perfetto
-
-FOLD:
-  --txns <N>               transactions to fold (default: all)
-  --out <FILE>             write the collapsed stacks to FILE instead
-                           of stdout; lines are
-                           `protocol;phase;station;activity weight`
-                           (weights in simulated µs), ready for
-                           flamegraph.pl / inferno / speedscope
-
-SWEEP OUTPUT:
-  --format <F>             table (default): aligned tables plus an
-                           ASCII chart and peak summary; csv: the three
-                           CSV blocks below; json: one document with
-                           every point's full report object
-  --csv                    shorthand for --format csv: throughput
-                           (mean + 90% CI half-width per series), then
-                           per-phase p50/p90/p99 latencies, then
-                           per-site occupancy percentiles, separated by
-                           blank lines; byte-identical for every --jobs
-  --series-out <FILE>      record every grid cell's windowed series to
-                           FILE — CSV rows gain series,mpl,rep identity
-                           columns (JSON when FILE ends in .json);
-                           accepts --window/--per-site
-
-FAULT INJECTION (run, series, trace, fold & sweep):
-  --faults <K=V,..>        enable the failure model; keys:
-{fault_keys}                           e.g. --faults mc=0.01,cc=0.005,loss=0.01
-
-PARALLELISM & REPLICATIONS:
-  --jobs <N>               (sweep & experiment) worker threads for the
-                           run grid (default: DISTCOMMIT_JOBS, else all
-                           cores); results are byte-identical for
-                           every N
-  --reps <N>               (sweep & experiment) independent replications
-                           per (protocol, MPL) cell, each with its own
-                           derived seed; with N >= 2 every point
-                           reports mean +-90% CI across replications
-                           (default 1, at most 65535)
-
-OPTIONS (run & sweep):
-  --protocol <NAME>        protocol for run/series/trace/fold (default 2PC)
-  --protocols <A,B,..>     protocols for `sweep` (default CENT,DPCC,2PC,3PC,OPT)
-  --mpl <N>                multiprogramming level for `run` (default 4)
-  --mpls <N,N,..>          MPL axis for `sweep` (default 1..10)
-  --seed <N>               RNG seed (default 42)
-  --sites <N>              number of sites (default 8)
-  --db-size <PAGES>        database size (default 8000)
-  --dist-degree <N>        cohorts per transaction (default 3)
-  --cohort-size <N>        mean pages per cohort (default 6)
-  --update-prob <P>        page update probability (default 1.0)
-  --msg-cpu-ms <MS>        message send/receive CPU time (default 5)
-  --page-cpu-ms <MS>       page processing CPU time (default 5)
-  --page-disk-ms <MS>      disk page access time (default 20)
-  --cpus <N>               CPUs per site (default 1)
-  --data-disks <N>         data disks per site (default 2)
-  --log-disks <N>          log disks per site (default 1)
-  --abort-prob <P>         cohort surprise NO-vote probability (default 0)
-  --replication <F>        replica-group tolerance F: every shard gets
-                           2F+1 acceptors / standby coordinators
-                           (PAXOS and REP2PC only; default 0)
-  --hot-spot <D,A>         b-c access skew: A of accesses hit first D of pages
-  --zipf <THETA>           Zipf(theta) page-access skew per site
-                           (excludes --hot-spot; 0 = uniform)
-  --topology <K=V,..>      LAN/WAN topology: sites split into regions,
-                           messages spend wire latency in flight; keys:
-{topology_keys}                           e.g. --topology regions=8,lan-ms=1,wan-ms=40
-  --sequential             sequential cohort execution
-  --infinite               infinite resources (pure data contention)
-  --read-only-opt          enable the Read-Only commit optimization
-  --group-commit <N>       batch up to N forced writes per log service
-  --restart-fixed-ms <MS>  fixed restart delay instead of adaptive
-  --warmup <N>             warm-up transactions (default 500)
-  --measured <N>           measured transactions (default 5000)
+TOPOLOGY KEYS (--topology K=V,..; defaults in parentheses):
+{topology_keys}  e.g. --topology regions=8,lan-ms=1,wan-ms=40
 
 Protocols: {protocol_names}
 "
@@ -289,51 +433,256 @@ fn preset_ids() -> String {
     PRESETS.iter().map(|p| p.id).collect::<Vec<_>>().join("|")
 }
 
-fn take_value<'a>(
-    flag: &str,
-    it: &mut std::slice::Iter<'a, String>,
-) -> Result<&'a String, CliError> {
-    it.next()
-        .ok_or_else(|| CliError(format!("{flag} needs a value")))
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
+/// Parse a number, naming the flag when it is not one.
+fn num<T: FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
     v.parse()
         .map_err(|_| CliError(format!("{flag}: cannot parse {v:?}")))
 }
 
-fn parse_protocol(v: &str) -> Result<ProtocolSpec, CliError> {
-    v.parse::<ProtocolSpec>()
-        .map_err(|e| CliError(e.to_string()))
+/// Parse a count of at least 1.
+fn count<T: FromStr + From<u8> + PartialOrd>(flag: &str, v: &str) -> Result<T, CliError> {
+    let n = num(flag, v)?;
+    if n < T::from(1) {
+        return err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
 }
 
-fn parse_list<T: std::str::FromStr>(flag: &str, v: &str) -> Result<Vec<T>, CliError> {
+/// Parse a value whose type says what is wrong with it, after the flag.
+fn parsed<T: FromStr<Err: fmt::Display>>(flag: &str, v: &str) -> Result<T, CliError> {
+    v.parse().map_err(|e| CliError(format!("{flag}: {e}")))
+}
+
+/// Parse a comma-separated list, skipping empty entries.
+fn list<T>(v: &str, item: impl Fn(&str) -> Result<T, CliError>) -> Result<Vec<T>, CliError> {
     v.split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(|s| parse_num(flag, s))
+        .map(item)
         .collect()
 }
 
-/// Parse `--window` (seconds) through the conversion every duration
-/// input shares; a window that rounds to zero microseconds is
+/// Parse a series window in seconds through the conversion every
+/// duration input shares; a window that rounds to zero microseconds is
 /// rejected too.
-fn parse_window(v: &str) -> Result<SimDuration, CliError> {
-    let secs: f64 = parse_num("--window", v)?;
+fn parse_window(flag: &str, v: &str) -> Result<SimDuration, CliError> {
+    let secs: f64 = num(flag, v)?;
     match SimDuration::try_from_millis_f64(secs * 1_000.0) {
         Some(w) if !w.is_zero() => Ok(w),
         _ => err(format!(
-            "--window: {v:?} is not a positive number of seconds the microsecond clock can hold"
+            "{flag}: {v:?} is not a positive number of seconds the microsecond clock can hold"
         )),
     }
 }
 
-/// Parse a `--faults` specification by delegating to
-/// [`FailureConfig`]'s `FromStr` — the typed parser the library
-/// exposes — and prefixing errors with the flag name.
-fn parse_faults(v: &str) -> Result<FailureConfig, CliError> {
-    v.parse()
-        .map_err(|e: String| CliError(format!("--faults: {e}")))
+/// What an invocation's options set, over its subcommand's defaults.
+struct Settings {
+    cfg: SystemConfig,
+    protocol: ProtocolSpec,
+    protocols: Vec<ProtocolSpec>,
+    mpls: Vec<u32>,
+    seed: u64,
+    reps: u32,
+    jobs: Option<usize>,
+    format: Option<ReportFormat>,
+    csv: bool,
+    full: bool,
+    txns: Option<u64>,
+    out: Option<String>,
+    trace_out: Option<String>,
+    series_out: Option<String>,
+    window: Option<SimDuration>,
+    per_site: bool,
+    /// The `experiment` id, the one argument that is not an option.
+    id: Option<String>,
+}
+
+/// Parse an argument vector (without the program name).
+pub fn parse(args: &[String]) -> Result<Command, CliError> {
+    let Some((name, args)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let Some(i) = SUBCOMMANDS.iter().position(|s| s == name) else {
+        return err(format!("unknown command {name:?}; try `distcommit help`"));
+    };
+    let sub = 1 << i;
+    // Tracing inspects individual transactions; a short run keeps the
+    // timeline readable (flags still override).
+    let (warmup, measured) = if sub == TRACE {
+        (50, 200)
+    } else {
+        (500, 5_000)
+    };
+    let mut s = Settings {
+        cfg: SystemConfig::paper_baseline().with_run_length(warmup, measured),
+        protocol: ProtocolSpec::TWO_PC,
+        protocols: vec![
+            ProtocolSpec::CENT,
+            ProtocolSpec::DPCC,
+            ProtocolSpec::TWO_PC,
+            ProtocolSpec::THREE_PC,
+            ProtocolSpec::OPT_2PC,
+        ],
+        mpls: (1..=10).collect(),
+        seed: 42,
+        reps: 1,
+        jobs: None,
+        format: None,
+        csv: false,
+        full: false,
+        txns: None,
+        out: None,
+        trace_out: None,
+        series_out: None,
+        window: None,
+        per_site: false,
+        id: None,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if sub == EXPERIMENT && s.id.is_none() && !arg.starts_with('-') {
+            s.id = Some(arg.clone());
+            continue;
+        }
+        let opt = option(sub, arg)?;
+        let value = match opt.takes_value() {
+            true => args
+                .next()
+                .ok_or_else(|| CliError(format!("{arg} needs a value")))?,
+            false => "",
+        };
+        (opt.set)(&mut s, arg, value)?;
+    }
+    s.command(sub)
+}
+
+/// The row of `flag` that `sub` takes. The error names the subcommands
+/// that do take `flag`, if any does.
+fn option(sub: u8, flag: &str) -> Result<&'static Opt, CliError> {
+    let rows = || OPTIONS.iter().filter(|o| o.flag() == flag);
+    if let Some(opt) = rows().find(|o| o.subs & sub != 0) {
+        return Ok(opt);
+    }
+    match rows().fold(0, |subs, o| subs | o.subs) {
+        0 => err(format!("unknown option {flag:?}")),
+        subs => err(format!("{flag} applies to {} only", sub_list(subs))),
+    }
+}
+
+impl Settings {
+    /// The `sub` command, once the checks that span options pass.
+    fn command(self, sub: u8) -> Result<Command, CliError> {
+        if sub != SERIES && self.series_out.is_none() && (self.window.is_some() || self.per_site) {
+            return err("--window/--per-site need `series` or --series-out");
+        }
+        if self.csv && self.format.is_some() {
+            return err("--csv is shorthand for --format csv; pass one of them");
+        }
+        // Every (configuration, protocol) pair is checked here, so a
+        // bad one exits 2 before any run starts.
+        let validate =
+            |cfg: &SystemConfig, spec| cfg.validate_for(spec).map_err(|e| CliError(e.to_string()));
+        if sub & ONE_RUN != 0 {
+            validate(&self.cfg, self.protocol)?;
+        }
+        let series_cfg = SeriesConfig {
+            window: self.window.unwrap_or(SeriesConfig::DEFAULT_WINDOW),
+            per_site: self.per_site,
+        };
+        Ok(match sub {
+            RUN => {
+                // Two writers on one file would interleave into garbage.
+                // The path text catches `a.json` vs `./a.json` here;
+                // `execute` catches the aliases only the files show.
+                let absolute =
+                    |p: &Option<String>| p.as_deref().map(|p| std::path::absolute(p).ok());
+                if self.trace_out.is_some()
+                    && absolute(&self.trace_out) == absolute(&self.series_out)
+                {
+                    return err(ALIASED_OUTPUTS);
+                }
+                Command::Run {
+                    cfg: self.cfg,
+                    protocol: self.protocol,
+                    seed: self.seed,
+                    format: self.format.unwrap_or(ReportFormat::Table),
+                    trace_out: self.trace_out,
+                    series_out: self.series_out,
+                    series_cfg,
+                }
+            }
+            SERIES => Command::Series {
+                cfg: self.cfg,
+                protocol: self.protocol,
+                seed: self.seed,
+                series_cfg,
+                format: match self.format.unwrap_or(ReportFormat::Csv) {
+                    ReportFormat::Csv => SeriesFormat::Csv,
+                    ReportFormat::Json => SeriesFormat::Json,
+                    ReportFormat::Table => {
+                        return err("series --format: csv|json (a table has no series rendering)")
+                    }
+                },
+                out: self.out,
+            },
+            TRACE => Command::Trace {
+                cfg: self.cfg,
+                protocol: self.protocol,
+                seed: self.seed,
+                txns: self.txns.unwrap_or(3),
+                out: self.out,
+            },
+            FOLD => Command::Fold {
+                cfg: self.cfg,
+                protocol: self.protocol,
+                seed: self.seed,
+                txns: self.txns.unwrap_or(u64::MAX),
+                out: self.out,
+            },
+            SWEEP => {
+                if self.protocols.is_empty() || self.mpls.is_empty() {
+                    return err("sweep needs at least one protocol and one MPL");
+                }
+                for &spec in &self.protocols {
+                    for &m in &self.mpls {
+                        validate(&self.cfg.clone().with_mpl(m), spec)?;
+                    }
+                }
+                let default = if self.csv {
+                    ReportFormat::Csv
+                } else {
+                    ReportFormat::Table
+                };
+                Command::Sweep {
+                    cfg: self.cfg,
+                    protocols: self.protocols,
+                    mpls: self.mpls,
+                    seed: self.seed,
+                    reps: self.reps,
+                    jobs: self.jobs,
+                    format: self.format.unwrap_or(default),
+                    series_out: self.series_out,
+                    series_cfg,
+                }
+            }
+            EXPERIMENT => match self.id {
+                Some(id) if experiments::preset(&id).is_some() => Command::Experiment {
+                    id,
+                    full: self.full,
+                    reps: self.reps,
+                    jobs: self.jobs,
+                    csv: self.csv,
+                },
+                Some(id) => return err(format!("unknown experiment {id:?} ({})", preset_ids())),
+                None => return err(format!("experiment needs an id ({})", preset_ids())),
+            },
+            // `tables`, which takes no option.
+            _ => Command::Tables,
+        })
+    }
 }
 
 /// Series format implied by an output path: `.json` means JSON,
@@ -346,13 +695,18 @@ fn series_format_for(path: &str) -> SeriesFormat {
     }
 }
 
-/// Create the file `path` names, if any; on failure, say why on stderr.
+/// Create the file `path` names, if any.
 fn create_out<T>(
     path: Option<&str>,
     create: impl FnOnce(&Path) -> io::Result<T>,
-) -> Result<Option<T>, ()> {
-    path.map(|p| create(Path::new(p)).map_err(|e| eprintln!("error: cannot create {p}: {e}")))
+) -> Result<Option<T>, String> {
+    path.map(|p| create(Path::new(p)).map_err(|e| format!("cannot create {p}: {e}")))
         .transpose()
+}
+
+/// Write `bytes` to the file at `path`.
+fn write_out(path: &str, bytes: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 const ALIASED_OUTPUTS: &str = "--trace-out and --series-out must name different files";
@@ -382,330 +736,56 @@ fn series_format_name(f: SeriesFormat) -> &'static str {
     }
 }
 
-/// Parse an argument vector (without the program name).
-pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let Some(sub) = args.first() else {
-        return Ok(Command::Help);
-    };
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "tables" => Ok(Command::Tables),
-        "experiment" => {
-            let mut id = None;
-            let mut full = false;
-            let mut reps = 1u32;
-            let mut jobs = None;
-            let mut csv = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--full" => full = true,
-                    "--csv" => csv = true,
-                    "--reps" => reps = parse_num(a, take_value(a, &mut it)?)?,
-                    "--jobs" => jobs = Some(parse_num(a, take_value(a, &mut it)?)?),
-                    other if id.is_none() && !other.starts_with('-') => {
-                        id = Some(other.to_string())
-                    }
-                    other => return err(format!("unexpected argument {other:?}")),
-                }
-            }
-            if reps == 0 {
-                return err("--reps must be at least 1");
-            }
-            if reps > experiments::MAX_REPLICATIONS {
-                return err("--reps must be at most 65535");
-            }
-            match id {
-                Some(id) if experiments::preset(&id).is_some() => Ok(Command::Experiment {
-                    id,
-                    full,
-                    reps,
-                    jobs,
-                    csv,
-                }),
-                Some(id) => err(format!("unknown experiment {id:?} ({})", preset_ids())),
-                None => err(format!("experiment needs an id ({})", preset_ids())),
+/// Execute a parsed command, writing its output to `out`, and return
+/// the process exit code. Every failure — of a run, of a file it cannot
+/// create or write, or of `out` itself — is reported on stderr and
+/// exits 1, or 2 when `run`'s two outputs turn out to be one file. A
+/// run that is truncated or fails its overhead check also exits 1.
+pub fn execute(cmd: Command, out: &mut (dyn io::Write + Send)) -> i32 {
+    match write_command(cmd, out).and_then(|code| {
+        out.flush()?;
+        Ok(code)
+    }) {
+        Ok(code) => code,
+        Err(e) => {
+            let what = if e.is::<io::Error>() {
+                "output failed: "
+            } else {
+                ""
+            };
+            eprintln!("error: {what}{e}");
+            if e.is::<CliError>() {
+                2
+            } else {
+                1
             }
         }
-        "run" | "sweep" | "trace" | "fold" | "series" => {
-            let mut cfg = SystemConfig::paper_baseline();
-            cfg.run.warmup_transactions = 500;
-            cfg.run.measured_transactions = 5_000;
-            if sub == "trace" {
-                // Tracing inspects individual transactions; a short run
-                // keeps the timeline readable (flags still override).
-                cfg.run.warmup_transactions = 50;
-                cfg.run.measured_transactions = 200;
-            }
-            let mut txns: Option<u64> = None;
-            let mut out: Option<String> = None;
-            let mut format: Option<ReportFormat> = None;
-            let mut trace_out: Option<String> = None;
-            let mut series_out: Option<String> = None;
-            let mut window: Option<SimDuration> = None;
-            let mut per_site = false;
-            let mut protocol = ProtocolSpec::TWO_PC;
-            let mut protocols = vec![
-                ProtocolSpec::CENT,
-                ProtocolSpec::DPCC,
-                ProtocolSpec::TWO_PC,
-                ProtocolSpec::THREE_PC,
-                ProtocolSpec::OPT_2PC,
-            ];
-            let mut mpls: Vec<u32> = (1..=10).collect();
-            let mut seed = 42u64;
-            let mut reps = 1u32;
-            let mut jobs = None;
-            let mut csv = false;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--protocol" => protocol = parse_protocol(take_value(a, &mut it)?)?,
-                    "--csv" => csv = true,
-                    "--faults" => cfg.failures = Some(parse_faults(take_value(a, &mut it)?)?),
-                    "--txns" => txns = Some(parse_num(a, take_value(a, &mut it)?)?),
-                    "--out" => out = Some(take_value(a, &mut it)?.clone()),
-                    "--format" => {
-                        format = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|e: String| CliError(format!("--format: {e}")))?,
-                        )
-                    }
-                    "--trace-out" => trace_out = Some(take_value(a, &mut it)?.clone()),
-                    "--series-out" => series_out = Some(take_value(a, &mut it)?.clone()),
-                    "--window" => window = Some(parse_window(take_value(a, &mut it)?)?),
-                    "--per-site" => per_site = true,
-                    "--reps" => reps = parse_num(a, take_value(a, &mut it)?)?,
-                    "--jobs" => jobs = Some(parse_num(a, take_value(a, &mut it)?)?),
-                    "--protocols" => {
-                        protocols = take_value(a, &mut it)?
-                            .split(',')
-                            .map(str::trim)
-                            .filter(|s| !s.is_empty())
-                            .map(parse_protocol)
-                            .collect::<Result<_, _>>()?;
-                    }
-                    "--mpl" => cfg.mpl = parse_num(a, take_value(a, &mut it)?)?,
-                    "--mpls" => mpls = parse_list(a, take_value(a, &mut it)?)?,
-                    "--seed" => seed = parse_num(a, take_value(a, &mut it)?)?,
-                    "--sites" => cfg.num_sites = parse_num(a, take_value(a, &mut it)?)?,
-                    "--db-size" => cfg.db_size = parse_num(a, take_value(a, &mut it)?)?,
-                    "--dist-degree" => cfg.dist_degree = parse_num(a, take_value(a, &mut it)?)?,
-                    "--cohort-size" => cfg.cohort_size = parse_num(a, take_value(a, &mut it)?)?,
-                    "--update-prob" => cfg.update_prob = parse_num(a, take_value(a, &mut it)?)?,
-                    "--msg-cpu-ms" => {
-                        cfg.msg_cpu = parse_millis(a, take_value(a, &mut it)?).map_err(CliError)?
-                    }
-                    "--page-cpu-ms" => {
-                        cfg.page_cpu = parse_millis(a, take_value(a, &mut it)?).map_err(CliError)?
-                    }
-                    "--page-disk-ms" => {
-                        cfg.page_disk =
-                            parse_millis(a, take_value(a, &mut it)?).map_err(CliError)?
-                    }
-                    "--cpus" => cfg.num_cpus = parse_num(a, take_value(a, &mut it)?)?,
-                    "--data-disks" => cfg.num_data_disks = parse_num(a, take_value(a, &mut it)?)?,
-                    "--log-disks" => cfg.num_log_disks = parse_num(a, take_value(a, &mut it)?)?,
-                    "--abort-prob" => {
-                        cfg.cohort_abort_prob = parse_num(a, take_value(a, &mut it)?)?
-                    }
-                    "--replication" => cfg.replication = parse_num(a, take_value(a, &mut it)?)?,
-                    "--hot-spot" => {
-                        let parts: Vec<f64> = parse_list(a, take_value(a, &mut it)?)?;
-                        if parts.len() != 2 {
-                            return err("--hot-spot wants DATA_FRACTION,ACCESS_FRACTION");
-                        }
-                        cfg.hot_spot = Some(distdb::config::HotSpot {
-                            data_fraction: parts[0],
-                            access_fraction: parts[1],
-                        });
-                    }
-                    "--zipf" => {
-                        cfg.zipf = Some(distdb::config::Zipf {
-                            theta: parse_num(a, take_value(a, &mut it)?)?,
-                        })
-                    }
-                    "--topology" => {
-                        cfg.topology = Some(
-                            take_value(a, &mut it)?
-                                .parse()
-                                .map_err(|e: String| CliError(format!("--topology: {e}")))?,
-                        )
-                    }
-                    "--sequential" => cfg.trans_type = TransType::Sequential,
-                    "--infinite" => cfg.resources = ResourceMode::Infinite,
-                    "--read-only-opt" => cfg.read_only_optimization = true,
-                    "--group-commit" => {
-                        cfg.group_commit_batch = Some(parse_num(a, take_value(a, &mut it)?)?)
-                    }
-                    "--restart-fixed-ms" => {
-                        cfg.restart_policy = RestartPolicy::Fixed(
-                            parse_millis(a, take_value(a, &mut it)?).map_err(CliError)?,
-                        )
-                    }
-                    "--warmup" => {
-                        cfg.run.warmup_transactions = parse_num(a, take_value(a, &mut it)?)?
-                    }
-                    "--measured" => {
-                        cfg.run.measured_transactions = parse_num(a, take_value(a, &mut it)?)?
-                    }
-                    other => return err(format!("unknown option {other:?}")),
-                }
-            }
-            // Every (configuration, protocol) pair is checked here, so a
-            // bad one exits 2 before any run starts.
-            let validate = |cfg: &SystemConfig, spec| {
-                cfg.validate_for(spec).map_err(|e| CliError(e.to_string()))
-            };
-            if sub == "sweep" {
-                if protocols.is_empty() || mpls.is_empty() {
-                    return err("sweep needs at least one protocol and one MPL");
-                }
-                for &spec in &protocols {
-                    for &m in &mpls {
-                        validate(&cfg.clone().with_mpl(m), spec)?;
-                    }
-                }
-            } else {
-                validate(&cfg, protocol)?;
-            }
-            if !matches!(sub.as_str(), "trace" | "fold") && txns.is_some() {
-                return err("--txns applies to trace and fold only");
-            }
-            if !matches!(sub.as_str(), "trace" | "fold" | "series") && out.is_some() {
-                return err("--out applies to trace, fold and series only");
-            }
-            if !matches!(sub.as_str(), "run" | "sweep" | "series") && format.is_some() {
-                return err("--format applies to run, sweep and series only");
-            }
-            if sub != "run" && trace_out.is_some() {
-                return err("--trace-out applies to run only");
-            }
-            if !matches!(sub.as_str(), "run" | "sweep") && series_out.is_some() {
-                return err("--series-out applies to run and sweep only");
-            }
-            if sub != "series" && series_out.is_none() && (window.is_some() || per_site) {
-                return err("--window/--per-site need `series` or --series-out");
-            }
-            if sub != "sweep" && csv {
-                return err("--csv applies to sweep only");
-            }
-            let series_cfg = SeriesConfig {
-                window: window.unwrap_or(SeriesConfig::DEFAULT_WINDOW),
-                per_site,
-            };
-            if sub != "sweep" {
-                if reps != 1 || jobs.is_some() {
-                    return err("--reps/--jobs apply to sweep and experiment only");
-                }
-                if txns == Some(0) {
-                    return err("--txns must be at least 1");
-                }
-                if sub == "trace" {
-                    return Ok(Command::Trace {
-                        cfg,
-                        protocol,
-                        seed,
-                        txns: txns.unwrap_or(3),
-                        out,
-                    });
-                }
-                if sub == "fold" {
-                    return Ok(Command::Fold {
-                        cfg,
-                        protocol,
-                        seed,
-                        txns: txns.unwrap_or(u64::MAX),
-                        out,
-                    });
-                }
-                if sub == "series" {
-                    let format = match format.unwrap_or(ReportFormat::Csv) {
-                        ReportFormat::Csv => SeriesFormat::Csv,
-                        ReportFormat::Json => SeriesFormat::Json,
-                        ReportFormat::Table => {
-                            return err(
-                                "series --format: csv|json (a table has no series rendering)",
-                            )
-                        }
-                    };
-                    return Ok(Command::Series {
-                        cfg,
-                        protocol,
-                        seed,
-                        series_cfg,
-                        format,
-                        out,
-                    });
-                }
-                // Two writers on one file would interleave into garbage.
-                // The path text catches `a.json` vs `./a.json` here;
-                // `execute` catches the aliases only the files show.
-                let absolute =
-                    |p: &Option<String>| p.as_deref().map(|p| std::path::absolute(p).ok());
-                if trace_out.is_some() && absolute(&trace_out) == absolute(&series_out) {
-                    return err(ALIASED_OUTPUTS);
-                }
-                Ok(Command::Run {
-                    cfg,
-                    protocol,
-                    seed,
-                    format: format.unwrap_or(ReportFormat::Table),
-                    trace_out,
-                    series_out,
-                    series_cfg,
-                })
-            } else {
-                if reps == 0 {
-                    return err("--reps must be at least 1");
-                }
-                if reps > experiments::MAX_REPLICATIONS {
-                    return err("--reps must be at most 65535");
-                }
-                if csv && format.is_some() {
-                    return err("--csv is shorthand for --format csv; pass one of them");
-                }
-                let format = format.unwrap_or(if csv {
-                    ReportFormat::Csv
-                } else {
-                    ReportFormat::Table
-                });
-                Ok(Command::Sweep {
-                    cfg,
-                    protocols,
-                    mpls,
-                    seed,
-                    reps,
-                    jobs,
-                    format,
-                    series_out,
-                    series_cfg,
-                })
-            }
-        }
-        other => err(format!("unknown command {other:?}; try `distcommit help`")),
     }
 }
 
-/// Execute a parsed command, writing to stdout. Returns the process
-/// exit code.
-pub fn execute(cmd: Command) -> i32 {
+/// The body of [`execute`]: the exit code of a command that did not
+/// fail.
+fn write_command(
+    cmd: Command,
+    out: &mut (dyn io::Write + Send),
+) -> Result<i32, Box<dyn std::error::Error>> {
     match cmd {
-        Command::Help => {
-            println!("{}", *USAGE);
-            0
-        }
+        Command::Help => writeln!(out, "{}", *USAGE)?,
         Command::Tables => {
-            println!("Table 2 — Baseline Parameter Settings (reconstructed):");
-            println!("{}", SystemConfig::paper_baseline());
+            writeln!(
+                out,
+                "Table 2 — Baseline Parameter Settings (reconstructed):\n{}",
+                SystemConfig::paper_baseline()
+            )?;
             for d in [3u32, 6] {
-                println!(
+                writeln!(
+                    out,
                     "Table {} — Protocol Overheads (DistDegree = {d}), committing transactions; \
                      (meas) = per commit in a conflict-free run",
                     if d == 3 { 3 } else { 4 }
-                );
-                println!(
+                )?;
+                writeln!(
+                    out,
                     "{:<9} {:>9} {:>9} | {:>12} {:>9} | {:>10} {:>9}",
                     "Protocol",
                     "ExecMsgs",
@@ -714,7 +794,7 @@ pub fn execute(cmd: Command) -> i32 {
                     "(meas)",
                     "CommitMsgs",
                     "(meas)"
-                );
+                )?;
                 for spec in [
                     ProtocolSpec::TWO_PC,
                     ProtocolSpec::PA,
@@ -724,22 +804,17 @@ pub fn execute(cmd: Command) -> i32 {
                     ProtocolSpec::CENT,
                 ] {
                     let o = spec.committed_overheads(d);
-                    let m = match experiments::measured_overheads(d, spec, TABLES_SEED) {
-                        Ok(m) if m.total_aborts() == 0 => m,
-                        Ok(_) => {
-                            eprintln!(
-                                "error: the {} run at DistDegree {d} aborted transactions; \
-                                 the overhead measurement must be conflict-free",
-                                spec.name()
-                            );
-                            return 1;
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return 1;
-                        }
-                    };
-                    println!(
+                    let m = experiments::measured_overheads(d, spec, TABLES_SEED)?;
+                    if m.total_aborts() > 0 {
+                        return Err(format!(
+                            "the {} run at DistDegree {d} aborted transactions; \
+                             the overhead measurement must be conflict-free",
+                            spec.name()
+                        )
+                        .into());
+                    }
+                    writeln!(
+                        out,
                         "{:<9} {:>9} {:>9.2} | {:>12} {:>9.2} | {:>10} {:>9.2}",
                         spec.name(),
                         o.exec_messages,
@@ -748,11 +823,10 @@ pub fn execute(cmd: Command) -> i32 {
                         m.forced_writes_per_commit,
                         o.commit_messages,
                         m.commit_messages_per_commit,
-                    );
+                    )?;
                 }
-                println!();
+                writeln!(out)?;
             }
-            0
         }
         Command::Run {
             cfg,
@@ -765,17 +839,11 @@ pub fn execute(cmd: Command) -> i32 {
         } => {
             // Both streamers write to disk as the run progresses, so
             // observing a full run needs no in-memory buffer.
-            let Ok(mut sink) = create_out(trace_out.as_deref(), ChromeStreamSink::create) else {
-                return 1;
-            };
-            let Ok(mut file) = create_out(series_out.as_deref(), |p| std::fs::File::create(p))
-            else {
-                return 1;
-            };
+            let mut sink = create_out(trace_out.as_deref(), ChromeStreamSink::create)?;
+            let mut file = create_out(series_out.as_deref(), |p| File::create(p))?;
             if let (Some(t), Some(s)) = (&trace_out, &series_out) {
                 if same_file(t, s) {
-                    eprintln!("error: {ALIASED_OUTPUTS}");
-                    return 2;
+                    return Err(CliError(ALIASED_OUTPUTS.into()).into());
                 }
             }
             let obs = Observers {
@@ -785,35 +853,27 @@ pub fn execute(cmd: Command) -> i32 {
                     .zip(series_out.as_deref())
                     .map(|(f, path)| (series_cfg, SeriesOut::Stream(f, series_format_for(path)))),
             };
-            match Simulation::run_observed(&cfg, protocol, seed, obs) {
-                Ok(r) => {
-                    if format == ReportFormat::Table {
-                        println!("{cfg}");
-                    }
-                    print!("{}", r.render(format));
-                    if let Some((sink, path)) = sink.zip(trace_out) {
-                        match sink.into_result() {
-                            // stderr keeps csv/json output machine-readable.
-                            Ok(events) => eprintln!(
-                                "chrome trace ({events} events) streamed to {path} — open in \
-                                 chrome://tracing or https://ui.perfetto.dev"
-                            ),
-                            Err(e) => {
-                                eprintln!("error: cannot write {path}: {e}");
-                                return 1;
-                            }
-                        }
-                    }
-                    if let Some(path) = &series_out {
-                        eprintln!("windowed series streamed to {path}");
-                    }
-                    i32::from(!r.overhead_check.is_clean() || r.truncated)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
+            let r = Simulation::run_observed(&cfg, protocol, seed, obs)?;
+            if format == ReportFormat::Table {
+                writeln!(out, "{cfg}")?;
             }
+            write!(out, "{}", r.render(format))?;
+            // The report shows before the notes below on a terminal.
+            out.flush()?;
+            if let Some((sink, path)) = sink.zip(trace_out) {
+                let events = sink
+                    .into_result()
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                // stderr keeps csv/json output machine-readable.
+                eprintln!(
+                    "chrome trace ({events} events) streamed to {path} — open in \
+                     chrome://tracing or https://ui.perfetto.dev"
+                );
+            }
+            if let Some(path) = &series_out {
+                eprintln!("windowed series streamed to {path}");
+            }
+            return Ok(i32::from(!r.overhead_check.is_clean() || r.truncated));
         }
         Command::Series {
             cfg,
@@ -821,40 +881,29 @@ pub fn execute(cmd: Command) -> i32 {
             seed,
             series_cfg,
             format,
-            out,
+            out: path,
         } => {
             // Without --out, stdout carries only the series, so
             // redirecting it to a file gives exactly the --out bytes; the
             // summary rides on stderr.
-            let Ok(file) = create_out(out.as_deref(), |p| std::fs::File::create(p)) else {
-                return 1;
-            };
-            let mut writer: Box<dyn io::Write + Send> = match file {
-                Some(file) => Box::new(file),
-                None => Box::new(io::BufWriter::new(io::stdout())),
+            let mut file = create_out(path.as_deref(), |p| File::create(p))?;
+            let writer: &mut (dyn io::Write + Send) = match &mut file {
+                Some(file) => file,
+                None => &mut *out,
             };
             let obs = Observers {
                 trace: None,
-                series: Some((series_cfg, SeriesOut::Stream(&mut *writer, format))),
+                series: Some((series_cfg, SeriesOut::Stream(writer, format))),
             };
-            match Simulation::run_observed(&cfg, protocol, seed, obs) {
-                Ok(report) => {
-                    match &out {
-                        Some(path) => {
-                            println!(
-                                "windowed series ({}) streamed to {path}",
-                                series_format_name(format)
-                            );
-                            println!("{}", report.summary());
-                        }
-                        None => eprintln!("{}", report.summary()),
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
+            let report = Simulation::run_observed(&cfg, protocol, seed, obs)?;
+            match &path {
+                Some(path) => writeln!(
+                    out,
+                    "windowed series ({}) streamed to {path}\n{}",
+                    series_format_name(format),
+                    report.summary()
+                )?,
+                None => eprintln!("{}", report.summary()),
             }
         }
         Command::Fold {
@@ -862,41 +911,32 @@ pub fn execute(cmd: Command) -> i32 {
             protocol,
             seed,
             txns,
-            out,
+            out: path,
         } => {
             let mut fold = FoldSink::new(protocol.name());
             let obs = Observers {
                 trace: Some((txns, &mut fold)),
                 series: None,
             };
-            match Simulation::run_observed(&cfg, protocol, seed, obs) {
-                Ok(report) => {
-                    let rendered = fold.render();
-                    match out {
-                        Some(path) => {
-                            if let Err(e) = std::fs::write(&path, &rendered) {
-                                eprintln!("error: cannot write {path}: {e}");
-                                return 1;
-                            }
-                            println!(
-                                "{} collapsed stacks written to {path} — render with \
-                                 flamegraph.pl, inferno-flamegraph or speedscope",
-                                fold.stacks().len()
-                            );
-                            println!("{}", report.summary());
-                        }
-                        None => {
-                            // stdout carries only the collapsed stacks, so
-                            // `distcommit fold | flamegraph.pl` works.
-                            print!("{rendered}");
-                            eprintln!("{}", report.summary());
-                        }
-                    }
-                    0
+            let report = Simulation::run_observed(&cfg, protocol, seed, obs)?;
+            let rendered = fold.render();
+            match path {
+                Some(path) => {
+                    write_out(&path, &rendered)?;
+                    writeln!(
+                        out,
+                        "{} collapsed stacks written to {path} — render with \
+                         flamegraph.pl, inferno-flamegraph or speedscope\n{}",
+                        fold.stacks().len(),
+                        report.summary()
+                    )?;
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
+                None => {
+                    // stdout carries only the collapsed stacks, so
+                    // `distcommit fold | flamegraph.pl` works.
+                    out.write_all(rendered.as_bytes())?;
+                    out.flush()?;
+                    eprintln!("{}", report.summary());
                 }
             }
         }
@@ -905,45 +945,31 @@ pub fn execute(cmd: Command) -> i32 {
             protocol,
             seed,
             txns,
-            out,
+            out: path,
         } => {
             let mut trace = Trace::default();
             let obs = Observers {
                 trace: Some((txns, &mut trace)),
                 series: None,
             };
-            match Simulation::run_observed(&cfg, protocol, seed, obs) {
-                Ok(report) => {
-                    println!(
-                        "{} — first {txns} transaction(s), seed {seed}",
-                        protocol.name()
-                    );
-                    println!();
-                    for txn in trace.txns() {
-                        print!("{}", trace.render_txn(txn));
-                        println!();
-                    }
-                    println!("{}", report.summary());
-                    if let Some(path) = out {
-                        let json = distdb::engine::chrome_trace_json(&trace);
-                        match std::fs::write(&path, &json) {
-                            Ok(()) => println!(
-                                "chrome trace ({} events) written to {path} — open in \
-                                 chrome://tracing or https://ui.perfetto.dev",
-                                trace.events.len()
-                            ),
-                            Err(e) => {
-                                eprintln!("error: cannot write {path}: {e}");
-                                return 1;
-                            }
-                        }
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
+            let report = Simulation::run_observed(&cfg, protocol, seed, obs)?;
+            writeln!(
+                out,
+                "{} — first {txns} transaction(s), seed {seed}\n",
+                protocol.name()
+            )?;
+            for txn in trace.txns() {
+                writeln!(out, "{}", trace.render_txn(txn))?;
+            }
+            writeln!(out, "{}", report.summary())?;
+            if let Some(path) = path {
+                write_out(&path, distdb::engine::chrome_trace_json(&trace))?;
+                writeln!(
+                    out,
+                    "chrome trace ({} events) written to {path} — open in \
+                     chrome://tracing or https://ui.perfetto.dev",
+                    trace.events.len()
+                )?;
             }
         }
         Command::Sweep {
@@ -970,61 +996,47 @@ pub fn execute(cmd: Command) -> i32 {
             // With --series-out every grid cell also records windows;
             // recording does not perturb the runs, so the reports are
             // identical either way.
-            let result = match &series_out {
-                Some(path) => match experiments::sweep_with_series(&specs, &scale, &series_cfg) {
-                    Ok((series, cells)) => {
-                        let rendered = match series_format_for(path) {
+            let series = match &series_out {
+                Some(path) => {
+                    let (series, cells) =
+                        experiments::sweep_with_series(&specs, &scale, &series_cfg)?;
+                    write_out(
+                        path,
+                        match series_format_for(path) {
                             SeriesFormat::Json => render_sweep_series_json(&cells),
                             SeriesFormat::Csv => render_sweep_series_csv(&cells),
-                        };
-                        if let Err(e) = std::fs::write(path, &rendered) {
-                            eprintln!("error: cannot write {path}: {e}");
-                            return 1;
-                        }
-                        eprintln!(
-                            "windowed series for {} sweep cell(s) written to {path}",
-                            cells.len()
-                        );
-                        Ok(series)
-                    }
-                    Err(e) => Err(e),
-                },
-                None => experiments::sweep(&specs, &scale),
-            };
-            match result {
-                Ok(series) => {
-                    let exp = Experiment {
-                        id: "cli-sweep".into(),
-                        title: "CLI sweep".into(),
-                        config: cfg,
-                        series,
-                    };
-                    match format {
-                        ReportFormat::Csv => {
-                            print!("{}", render_sweep_csv(&exp));
-                            return 0;
-                        }
-                        ReportFormat::Json => {
-                            print!("{}", render_sweep_json(&exp));
-                            return 0;
-                        }
-                        ReportFormat::Table => {}
-                    }
-                    if reps >= 2 {
-                        print!("{}", render_table_ci(&exp));
-                    } else {
-                        print!("{}", render_table(&exp, Metric::Throughput));
-                    }
-                    println!();
-                    print!("{}", render_table(&exp, Metric::BlockRatio));
-                    println!();
-                    print!("{}", render_ascii_chart(&exp, Metric::Throughput, 64, 18));
-                    print!("{}", render_peaks(&exp));
-                    0
+                        },
+                    )?;
+                    eprintln!(
+                        "windowed series for {} sweep cell(s) written to {path}",
+                        cells.len()
+                    );
+                    series
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
+                None => experiments::sweep(&specs, &scale)?,
+            };
+            let exp = Experiment {
+                id: "cli-sweep".into(),
+                title: "CLI sweep".into(),
+                config: cfg,
+                series,
+            };
+            match format {
+                ReportFormat::Csv => write!(out, "{}", render_sweep_csv(&exp))?,
+                ReportFormat::Json => write!(out, "{}", render_sweep_json(&exp))?,
+                ReportFormat::Table => {
+                    let throughput = if reps >= 2 {
+                        render_table_ci(&exp)
+                    } else {
+                        render_table(&exp, Metric::Throughput)
+                    };
+                    write!(
+                        out,
+                        "{throughput}\n{}\n{}{}",
+                        render_table(&exp, Metric::BlockRatio),
+                        render_ascii_chart(&exp, Metric::Throughput, 64, 18),
+                        render_peaks(&exp)
+                    )?;
                 }
             }
         }
@@ -1039,25 +1051,17 @@ pub fn execute(cmd: Command) -> i32 {
             let scale = if full { Scale::full() } else { Scale::quick() }
                 .with_replications(reps)
                 .with_jobs(jobs);
-            match (preset.build)(&scale) {
-                Ok(exps) => {
-                    for exp in &exps {
-                        if csv {
-                            print_csv_blocks(exp, preset.metrics);
-                        } else {
-                            print_tables(exp, preset.metrics, reps);
-                        }
-                        println!();
-                    }
-                    0
+            for exp in &(preset.build)(&scale)? {
+                if csv {
+                    write_csv_blocks(out, exp, preset.metrics)?;
+                } else {
+                    write_tables(out, exp, preset.metrics, reps)?;
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
+                writeln!(out)?;
             }
         }
     }
+    Ok(0)
 }
 
 /// Seed of the conflict-free runs behind `tables`' measured columns.
@@ -1067,40 +1071,249 @@ const TABLES_SEED: u64 = 0xBE7C;
 /// table per metric (throughput as mean ±90% CI with `--reps` ≥ 2),
 /// then the chart and peaks of the first metric over MPL — or, for a
 /// fixed-MPL preset that varies the protocol mix instead, the ranking.
-fn print_tables(exp: &Experiment, metrics: &[Metric], reps: u32) {
-    println!("configuration:\n{}", exp.config);
+fn write_tables(
+    out: &mut dyn io::Write,
+    exp: &Experiment,
+    metrics: &[Metric],
+    reps: u32,
+) -> io::Result<()> {
+    writeln!(out, "configuration:\n{}", exp.config)?;
     for &m in metrics {
         if m == Metric::Throughput && reps >= 2 {
-            print!("{}", render_table_ci(exp));
+            writeln!(out, "{}", render_table_ci(exp))?;
         } else {
-            print!("{}", render_table(exp, m));
+            writeln!(out, "{}", render_table(exp, m))?;
         }
-        println!();
     }
     if exp.mpls().len() > 1 {
-        print!("{}", render_ascii_chart(exp, metrics[0], 64, 18));
-        print!("{}", render_peaks(exp));
+        write!(
+            out,
+            "{}{}",
+            render_ascii_chart(exp, metrics[0], 64, 18),
+            render_peaks(exp)
+        )
     } else {
-        print!("{}", render_ranking(exp));
+        write!(out, "{}", render_ranking(exp))
     }
 }
 
 /// One CSV block per metric, separated by blank lines.
-fn print_csv_blocks(exp: &Experiment, metrics: &[Metric]) {
-    for (i, &m) in metrics.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        print!("{}", render_csv(exp, m));
-    }
+fn write_csv_blocks(
+    out: &mut dyn io::Write,
+    exp: &Experiment,
+    metrics: &[Metric],
+) -> io::Result<()> {
+    let blocks: Vec<String> = metrics.iter().map(|&m| render_csv(exp, m)).collect();
+    write!(out, "{}", blocks.join("\n"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distdb::config::Key;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// A valid value of each value shape the rows declare.
+    fn sample(shape: &str) -> &'static str {
+        match shape {
+            "<N>" => "8",
+            "<F>" => "0",
+            "<P>" => "0.5",
+            "<MS>" | "<SECS>" => "2",
+            "<PAGES>" => "8000",
+            "<THETA>" => "0.9",
+            "<D,A>" => "0.2,0.8",
+            "<N,N,..>" => "1,2",
+            "<NAME>" => "OPT",
+            "<A,B,..>" => "2PC,OPT",
+            "<FORMAT>" => "json",
+            "<FILE>" => "out.json",
+            // Every key keeps its default.
+            "<K=V,..>" => "",
+            other => panic!("no sample value for {other}"),
+        }
+    }
+
+    /// The subcommands a usage heading or an error lists, as in
+    /// "run, series and sweep".
+    fn listed(names: &str) -> Vec<&str> {
+        names
+            .split([',', ' '])
+            .filter(|w| !w.is_empty() && *w != "and")
+            .collect()
+    }
+
+    /// The names of the subcommands in `subs`, in `SUBCOMMANDS` order.
+    fn names(subs: u8) -> Vec<&'static str> {
+        (0..SUBCOMMANDS.len())
+            .filter(|i| subs & 1 << i != 0)
+            .map(|i| SUBCOMMANDS[i])
+            .collect()
+    }
+
+    /// Every subcommand accepts exactly the flags that a row lists it
+    /// for; any other flag fails, naming the subcommands that take it.
+    /// Every row's flag and help lines appear in the usage section
+    /// headed by exactly its subcommands.
+    #[test]
+    fn options_apply_exactly_to_the_subcommands_their_rows_list() {
+        for (i, sub) in SUBCOMMANDS.iter().enumerate() {
+            for row in OPTIONS {
+                let mut args = vec![sub.to_string()];
+                if *sub == "experiment" {
+                    args.push("fig1".into());
+                }
+                args.push(row.flag().into());
+                if let Some((_, shape)) = row.spec.split_once(' ') {
+                    args.push(sample(shape).into());
+                }
+                // --window and --per-site need a series to window.
+                if option(1 << i, "--series-out").is_ok() {
+                    args.extend(["--series-out".into(), "s.csv".into()]);
+                }
+                let takers = OPTIONS
+                    .iter()
+                    .filter(|o| o.flag() == row.flag())
+                    .fold(0, |subs, o| subs | o.subs);
+                match parse(&args) {
+                    Ok(_) => assert!(takers & 1 << i != 0, "{args:?} was accepted"),
+                    Err(e) if takers & 1 << i != 0 => panic!("{args:?}: {e}"),
+                    Err(e) => {
+                        let named =
+                            e.0.strip_prefix(&format!("{} applies to ", row.flag()))
+                                .and_then(|rest| rest.strip_suffix(" only"));
+                        assert_eq!(named.map(listed), Some(names(takers)), "{args:?}: {e}");
+                    }
+                }
+            }
+        }
+        for row in OPTIONS {
+            let section = USAGE
+                .split("\n\n")
+                .find(|s| {
+                    s.strip_prefix("OPTIONS (")
+                        .and_then(|s| s.split_once("):\n"))
+                        .is_some_and(|(heading, _)| listed(heading) == names(row.subs))
+                })
+                .unwrap_or_else(|| panic!("no usage section for {:?}", names(row.subs)));
+            assert!(
+                section.contains(&format!("  {} ", row.spec)),
+                "{}",
+                row.spec
+            );
+            for line in row.help.lines() {
+                assert!(section.contains(line), "{}: {line}", row.spec);
+            }
+        }
+    }
+
+    /// Seeded fuzzing from the tables: any subcommand, up to eight flags
+    /// from every row (so misplaced ones too), each with a valid,
+    /// hostile, key-list or missing value. `parse` never panics, and an
+    /// `Ok` holds only options that its subcommand's rows list.
+    #[test]
+    fn parse_survives_fuzzed_argument_vectors() {
+        const HOSTILE: [&str; 8] = [
+            "",
+            "-1",
+            "nan",
+            "inf",
+            "1e400",
+            "18446744073709551616",
+            ",",
+            "=",
+        ];
+        let subs: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .copied()
+            .chain(["help", "bogus"])
+            .collect();
+        let keys: Vec<&str> = (FailureConfig::KEYS.iter().map(Key::name))
+            .chain(Topology::KEYS.iter().map(Key::name))
+            .collect();
+        let mut rng = simkernel::SimRng::new(0x5EED);
+        let mut accepted = 0;
+        for _ in 0..20_000 {
+            let mut args = vec![rng.pick(&subs).to_string()];
+            for _ in 0..rng.uniform_usize(0, 8) {
+                let row = rng.pick(OPTIONS);
+                args.push(row.flag().into());
+                match rng.uniform_usize(0, 3) {
+                    0 => args.extend(row.spec.split_once(' ').map(|(_, s)| sample(s).into())),
+                    1 => args.push(rng.pick(&HOSTILE).to_string()),
+                    2 => {
+                        let pairs: Vec<String> = (0..rng.uniform_usize(1, 3))
+                            .map(|_| format!("{}={}", rng.pick(&keys), rng.pick(&HOSTILE)))
+                            .collect();
+                        args.push(pairs.join(","));
+                    }
+                    _ => {}
+                }
+            }
+            let parsed = std::panic::catch_unwind(|| parse(&args))
+                .unwrap_or_else(|_| panic!("parse panicked on {args:?}"));
+            if parsed.is_err() || args[0] == "help" {
+                continue;
+            }
+            accepted += 1;
+            let i = SUBCOMMANDS
+                .iter()
+                .position(|s| *s == args[0])
+                .unwrap_or_else(|| panic!("{args:?} was accepted"));
+            let mut rest = args[1..].iter();
+            while let Some(arg) = rest.next() {
+                let row = OPTIONS
+                    .iter()
+                    .find(|o| o.flag() == arg && o.subs & 1 << i != 0);
+                match row {
+                    Some(row) if row.takes_value() => _ = rest.next(),
+                    Some(_) => {}
+                    None => assert!(
+                        args[0] == "experiment" && !arg.starts_with('-'),
+                        "{args:?} was accepted with {arg:?}"
+                    ),
+                }
+            }
+        }
+        // About one vector in ten is accepted, so the check above runs.
+        assert!(accepted > 1_000, "only {accepted} vectors were accepted");
+    }
+
+    /// A writer that takes `.0` more bytes, then fails like a pipe
+    /// whose reader has gone.
+    struct ClosesAfter(usize);
+
+    impl io::Write for ClosesAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.0 -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Output that cannot be written is an error that exits 1, never a
+    /// panic, whether it fails at once or part-way.
+    #[test]
+    fn a_closed_output_exits_1() {
+        for cmd in [
+            "tables",
+            "trace --txns 2 --measured 20",
+            "run --warmup 10 --measured 50",
+        ] {
+            for bytes in [0, 100] {
+                let code = execute(parse(&argv(cmd)).unwrap(), &mut ClosesAfter(bytes));
+                assert_eq!(code, 1, "{cmd} after {bytes} bytes");
+            }
+        }
     }
 
     #[test]
@@ -1240,9 +1453,17 @@ mod tests {
 
     #[test]
     fn usage_lists_every_topology_key_from_the_config_table() {
-        for (key, desc) in Topology::CLI_KEYS {
-            assert!(USAGE.contains(key), "usage missing topology key {key}");
-            assert!(USAGE.contains(desc), "usage missing topology desc {desc}");
+        for k in Topology::KEYS {
+            assert!(
+                USAGE.contains(k.key),
+                "usage missing topology key {}",
+                k.key
+            );
+            assert!(
+                USAGE.contains(k.help),
+                "usage missing topology desc {}",
+                k.help
+            );
         }
         assert!(USAGE.contains("--zipf"));
         assert!(USAGE.contains("scale"));
@@ -1462,6 +1683,19 @@ mod tests {
             let e = parse(&argv(&format!("run --cohort-size {size}"))).unwrap_err();
             assert!(e.0.contains("1.5 * cohort_size"), "{size}: {e}");
         }
+        // The execution-phase crash probability is validated like the
+        // others, NaN included.
+        for p in ["2", "1.0000001", "-1", "nan"] {
+            let e = parse(&argv(&format!("run --faults exec-cc={p}"))).unwrap_err();
+            assert!(
+                e.0.contains("exec_crash_prob must be a probability"),
+                "{p}: {e}"
+            );
+        }
+        for cmd in ["sweep --jobs 0", "experiment fig1 --jobs 0"] {
+            let e = parse(&argv(cmd)).expect_err(cmd);
+            assert_eq!(e.0, "--jobs must be at least 1", "{cmd}");
+        }
         // A skew whose distinct-page draws would stall is rejected.
         let e = parse(&argv("run --zipf 8")).unwrap_err();
         assert!(e.0.contains("zipf theta too large"), "{e}");
@@ -1499,7 +1733,7 @@ mod tests {
             if let Some(s) = cap_s {
                 cfg.run.max_sim_time = Some(simkernel::SimTime::from_secs(s));
             }
-            execute(Command::Run {
+            let cmd = Command::Run {
                 cfg,
                 protocol,
                 seed,
@@ -1507,7 +1741,8 @@ mod tests {
                 trace_out: None,
                 series_out: None,
                 series_cfg,
-            })
+            };
+            execute(cmd, &mut io::sink())
         };
         let never_commits = "run --mpl 1 --db-size 80000 --abort-prob 1 --warmup 0 --measured 10";
         assert_eq!(run(never_commits, Some(30)), 1);
@@ -1615,11 +1850,15 @@ mod tests {
 
     #[test]
     fn usage_lists_every_fault_key_from_the_config_table() {
-        // The help text renders FailureConfig::CLI_KEYS verbatim, so
+        // The help text renders FailureConfig::KEYS verbatim, so
         // the parser vocabulary and the documentation cannot drift.
-        for (key, desc) in FailureConfig::CLI_KEYS {
-            assert!(USAGE.contains(key), "usage missing fault key {key}");
-            assert!(USAGE.contains(desc), "usage missing fault desc {desc}");
+        for k in FailureConfig::KEYS {
+            assert!(USAGE.contains(k.key), "usage missing fault key {}", k.key);
+            assert!(
+                USAGE.contains(k.help),
+                "usage missing fault desc {}",
+                k.help
+            );
         }
     }
 
@@ -1761,7 +2000,10 @@ mod tests {
                 trace.display(),
                 dir.join(series).display()
             );
-            execute(parse(&argv(&cmd)).expect("the path text differs"))
+            execute(
+                parse(&argv(&cmd)).expect("the path text differs"),
+                &mut io::sink(),
+            )
         };
         for alias in ["b/../a.json", "link.json", "hard.json"] {
             assert_eq!(run(alias), 2, "{alias}");
