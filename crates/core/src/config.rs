@@ -725,6 +725,12 @@ impl SystemConfig {
         (u64::from(self.cohort_size) * 3 / 2).max(1)
     }
 
+    /// The most pages validation lets one cohort access, far above
+    /// every preset's largest cohort of 9 pages. At 2^16 a cohort's
+    /// access list stays within 1 MiB (16-byte entries), and the Zipf
+    /// tail check, one `powf` per page of a cohort, within milliseconds.
+    const MAX_COHORT_PAGES: u64 = 1 << 16;
+
     /// Check the configuration for internal consistency.
     pub fn validate(&self) -> Result<(), ConfigError> {
         use ConfigError::*;
@@ -748,6 +754,16 @@ impl SystemConfig {
         }
         if self.pages_per_site() < self.max_cohort_pages() {
             return Err(Invalid("a site must hold at least 1.5 * cohort_size pages"));
+        }
+        if self.max_cohort_pages() > Self::MAX_COHORT_PAGES {
+            return Err(Invalid(
+                "cohort_size too large: a cohort may access at most 65536 pages",
+            ));
+        }
+        if self.zipf.is_some() && self.pages_per_site() > u64::from(u32::MAX) {
+            return Err(Invalid(
+                "zipf skew supports at most 2^32 - 1 pages per site",
+            ));
         }
         if !(0.0..=1.0).contains(&self.update_prob) {
             return Err(Invalid("update_prob must be a probability"));
@@ -1053,6 +1069,19 @@ mod tests {
         c.run.warmup_transactions = u64::MAX - 5;
         c.validate().unwrap();
 
+        // A cohort may access at most 2^16 pages, even where every
+        // site could hold more.
+        let mut c = SystemConfig::paper_baseline().with_db_size(8 * 100_000);
+        c.cohort_size = 43_691; // 65 536 pages
+        c.validate().unwrap();
+        c.cohort_size = 43_692; // 65 538 pages
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Invalid(
+                "cohort_size too large: a cohort may access at most 65536 pages"
+            ))
+        );
+
         // 1.5 * cohort_size does not fit in u32: the bound must not wrap.
         let mut c = SystemConfig::paper_baseline();
         c.cohort_size = u32::MAX;
@@ -1257,6 +1286,14 @@ mod tests {
             .with_zipf(6.0)
             .validate()
             .is_err());
+
+        // The alias table indexes a site's pages in 32 bits.
+        let mut big = c.clone().with_db_size(8 * u64::from(u32::MAX));
+        big.validate().unwrap();
+        big.db_size += 8;
+        assert!(big.validate().unwrap_err().to_string().contains("2^32 - 1"));
+        big.zipf = None;
+        big.validate().unwrap();
 
         let mut bad = c.clone();
         bad.zipf = Some(Zipf { theta: -0.1 });

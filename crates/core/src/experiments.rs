@@ -2,17 +2,21 @@
 //! evaluation section (§5). See DESIGN.md for the experiment index and
 //! EXPERIMENTS.md for the paper-vs-measured record.
 //!
-//! Every preset returns an [`Experiment`]: a set of per-protocol series
-//! over the multiprogramming level, carrying full [`SimReport`]s so a
-//! single sweep yields the throughput figure *and* the companion block-
-//! and borrow-ratio figures (the paper plots them from the same runs).
+//! Every preset is a row of [`PRESETS`] whose experiments are [`Plan`]
+//! rows: a configuration, its protocol lines and at most one varied
+//! parameter. [`Plan::run`] sweeps a plan into an [`Experiment`]: a set
+//! of series over the multiprogramming level, carrying full
+//! [`SimReport`]s so a single sweep yields the throughput figure *and*
+//! the companion block- and borrow-ratio figures (the paper plots them
+//! from the same runs).
 
-use crate::config::{ConfigError, SystemConfig, TransType};
+use crate::config::{ConfigError, FailureConfig, RestartPolicy, SystemConfig, TransType, Zipf};
 use crate::engine::{Observers, RunError, Series, SeriesConfig, SeriesOut, Simulation};
 use crate::metrics::SimReport;
 use crate::output::Metric;
 use crate::runner;
-use commitproto::ProtocolSpec;
+use commitproto::{ProtocolSpec, ProtocolSpec as P};
+use simkernel::SimDuration;
 
 /// Run-length scaling for an experiment sweep.
 #[derive(Debug, Clone)]
@@ -34,9 +38,9 @@ pub struct Scale {
     /// a sweep rejects 0 and anything above [`MAX_REPLICATIONS`].
     pub replications: u32,
     /// Worker threads for the sweep: `None` defers to
-    /// [`runner::default_jobs`] (`DISTCOMMIT_JOBS`, then available
-    /// cores). Results are identical for every value — parallelism
-    /// changes wall-clock time, never numbers.
+    /// [`runner::default_jobs`] (the available cores). Results are
+    /// identical for every value — parallelism changes wall-clock
+    /// time, never numbers.
     pub jobs: Option<usize>,
 }
 
@@ -323,648 +327,393 @@ fn run_grid<T: Send>(
     Ok(out)
 }
 
-fn plain(cfg: &SystemConfig, specs: &[ProtocolSpec]) -> Vec<(String, ProtocolSpec, SystemConfig)> {
-    specs
-        .iter()
-        .map(|&s| (s.name().to_string(), s, cfg.clone()))
-        .collect()
+/// One protocol line of a [`Plan`]: its label (empty for the
+/// protocol's own name), the protocol, and the replication degree F it
+/// runs at.
+pub type Line = (&'static str, ProtocolSpec, u32);
+
+/// One value of a plan's varied parameter: its label and how it is set
+/// on the plan's configuration.
+pub type Value = (&'static str, fn(&mut SystemConfig));
+
+/// One experiment of a [`Preset`]: a configuration, the protocol lines
+/// run on it, and at most one parameter varied besides MPL and
+/// protocol.
+#[derive(Debug, Clone, Copy)]
+pub struct Plan {
+    /// Experiment id (`"fig1"`, `"fig3a"`, ...), matching DESIGN.md.
+    pub id: &'static str,
+    /// Human title as in the paper's figure caption.
+    pub title: &'static str,
+    /// The configuration common to every series.
+    pub config: fn() -> SystemConfig,
+    /// The protocol lines, in series order.
+    pub lines: &'static [Line],
+    /// Name of the varied parameter; empty labels a series by the
+    /// value alone.
+    pub knob: &'static str,
+    /// The varied parameter's labelled values; empty varies nothing.
+    pub values: &'static [Value],
+    /// Run at the configuration's MPL whatever the scale's MPL axis
+    /// says, for plans that vary something else instead.
+    pub pin_mpl: bool,
 }
 
-/// The protocol set of Figures 1 and 2: both baselines, the four
-/// classical protocols, and OPT.
-pub fn figure12_protocols() -> Vec<ProtocolSpec> {
-    vec![
-        ProtocolSpec::CENT,
-        ProtocolSpec::DPCC,
-        ProtocolSpec::TWO_PC,
-        ProtocolSpec::PA,
-        ProtocolSpec::PC,
-        ProtocolSpec::THREE_PC,
-        ProtocolSpec::OPT_2PC,
-    ]
-}
+/// What most plans share: the baseline, nothing varied, the scale's
+/// MPL axis.
+const PLAN: Plan = Plan {
+    id: "",
+    title: "",
+    config: SystemConfig::paper_baseline,
+    lines: &[],
+    knob: "",
+    values: &[],
+    pin_mpl: false,
+};
 
-/// **Experiment 1 / Figures 1a–1c** — resource *and* data contention:
-/// the reconstructed Table 2 baseline, all seven protocol lines.
-/// Fig 1a = throughput, Fig 1b = block ratio, Fig 1c = borrow ratio.
-pub fn fig1(scale: &Scale) -> Result<Experiment, ConfigError> {
-    let cfg = SystemConfig::paper_baseline();
-    let series = sweep(&plain(&cfg, &figure12_protocols()), scale)?;
-    Ok(Experiment {
-        id: "fig1".into(),
-        title: "Expt 1: Resource and Data Contention (RC+DC)".into(),
-        config: cfg,
-        series,
-    })
-}
-
-/// **Experiment 2 / Figures 2a–2c** — pure data contention: identical
-/// workload but infinite physical resources (§5.3).
-pub fn fig2(scale: &Scale) -> Result<Experiment, ConfigError> {
-    let cfg = SystemConfig::pure_data_contention();
-    let series = sweep(&plain(&cfg, &figure12_protocols()), scale)?;
-    Ok(Experiment {
-        id: "fig2".into(),
-        title: "Expt 2: Pure Data Contention (DC)".into(),
-        config: cfg,
-        series,
-    })
-}
-
-/// **Experiment 3** — fast network interface (`MsgCPU` = 1 ms, §5.4),
-/// under RC+DC and under pure DC. The paper discusses this experiment
-/// in prose (graphs are in the companion TR), so the harness prints
-/// both regimes.
-pub fn expt3(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
-    let protocols = figure12_protocols();
-    let rc = SystemConfig::paper_baseline().fast_network();
-    let dc = SystemConfig::pure_data_contention().fast_network();
-    let rc_series = sweep(&plain(&rc, &protocols), scale)?;
-    let dc_series = sweep(&plain(&dc, &protocols), scale)?;
-    Ok((
-        Experiment {
-            id: "expt3-rcdc".into(),
-            title: "Expt 3: Fast Network Interface (RC+DC, MsgCPU = 1 ms)".into(),
-            config: rc,
-            series: rc_series,
-        },
-        Experiment {
-            id: "expt3-dc".into(),
-            title: "Expt 3: Fast Network Interface (DC, MsgCPU = 1 ms)".into(),
-            config: dc,
-            series: dc_series,
-        },
-    ))
-}
-
-/// **Experiment 4 / Figures 3a–3b** — higher degree of distribution:
-/// six cohorts of three pages (§5.5), with OPT-PC added to the lineup.
-pub fn fig3(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
-    let mut protocols = figure12_protocols();
-    protocols.push(ProtocolSpec::OPT_PC);
-    let rc = SystemConfig::paper_baseline().higher_distribution();
-    let dc = SystemConfig::pure_data_contention().higher_distribution();
-    let rc_series = sweep(&plain(&rc, &protocols), scale)?;
-    let dc_series = sweep(&plain(&dc, &protocols), scale)?;
-    Ok((
-        Experiment {
-            id: "fig3a".into(),
-            title: "Expt 4 / Fig 3a: Distribution = 6 (RC+DC)".into(),
-            config: rc,
-            series: rc_series,
-        },
-        Experiment {
-            id: "fig3b".into(),
-            title: "Expt 4 / Fig 3b: Distribution = 6 (DC)".into(),
-            config: dc,
-            series: dc_series,
-        },
-    ))
-}
-
-/// **Experiment 5 / Figures 4a–4b** — non-blocking OPT: 2PC, 3PC, OPT
-/// and OPT-3PC under RC+DC and pure DC (§5.6).
-pub fn fig4(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
-    let protocols = vec![
-        ProtocolSpec::TWO_PC,
-        ProtocolSpec::THREE_PC,
-        ProtocolSpec::OPT_2PC,
-        ProtocolSpec::OPT_3PC,
-    ];
-    let rc = SystemConfig::paper_baseline();
-    let dc = SystemConfig::pure_data_contention();
-    let rc_series = sweep(&plain(&rc, &protocols), scale)?;
-    let dc_series = sweep(&plain(&dc, &protocols), scale)?;
-    Ok((
-        Experiment {
-            id: "fig4a".into(),
-            title: "Expt 5 / Fig 4a: Non-Blocking (RC+DC)".into(),
-            config: rc,
-            series: rc_series,
-        },
-        Experiment {
-            id: "fig4b".into(),
-            title: "Expt 5 / Fig 4b: Non-Blocking (DC)".into(),
-            config: dc,
-            series: dc_series,
-        },
-    ))
-}
-
-/// **Experiment 6 / Figures 5a–5b** — surprise aborts (§5.7): cohorts
-/// vote NO with probability 1%, 5% or 10% (≈ 3%, 15%, 27% transaction
-/// abort probability at `DistDegree` 3), for 2PC, PA, OPT and OPT-PA.
-pub fn fig5(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
-    let protocols = [
-        ProtocolSpec::TWO_PC,
-        ProtocolSpec::PA,
-        ProtocolSpec::OPT_2PC,
-        ProtocolSpec::OPT_PA,
-    ];
-    let probs = [(0.01, "3%"), (0.05, "15%"), (0.10, "27%")];
-    let build = |base: SystemConfig| -> Vec<(String, ProtocolSpec, SystemConfig)> {
-        let mut specs = Vec::new();
-        for &(p, label) in &probs {
-            for spec in protocols {
-                let mut cfg = base.clone();
-                cfg.cohort_abort_prob = p;
-                specs.push((format!("{} abort={}", spec.name(), label), spec, cfg));
+impl Plan {
+    /// Sweep the plan at `scale`: one series per (value, line), values
+    /// outside and lines inside, labelled `"<line> <knob>=<value>"`,
+    /// `"<line> <value>"` for an unnamed knob, or `"<line>"` when
+    /// nothing varies.
+    pub fn run(&self, scale: &Scale) -> Result<Experiment, ConfigError> {
+        let config = (self.config)();
+        let unvaried: &[Value] = &[("", |_| {})];
+        let values = if self.values.is_empty() {
+            unvaried
+        } else {
+            self.values
+        };
+        let mut cells = Vec::with_capacity(values.len() * self.lines.len());
+        for &(value, set) in values {
+            let mut cfg = config.clone();
+            set(&mut cfg);
+            for &(line, spec, f) in self.lines {
+                let line = if line.is_empty() { spec.name() } else { line };
+                let label = match (self.knob, value) {
+                    (_, "") => line.to_string(),
+                    ("", value) => format!("{line} {value}"),
+                    (knob, value) => format!("{line} {knob}={value}"),
+                };
+                cells.push((label, spec, cfg.clone().with_replication(f)));
             }
         }
-        specs
-    };
-    let rc = SystemConfig::paper_baseline();
-    let dc = SystemConfig::pure_data_contention();
-    let rc_series = sweep(&build(rc.clone()), scale)?;
-    let dc_series = sweep(&build(dc.clone()), scale)?;
-    Ok((
-        Experiment {
-            id: "fig5a".into(),
-            title: "Expt 6 / Fig 5a: Surprise Aborts (RC+DC)".into(),
-            config: rc,
-            series: rc_series,
-        },
-        Experiment {
-            id: "fig5b".into(),
-            title: "Expt 6 / Fig 5b: Surprise Aborts (DC)".into(),
-            config: dc,
-            series: dc_series,
-        },
-    ))
-}
-
-/// **§5.7 extension** — PA vs 2PC under surprise aborts at a *higher
-/// degree of distribution* (heavily CPU-bound), where the paper found
-/// PA's savings finally "sufficient to make it perform clearly better
-/// than 2PC".
-pub fn expt6_high_distribution(scale: &Scale) -> Result<Experiment, ConfigError> {
-    let mut cfg = SystemConfig::paper_baseline().higher_distribution();
-    cfg.cohort_abort_prob = 0.10;
-    let protocols = [
-        ProtocolSpec::TWO_PC,
-        ProtocolSpec::PA,
-        ProtocolSpec::OPT_2PC,
-        ProtocolSpec::OPT_PA,
-    ];
-    let series = sweep(&plain(&cfg, &protocols), scale)?;
-    Ok(Experiment {
-        id: "expt6x".into(),
-        title: "Expt 6 extension: Surprise Aborts at DistDegree = 6 (RC+DC)".into(),
-        config: cfg,
-        series,
-    })
-}
-
-/// **§5.8** — sequential transactions: the same baseline with cohorts
-/// executing one after another; protocol differences shrink because the
-/// commit-to-execution ratio drops.
-pub fn seq(scale: &Scale) -> Result<Experiment, ConfigError> {
-    let mut cfg = SystemConfig::paper_baseline();
-    cfg.trans_type = TransType::Sequential;
-    let protocols = vec![
-        ProtocolSpec::CENT,
-        ProtocolSpec::DPCC,
-        ProtocolSpec::TWO_PC,
-        ProtocolSpec::THREE_PC,
-        ProtocolSpec::OPT_2PC,
-    ];
-    let series = sweep(&plain(&cfg, &protocols), scale)?;
-    Ok(Experiment {
-        id: "seq".into(),
-        title: "§5.8: Sequential Transactions (RC+DC)".into(),
-        config: cfg,
-        series,
-    })
-}
-
-/// **Linear 2PC extension** (§2.5, and the §3.2 OPT synergy note) —
-/// chained commit processing against the parallel protocols, with and
-/// without OPT, at the baseline `DistDegree` 3 and at the CPU-bound
-/// `DistDegree` 6 (RC+DC).
-pub fn linear(scale: &Scale) -> Result<(Experiment, Experiment), ConfigError> {
-    let protocols = [
-        ProtocolSpec::TWO_PC,
-        ProtocolSpec::LINEAR_2PC,
-        ProtocolSpec::OPT_2PC,
-        ProtocolSpec::OPT_LINEAR_2PC,
-    ];
-    let d3 = SystemConfig::paper_baseline();
-    let d6 = SystemConfig::paper_baseline().higher_distribution();
-    let d3_series = sweep(&plain(&d3, &protocols), scale)?;
-    let d6_series = sweep(&plain(&d6, &protocols), scale)?;
-    Ok((
-        Experiment {
-            id: "linear-d3".into(),
-            title: "Linear 2PC at the baseline (RC+DC)".into(),
-            config: d3,
-            series: d3_series,
-        },
-        Experiment {
-            id: "linear-d6".into(),
-            title: "Linear 2PC at DistDegree 6 (RC+DC, CPU-bound)".into(),
-            config: d6,
-            series: d6_series,
-        },
-    ))
-}
-
-/// **Failure extension** (beyond the paper, quantifying §2.4's blocking
-/// argument): throughput vs master-crash probability for 2PC, OPT,
-/// 3PC and OPT-3PC. Crashed blocking-protocol masters hold their
-/// prepared cohorts' locks for the full recovery time; 3PC cohorts
-/// detect the crash and terminate on their own.
-pub fn failures(scale: &Scale) -> Result<Experiment, ConfigError> {
-    use crate::config::FailureConfig;
-    let base = SystemConfig::paper_baseline();
-    let protocols = [
-        ProtocolSpec::TWO_PC,
-        ProtocolSpec::OPT_2PC,
-        ProtocolSpec::THREE_PC,
-        ProtocolSpec::OPT_3PC,
-    ];
-    let mut specs = Vec::new();
-    for &(p, label) in &[(0.0, "0%"), (0.002, "0.2%"), (0.01, "1%"), (0.05, "5%")] {
-        for spec in protocols {
-            let mut cfg = base.clone();
-            if p > 0.0 {
-                cfg.failures = Some(FailureConfig::master_crashes(p));
-            }
-            specs.push((format!("{} crash={}", spec.name(), label), spec, cfg));
+        let mut scale = scale.clone();
+        if self.pin_mpl {
+            scale.mpls = vec![config.mpl];
         }
+        Ok(Experiment {
+            id: self.id.into(),
+            title: self.title.into(),
+            series: sweep(&cells, &scale)?,
+            config,
+        })
     }
-    // The failure sweep holds MPL fixed and varies the crash rate, so a
-    // single-MPL scale keeps the series readable.
-    let mut scale = scale.clone();
-    scale.mpls = vec![4];
-    let series = sweep(&specs, &scale)?;
-    Ok(Experiment {
-        id: "failures".into(),
-        title: "Extension: Master Failures — blocking vs non-blocking".into(),
-        config: base,
-        series,
-    })
 }
 
-/// **Fault-injection extension** — blocked time vs crash probability
-/// at a fixed MPL, across the protocol spread that spans the blocking
-/// spectrum: 2PC, presumed-abort, presumed-commit, non-blocking 3PC,
-/// and Paxos Commit at F = 1. The headline curve is the per-series
-/// mean blocked-on-crash time from
-/// [`FaultCounters`](crate::metrics::FaultCounters), which makes
-/// §2.4's blocking argument measurable: the 2PC family's blocked
-/// time tracks the full
-/// recovery time and grows with the crash rate, 3PC stays bounded by
-/// the detection timeout plus termination rounds, and replicated
-/// Paxos Commit fails over to surviving acceptors after detection.
-/// The CLI renders this metric as an extra table/CSV block for this
-/// preset (`experiment faults [--csv]`).
-pub fn fault_injection(scale: &Scale) -> Result<Experiment, ConfigError> {
-    use crate::config::FailureConfig;
-    let base = SystemConfig::paper_baseline();
-    let family: [(&str, ProtocolSpec, u32); 5] = [
-        ("2PC", ProtocolSpec::TWO_PC, 0),
-        ("PA", ProtocolSpec::PA, 0),
-        ("PC", ProtocolSpec::PC, 0),
-        ("3PC", ProtocolSpec::THREE_PC, 0),
-        ("PAXOS f=1", ProtocolSpec::PAXOS, 1),
-    ];
-    let mut specs = Vec::new();
-    for &(mc, plabel) in &[(0.005, "0.5%"), (0.01, "1%"), (0.02, "2%"), (0.04, "4%")] {
-        for (name, spec, f) in family {
-            let mut cfg = base.clone().with_replication(f);
-            cfg.failures = Some(FailureConfig::master_crashes(mc));
-            specs.push((format!("{name} mc={plabel}"), spec, cfg));
-        }
+/// Lines for `specs` under their own names, unreplicated.
+const fn protocols<const N: usize>(specs: [ProtocolSpec; N]) -> [Line; N] {
+    let mut lines = [("", ProtocolSpec::CENT, 0); N];
+    let mut i = 0;
+    while i < N {
+        lines[i].1 = specs[i];
+        i += 1;
     }
-    // Like the master-failure sweep, hold MPL fixed and vary the crash
-    // rate instead.
-    let mut scale = scale.clone();
-    scale.mpls = vec![4];
-    let series = sweep(&specs, &scale)?;
-    Ok(Experiment {
-        id: "faults".into(),
-        title: "Extension: Blocked Time vs Crash Probability".into(),
-        config: base,
-        series,
-    })
+    lines
 }
 
-/// **Replication extension** — the replicated-shard commit family
-/// under master crashes at a fixed MPL. The headline contrast: a 2PC
-/// master replicating its decision to 2F standby coordinators
-/// (REP2PC) still *blocks* its prepared cohorts for the full recovery
-/// time when it crashes — replication protects the decision record,
-/// not availability — while Paxos Commit at the same F fails over to
-/// the surviving acceptors after the detection timeout, keeping the
-/// blocked time bounded. PAXOS at F = 0 runs the same schedule as
-/// plain 2PC (the degenerate case), pinning the family to the
-/// Tables 3–4 baseline.
-pub fn replication(scale: &Scale) -> Result<Experiment, ConfigError> {
-    use crate::config::FailureConfig;
-    let base = SystemConfig::paper_baseline();
-    let family: [(&str, ProtocolSpec, u32); 5] = [
-        ("2PC", ProtocolSpec::TWO_PC, 0),
-        ("PAXOS f=0", ProtocolSpec::PAXOS, 0),
-        ("PAXOS f=1", ProtocolSpec::PAXOS, 1),
-        ("REP2PC f=1", ProtocolSpec::REP_2PC, 1),
-        ("3PC", ProtocolSpec::THREE_PC, 0),
-    ];
-    let mut specs = Vec::new();
-    for &(p, plabel) in &[(0.0, "0%"), (0.01, "1%"), (0.05, "5%")] {
-        for (label, spec, f) in family {
-            let mut cfg = base.clone().with_replication(f);
-            if p > 0.0 {
-                cfg.failures = Some(FailureConfig::master_crashes(p));
-            }
-            specs.push((format!("{label} crash={plabel}"), spec, cfg));
-        }
-    }
-    // Like the other failure sweeps: hold MPL fixed, vary the crash
-    // rate across the family.
-    let mut scale = scale.clone();
-    scale.mpls = vec![4];
-    let series = sweep(&specs, &scale)?;
-    Ok(Experiment {
-        id: "replication".into(),
-        title: "Extension: Replicated Commit — Paxos Commit vs replicated 2PC".into(),
-        config: base,
-        series,
-    })
-}
-
-/// **Scale extension** (ROADMAP item 2) — commit protocols at
-/// production scale: 256 sites at the paper's page density, Zipf-skewed
-/// page access, and a two-class LAN/WAN topology. Each protocol runs
-/// under three network/skew mixes at a fixed MPL, so the rendered
-/// ranking shows how wire latency, contention skew, and a hot site
-/// reorder the paper's 8-site LAN-era conclusions.
-pub fn at_scale(scale: &Scale) -> Result<Experiment, ConfigError> {
-    use crate::config::{Topology, Zipf};
-    let mut base = SystemConfig::paper_baseline();
-    base.num_sites = 256;
-    // Keep the paper's 1000 pages/site so per-site contention is
-    // comparable; the *global* database is 32× the baseline.
-    base.db_size = 1_000 * base.num_sites as u64;
-    let wan: Topology = "regions=8,lan-ms=1,wan-ms=40,jitter=0.1"
-        .parse()
-        .expect("literal topology");
-    let hot = Topology {
-        hot_site_prob: 0.2,
-        ..wan
-    };
-    let protocols = [
-        ProtocolSpec::TWO_PC,
-        ProtocolSpec::PA,
-        ProtocolSpec::PC,
-        ProtocolSpec::OPT_2PC,
-    ];
-    let mixes: [(&str, Option<Topology>, Option<Zipf>); 3] = [
-        ("lan uniform", None, None),
-        ("wan zipf0.9", Some(wan), Some(Zipf { theta: 0.9 })),
-        ("wan+hot zipf0.9", Some(hot), Some(Zipf { theta: 0.9 })),
-    ];
-    let mut specs = Vec::new();
-    for (label, topo, zipf) in mixes {
-        for spec in protocols {
-            let mut cfg = base.clone();
-            cfg.topology = topo;
-            cfg.zipf = zipf;
-            specs.push((format!("{} {}", spec.name(), label), spec, cfg));
-        }
-    }
-    // Like the failure sweeps: hold MPL fixed, vary the mix.
-    let mut scale = scale.clone();
-    scale.mpls = vec![4];
-    let series = sweep(&specs, &scale)?;
-    Ok(Experiment {
-        id: "scale".into(),
-        title: "Extension: Commit Protocols at Production Scale (256 sites, Zipf, WAN)".into(),
-        config: base,
-        series,
-    })
-}
-
-/// **Ablations** of the model-fidelity choices DESIGN.md §2 defends
-/// and of the optional §3.2 optimizations, one fixed-MPL experiment
-/// each:
-///
-/// 1. `DBSize`, the data-contention knob: 250–4 000 pages/site, 2PC vs
-///    OPT at MPL 6;
-/// 2. charging the deferred post-commit writes to the data disks, off
-///    and on, at MPL 4;
-/// 3. the restart delay — §4's adaptive heuristic, a fixed 500 ms, or
-///    none — for 2PC at MPL 8;
-/// 4. the Read-Only optimization at `UpdateProb` 0.2, MPL 4;
-/// 5. the group-commit batch cap for 3PC in a log-bound configuration
-///    (fast network, 80 000 pages, 4 data disks per site) at MPL 10.
-pub fn ablate(scale: &Scale) -> Result<Vec<Experiment>, ConfigError> {
-    use crate::config::RestartPolicy;
-    use simkernel::SimDuration;
-    let at = |mpl| SystemConfig::paper_baseline().with_mpl(mpl);
-    let (two, opt) = (ProtocolSpec::TWO_PC, ProtocolSpec::OPT_2PC);
-    let pages = [
-        ("250", 250),
-        ("500", 500),
-        ("1000", 1_000),
-        ("2000", 2_000),
-        ("4000", 4_000),
-    ];
-    let restarts = [
-        ("adaptive", RestartPolicy::AdaptiveResponseTime),
-        (
-            "fixed500ms",
-            RestartPolicy::Fixed(SimDuration::from_millis(500)),
-        ),
-        ("immediate", RestartPolicy::Immediate),
-    ];
-    let batches = [
-        ("off", None),
-        ("2", Some(2)),
-        ("4", Some(4)),
-        ("8", Some(8)),
-        ("16", Some(16)),
-    ];
-    Ok(vec![
-        ablation(
-            "Ablation 1: DBSize (pages/site)",
-            at(6),
-            ("db", &pages, |c, n| c.db_size = n * c.num_sites as u64),
-            &[two, opt],
-            scale,
-        )?,
-        ablation(
-            "Ablation 2: Deferred-Write Charging",
-            at(4),
-            ("writes", &[("free", false), ("charged", true)], |c, on| {
-                c.model_deferred_writes = on
-            }),
-            &[two, opt],
-            scale,
-        )?,
-        ablation(
-            "Ablation 3: Restart-Delay Policy",
-            at(8),
-            ("restart", &restarts, |c, p| c.restart_policy = p),
-            &[two],
-            scale,
-        )?,
-        ablation(
-            "Ablation 4: Read-Only Optimization (UpdateProb 0.2)",
-            SystemConfig {
-                update_prob: 0.2,
-                ..at(4)
-            },
-            ("ro", &[("off", false), ("on", true)], |c, on| {
-                c.read_only_optimization = on
-            }),
-            &[two, ProtocolSpec::PA, ProtocolSpec::PC, opt],
-            scale,
-        )?,
-        ablation(
-            "Ablation 5: Group-Commit Batch Cap (log-bound, 3PC)",
-            at(10)
-                .fast_network()
-                .with_db_size(80_000)
-                .with_data_disks(4),
-            ("batch", &batches, |c, b| c.group_commit_batch = b),
-            &[ProtocolSpec::THREE_PC],
-            scale,
-        )?,
-    ])
-}
-
-/// One knob of an ablation: its name, its labelled values, and how a
-/// value is set on a configuration.
-type Knob<'a, T> = (&'a str, &'a [(&'a str, T)], fn(&mut SystemConfig, T));
-
-/// Ablation `ablate-<knob>`: every protocol in `specs` over `base` with
-/// the knob set to each of its values, as series
-/// `"<protocol> <knob>=<label>"`, at `base`'s MPL whatever the scale's
-/// MPL axis says.
-fn ablation<T: Copy>(
-    title: &str,
-    base: SystemConfig,
-    (knob, values, set): Knob<'_, T>,
-    specs: &[ProtocolSpec],
-    scale: &Scale,
-) -> Result<Experiment, ConfigError> {
-    let mut cells = Vec::new();
-    for &(label, value) in values {
-        let mut cfg = base.clone();
-        set(&mut cfg, value);
-        for &spec in specs {
-            cells.push((format!("{} {knob}={label}", spec.name()), spec, cfg.clone()));
-        }
-    }
-    let series = sweep(&cells, &scale.clone().with_mpls(vec![base.mpl]))?;
-    Ok(Experiment {
-        id: format!("ablate-{knob}"),
-        title: title.into(),
-        config: base,
-        series,
-    })
+/// [`FailureConfig::master_crashes`] at crash probability `p`.
+fn crashes(p: f64) -> Option<FailureConfig> {
+    Some(FailureConfig::master_crashes(p))
 }
 
 /// One `distcommit experiment` preset: the id the command takes, the
-/// sweeps it runs, and the metrics the paper plots from them. The CLI
-/// prints one table (or CSV block) per metric for every experiment the
-/// preset builds, in this order.
+/// experiments it runs, and the metrics the paper plots from them. The
+/// CLI prints one table (or CSV block) per metric for every experiment
+/// of the preset, in plan order.
 #[derive(Debug, Clone, Copy)]
 pub struct Preset {
     /// Command-line id (`distcommit experiment <id>`).
     pub id: &'static str,
-    /// Run the preset's sweeps at `scale`.
-    pub build: fn(&Scale) -> Result<Vec<Experiment>, ConfigError>,
-    /// The metrics reported for every experiment the preset builds.
+    /// The preset's experiments, in print order.
+    pub plans: &'static [Plan],
+    /// The metrics reported for every experiment of the preset.
     pub metrics: &'static [Metric],
 }
 
+impl Preset {
+    /// Run the preset's plans at `scale`, in order.
+    pub fn build(&self, scale: &Scale) -> Result<Vec<Experiment>, ConfigError> {
+        self.plans.iter().map(|plan| plan.run(scale)).collect()
+    }
+}
+
+/// The lines of Figures 1 and 2: both baselines, the four classical
+/// protocols, and OPT.
+const FIG12: &[Line] = &protocols([
+    P::CENT,
+    P::DPCC,
+    P::TWO_PC,
+    P::PA,
+    P::PC,
+    P::THREE_PC,
+    P::OPT_2PC,
+]);
+
+/// Figure 3's lines: Figure 1's plus OPT-PC.
+const FIG3: &[Line] = &protocols([
+    P::CENT,
+    P::DPCC,
+    P::TWO_PC,
+    P::PA,
+    P::PC,
+    P::THREE_PC,
+    P::OPT_2PC,
+    P::OPT_PC,
+]);
+const FIG4: &[Line] = &protocols([P::TWO_PC, P::THREE_PC, P::OPT_2PC, P::OPT_3PC]);
+const FIG5: &[Line] = &protocols([P::TWO_PC, P::PA, P::OPT_2PC, P::OPT_PA]);
+const LINEAR: &[Line] = &protocols([P::TWO_PC, P::LINEAR_2PC, P::OPT_2PC, P::OPT_LINEAR_2PC]);
+
+/// Figure 5's cohort NO-vote probabilities, labelled by the
+/// transaction abort probability each gives at DistDegree 3.
+const ABORTS: &[Value] = &[
+    ("3%", |c| c.cohort_abort_prob = 0.01),
+    ("15%", |c| c.cohort_abort_prob = 0.05),
+    ("27%", |c| c.cohort_abort_prob = 0.10),
+];
+
+/// The metrics of Figures 1–2 and Experiment 3.
+const CONTENTION: &[Metric] = &[Metric::Throughput, Metric::BlockRatio, Metric::BorrowRatio];
+
+/// The protocol set of Figures 1 and 2.
+pub fn figure12_protocols() -> Vec<ProtocolSpec> {
+    FIG12.iter().map(|&(_, spec, _)| spec).collect()
+}
+
+/// **Experiment 1 / Figures 1a–1c**: the `fig1` preset's one plan.
+pub fn fig1(scale: &Scale) -> Result<Experiment, ConfigError> {
+    preset("fig1").expect("fig1 is a preset").plans[0].run(scale)
+}
+
 /// Every experiment preset, in usage order — the single source of the
-/// ids `distcommit experiment` accepts.
+/// ids `distcommit experiment` accepts and of the experiments each
+/// runs. DESIGN.md §4 indexes them against the paper.
+#[rustfmt::skip]
 pub static PRESETS: &[Preset] = &[
-    Preset {
-        id: "fig1",
-        build: |s| Ok(vec![fig1(s)?]),
-        metrics: &[Metric::Throughput, Metric::BlockRatio, Metric::BorrowRatio],
-    },
-    Preset {
-        id: "fig2",
-        build: |s| Ok(vec![fig2(s)?]),
-        metrics: &[Metric::Throughput, Metric::BlockRatio, Metric::BorrowRatio],
-    },
-    Preset {
-        id: "expt3",
-        build: |s| expt3(s).map(|(a, b)| vec![a, b]),
-        metrics: &[Metric::Throughput, Metric::BlockRatio, Metric::BorrowRatio],
-    },
-    Preset {
-        id: "fig3",
-        build: |s| fig3(s).map(|(a, b)| vec![a, b]),
-        metrics: &[Metric::Throughput, Metric::MessagesPerCommit],
-    },
-    Preset {
-        id: "fig4",
-        build: |s| fig4(s).map(|(a, b)| vec![a, b]),
-        metrics: &[Metric::Throughput, Metric::BorrowRatio],
-    },
+    // Figures 1a–1c (throughput, block ratio, borrow ratio): resource
+    // and data contention on the reconstructed Table 2 baseline.
+    Preset { id: "fig1", metrics: CONTENTION, plans: &[
+        Plan { id: "fig1", title: "Expt 1: Resource and Data Contention (RC+DC)",
+               lines: FIG12, ..PLAN },
+    ] },
+    // Figures 2a–2c: the same workload on infinite resources (§5.3).
+    Preset { id: "fig2", metrics: CONTENTION, plans: &[
+        Plan { id: "fig2", title: "Expt 2: Pure Data Contention (DC)",
+               config: SystemConfig::pure_data_contention, lines: FIG12, ..PLAN },
+    ] },
+    // Experiment 3 (§5.4; graphs in the companion TR): MsgCPU = 1 ms
+    // under both regimes.
+    Preset { id: "expt3", metrics: CONTENTION, plans: &[
+        Plan { id: "expt3-rcdc", title: "Expt 3: Fast Network Interface (RC+DC, MsgCPU = 1 ms)",
+               config: || SystemConfig::paper_baseline().fast_network(),
+               lines: FIG12, ..PLAN },
+        Plan { id: "expt3-dc", title: "Expt 3: Fast Network Interface (DC, MsgCPU = 1 ms)",
+               config: || SystemConfig::pure_data_contention().fast_network(),
+               lines: FIG12, ..PLAN },
+    ] },
+    // Figures 3a–3b: six cohorts of three pages (§5.5).
+    Preset { id: "fig3", metrics: &[Metric::Throughput, Metric::MessagesPerCommit], plans: &[
+        Plan { id: "fig3a", title: "Expt 4 / Fig 3a: Distribution = 6 (RC+DC)",
+               config: || SystemConfig::paper_baseline().higher_distribution(),
+               lines: FIG3, ..PLAN },
+        Plan { id: "fig3b", title: "Expt 4 / Fig 3b: Distribution = 6 (DC)",
+               config: || SystemConfig::pure_data_contention().higher_distribution(),
+               lines: FIG3, ..PLAN },
+    ] },
+    // Figures 4a–4b: non-blocking OPT (§5.6).
+    Preset { id: "fig4", metrics: &[Metric::Throughput, Metric::BorrowRatio], plans: &[
+        Plan { id: "fig4a", title: "Expt 5 / Fig 4a: Non-Blocking (RC+DC)",
+               lines: FIG4, ..PLAN },
+        Plan { id: "fig4b", title: "Expt 5 / Fig 4b: Non-Blocking (DC)",
+               config: SystemConfig::pure_data_contention, lines: FIG4, ..PLAN },
+    ] },
+    // Figures 5a–5b: surprise aborts (§5.7). Then §5.7's DistDegree 6
+    // case, heavily CPU-bound, where the paper found PA's savings
+    // finally "sufficient to make it perform clearly better than 2PC".
     Preset {
         id: "fig5",
-        build: |s| {
-            let (a, b) = fig5(s)?;
-            Ok(vec![a, b, expt6_high_distribution(s)?])
-        },
-        metrics: &[
-            Metric::Throughput,
-            Metric::AbortFraction,
-            Metric::ForcedWritesPerCommit,
+        metrics: &[Metric::Throughput, Metric::AbortFraction, Metric::ForcedWritesPerCommit],
+        plans: &[
+            Plan { id: "fig5a", title: "Expt 6 / Fig 5a: Surprise Aborts (RC+DC)",
+                   lines: FIG5, knob: "abort", values: ABORTS, ..PLAN },
+            Plan { id: "fig5b", title: "Expt 6 / Fig 5b: Surprise Aborts (DC)",
+                   config: SystemConfig::pure_data_contention,
+                   lines: FIG5, knob: "abort", values: ABORTS, ..PLAN },
+            Plan { id: "expt6x",
+                   title: "Expt 6 extension: Surprise Aborts at DistDegree = 6 (RC+DC)",
+                   config: || SystemConfig::paper_baseline().higher_distribution()
+                       .with_cohort_abort_prob(0.10),
+                   lines: FIG5, ..PLAN },
         ],
     },
-    Preset {
-        id: "seq",
-        build: |s| Ok(vec![seq(s)?]),
-        metrics: &[Metric::Throughput, Metric::ResponseTime],
-    },
+    // §5.8: cohorts execute one after another, so the commit share of
+    // a transaction, and the protocol differences, shrink.
+    Preset { id: "seq", metrics: &[Metric::Throughput, Metric::ResponseTime], plans: &[
+        Plan { id: "seq", title: "§5.8: Sequential Transactions (RC+DC)",
+               config: || SystemConfig {
+                   trans_type: TransType::Sequential, ..SystemConfig::paper_baseline()
+               },
+               lines: &protocols([P::CENT, P::DPCC, P::TWO_PC, P::THREE_PC, P::OPT_2PC]),
+               ..PLAN },
+    ] },
+    // §2.4's blocking argument, quantified: a crashed blocking master
+    // holds its prepared cohorts' locks for the full recovery time,
+    // while 3PC cohorts detect the crash and terminate on their own.
     Preset {
         id: "failures",
-        build: |s| Ok(vec![failures(s)?]),
-        metrics: &[
-            Metric::Throughput,
-            Metric::ResponseTime,
-            Metric::BlockRatio,
-            Metric::MasterCrashes,
+        metrics: &[Metric::Throughput, Metric::ResponseTime, Metric::BlockRatio,
+                   Metric::MasterCrashes],
+        plans: &[
+            Plan { id: "failures", title: "Extension: Master Failures — blocking vs non-blocking",
+                   lines: &protocols([P::TWO_PC, P::OPT_2PC, P::THREE_PC, P::OPT_3PC]),
+                   knob: "crash", values: &[
+                       ("0%", |_| {}),
+                       ("0.2%", |c| c.failures = crashes(0.002)),
+                       ("1%", |c| c.failures = crashes(0.01)),
+                       ("5%", |c| c.failures = crashes(0.05)),
+                   ],
+                   pin_mpl: true, ..PLAN },
         ],
     },
-    Preset {
-        id: "faults",
-        build: |s| Ok(vec![fault_injection(s)?]),
-        metrics: &[Metric::Throughput, Metric::CrashBlockedTime],
-    },
-    Preset {
-        id: "replication",
-        build: |s| Ok(vec![replication(s)?]),
-        metrics: &[Metric::Throughput, Metric::CrashBlockedTime],
-    },
-    Preset {
-        id: "linear",
-        build: |s| linear(s).map(|(a, b)| vec![a, b]),
-        metrics: &[Metric::Throughput, Metric::MessagesPerCommit],
-    },
-    Preset {
-        id: "scale",
-        build: |s| Ok(vec![at_scale(s)?]),
-        metrics: &[Metric::Throughput],
-    },
+    // Blocked-on-crash time across the blocking spectrum: the 2PC
+    // family's tracks the full recovery time, 3PC's stays bounded by
+    // detection plus termination rounds, and Paxos Commit fails over
+    // to surviving acceptors after detection.
+    Preset { id: "faults", metrics: &[Metric::Throughput, Metric::CrashBlockedTime], plans: &[
+        Plan { id: "faults", title: "Extension: Blocked Time vs Crash Probability",
+               lines: &[("", P::TWO_PC, 0), ("", P::PA, 0), ("", P::PC, 0),
+                        ("", P::THREE_PC, 0), ("PAXOS f=1", P::PAXOS, 1)],
+               knob: "mc", values: &[
+                   ("0.5%", |c| c.failures = crashes(0.005)),
+                   ("1%", |c| c.failures = crashes(0.01)),
+                   ("2%", |c| c.failures = crashes(0.02)),
+                   ("4%", |c| c.failures = crashes(0.04)),
+               ],
+               pin_mpl: true, ..PLAN },
+    ] },
+    // A 2PC master replicating its decision to 2F standbys (REP2PC)
+    // still blocks its prepared cohorts for the full recovery time —
+    // replication protects the decision, not availability — while
+    // Paxos Commit at the same F fails over after detection. PAXOS at
+    // F = 0 runs plain 2PC's schedule.
+    Preset { id: "replication", metrics: &[Metric::Throughput, Metric::CrashBlockedTime], plans: &[
+        Plan { id: "replication",
+               title: "Extension: Replicated Commit — Paxos Commit vs replicated 2PC",
+               lines: &[("", P::TWO_PC, 0), ("PAXOS f=0", P::PAXOS, 0), ("PAXOS f=1", P::PAXOS, 1),
+                        ("REP2PC f=1", P::REP_2PC, 1), ("", P::THREE_PC, 0)],
+               knob: "crash", values: &[
+                   ("0%", |_| {}),
+                   ("1%", |c| c.failures = crashes(0.01)),
+                   ("5%", |c| c.failures = crashes(0.05)),
+               ],
+               pin_mpl: true, ..PLAN },
+    ] },
+    // Chained commit processing (§2.5, and §3.2's OPT synergy note)
+    // at the baseline DistDegree 3 and the CPU-bound DistDegree 6.
+    Preset { id: "linear", metrics: &[Metric::Throughput, Metric::MessagesPerCommit], plans: &[
+        Plan { id: "linear-d3", title: "Linear 2PC at the baseline (RC+DC)",
+               lines: LINEAR, ..PLAN },
+        Plan { id: "linear-d6", title: "Linear 2PC at DistDegree 6 (RC+DC, CPU-bound)",
+               config: || SystemConfig::paper_baseline().higher_distribution(),
+               lines: LINEAR, ..PLAN },
+    ] },
+    // 256 sites at the paper's 1 000 pages/site, so per-site contention
+    // stays comparable, under three network/skew mixes: how wire
+    // latency, skew and a hot site reorder the 8-site LAN ranking.
+    Preset { id: "scale", metrics: &[Metric::Throughput], plans: &[
+        Plan { id: "scale",
+               title: "Extension: Commit Protocols at Production Scale (256 sites, Zipf, WAN)",
+               config: || SystemConfig {
+                   num_sites: 256, db_size: 256 * 1_000, ..SystemConfig::paper_baseline()
+               },
+               lines: &protocols([P::TWO_PC, P::PA, P::PC, P::OPT_2PC]),
+               values: &[
+                   ("lan uniform", |_| {}),
+                   ("wan zipf0.9", |c| {
+                       c.zipf = Some(Zipf { theta: 0.9 });
+                       c.topology = Some("regions=8,lan-ms=1,wan-ms=40,jitter=0.1".parse()
+                           .expect("literal topology"));
+                   }),
+                   ("wan+hot zipf0.9", |c| {
+                       c.zipf = Some(Zipf { theta: 0.9 });
+                       c.topology = Some("regions=8,lan-ms=1,wan-ms=40,jitter=0.1,hot=0.2".parse()
+                           .expect("literal topology"));
+                   }),
+               ],
+               pin_mpl: true, ..PLAN },
+    ] },
+    // Ablations of DESIGN.md §2's model-fidelity choices and of the
+    // optional §3.2 optimizations, each at its configuration's MPL.
+    // Group commit runs log-bound: fast network, 80 000 pages and 4
+    // data disks per site.
     Preset {
         id: "ablate",
-        build: ablate,
-        metrics: &[
-            Metric::Throughput,
-            Metric::AbortFraction,
-            Metric::BlockRatio,
-            Metric::BorrowRatio,
-            Metric::DataDiskUtilization,
-            Metric::LogDiskUtilization,
-            Metric::WritesPerLogService,
+        metrics: &[Metric::Throughput, Metric::AbortFraction, Metric::BlockRatio,
+                   Metric::BorrowRatio, Metric::DataDiskUtilization, Metric::LogDiskUtilization,
+                   Metric::WritesPerLogService],
+        plans: &[
+            Plan { id: "ablate-db", title: "Ablation 1: DBSize (pages/site)",
+                   config: || SystemConfig::paper_baseline().with_mpl(6),
+                   lines: &protocols([P::TWO_PC, P::OPT_2PC]),
+                   knob: "db", values: &[
+                       ("250", |c| c.db_size = 250 * c.num_sites as u64),
+                       ("500", |c| c.db_size = 500 * c.num_sites as u64),
+                       ("1000", |c| c.db_size = 1_000 * c.num_sites as u64),
+                       ("2000", |c| c.db_size = 2_000 * c.num_sites as u64),
+                       ("4000", |c| c.db_size = 4_000 * c.num_sites as u64),
+                   ],
+                   pin_mpl: true },
+            Plan { id: "ablate-writes", title: "Ablation 2: Deferred-Write Charging",
+                   config: || SystemConfig::paper_baseline().with_mpl(4),
+                   lines: &protocols([P::TWO_PC, P::OPT_2PC]),
+                   knob: "writes", values: &[
+                       ("free", |c| c.model_deferred_writes = false),
+                       ("charged", |c| c.model_deferred_writes = true),
+                   ],
+                   pin_mpl: true },
+            Plan { id: "ablate-restart", title: "Ablation 3: Restart-Delay Policy",
+                   config: || SystemConfig::paper_baseline().with_mpl(8),
+                   lines: &protocols([P::TWO_PC]),
+                   knob: "restart", values: &[
+                       ("adaptive", |c| c.restart_policy = RestartPolicy::AdaptiveResponseTime),
+                       ("fixed500ms", |c| c.restart_policy =
+                           RestartPolicy::Fixed(SimDuration::from_millis(500))),
+                       ("immediate", |c| c.restart_policy = RestartPolicy::Immediate),
+                   ],
+                   pin_mpl: true },
+            Plan { id: "ablate-ro", title: "Ablation 4: Read-Only Optimization (UpdateProb 0.2)",
+                   config: || SystemConfig {
+                       update_prob: 0.2, ..SystemConfig::paper_baseline().with_mpl(4)
+                   },
+                   lines: &protocols([P::TWO_PC, P::PA, P::PC, P::OPT_2PC]),
+                   knob: "ro", values: &[
+                       ("off", |c| c.read_only_optimization = false),
+                       ("on", |c| c.read_only_optimization = true),
+                   ],
+                   pin_mpl: true },
+            Plan { id: "ablate-batch", title: "Ablation 5: Group-Commit Batch Cap (log-bound, 3PC)",
+                   config: || SystemConfig::paper_baseline().with_mpl(10).fast_network()
+                       .with_db_size(80_000).with_data_disks(4),
+                   lines: &protocols([P::THREE_PC]),
+                   knob: "batch", values: &[
+                       ("off", |c| c.group_commit_batch = None),
+                       ("2", |c| c.group_commit_batch = Some(2)),
+                       ("4", |c| c.group_commit_batch = Some(4)),
+                       ("8", |c| c.group_commit_batch = Some(8)),
+                       ("16", |c| c.group_commit_batch = Some(16)),
+                   ],
+                   pin_mpl: true },
         ],
     },
 ];
@@ -997,6 +746,16 @@ pub fn measured_overheads(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn plain(
+        cfg: &SystemConfig,
+        specs: &[ProtocolSpec],
+    ) -> Vec<(String, ProtocolSpec, SystemConfig)> {
+        specs
+            .iter()
+            .map(|&s| (s.name().to_string(), s, cfg.clone()))
+            .collect()
+    }
 
     fn tiny() -> Scale {
         Scale::quick()
@@ -1165,59 +924,6 @@ mod tests {
         assert!(r.committed >= 500);
     }
 
-    /// Every preset constructor produces a well-formed experiment at a
-    /// micro scale: the right series labels, one point per MPL, and
-    /// positive throughputs.
-    #[test]
-    fn all_presets_construct() {
-        let micro = Scale {
-            warmup: 5,
-            measured: 40,
-            mpls: vec![2],
-            seed: 3,
-            replications: 1,
-            jobs: None,
-        };
-        let check = |e: &Experiment, min_series: usize| {
-            assert!(
-                e.series.len() >= min_series,
-                "{}: {} series",
-                e.id,
-                e.series.len()
-            );
-            for s in &e.series {
-                assert_eq!(s.points.len(), 1, "{}/{}", e.id, s.label);
-                assert!(s.points[0].throughput > 0.0, "{}/{}", e.id, s.label);
-            }
-            assert!(!e.title.is_empty());
-        };
-        check(&fig1(&micro).unwrap(), 7);
-        check(&fig2(&micro).unwrap(), 7);
-        let (a, b) = expt3(&micro).unwrap();
-        check(&a, 7);
-        check(&b, 7);
-        let (a, b) = fig3(&micro).unwrap();
-        check(&a, 8); // + OPT-PC
-        check(&b, 8);
-        let (a, b) = fig4(&micro).unwrap();
-        check(&a, 4);
-        check(&b, 4);
-        let (a, b) = fig5(&micro).unwrap();
-        check(&a, 12); // 4 protocols x 3 abort levels
-        check(&b, 12);
-        check(&expt6_high_distribution(&micro).unwrap(), 4);
-        check(&seq(&micro).unwrap(), 5);
-        check(&failures(&micro).unwrap(), 16); // 4 protocols x 4 crash rates
-        check(&fault_injection(&micro).unwrap(), 20); // 5 protocols x 4 crash rates
-        let (a, b) = linear(&micro).unwrap();
-        check(&a, 4);
-        check(&b, 4);
-        assert_eq!(b.config.dist_degree, 6);
-        for e in ablate(&micro).unwrap() {
-            check(&e, 3);
-        }
-    }
-
     /// Preset ids are unique and every preset reports throughput
     /// first — the metric its chart and peak summary are drawn from.
     #[test]
@@ -1243,7 +949,7 @@ mod tests {
             replications: 1,
             jobs: None,
         };
-        let e = at_scale(&micro).unwrap();
+        let e = preset("scale").unwrap().plans[0].run(&micro).unwrap();
         assert_eq!(e.id, "scale");
         assert_eq!(e.mpls(), vec![4]);
         assert_eq!(e.series.len(), 12);
@@ -1268,7 +974,7 @@ mod tests {
             replications: 1,
             jobs: None,
         };
-        let exps = ablate(&micro).unwrap();
+        let exps = preset("ablate").unwrap().build(&micro).unwrap();
         let shape: Vec<(&str, u32, usize)> = exps
             .iter()
             .map(|e| (e.id.as_str(), e.mpls()[0], e.series.len()))
@@ -1314,7 +1020,7 @@ mod tests {
             replications: 1,
             jobs: None,
         };
-        let (rc, _) = fig5(&micro).unwrap();
+        let rc = preset("fig5").unwrap().plans[0].run(&micro).unwrap();
         assert!(rc.series("2PC abort=3%").is_some());
         assert!(rc.series("OPT-PA abort=27%").is_some());
     }
@@ -1329,7 +1035,7 @@ mod tests {
             replications: 1,
             jobs: None,
         };
-        let e = failures(&micro).unwrap();
+        let e = preset("failures").unwrap().plans[0].run(&micro).unwrap();
         // the failure sweep intentionally collapses the MPL axis
         assert_eq!(e.mpls(), vec![4]);
         assert!(e.series("2PC crash=0%").is_some());

@@ -8,15 +8,11 @@
 //! input order**, so the output of a sweep is byte-identical for any
 //! worker count: parallelism changes wall-clock time, never results.
 //!
-//! The worker count comes from, in order of precedence: an explicit
-//! request (the `--jobs` CLI flag), the `DISTCOMMIT_JOBS` environment
-//! variable, and [`std::thread::available_parallelism`].
+//! The worker count is an explicit request (the `--jobs` CLI flag) or
+//! else [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Environment variable consulted by [`default_jobs`].
-pub const JOBS_ENV: &str = "DISTCOMMIT_JOBS";
 
 /// Environment variable consulted by [`progress_enabled`]: `0` (or
 /// empty) forces progress lines off, any other value forces them on.
@@ -92,22 +88,9 @@ impl Progress {
     }
 }
 
-/// Parse a jobs value: positive decimal integer, clamped to ≥ 1.
-/// Returns `None` for anything unparsable so callers can fall through
-/// to the next source.
-pub fn parse_jobs(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-/// The worker count used when the caller does not specify one:
-/// `DISTCOMMIT_JOBS` if set and valid, else the machine's available
-/// parallelism, else 1.
+/// The worker count used when the caller does not specify one: the
+/// machine's available parallelism, else 1.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var(JOBS_ENV) {
-        if let Some(n) = parse_jobs(&v) {
-            return n;
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -183,17 +166,6 @@ mod tests {
         // Zero elapsed time must not divide by zero.
         let line = Progress::line("x", 1, 1, 0.0, "d", 0.0);
         assert!(line.contains("0.00 cells/s"));
-    }
-
-    #[test]
-    fn parse_jobs_accepts_positive_integers() {
-        assert_eq!(parse_jobs("4"), Some(4));
-        assert_eq!(parse_jobs(" 12 "), Some(12));
-        assert_eq!(parse_jobs("1"), Some(1));
-        assert_eq!(parse_jobs("0"), None);
-        assert_eq!(parse_jobs("-3"), None);
-        assert_eq!(parse_jobs("many"), None);
-        assert_eq!(parse_jobs(""), None);
     }
 
     #[test]

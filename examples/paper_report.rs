@@ -10,7 +10,7 @@
 //! full tables and figures; this example is the five-minute "does the
 //! reproduction hold?" check.)
 
-use distcommit::db::experiments::{fig1, fig2, fig4, fig5, Scale};
+use distcommit::db::experiments::{preset, Experiment, Scale};
 
 struct Claim {
     text: &'static str,
@@ -31,12 +31,17 @@ fn main() {
     };
     println!("running compact versions of Experiments 1, 2, 5 and 6 ...\n");
 
-    let e1 = fig1(&scale).expect("valid config");
-    let e2 = fig2(&scale).expect("valid config");
-    let (e4_rc, e4_dc) = fig4(&scale).expect("valid config");
-    let (e5_rc, _) = fig5(&scale).expect("valid config");
+    // The `plan`-th experiment of preset `id`.
+    let run = |id: &str, plan: usize| {
+        let preset = preset(id).expect("a preset id");
+        preset.plans[plan].run(&scale).expect("valid config")
+    };
+    let e1 = run("fig1", 0);
+    let e2 = run("fig2", 0);
+    let (e4_rc, e4_dc) = (run("fig4", 0), run("fig4", 1));
+    let e5_rc = run("fig5", 0);
 
-    let peak = |e: &distcommit::db::experiments::Experiment, label: &str| {
+    let peak = |e: &Experiment, label: &str| {
         e.series(label)
             .map(|s| s.peak_throughput())
             .unwrap_or(f64::NAN)

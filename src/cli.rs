@@ -296,8 +296,8 @@ static OPTIONS: &[Opt] = &[
           instead of the tables",
          |s, _, _| s.csv = true),
     opt!("--jobs <N>", SWEEP | EXPERIMENT, "worker threads for the run grid (default:\n\
-          DISTCOMMIT_JOBS, else all cores); results\n\
-          are byte-identical for every N",
+          all cores); results are byte-identical for\n\
+          every N",
          |s, f, v| s.jobs = Some(count(f, v)?)),
     opt!("--reps <N>", SWEEP | EXPERIMENT, "independent replications per (protocol, MPL)\n\
           cell, each with its own derived seed; with\n\
@@ -1051,7 +1051,7 @@ fn write_command(
             let scale = if full { Scale::full() } else { Scale::quick() }
                 .with_replications(reps)
                 .with_jobs(jobs);
-            for exp in &(preset.build)(&scale)? {
+            for exp in &preset.build(&scale)? {
                 if csv {
                     write_csv_blocks(out, exp, preset.metrics)?;
                 } else {
@@ -1699,6 +1699,19 @@ mod tests {
         // A skew whose distinct-page draws would stall is rejected.
         let e = parse(&argv("run --zipf 8")).unwrap_err();
         assert!(e.0.contains("zipf theta too large"), "{e}");
+        // Zipf's alias table indexes a site's pages in 32 bits, and a
+        // cohort accesses at most 2^16 pages: typed errors, not a panic,
+        // a spin in validation or a multi-GB access list.
+        let e = parse(&argv("run --db-size 18446744073709551608 --zipf 0.9")).unwrap_err();
+        assert!(e.0.contains("2^32 - 1 pages per site"), "{e}");
+        for args in [
+            "--db-size 34359738360 --cohort-size 2000000000 --zipf 0.9",
+            "--db-size 24000000000 --cohort-size 2000000000",
+            "--db-size 800000 --cohort-size 43692",
+        ] {
+            let e = parse(&argv(&format!("run {args}"))).unwrap_err();
+            assert!(e.0.contains("at most 65536 pages"), "{args}: {e}");
+        }
         // (configuration, protocol) pairs the engine cannot run fail at
         // parse time, for a sweep on any of its protocols.
         for (cmd, why) in [

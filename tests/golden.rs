@@ -1,8 +1,9 @@
 //! Golden-file checks for the machine-readable outputs: the report in
-//! every format, the windowed series, the sweep documents and the
-//! folded-stack flamegraph lines. These formats are
-//! consumed by external tools (jq pipelines, flamegraph.pl), so any
-//! byte-level drift is a breaking change and must be deliberate.
+//! every format, the windowed series, the sweep documents, the
+//! folded-stack flamegraph lines and every experiment preset's tables
+//! and CSV. These formats are consumed by external tools (jq
+//! pipelines, flamegraph.pl), so any byte-level drift is a breaking
+//! change and must be deliberate.
 //!
 //! To bless an intentional change:
 //!
@@ -15,9 +16,11 @@ use distcommit::db::engine::{
     chrome_trace_json, FoldSink, Observers, Series, SeriesConfig, SeriesFormat, SeriesOut,
     Simulation, Trace,
 };
-use distcommit::db::experiments::{sweep_with_series, Experiment, Scale};
+use distcommit::db::experiments::{sweep_with_series, Experiment, Scale, PRESETS};
 use distcommit::db::metrics::{ReportFormat, SimReport};
-use distcommit::db::output::{render_sweep_csv, render_sweep_series_csv, render_sweep_series_json};
+use distcommit::db::output::{
+    render_csv, render_sweep_csv, render_sweep_series_csv, render_sweep_series_json, render_table,
+};
 use distcommit::proto::ProtocolSpec;
 use simkernel::{SimDuration, SimTime};
 
@@ -279,6 +282,36 @@ fn sweep_outputs_match_golden() {
     check("sweep.csv", &render_sweep_csv(&exp));
     check("sweep_series.csv", &render_sweep_series_csv(&cells));
     check("sweep_series.json", &render_sweep_series_json(&cells));
+}
+
+/// Every `distcommit experiment` preset at a micro scale: each
+/// experiment's id, title, configuration and series labels, and the
+/// table and CSV of every metric its preset reports. A change to a
+/// preset's configuration, protocol lines, labels, pinned MPL or cell
+/// seeds drifts here.
+#[test]
+fn presets_match_golden() {
+    let micro = Scale::quick()
+        .with_runs(5, 40)
+        .with_mpls(vec![1, 2])
+        .with_seed(3)
+        .with_jobs(Some(2));
+    let mut out = String::new();
+    for p in PRESETS {
+        for exp in p.build(&micro).expect("every preset runs") {
+            out.push_str(&format!("=== {} | {} ===\n", exp.id, exp.title));
+            out.push_str(&format!("configuration:\n{}", exp.config));
+            for s in &exp.series {
+                out.push_str(&format!("series: {}\n", s.label));
+            }
+            for &m in p.metrics {
+                out.push_str(&render_table(&exp, m));
+                out.push_str(&render_csv(&exp, m));
+            }
+            out.push('\n');
+        }
+    }
+    check("presets.txt", &out);
 }
 
 #[test]
