@@ -731,6 +731,30 @@ impl SystemConfig {
     /// tail check, one `powf` per page of a cohort, within milliseconds.
     const MAX_COHORT_PAGES: u64 = 1 << 16;
 
+    /// The most sites validation admits, 16 times the largest preset's
+    /// 256. Every site carries its own stations, lock table and log,
+    /// and a topology keeps an n² wire-latency matrix of 8-byte entries:
+    /// 128 MiB at 2^12 sites.
+    const MAX_SITES: usize = 1 << 12;
+
+    /// The most pages validation admits across all sites, over 200
+    /// times the 1.2 M of `measured_overheads` at d = 6, the largest
+    /// built-in run. The lock tables' page index keeps 4 bytes per
+    /// page slot: 1 GiB at 2^28 pages.
+    const MAX_DB_SIZE: u64 = 1 << 28;
+
+    /// The most pages per site Zipf skew admits, over 16 000 times the
+    /// largest preset's 1 000. Its alias tables take about 39 bytes per
+    /// page while they build: about 650 MB at 2^24 pages.
+    const MAX_ZIPF_PAGES_PER_SITE: u64 = 1 << 24;
+
+    /// The most page accesses validation lets the closed system hold in
+    /// flight (`mpl * num_sites * dist_degree * max_cohort_pages`), 600
+    /// times the largest preset's 27 648. Each is a 16-byte template
+    /// entry, plus its share of the initial calendar and slabs: 256 MiB
+    /// of entries at 2^24.
+    const MAX_ACCESSES_IN_FLIGHT: u64 = 1 << 24;
+
     /// Check the configuration for internal consistency.
     pub fn validate(&self) -> Result<(), ConfigError> {
         use ConfigError::*;
@@ -760,9 +784,23 @@ impl SystemConfig {
                 "cohort_size too large: a cohort may access at most 65536 pages",
             ));
         }
-        if self.zipf.is_some() && self.pages_per_site() > u64::from(u32::MAX) {
+        if self.num_sites > Self::MAX_SITES {
+            return Err(Invalid("num_sites too large: at most 4096 sites"));
+        }
+        if self.db_size > Self::MAX_DB_SIZE {
+            return Err(Invalid("db_size too large: at most 2^28 pages"));
+        }
+        if self.zipf.is_some() && self.pages_per_site() > Self::MAX_ZIPF_PAGES_PER_SITE {
+            return Err(Invalid("zipf skew supports at most 2^24 pages per site"));
+        }
+        let in_flight = u64::from(self.mpl)
+            .saturating_mul(self.num_sites as u64)
+            .saturating_mul(u64::from(self.dist_degree))
+            .saturating_mul(self.max_cohort_pages());
+        if in_flight > Self::MAX_ACCESSES_IN_FLIGHT {
             return Err(Invalid(
-                "zipf skew supports at most 2^32 - 1 pages per site",
+                "too many accesses in flight: mpl * num_sites * dist_degree * \
+                 1.5 * cohort_size may be at most 2^24",
             ));
         }
         if !(0.0..=1.0).contains(&self.update_prob) {
@@ -1082,6 +1120,47 @@ mod tests {
             ))
         );
 
+        // Past these sizes a run cannot allocate its state: each bound
+        // admits its own value and rejects the next one.
+        let mut c = SystemConfig::paper_baseline().with_db_size(4_096 * 9);
+        c.num_sites = 4_096;
+        c.validate().unwrap();
+        c.num_sites = 4_097;
+        c.db_size = 4_097 * 9;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Invalid(
+                "num_sites too large: at most 4096 sites"
+            ))
+        );
+        let mut c = SystemConfig::paper_baseline().with_db_size(1 << 28);
+        c.validate().unwrap();
+        c.db_size += 8;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Invalid(
+                "db_size too large: at most 2^28 pages"
+            ))
+        );
+        // 8 * 8 sites * dist_degree 4 * 65 536 pages = 2^24 accesses.
+        let mut c = SystemConfig::paper_baseline().with_db_size(8 * 100_000);
+        c.cohort_size = 43_691;
+        c.dist_degree = 4;
+        c.mpl = 8;
+        c.validate().unwrap();
+        c.mpl = 9;
+        let in_flight = Err(ConfigError::Invalid(
+            "too many accesses in flight: mpl * num_sites * dist_degree * \
+             1.5 * cohort_size may be at most 2^24",
+        ));
+        assert_eq!(c.validate(), in_flight);
+        // The product saturates instead of wrapping past u64.
+        c.mpl = u32::MAX;
+        c.num_sites = 4_096;
+        c.dist_degree = 4_096;
+        c.db_size = 4_096 * 65_536;
+        assert_eq!(c.validate(), in_flight);
+
         // 1.5 * cohort_size does not fit in u32: the bound must not wrap.
         let mut c = SystemConfig::paper_baseline();
         c.cohort_size = u32::MAX;
@@ -1287,11 +1366,11 @@ mod tests {
             .validate()
             .is_err());
 
-        // The alias table indexes a site's pages in 32 bits.
-        let mut big = c.clone().with_db_size(8 * u64::from(u32::MAX));
+        // The alias tables take about 39 bytes per page of a site.
+        let mut big = c.clone().with_db_size(8 << 24);
         big.validate().unwrap();
         big.db_size += 8;
-        assert!(big.validate().unwrap_err().to_string().contains("2^32 - 1"));
+        assert!(big.validate().unwrap_err().to_string().contains("2^24"));
         big.zipf = None;
         big.validate().unwrap();
 

@@ -43,7 +43,7 @@ use crate::metrics::{
     LatencySummary, Metrics, PhaseLatencies, ResourceReport, ResourceStats, SimReport, Utilizations,
 };
 use crate::workload::{SiteId, WorkloadGenerator};
-use commitproto::{ProtocolSpec, Routing, SpecTable};
+use commitproto::{Outcome, ProtocolSpec, Routing, SpecTable};
 use distlocks::{Grant, LockManager, OwnerId};
 use simkernel::stats::Tally;
 use simkernel::{Calendar, JobClass, SimDuration, SimRng, SimTime, Slab, Station};
@@ -1129,7 +1129,7 @@ impl Simulation<'_> {
 
     /// Cross-check a cleanly committed transaction's measured message
     /// and forced-write counts against the analytic model of Tables 3–4
-    /// (`ProtocolSpec::committed_overheads`). The counters are
+    /// (`ProtocolSpec::overheads`). The counters are
     /// per-incarnation, every send/force is issued before the
     /// transaction is forgotten, and the master/local-cohort messages
     /// are free in both model and engine — so for a commit with no
@@ -1141,55 +1141,42 @@ impl Simulation<'_> {
             // Recovery/termination traffic is outside the analytic model.
             return;
         }
-        let d = t.template.sites.len() as u32;
-        let predicted = if self.spec.is_replicated() {
-            // Votes/ACCEPTED between co-located cohorts and acceptors
-            // are free: count the remote cohorts that sit on one of the
-            // 2F non-home acceptor sites (acceptor 0 shares the home).
-            let f = self.rep_f();
-            let mut colocated = 0u32;
-            if matches!(self.table.routing, Routing::Quorum) && f > 0 {
-                for &site in &t.template.sites {
-                    if site != t.home && (1..=2 * f).any(|k| site == self.acceptor_site(t.home, k))
-                    {
-                        colocated += 1;
-                    }
-                }
-            }
-            self.spec.committed_overheads_replicated(d, f, colocated)
-        } else if self.cfg.read_only_optimization && self.table.voting {
-            // Which cohorts dropped out with a READ vote is a property
-            // of the template: a cohort is read-only iff it updates
-            // nothing.
-            let mut remote_read_only = 0u32;
-            let mut local_read_only = false;
-            for (i, &site) in t.template.sites.iter().enumerate() {
-                if t.template.accesses[i].iter().all(|a| !a.update) {
-                    if site == t.home {
-                        local_read_only = true;
-                    } else {
-                        remote_read_only += 1;
-                    }
-                }
-            }
-            self.spec
-                .committed_overheads_read_only(commitproto::ReadOnlyScenario {
-                    dist_degree: d,
-                    remote_read_only,
-                    local_read_only,
-                })
-        } else {
-            self.spec.committed_overheads(d)
+        // One pass over the cohorts. Under the Read-Only optimization a
+        // cohort that updates nothing votes READ and leaves after phase
+        // one; under Paxos Commit a remote cohort on one of the 2F
+        // non-home acceptor sites (acceptor 0 shares the home) sends
+        // that vote for free.
+        let f = self.rep_f();
+        let read_only = self.cfg.read_only_optimization && self.table.voting;
+        let quorum = matches!(self.table.routing, Routing::Quorum);
+        let mut o = Outcome {
+            f,
+            ..Outcome::commit(t.template.sites.len() as u32)
         };
+        for (i, &site) in t.template.sites.iter().enumerate() {
+            let local = site == t.home;
+            if read_only && t.template.accesses[i].iter().all(|a| !a.update) {
+                if local {
+                    o.local_out = true;
+                } else {
+                    o.remote_out += 1;
+                }
+            }
+            if quorum && !local && (1..=2 * f).any(|k| site == self.acceptor_site(t.home, k)) {
+                o.colocated += 1;
+            }
+        }
+        let predicted = self.spec.overheads(o);
         let message_delta = t.msg_exec.abs_diff(predicted.exec_messages)
             + t.msg_commit.abs_diff(predicted.commit_messages);
         let forced_write_delta = t.forced.abs_diff(predicted.forced_writes);
         debug_assert!(
             message_delta == 0 && forced_write_delta == 0,
-            "overhead model mismatch for txn {} ({}, d={d}): measured exec {} / commit {} / \
+            "overhead model mismatch for txn {} ({}, d={}): measured exec {} / commit {} / \
              forced {}, predicted exec {} / commit {} / forced {}",
             t.id,
             self.spec.name(),
+            o.dist_degree,
             t.msg_exec,
             t.msg_commit,
             t.forced,

@@ -39,5 +39,5 @@ pub mod workload;
 
 /// The protocol taxonomy, re-exported for convenience.
 pub mod protocol {
-    pub use commitproto::{AbortScenario, BaseProtocol, Overheads, ProtocolSpec};
+    pub use commitproto::{BaseProtocol, Outcome, Overheads, ProtocolSpec};
 }

@@ -582,50 +582,19 @@ impl LockManager {
         }
     }
 
-    /// Live blocker set for a waiting owner: conflicting (non-lendable)
-    /// holders plus conflicting queued requests ahead of it, sorted by
-    /// registration sequence. Used to build the global wait-for graph
-    /// at deadlock-check time, so it is always computed from live state
-    /// (no stale edges).
-    pub fn compute_blockers(&self, owner: OwnerId, page: PageId) -> Vec<OwnerId> {
-        let Some(entry) = self.page_ro(page) else {
-            return Vec::new();
-        };
-        let Some(pos) = entry.queue.iter().position(|w| w.owner == owner.0) else {
-            return Vec::new();
-        };
-        let mode = entry.queue[pos].mode;
-        let mut blockers: Vec<u32> = Vec::new();
-        for &(h, hmode) in &entry.holders {
-            if h == owner.0 {
-                continue; // own read lock during an upgrade wait
-            }
-            if hmode.compatible(mode) {
-                continue;
-            }
-            if self.opt_lending && self.prepared_slot(h) {
-                continue; // lendable: would not block once queue clears
-            }
-            blockers.push(h);
-        }
-        for w in entry.queue.iter().take(pos) {
-            if !w.mode.compatible(mode) || !mode.compatible(w.mode) {
-                blockers.push(w.owner);
-            }
-        }
+    /// Live blocker set of `owner`'s outstanding request, empty if it
+    /// has none: conflicting (non-lendable) holders plus conflicting
+    /// queued requests ahead of it, sorted by registration sequence.
+    /// Used to build the global wait-for graph at deadlock-check time,
+    /// so it is always computed from live state (no stale edges).
+    pub fn blockers_of(&self, owner: OwnerId) -> Vec<OwnerId> {
+        let mut blockers = Vec::new();
+        self.for_each_blocker(owner, |b| blockers.push(b));
         // Seqs are unique among live owners, so sorting by seq also
         // groups duplicate slots adjacently for dedup.
-        blockers.sort_unstable_by_key(|&s| self.seq_of(s));
+        blockers.sort_unstable_by_key(|b| self.seq_of(b.0));
         blockers.dedup();
-        blockers.into_iter().map(OwnerId).collect()
-    }
-
-    /// Blockers of `owner`'s outstanding request, if it has one.
-    pub fn blockers_of(&self, owner: OwnerId) -> Vec<OwnerId> {
-        match self.st(owner).waiting {
-            Some(page) => self.compute_blockers(owner, page),
-            None => Vec::new(),
-        }
+        blockers
     }
 
     /// Visit every blocker of `owner`'s outstanding request without
@@ -644,11 +613,12 @@ impl LockManager {
         };
         let mode = entry.queue[pos].mode;
         for &(h, hmode) in &entry.holders {
+            // Its own read lock during an upgrade wait does not block it.
             if h == owner.0 || hmode.compatible(mode) {
                 continue;
             }
             if self.opt_lending && self.prepared_slot(h) {
-                continue;
+                continue; // lendable: would not block once the queue clears
             }
             f(OwnerId(h));
         }

@@ -14,8 +14,8 @@
 //! scheme, message [`Routing`], which records are forced, who
 //! acknowledges what, the [`Takeover`] behaviour on coordinator crash
 //! — and that row is the *single source of truth*: the simulator's
-//! generic interpreter and the analytic overhead formulas
-//! ([`ProtocolSpec::committed_overheads`]) both read the same columns,
+//! generic interpreter and the analytic overhead model
+//! ([`ProtocolSpec::overheads`]) both read the same columns,
 //! so a disagreement between analysis and simulation is impossible by
 //! construction. The unit tests pin the derived numbers to the paper's
 //! Table 3 (DistDegree = 3) and Table 4 (DistDegree = 6), and the
@@ -24,7 +24,7 @@
 pub mod overheads;
 pub mod spec;
 
-pub use overheads::{AbortScenario, Overheads, ReadOnlyScenario};
+pub use overheads::{Outcome, Overheads};
 pub use spec::{
     BaseProtocol, ByOutcome, Presumption, ProtocolSpec, RecoveryAction, RecoveryRecord, Routing,
     SpecTable, Takeover,

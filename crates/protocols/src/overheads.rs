@@ -36,121 +36,132 @@ impl Overheads {
     }
 }
 
-/// An abort outcome for the analytic model: which cohorts voted NO.
-///
-/// The paper's §5.7 "surprise aborts" draw NO votes independently at
-/// each cohort; this struct describes one concrete outcome so the
-/// formulas stay exact (message counts depend on *where* the NO voters
-/// sit because local messages are free).
+/// One transaction outcome for the analytic model: how many cohorts
+/// take part, how the transaction ends, which of them leave after
+/// phase one and where the replica group sits. Message counts depend on
+/// *where* the departing cohorts sit, because local messages are free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AbortScenario {
+pub struct Outcome {
     /// Degree of distribution (number of cohorts, master site included).
     pub dist_degree: u32,
-    /// NO voters among the `dist_degree - 1` remote cohorts.
-    pub remote_no_voters: u32,
-    /// Did the master-site cohort vote NO?
-    pub local_no_voter: bool,
+    /// The global decision.
+    pub commit: bool,
+    /// Remote cohorts that leave after phase one: the READ voters of a
+    /// commit under the Read-Only optimization (§3.2), the NO voters of
+    /// an abort (§5.7). Neither kind forces a prepare record, hears the
+    /// decision or acknowledges it.
+    pub remote_out: u32,
+    /// Does the master-site cohort leave after phase one?
+    pub local_out: bool,
+    /// Replication degree F: a replica group of `2F+1` acceptors, or a
+    /// coordinator replicated at `2F` backup sites.
+    pub f: u32,
+    /// (remote cohort, acceptor site) co-location pairs: a remote cohort
+    /// on an acceptor site sends that one vote for free.
+    pub colocated: u32,
 }
 
-impl AbortScenario {
-    /// Total NO voters.
-    pub fn no_voters(&self) -> u32 {
-        self.remote_no_voters + u32::from(self.local_no_voter)
-    }
-
-    /// Cohorts that voted YES (and therefore reached the prepared state).
-    pub fn prepared(&self) -> u32 {
-        self.dist_degree - self.no_voters()
-    }
-
-    /// Remote cohorts that voted YES.
-    pub fn remote_prepared(&self) -> u32 {
-        (self.dist_degree - 1) - self.remote_no_voters
-    }
-}
-
-/// A committing transaction under the Read-Only optimization (§3.2):
-/// cohorts that updated nothing vote READ in phase one, release their
-/// locks, and drop out — no forced records, no decision message, no
-/// acknowledgement at those cohorts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadOnlyScenario {
-    /// Degree of distribution (number of cohorts, master site included).
-    pub dist_degree: u32,
-    /// Read-only cohorts among the `dist_degree - 1` remote cohorts.
-    pub remote_read_only: u32,
-    /// Is the master-site cohort read-only?
-    pub local_read_only: bool,
-}
-
-impl ReadOnlyScenario {
-    /// Cohorts that updated data and run the full protocol.
-    pub fn participants(&self) -> u32 {
-        self.dist_degree - self.remote_read_only - u32::from(self.local_read_only)
-    }
-
-    /// Remote cohorts that run the full protocol.
-    pub fn remote_participants(&self) -> u32 {
-        (self.dist_degree - 1) - self.remote_read_only
+impl Outcome {
+    /// The plain commit of a `dist_degree`-cohort transaction: every
+    /// cohort runs the whole protocol, and there is no replica group.
+    pub fn commit(dist_degree: u32) -> Self {
+        Outcome {
+            dist_degree,
+            commit: true,
+            remote_out: 0,
+            local_out: false,
+            f: 0,
+            colocated: 0,
+        }
     }
 }
 
 impl ProtocolSpec {
-    /// Overheads of one *committing* transaction at the given degree of
+    /// Overheads of one plain commit at the given degree of
     /// distribution. Reproduces Table 3 (`dist_degree = 3`) and Table 4
     /// (`dist_degree = 6`). OPT does not change the schedule, so the
     /// counts are those of the base protocol.
     pub fn committed_overheads(&self, dist_degree: u32) -> Overheads {
-        self.committed_overheads_replicated(dist_degree, 0, 0)
+        self.overheads(Outcome::commit(dist_degree))
     }
 
-    /// Overheads of one committing transaction when the commit runs
-    /// over a replica group of `2F+1` acceptors (or a coordinator
-    /// replicated at `2F` backup sites). `F = 0` degenerates to
-    /// [`ProtocolSpec::committed_overheads`] for every protocol, which
-    /// is the Gray & Lamport theorem this crate's tests pin: Paxos
-    /// Commit at `F = 0` *is* 2PC, count for count.
+    /// Overheads of one transaction outcome, from one walk of the
+    /// protocol's table row:
     ///
-    /// `colocated_acceptors` counts the (remote cohort, acceptor site)
-    /// co-location pairs of the concrete transaction: a remote cohort
-    /// that happens to sit on an acceptor site sends that one vote for
-    /// free, so exact cross-checking needs the placement.
-    pub fn committed_overheads_replicated(
-        &self,
-        dist_degree: u32,
-        f: u32,
-        colocated_acceptors: u32,
-    ) -> Overheads {
-        assert!(dist_degree >= 1, "a transaction has at least one cohort");
-        if f > 0 {
+    /// * A commit's departing cohorts vote READ and drop out (§3.2);
+    ///   with all cohorts read-only the commit is one phase: PREPARE
+    ///   out, READ votes back, nothing forced anywhere except PC's
+    ///   collecting record, written before the master learns the votes.
+    /// * An abort decided in the voting phase (the paper's "surprise
+    ///   abort", §5.7): the NO voters abort unilaterally, the YES voters
+    ///   reach the prepared state and are then told to abort. It never
+    ///   reaches 3PC's precommit round.
+    /// * `F > 0` runs the commit over a replica group. `F = 0` is the
+    ///   plain protocol for every spec, which is the Gray & Lamport
+    ///   theorem this crate's tests pin: Paxos Commit at `F = 0` *is*
+    ///   2PC, count for count.
+    ///
+    /// # Panics
+    ///
+    /// On an outcome the model does not cover: a baseline that does
+    /// anything but commit, a departing cohort under chained 2PC or the
+    /// replicated family (measure those with the simulator), an abort
+    /// without a NO voter, `F > 0` for a protocol without a replica
+    /// group, or more co-located pairs than vote legs.
+    pub fn overheads(&self, o: Outcome) -> Overheads {
+        let t = self.base.table();
+        assert!(o.dist_degree >= 1, "a transaction has at least one cohort");
+        assert!(
+            o.remote_out < o.dist_degree,
+            "more departing remote cohorts than remote cohorts"
+        );
+        // Cohorts that leave after phase one.
+        let out = u64::from(o.remote_out) + u64::from(o.local_out);
+        if out > 0 || !o.commit {
             assert!(
-                self.is_replicated(),
-                "{} has no replica group and ignores the replication factor",
+                t.voting,
+                "{} has no voting phase, so a departing cohort or an abort does not apply",
                 self.name()
             );
+            assert!(
+                !matches!(t.routing, Routing::Chain),
+                "chained 2PC has no departing cohorts: a read-only cohort would break the \
+                 chain, and abort costs depend on the NO voter's chain position; measure \
+                 them with the simulator instead"
+            );
+            assert!(
+                !self.is_replicated(),
+                "departing cohorts are not modelled for the replicated family: their costs \
+                 depend on acceptor placement; measure them with the simulator instead"
+            );
+            assert!(o.commit || out > 0, "an abort needs at least one NO voter");
         }
-        let t = self.base.table();
-        let d = dist_degree as u64;
+        assert!(
+            o.f == 0 || self.is_replicated(),
+            "{} has no replica group and ignores the replication factor",
+            self.name()
+        );
+        let d = u64::from(o.dist_degree);
         let r = d - 1; // remote cohorts
-        let f = f as u64;
-        let exec = if t.centralized { 0 } else { 2 * r };
+        let f = u64::from(o.f);
+        // Cohorts, and remote cohorts, that stay past phase one.
+        let stay = d - out;
+        let remote_stay = r - u64::from(o.remote_out);
+        let exec_messages = if t.centralized { 0 } else { 2 * r };
         if !t.voting {
             // Baselines: commit is one forced decision record.
             return Overheads {
-                exec_messages: exec,
+                exec_messages,
                 commit_messages: 0,
                 forced_writes: 1,
             };
         }
         let mut msgs = 0;
-        let mut forced = 0;
         // Collecting record (PC) before the first phase.
-        if t.init_record {
-            forced += 1;
-        }
+        let mut forced = u64::from(t.init_record);
         // Phase 1.
         match t.routing {
-            // PREPARE out, votes back.
+            // PREPARE out, votes (YES, NO or READ) back.
             Routing::Direct => msgs += 2 * r,
             // PREPARE rides the chain through the cohorts (r remote
             // hops; the master→local-cohort hop is free), carrying the
@@ -161,7 +172,7 @@ impl ProtocolSpec {
             // leader. The home cohort and the leader are co-located
             // with acceptor G(0), so those legs are free.
             Routing::Quorum => {
-                let colocated = colocated_acceptors as u64;
+                let colocated = u64::from(o.colocated);
                 assert!(
                     colocated <= r * (2 * f + 1),
                     "more co-located acceptor pairs than vote legs"
@@ -170,167 +181,44 @@ impl ProtocolSpec {
                 msgs += 2 * f; // home cohort's votes to the remote acceptors
                 msgs += r * (2 * f + 1) - colocated; // remote cohorts' votes
                 msgs += 2 * f; // ACCEPTED from the remote acceptors
+                forced += 2 * f + 1; // one vote-bundle record per acceptor
             }
         }
-        forced += d; // every cohort forces a prepare record
-        if matches!(t.routing, Routing::Quorum) {
-            forced += 2 * f + 1; // one vote-bundle record per acceptor
+        forced += stay; // every staying cohort forces a prepare record
+        if !o.commit && t.no_vote_abort_forced {
+            forced += out; // NO voters force their abort records
         }
-        // Precommit phase (3PC): PRECOMMIT out, ACK back, both master
-        // and cohorts force precommit records.
-        if t.precommit {
-            msgs += 2 * r;
-            forced += 1 + d;
-        }
-        // Decision phase.
-        if t.master_decision_forced.on(true) {
-            forced += 1;
-        }
-        // Replicated coordinator: the decision record is copied to the
-        // 2F backup sites (and force-written there), each copy acked,
-        // before the decision is announced.
-        if t.replicated_decision {
-            msgs += 4 * f;
-            forced += 2 * f;
-        }
-        msgs += r; // COMMIT out (for Chain: the backward pass)
-        if t.cohort_decision_forced.on(true) {
-            forced += d;
-        }
-        if t.cohort_ack.on(true) {
-            msgs += r;
-        }
-        Overheads {
-            exec_messages: exec,
-            commit_messages: msgs,
-            forced_writes: forced,
-        }
-    }
-
-    /// Overheads of one committing transaction under the Read-Only
-    /// optimization (§3.2). With no read-only cohorts this equals
-    /// [`ProtocolSpec::committed_overheads`]; with *all* cohorts
-    /// read-only the commit is one phase: PREPARE out, READ votes back,
-    /// nothing forced anywhere (except PC's collecting record, which is
-    /// written before the master learns the votes).
-    pub fn committed_overheads_read_only(&self, scenario: ReadOnlyScenario) -> Overheads {
-        let t = self.base.table();
-        assert!(
-            t.voting,
-            "{} has no voting phase; the read-only optimization does not apply",
-            self.name()
-        );
-        assert!(
-            !matches!(t.routing, Routing::Chain),
-            "the read-only optimization is not defined for chained 2PC (a read-only \
-             cohort would break the chain)"
-        );
-        assert!(
-            !self.is_replicated(),
-            "the read-only optimization is not modelled for the replicated family"
-        );
-        assert!(
-            scenario.remote_read_only < scenario.dist_degree,
-            "more read-only remotes than remote cohorts"
-        );
-        let d = scenario.dist_degree as u64;
-        let r = d - 1;
-        let p = scenario.participants() as u64;
-        let rp = scenario.remote_participants() as u64;
-
-        let mut msgs = 2 * r; // PREPARE to everyone, a vote from everyone
-        let mut forced = 0;
-        if t.init_record {
-            forced += 1;
-        }
-        forced += p; // only participants force prepare records
-        if p > 0 {
-            if t.precommit {
-                msgs += 2 * rp;
-                forced += 1 + p;
+        // A commit whose cohorts all voted READ ends here; an abort
+        // still reaches the master's decision.
+        if stay > 0 || !o.commit {
+            // Precommit phase (3PC): PRECOMMIT out, ACK back, both
+            // master and cohorts force precommit records.
+            if o.commit && t.precommit {
+                msgs += 2 * remote_stay;
+                forced += 1 + stay;
             }
-            if t.master_decision_forced.on(true) {
+            if t.master_decision_forced.on(o.commit) {
                 forced += 1;
             }
-            msgs += rp;
-            if t.cohort_decision_forced.on(true) {
-                forced += p;
+            // Replicated coordinator: the decision record is copied to
+            // the 2F backup sites (and force-written there), each copy
+            // acked, before the decision is announced.
+            if t.replicated_decision {
+                msgs += 4 * f;
+                forced += 2 * f;
             }
-            if t.cohort_ack.on(true) {
-                msgs += rp;
+            // The decision goes out to the staying cohorts only (for
+            // Chain: the backward pass).
+            msgs += remote_stay;
+            if t.cohort_decision_forced.on(o.commit) {
+                forced += stay;
+            }
+            if t.cohort_ack.on(o.commit) {
+                msgs += remote_stay;
             }
         }
         Overheads {
-            exec_messages: 2 * r,
-            commit_messages: msgs,
-            forced_writes: forced,
-        }
-    }
-
-    /// Overheads of one transaction *aborted in the voting phase* (the
-    /// paper's "surprise abort" case, §5.7): the scenario's NO voters
-    /// abort unilaterally, the YES voters reach the prepared state and
-    /// are then told to abort.
-    ///
-    /// Baselines never abort in commit processing (they have no voting
-    /// phase); asking for their abort overheads is a logic error.
-    pub fn aborted_overheads(&self, scenario: AbortScenario) -> Overheads {
-        let t = self.base.table();
-        assert!(
-            t.voting,
-            "{} has no voting phase and cannot abort during commit",
-            self.name()
-        );
-        assert!(
-            !matches!(t.routing, Routing::Chain),
-            "linear-2PC abort costs depend on the NO voter's chain position; \
-             measure them with the simulator instead"
-        );
-        assert!(
-            !self.is_replicated(),
-            "replicated-family abort costs depend on acceptor placement; \
-             measure them with the simulator instead"
-        );
-        assert!(
-            scenario.no_voters() >= 1,
-            "an abort needs at least one NO voter"
-        );
-        assert!(
-            scenario.no_voters() <= scenario.dist_degree,
-            "more NO voters than cohorts"
-        );
-        let d = scenario.dist_degree as u64;
-        let r = d - 1;
-        let no = scenario.no_voters() as u64;
-        let prepared = scenario.prepared() as u64;
-        let remote_prepared = scenario.remote_prepared() as u64;
-
-        let mut msgs = 0;
-        let mut forced = 0;
-        if t.init_record {
-            forced += 1;
-        }
-        // Phase 1 always completes: PREPARE out, votes (YES or NO) back.
-        msgs += 2 * r;
-        forced += prepared; // YES voters force prepare records
-        if t.no_vote_abort_forced {
-            forced += no; // NO voters force their abort records
-        }
-        // 3PC aborts in the voting phase never reach precommit: no extra cost.
-        if t.master_decision_forced.on(false) {
-            forced += 1;
-        }
-        // ABORT goes only to the prepared cohorts (NO voters aborted
-        // unilaterally, §2.1).
-        msgs += remote_prepared;
-        if t.cohort_decision_forced.on(false) {
-            forced += prepared;
-        }
-        if t.cohort_ack.on(false) {
-            msgs += remote_prepared;
-        }
-        Overheads {
-            exec_messages: 2 * r,
+            exec_messages,
             commit_messages: msgs,
             forced_writes: forced,
         }
@@ -421,19 +309,19 @@ mod tests {
 
     // ----- abort side (§5.7 and the protocol descriptions of §2) -----
 
-    fn abort_all_prepared_but_one_remote(d: u32) -> AbortScenario {
-        AbortScenario {
-            dist_degree: d,
-            remote_no_voters: 1,
-            local_no_voter: false,
+    fn abort_all_prepared_but_one_remote(d: u32) -> Outcome {
+        Outcome {
+            commit: false,
+            remote_out: 1,
+            ..Outcome::commit(d)
         }
     }
 
     #[test]
     fn pa_abort_is_cheaper_than_2pc_abort() {
         let sc = abort_all_prepared_but_one_remote(3);
-        let two_pc = ProtocolSpec::TWO_PC.aborted_overheads(sc);
-        let pa = ProtocolSpec::PA.aborted_overheads(sc);
+        let two_pc = ProtocolSpec::TWO_PC.overheads(sc);
+        let pa = ProtocolSpec::PA.overheads(sc);
         // 2PC, d=3, one remote NO voter: prepared = 2.
         // forced: 2 prepare + 1 NO-voter abort + 1 master + 2 cohort aborts = 6
         // commit msgs: prepare 2 + votes 2 + abort 1 + ack 1 = 6
@@ -450,26 +338,22 @@ mod tests {
     fn pc_abort_is_most_expensive() {
         // PC pays the collecting record *and* the full abort machinery.
         let sc = abort_all_prepared_but_one_remote(3);
-        let pc = ProtocolSpec::PC.aborted_overheads(sc);
-        let two_pc = ProtocolSpec::TWO_PC.aborted_overheads(sc);
+        let pc = ProtocolSpec::PC.overheads(sc);
+        let two_pc = ProtocolSpec::TWO_PC.overheads(sc);
         assert_eq!(pc.forced_writes, two_pc.forced_writes + 1);
         assert_eq!(pc.commit_messages, two_pc.commit_messages);
     }
 
     #[test]
     fn local_no_voter_saves_messages() {
-        let remote = AbortScenario {
-            dist_degree: 3,
-            remote_no_voters: 1,
-            local_no_voter: false,
+        let remote = abort_all_prepared_but_one_remote(3);
+        let local = Outcome {
+            commit: false,
+            local_out: true,
+            ..Outcome::commit(3)
         };
-        let local = AbortScenario {
-            dist_degree: 3,
-            remote_no_voters: 0,
-            local_no_voter: true,
-        };
-        let a = ProtocolSpec::TWO_PC.aborted_overheads(remote);
-        let b = ProtocolSpec::TWO_PC.aborted_overheads(local);
+        let a = ProtocolSpec::TWO_PC.overheads(remote);
+        let b = ProtocolSpec::TWO_PC.overheads(local);
         // Same forced writes, but the local NO voter's vote is free while
         // both remote prepared cohorts must be told to abort and ACK.
         assert_eq!(a.forced_writes, b.forced_writes);
@@ -478,12 +362,13 @@ mod tests {
 
     #[test]
     fn all_cohorts_vote_no() {
-        let sc = AbortScenario {
-            dist_degree: 3,
-            remote_no_voters: 2,
-            local_no_voter: true,
+        let sc = Outcome {
+            commit: false,
+            remote_out: 2,
+            local_out: true,
+            ..Outcome::commit(3)
         };
-        let o = ProtocolSpec::TWO_PC.aborted_overheads(sc);
+        let o = ProtocolSpec::TWO_PC.overheads(sc);
         // No prepared cohorts: no abort messages, no acks.
         // msgs = prepare 2 + votes 2; forced = 3 NO-voter aborts + 1 master.
         assert_eq!(o.commit_messages, 4);
@@ -495,8 +380,8 @@ mod tests {
         // An abort decided in the voting phase never pays precommit costs.
         let sc = abort_all_prepared_but_one_remote(6);
         assert_eq!(
-            ProtocolSpec::THREE_PC.aborted_overheads(sc),
-            ProtocolSpec::TWO_PC.aborted_overheads(sc)
+            ProtocolSpec::THREE_PC.overheads(sc),
+            ProtocolSpec::TWO_PC.overheads(sc)
         );
     }
 
@@ -511,8 +396,8 @@ mod tests {
         // and PA's rises more slowly.
         let commit = ProtocolSpec::TWO_PC.committed_overheads(3).forced_writes as f64;
         let sc = abort_all_prepared_but_one_remote(3);
-        let abort_2pc = ProtocolSpec::TWO_PC.aborted_overheads(sc).forced_writes as f64;
-        let abort_pa = ProtocolSpec::PA.aborted_overheads(sc).forced_writes as f64;
+        let abort_2pc = ProtocolSpec::TWO_PC.overheads(sc).forced_writes as f64;
+        let abort_pa = ProtocolSpec::PA.overheads(sc).forced_writes as f64;
         // With p = txn abort probability, mean attempts per commit is
         // 1/(1-p); extra (aborted) attempts cost the abort overheads.
         let p: f64 = 0.27;
@@ -554,20 +439,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "chain position")]
     fn linear_abort_analytics_unsupported() {
-        ProtocolSpec::LINEAR_2PC.aborted_overheads(AbortScenario {
-            dist_degree: 3,
-            remote_no_voters: 1,
-            local_no_voter: false,
-        });
+        ProtocolSpec::LINEAR_2PC.overheads(abort_all_prepared_but_one_remote(3));
     }
 
     #[test]
     #[should_panic(expected = "break the chain")]
     fn linear_read_only_unsupported() {
-        ProtocolSpec::LINEAR_2PC.committed_overheads_read_only(ReadOnlyScenario {
-            dist_degree: 3,
-            remote_read_only: 1,
-            local_read_only: false,
+        ProtocolSpec::LINEAR_2PC.overheads(Outcome {
+            remote_out: 1,
+            ..Outcome::commit(3)
         });
     }
 
@@ -597,13 +477,20 @@ mod tests {
         // cohort) + 2*3 (remote cohorts), ACCEPTED 2, COMMIT 2, ACK 2
         // = 16 messages; forced = 3 prepare + 3 bundles + 3 cohort
         // decisions = 9 (no master decision record).
-        let o = ProtocolSpec::PAXOS.committed_overheads_replicated(3, 1, 0);
+        let o = ProtocolSpec::PAXOS.overheads(Outcome {
+            f: 1,
+            ..Outcome::commit(3)
+        });
         assert_eq!(o.exec_messages, 4);
         assert_eq!(o.commit_messages, 16);
         assert_eq!(o.forced_writes, 9);
         // Each co-located (remote cohort, acceptor) pair saves one
         // vote message and nothing else.
-        let near = ProtocolSpec::PAXOS.committed_overheads_replicated(3, 1, 2);
+        let near = ProtocolSpec::PAXOS.overheads(Outcome {
+            f: 1,
+            colocated: 2,
+            ..Outcome::commit(3)
+        });
         assert_eq!(near.commit_messages, 14);
         assert_eq!(near.forced_writes, 9);
     }
@@ -612,7 +499,10 @@ mod tests {
     fn rep2pc_pays_4f_messages_and_2f_forced_over_2pc() {
         for d in [2u32, 3, 6] {
             for f in [1u32, 2] {
-                let rep = ProtocolSpec::REP_2PC.committed_overheads_replicated(d, f, 0);
+                let rep = ProtocolSpec::REP_2PC.overheads(Outcome {
+                    f,
+                    ..Outcome::commit(d)
+                });
                 let two = ProtocolSpec::TWO_PC.committed_overheads(d);
                 assert_eq!(rep.commit_messages, two.commit_messages + 4 * f as u64);
                 assert_eq!(rep.forced_writes, two.forced_writes + 2 * f as u64);
@@ -624,26 +514,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "ignores the replication factor")]
     fn classic_protocols_reject_nonzero_f() {
-        ProtocolSpec::TWO_PC.committed_overheads_replicated(3, 1, 0);
+        ProtocolSpec::TWO_PC.overheads(Outcome {
+            f: 1,
+            ..Outcome::commit(3)
+        });
     }
 
     #[test]
     #[should_panic(expected = "acceptor placement")]
     fn replicated_abort_analytics_unsupported() {
-        ProtocolSpec::PAXOS.aborted_overheads(AbortScenario {
-            dist_degree: 3,
-            remote_no_voters: 1,
-            local_no_voter: false,
-        });
+        ProtocolSpec::PAXOS.overheads(abort_all_prepared_but_one_remote(3));
     }
 
     #[test]
     #[should_panic(expected = "not modelled for the replicated family")]
     fn replicated_read_only_unsupported() {
-        ProtocolSpec::PAXOS.committed_overheads_read_only(ReadOnlyScenario {
-            dist_degree: 3,
-            remote_read_only: 1,
-            local_read_only: false,
+        ProtocolSpec::PAXOS.overheads(Outcome {
+            remote_out: 1,
+            ..Outcome::commit(3)
         });
     }
 
@@ -658,13 +546,8 @@ mod tests {
             ProtocolSpec::THREE_PC,
         ] {
             for d in [2, 3, 6] {
-                let sc = ReadOnlyScenario {
-                    dist_degree: d,
-                    remote_read_only: 0,
-                    local_read_only: false,
-                };
                 assert_eq!(
-                    spec.committed_overheads_read_only(sc),
+                    spec.overheads(Outcome::commit(d)),
                     spec.committed_overheads(d),
                     "{} d={d}",
                     spec.name()
@@ -675,32 +558,30 @@ mod tests {
 
     #[test]
     fn fully_read_only_transaction_is_one_phase() {
-        let sc = ReadOnlyScenario {
-            dist_degree: 3,
-            remote_read_only: 2,
-            local_read_only: true,
+        let sc = Outcome {
+            remote_out: 2,
+            local_out: true,
+            ..Outcome::commit(3)
         };
-        let o = ProtocolSpec::TWO_PC.committed_overheads_read_only(sc);
+        let o = ProtocolSpec::TWO_PC.overheads(sc);
         // PREPARE out (2), READ votes back (2), nothing forced.
         assert_eq!(o.commit_messages, 4);
         assert_eq!(o.forced_writes, 0);
         // PC still pays its collecting record (written before the votes).
-        let pc = ProtocolSpec::PC.committed_overheads_read_only(sc);
+        let pc = ProtocolSpec::PC.overheads(sc);
         assert_eq!(pc.forced_writes, 1);
         // 3PC skips the whole precommit round when nobody participates.
-        let tpc = ProtocolSpec::THREE_PC.committed_overheads_read_only(sc);
+        let tpc = ProtocolSpec::THREE_PC.overheads(sc);
         assert_eq!(tpc.commit_messages, 4);
         assert_eq!(tpc.forced_writes, 0);
     }
 
     #[test]
     fn partially_read_only_costs_in_between() {
-        let sc = ReadOnlyScenario {
-            dist_degree: 3,
-            remote_read_only: 1,
-            local_read_only: false,
-        };
-        let o = ProtocolSpec::TWO_PC.committed_overheads_read_only(sc);
+        let o = ProtocolSpec::TWO_PC.overheads(Outcome {
+            remote_out: 1,
+            ..Outcome::commit(3)
+        });
         // participants = 2 (local + 1 remote), remote participants = 1.
         // msgs: prepare 2 + votes 2 + decision 1 + ack 1 = 6
         // forced: 2 prepare + 1 master + 2 cohort commit = 5
@@ -712,43 +593,26 @@ mod tests {
     }
 
     #[test]
-    fn read_only_scenario_accessors() {
-        let sc = ReadOnlyScenario {
-            dist_degree: 6,
-            remote_read_only: 3,
-            local_read_only: true,
-        };
-        assert_eq!(sc.participants(), 2);
-        assert_eq!(sc.remote_participants(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "does not apply")]
     fn read_only_rejects_baselines() {
-        ProtocolSpec::CENT.committed_overheads_read_only(ReadOnlyScenario {
-            dist_degree: 3,
-            remote_read_only: 0,
-            local_read_only: false,
+        ProtocolSpec::CENT.overheads(Outcome {
+            remote_out: 1,
+            ..Outcome::commit(3)
         });
     }
 
     #[test]
     #[should_panic(expected = "no voting phase")]
     fn baseline_abort_overheads_panic() {
-        ProtocolSpec::CENT.aborted_overheads(AbortScenario {
-            dist_degree: 3,
-            remote_no_voters: 1,
-            local_no_voter: false,
-        });
+        ProtocolSpec::CENT.overheads(abort_all_prepared_but_one_remote(3));
     }
 
     #[test]
     #[should_panic(expected = "at least one NO voter")]
     fn abort_without_no_voter_panics() {
-        ProtocolSpec::TWO_PC.aborted_overheads(AbortScenario {
-            dist_degree: 3,
-            remote_no_voters: 0,
-            local_no_voter: false,
+        ProtocolSpec::TWO_PC.overheads(Outcome {
+            commit: false,
+            ..Outcome::commit(3)
         });
     }
 }
@@ -799,13 +663,14 @@ mod generative_tests {
                     if remote_no == 0 && !local_no {
                         continue;
                     }
-                    let sc = AbortScenario {
-                        dist_degree: d,
-                        remote_no_voters: remote_no,
-                        local_no_voter: local_no,
+                    let sc = Outcome {
+                        commit: false,
+                        remote_out: remote_no,
+                        local_out: local_no,
+                        ..Outcome::commit(d)
                     };
-                    let pa = ProtocolSpec::PA.aborted_overheads(sc);
-                    let two = ProtocolSpec::TWO_PC.aborted_overheads(sc);
+                    let pa = ProtocolSpec::PA.overheads(sc);
+                    let two = ProtocolSpec::TWO_PC.overheads(sc);
                     assert!(pa.forced_writes <= two.forced_writes);
                     assert!(pa.commit_messages <= two.commit_messages);
                 }

@@ -321,16 +321,6 @@ impl BaseProtocol {
         t.voting && matches!(t.takeover, Takeover::Block)
     }
 
-    /// Number of message phases in the commit protocol proper.
-    pub fn phases(self) -> u32 {
-        let t = self.table();
-        match (t.voting, t.precommit) {
-            (false, _) => 0,
-            (true, false) => 2,
-            (true, true) => 3,
-        }
-    }
-
     /// Short paper name of the base protocol.
     pub fn name(self) -> &'static str {
         match self {
@@ -756,10 +746,6 @@ mod tests {
             BaseProtocol::ThreePC.table().takeover,
             Takeover::CohortTermination
         );
-        assert_eq!(BaseProtocol::ThreePC.phases(), 3);
-        assert_eq!(BaseProtocol::TwoPC.phases(), 2);
-        assert_eq!(BaseProtocol::Centralized.phases(), 0);
-        assert_eq!(BaseProtocol::PaxosCommit.phases(), 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::Calendar;
-pub use resource::{JobClass, Station, StationKind};
+pub use resource::{JobClass, Station};
 pub use rng::{mix_seed, SimRng};
 pub use slab::{Slab, SlabKey};
 pub use time::{SimDuration, SimTime};

@@ -30,7 +30,7 @@ pub enum JobClass {
 
 /// Whether the station queues work or admits every job immediately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StationKind {
+enum StationKind {
     /// `units` servers, common FCFS-within-class queue.
     Finite,
     /// Infinite-server: every arrival starts service immediately.
@@ -122,11 +122,6 @@ impl<J> Station<J> {
             total_wait: 0,
             total_service: 0,
         }
-    }
-
-    /// The station's queueing discipline.
-    pub fn kind(&self) -> StationKind {
-        self.kind
     }
 
     /// Jobs currently in service.

@@ -1699,11 +1699,43 @@ mod tests {
         // A skew whose distinct-page draws would stall is rejected.
         let e = parse(&argv("run --zipf 8")).unwrap_err();
         assert!(e.0.contains("zipf theta too large"), "{e}");
-        // Zipf's alias table indexes a site's pages in 32 bits, and a
-        // cohort accesses at most 2^16 pages: typed errors, not a panic,
-        // a spin in validation or a multi-GB access list.
-        let e = parse(&argv("run --db-size 18446744073709551608 --zipf 0.9")).unwrap_err();
-        assert!(e.0.contains("2^32 - 1 pages per site"), "{e}");
+        // Sizes a run cannot allocate are typed errors, not a panic, a
+        // spin in validation or an allocation failure; each bound admits
+        // its own value.
+        for (args, why) in [
+            ("--db-size 18446744073709551608", "at most 2^28 pages"),
+            ("--db-size 4000000000", "at most 2^28 pages"),
+            ("--db-size 268435464", "at most 2^28 pages"),
+            ("--db-size 34359738360 --zipf 0.9", "at most 2^28 pages"),
+            ("--db-size 134217736 --zipf 0.9", "2^24 pages per site"),
+            ("--mpl 4000000000", "accesses in flight"),
+            (
+                "--mpl 9 --dist-degree 4 --db-size 800000 --cohort-size 43691",
+                "in flight",
+            ),
+            ("--sites 20000000 --db-size 180000000", "at most 4096 sites"),
+            (
+                "--sites 1000000 --db-size 9000000 --topology regions=2,wan-ms=10",
+                "4096 sites",
+            ),
+            ("--sites 4097 --db-size 36873", "at most 4096 sites"),
+            (
+                "--sites 4096 --dist-degree 4096 --cohort-size 40000 --db-size 268435456",
+                "accesses in flight",
+            ),
+        ] {
+            let e = parse(&argv(&format!("run {args} --measured 10"))).unwrap_err();
+            assert!(e.0.contains(why), "{args}: {e}");
+        }
+        for args in [
+            "--db-size 268435456",
+            "--db-size 134217728 --zipf 0.9",
+            "--mpl 8 --dist-degree 4 --db-size 800000 --cohort-size 43691",
+            "--sites 4096 --db-size 36864",
+        ] {
+            parse(&argv(&format!("run {args}"))).expect(args);
+        }
+        // A cohort accesses at most 2^16 pages.
         for args in [
             "--db-size 34359738360 --cohort-size 2000000000 --zipf 0.9",
             "--db-size 24000000000 --cohort-size 2000000000",

@@ -5,10 +5,14 @@
 //!
 //! The runs use a huge database at MPL 1 so no aborts occur; counts are
 //! ratios over the measurement window, so we allow a sub-2% tolerance
-//! for transactions straddling the window boundaries.
+//! for transactions straddling the window boundaries. The abort side is
+//! checked per incarnation from a trace.
 
+use distcommit::db::config::SystemConfig;
+use distcommit::db::engine::{MsgLabel, Observers, Simulation, Trace, TraceEvent};
 use distcommit::db::experiments::measured_overheads;
-use distcommit::proto::ProtocolSpec;
+use distcommit::proto::{Outcome, ProtocolSpec};
+use std::collections::BTreeMap;
 
 fn assert_close(measured: f64, expected: u64, what: &str) {
     let expected = expected as f64;
@@ -164,6 +168,101 @@ fn per_transaction_counters_match_model_exactly() {
                 oc.checked_commits,
                 oc.message_delta,
                 oc.forced_write_delta
+            );
+        }
+    }
+}
+
+/// Surprise aborts (§5.7) against the engine: in a conflict-free run
+/// whose cohorts vote NO with probability 0.3, every traced incarnation
+/// that the master decides to abort sends and forces exactly what
+/// `ProtocolSpec::overheads` predicts for its NO voters.
+#[test]
+fn aborted_incarnations_match_model_exactly() {
+    // The run stops at its last commit and cuts the incarnations still
+    // in flight short, so only a prefix that ends far earlier is traced.
+    const TRACED: u64 = 150;
+    #[derive(Default)]
+    struct Counts {
+        exec: u64,
+        commit: u64,
+        forced: u64,
+        remote_no: u32,
+        local_no: bool,
+        aborted: bool,
+    }
+    for spec in [
+        ProtocolSpec::TWO_PC,
+        ProtocolSpec::PA,
+        ProtocolSpec::PC,
+        ProtocolSpec::THREE_PC,
+    ] {
+        for d in [3, 6] {
+            let mut cfg = SystemConfig::paper_baseline();
+            cfg.dist_degree = d;
+            cfg.num_sites = 12;
+            cfg.db_size = 100_000 * 12; // conflicts vanish
+            cfg.mpl = 1;
+            cfg.cohort_abort_prob = 0.3;
+            cfg.run.warmup_transactions = 0;
+            cfg.run.measured_transactions = 150;
+            let mut trace = Trace::default();
+            let obs = Observers {
+                trace: Some((TRACED, &mut trace)),
+                series: None,
+            };
+            let r = Simulation::run_observed(&cfg, spec, 0xAB07, obs).expect("valid config");
+            assert!(
+                r.committed + r.total_aborts() >= 2 * TRACED,
+                "the run must outlast the traced prefix"
+            );
+            let mut txns: BTreeMap<u64, Counts> = BTreeMap::new();
+            for e in &trace.events {
+                let c = txns.entry(e.txn()).or_default();
+                match *e {
+                    TraceEvent::Send { label, local, .. } => {
+                        let no = label == MsgLabel::VoteNo;
+                        if local {
+                            c.local_no |= no;
+                        } else if matches!(label, MsgLabel::InitCohort | MsgLabel::WorkDone) {
+                            c.exec += 1;
+                        } else {
+                            c.commit += 1;
+                            c.remote_no += u32::from(no);
+                        }
+                    }
+                    TraceEvent::ForceLog { .. } => c.forced += 1,
+                    TraceEvent::Decided { commit: false, .. } => c.aborted = true,
+                    _ => {}
+                }
+            }
+            let mut checked = 0;
+            for (id, c) in txns.iter().filter(|(_, c)| c.aborted) {
+                let predicted = spec.overheads(Outcome {
+                    commit: false,
+                    remote_out: c.remote_no,
+                    local_out: c.local_no,
+                    ..Outcome::commit(d)
+                });
+                assert_eq!(
+                    (c.exec, c.commit, c.forced),
+                    (
+                        predicted.exec_messages,
+                        predicted.commit_messages,
+                        predicted.forced_writes
+                    ),
+                    "{} d={d} txn {id} ({} remote, local {} NO voters): measured vs \
+                     predicted (exec, commit, forced)",
+                    spec.name(),
+                    c.remote_no,
+                    c.local_no
+                );
+                checked += 1;
+            }
+            assert!(
+                checked >= 50,
+                "{} d={d}: only {checked} aborts",
+                spec.name()
             );
         }
     }

@@ -5,7 +5,7 @@
 use distcommit::db::config::SystemConfig;
 use distcommit::db::engine::{LogLabel, MsgLabel, Observers, Simulation, Trace};
 use distcommit::db::metrics::SimReport;
-use distcommit::proto::{ProtocolSpec, ReadOnlyScenario};
+use distcommit::proto::{Outcome, ProtocolSpec};
 
 /// Run with the first `txns` transactions traced into a buffer.
 fn trace_run(cfg: &SystemConfig, spec: ProtocolSpec, seed: u64, txns: u64) -> (SimReport, Trace) {
@@ -35,10 +35,10 @@ fn fully_read_only_transactions_commit_in_one_phase() {
     let r = Simulation::run(&cfg, ProtocolSpec::TWO_PC, 1).unwrap();
     assert_eq!(r.total_aborts(), 0);
     // Analytic model: PREPARE out + READ votes back, nothing forced.
-    let expect = ProtocolSpec::TWO_PC.committed_overheads_read_only(ReadOnlyScenario {
-        dist_degree: 3,
-        remote_read_only: 2,
-        local_read_only: true,
+    let expect = ProtocolSpec::TWO_PC.overheads(Outcome {
+        remote_out: 2,
+        local_out: true,
+        ..Outcome::commit(3)
     });
     assert!((r.commit_messages_per_commit - expect.commit_messages as f64).abs() < 0.1);
     assert!(
