@@ -4,16 +4,15 @@
 //! cascades).
 
 use super::types::{
-    Cohort, CohortH, CohortId, CohortPhase, DiskJob, Event, MsgKind, Restart, RestartH, Txn, TxnH,
-    TxnPhase,
+    Cohort, CohortH, CohortPhase, DiskJob, Event, MsgKind, Restart, RestartH, Txn, TxnH, TxnPhase,
 };
-use super::{Simulation, Site};
+use super::Simulation;
 use crate::config::TransType;
 use crate::metrics::AbortReason;
 use crate::workload::{SiteId, TxnTemplate};
 #[cfg(debug_assertions)]
 use distlocks::deadlock::find_cycle;
-use distlocks::{Grant, LockManager, LockMode, RequestOutcome};
+use distlocks::{Grant, LockManager, LockMode, OwnerId, RequestOutcome};
 use simkernel::Slab;
 
 impl Simulation<'_> {
@@ -110,6 +109,7 @@ impl Simulation<'_> {
                 preack_seen: false,
                 parting_reply: None,
             });
+            self.waits.reset(ch);
             let mirror = &mut self.sites[site].owner_cohorts;
             if owner.index() == mirror.len() {
                 mirror.push(ch);
@@ -192,16 +192,31 @@ impl Simulation<'_> {
                 }
                 self.data_disk_arrive(site, access.page, DiskJob::Read { cohort });
             }
-            RequestOutcome::AlreadyHeld => {
-                self.data_disk_arrive(site, access.page, DiskJob::Read { cohort });
-            }
-            RequestOutcome::Blocked => {
-                let c = self.cohorts.get_mut(cohort).expect("checked above");
-                c.waiting_lock = true;
-                self.txn_block(th);
-                self.deadlock_check(th);
-            }
+            // A cohort draws distinct pages and locks each once, in its
+            // final mode, so it never re-requests a page: no request is
+            // already held and no upgrade ever queues, which the
+            // wait-for index relies on (a queued upgrade would jump
+            // ahead of waiters and grow their blocker sets).
+            RequestOutcome::AlreadyHeld => unreachable!("a cohort re-requested a page"),
+            RequestOutcome::Blocked => self.cohort_blocked(cohort, site, owner, th),
         }
+    }
+
+    /// `cohort`'s request (as lock owner `owner` of `site`, for
+    /// transaction `th`) queued: record the wait, count the transaction
+    /// blocked, and run deadlock detection from it.
+    ///
+    /// Kept out of line: it runs only when a request blocks. Inlined
+    /// into [`Self::cohort_continue`] the deadlock check made that
+    /// per-access function 4.7 times larger and the deadlock-light
+    /// `faults-observed` benchmark about 6% slower (2-vCPU x86-64 VM).
+    #[inline(never)]
+    fn cohort_blocked(&mut self, cohort: CohortH, site: SiteId, owner: OwnerId, th: TxnH) {
+        self.record_wait(cohort, site, owner);
+        let c = self.cohorts.get_mut(cohort).expect("live cohort");
+        c.waiting_lock = true;
+        self.txn_block(th);
+        self.deadlock_check(th);
     }
 
     /// A page's `PageCPU` processing finished: advance the access cursor.
@@ -274,10 +289,10 @@ impl Simulation<'_> {
 
     /// Make a state change of `site`'s lock table, which appends the
     /// grants it releases to the engine's grant buffer, then apply
-    /// them: unblock each waiter and resume its access (the read it was
-    /// waiting to issue). The buffer is out while the grants run and
-    /// goes back emptied, so a change allocates nothing once the buffer
-    /// has grown.
+    /// them: unblock each waiter, end its wait in the wait-for index
+    /// and resume its access (the read it was waiting to issue). The
+    /// buffer is out while the grants run and goes back emptied, so a
+    /// change allocates nothing once the buffer has grown.
     pub(crate) fn change_locks(
         &mut self,
         site: SiteId,
@@ -296,6 +311,7 @@ impl Simulation<'_> {
             debug_assert!(c.waiting_lock, "grant to a non-waiting cohort");
             c.waiting_lock = false;
             let (th, cid) = (c.txn, c.id);
+            self.waits.end_wait(ch, &self.cohorts);
             self.txn_unblock(th);
             if g.lenders > 0 {
                 self.metrics.borrowed_pages.bump();
@@ -335,23 +351,37 @@ impl Simulation<'_> {
     // Deadlock detection (§4.2: immediate, global, youngest victim)
     // ------------------------------------------------------------------
 
+    /// Record the wait of `cohort`, whose request just queued at `site`
+    /// under lock owner `owner`: its blockers, once, as cohorts sorted
+    /// by id (the order `blockers_of` lists them), and the cohort among
+    /// each blocker's waiters. The lists are exact for as long as the
+    /// searches read them; DESIGN.md ("Deadlock handling") gives the
+    /// argument.
+    fn record_wait(&mut self, cohort: CohortH, site: SiteId, owner: OwnerId) {
+        let (site, cohorts, slots) = (&self.sites[site], &self.cohorts, &mut self.waits.slots);
+        let mut blockers = std::mem::take(&mut slots[cohort.slot()].blockers);
+        debug_assert!(blockers.is_empty(), "a cohort waits twice");
+        site.locks
+            .for_each_blocker(owner, |o| blockers.push(site.cohort_of(o)));
+        blockers.sort_unstable_by_key(|&b| cohorts[b].id);
+        blockers.dedup();
+        for &b in &blockers {
+            slots[b.slot()].waiters.push(cohort);
+        }
+        slots[cohort.slot()].blockers = blockers;
+    }
+
     /// Run cycle detection from `start` and abort youngest victims until
     /// no cycle through `start` remains.
     ///
-    /// Two searches, neither of which allocates once the scratch
-    /// buffers reach their high-water marks: [`Self::cycle_through`]
-    /// decides whether a cycle exists, and only when one does
-    /// [`Self::walk_cycle`] lists the cycle `find_cycle` would report,
-    /// whose youngest member is the victim. Debug builds check both
-    /// against `distlocks::deadlock::find_cycle` over
-    /// [`Self::wait_for_successors`].
-    ///
-    /// Kept out of line: it runs only when a request blocks. Inlined
-    /// into [`Self::cohort_continue`] it made that per-access function
-    /// 4.7 times larger and the deadlock-light `faults-observed`
-    /// benchmark about 6% slower (2-vCPU x86-64 VM).
-    #[inline(never)]
-    pub(crate) fn deadlock_check(&mut self, start: TxnH) {
+    /// Two searches over the wait-for index, neither of which allocates
+    /// once the scratch buffers reach their high-water marks:
+    /// [`Self::cycle_through`] decides whether a cycle exists, and only
+    /// when one does [`Self::walk_cycle`] lists the cycle `find_cycle`
+    /// would report, whose youngest member is the victim. Debug builds
+    /// check both against `distlocks::deadlock::find_cycle` over
+    /// [`Self::wait_for_successors`], which reads the lock tables.
+    fn deadlock_check(&mut self, start: TxnH) {
         loop {
             if !self.txns.contains(start) {
                 return; // start itself was the victim
@@ -395,7 +425,7 @@ impl Simulation<'_> {
         let g = WaitFor {
             txns: &self.txns,
             cohorts: &self.cohorts,
-            sites: &self.sites,
+            waits: &self.waits,
         };
         let dl = &mut self.dl;
         let stamp = dl.next_stamp();
@@ -446,7 +476,7 @@ impl Simulation<'_> {
         let g = WaitFor {
             txns: &self.txns,
             cohorts: &self.cohorts,
-            sites: &self.sites,
+            waits: &self.waits,
         };
         let dl = &mut self.dl;
         let stamp = dl.next_stamp();
@@ -460,7 +490,7 @@ impl Simulation<'_> {
                 dl.path.pop(); // every successor explored
                 continue;
             }
-            let (_, next) = dl.succ.pop().expect("segment is non-empty");
+            let next = dl.succ.pop().expect("segment is non-empty");
             if next == start {
                 return true;
             }
@@ -513,6 +543,81 @@ impl Simulation<'_> {
         out
     }
 
+    /// Check the wait-for index against the lock tables; returns a
+    /// description of the first violation found, if any. Debug runs
+    /// end with it.
+    ///
+    /// 1. A cohort that is not waiting has no recorded blockers, and a
+    ///    waiters list names only waiting cohorts.
+    /// 2. The waiters lists hold exactly the recorded edges whose
+    ///    blocker is still live.
+    /// 3. A waiting cohort's recorded blockers cover its live blocker
+    ///    set (`for_each_blocker`).
+    /// 4. A cohort of an executing transaction lists exactly the
+    ///    waiting cohorts whose live blocker sets name it.
+    pub(crate) fn audit_wait_index(&self) -> Result<(), String> {
+        // Wait-for edges as (blocker id, waiter id): recorded by the
+        // waiters, listed by the blockers (those of executing
+        // transactions apart too), and live in the lock tables.
+        let (mut recorded, mut listed, mut exact, mut live) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (ch, c) in self.cohorts.iter() {
+            let lists = &self.waits.slots[ch.slot()];
+            let executing = self.txns[c.txn].phase == TxnPhase::Executing;
+            for &w in &lists.waiters {
+                match self.cohorts.get(w) {
+                    Some(wc) if wc.waiting_lock => {
+                        listed.push((c.id, wc.id));
+                        if executing {
+                            exact.push((c.id, wc.id));
+                        }
+                    }
+                    _ => return Err(format!("cohort {} lists a waiter that waits no more", c.id)),
+                }
+            }
+            if !c.waiting_lock {
+                if !lists.blockers.is_empty() {
+                    return Err(format!(
+                        "cohort {} keeps blockers but waits for nothing",
+                        c.id
+                    ));
+                }
+                continue;
+            }
+            for &b in &lists.blockers {
+                if let Some(bc) = self.cohorts.get(b) {
+                    recorded.push((bc.id, c.id));
+                }
+            }
+            let site = &self.sites[c.site];
+            site.locks.for_each_blocker(c.lock_owner, |o| {
+                live.push((self.cohorts[site.cohort_of(o)].id, c.id));
+            });
+        }
+        for edges in [&mut recorded, &mut listed, &mut live] {
+            edges.sort_unstable();
+        }
+        live.dedup();
+        if let Some(i) =
+            (0..recorded.len().max(listed.len())).find(|&i| recorded.get(i) != listed.get(i))
+        {
+            return Err(format!(
+                "recorded edge {:?} differs from listed edge {:?} (blocker, waiter)",
+                recorded.get(i),
+                listed.get(i)
+            ));
+        }
+        if let Some((b, w)) = live.iter().find(|e| recorded.binary_search(e).is_err()) {
+            return Err(format!("cohort {w} waits on {b} unrecorded"));
+        }
+        if let Some((b, w)) = exact.iter().find(|e| live.binary_search(e).is_err()) {
+            return Err(format!(
+                "executing cohort {b} lists {w}, which no longer waits on it"
+            ));
+        }
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Execution-phase aborts
     // ------------------------------------------------------------------
@@ -548,6 +653,9 @@ impl Simulation<'_> {
             let Some(c) = self.cohorts.remove(ch) else {
                 continue;
             };
+            if c.waiting_lock {
+                self.waits.end_wait(ch, &self.cohorts);
+            }
             let owner = c.lock_owner;
             self.change_locks(c.site, |locks, grants| {
                 assert!(
@@ -693,9 +801,8 @@ pub(crate) struct DeadlockScratch {
     /// The pre-filter's forward and backward work stacks.
     fstack: Vec<TxnH>,
     bstack: Vec<TxnH>,
-    /// The walk's successor lists, one segment per path level, each
-    /// entry keyed by the blocking cohort's id.
-    succ: Vec<(CohortId, TxnH)>,
+    /// The walk's successor lists, one segment per path level.
+    succ: Vec<TxnH>,
     /// The walk's path: each transaction with the start of its segment
     /// in `succ`.
     path: Vec<(TxnH, usize)>,
@@ -731,85 +838,136 @@ fn marked(seen: &[u32], t: TxnH, stamp: u32) -> bool {
     seen.get(t.slot()) == Some(&stamp)
 }
 
-/// The transaction-level wait-for graph, read from the live lock
-/// tables: `t` waits for `u` when a waiting cohort of `t` is blocked by
-/// a cohort of `u`. Edges between cohorts of one transaction are
+/// The wait-for graph between cohorts, recorded when a request blocks
+/// and kept until the wait ends (a grant, or the waiter's transaction
+/// aborting): the lists both deadlock searches read instead of the lock
+/// tables. One entry per cohort slab slot; a new cohort in a slot
+/// starts with the slot's lists emptied, buffers kept, so the closed
+/// MPL loop allocates nothing here once every slot has held its
+/// longest lists.
+#[derive(Debug, Default)]
+pub(crate) struct WaitIndex {
+    slots: Vec<WaitLists>,
+}
+
+/// One cohort slot's wait lists.
+#[derive(Debug, Default)]
+struct WaitLists {
+    /// While the cohort waits: what its request waited on when it
+    /// blocked, ascending by cohort id. An entry that has since
+    /// finished misses on slab lookup; one still live but past PREPARE
+    /// no longer blocks, and its transaction waits on nothing.
+    blockers: Vec<CohortH>,
+    /// The waiting cohorts that recorded this cohort among their
+    /// blockers, in no particular order.
+    waiters: Vec<CohortH>,
+}
+
+impl WaitIndex {
+    /// A new cohort took `ch`'s slot: it waits on nothing and nothing
+    /// waits on it yet.
+    fn reset(&mut self, ch: CohortH) {
+        let slot = ch.slot();
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, WaitLists::default);
+        }
+        let lists = &mut self.slots[slot];
+        lists.blockers.clear();
+        lists.waiters.clear();
+    }
+
+    /// `cohort`'s wait ended: take it off the waiters lists of its
+    /// recorded blockers. A blocker that has finished misses the
+    /// generational lookup, and its slot's lists are emptied when the
+    /// next cohort takes it.
+    fn end_wait(&mut self, cohort: CohortH, cohorts: &Slab<CohortH, Cohort>) {
+        let mut blockers = std::mem::take(&mut self.slots[cohort.slot()].blockers);
+        for &b in &blockers {
+            if cohorts.contains(b) {
+                let waiters = &mut self.slots[b.slot()].waiters;
+                let i = waiters
+                    .iter()
+                    .position(|&w| w == cohort)
+                    .expect("a recorded blocker lists its waiter");
+                waiters.swap_remove(i);
+            }
+        }
+        blockers.clear();
+        self.slots[cohort.slot()].blockers = blockers;
+    }
+}
+
+/// The transaction-level wait-for graph, read from the wait-for index:
+/// `t` waits for `u` when a waiting cohort of `t` recorded a cohort of
+/// `u` among its blockers. Edges between cohorts of one transaction are
 /// excluded.
 #[derive(Clone, Copy)]
 struct WaitFor<'a> {
     txns: &'a Slab<TxnH, Txn>,
     cohorts: &'a Slab<CohortH, Cohort>,
-    sites: &'a [Site],
+    waits: &'a WaitIndex,
 }
 
 impl<'a> WaitFor<'a> {
-    /// `t`'s live cohorts, in the transaction's cohort order (none once
-    /// `t` is gone).
-    fn cohorts_of(self, t: TxnH) -> impl Iterator<Item = &'a Cohort> {
+    /// `t`'s live cohorts and their handles, in the transaction's
+    /// cohort order (none once `t` is gone).
+    fn cohorts_of(self, t: TxnH) -> impl Iterator<Item = (CohortH, &'a Cohort)> {
         let cohorts = self.cohorts;
         self.txns
             .get(t)
             .into_iter()
             .flat_map(|txn| &txn.cohorts)
-            .filter_map(move |&ch| cohorts.get(ch))
+            .filter_map(move |&ch| cohorts.get(ch).map(|c| (ch, c)))
+    }
+
+    /// The transactions of the blockers `ch` recorded that are still
+    /// live, in recorded order and possibly repeated.
+    fn blocker_txns(self, ch: CohortH) -> impl Iterator<Item = TxnH> + 'a {
+        let cohorts = self.cohorts;
+        self.waits.slots[ch.slot()]
+            .blockers
+            .iter()
+            .filter_map(move |&b| cohorts.get(b).map(|c| c.txn))
     }
 
     /// Visit every transaction `t` waits for, in no particular order
-    /// and possibly more than once.
+    /// and possibly more than once, together with the stale recorded
+    /// blockers' transactions past PREPARE, which wait on nothing.
     fn for_each_successor(self, t: TxnH, mut f: impl FnMut(TxnH)) {
-        for c in self.cohorts_of(t).filter(|c| c.waiting_lock) {
-            let site = &self.sites[c.site];
-            site.locks.for_each_blocker(c.lock_owner, |o| {
-                let bt = self.cohorts[site.cohort_of(o)].txn;
-                if bt != t {
-                    f(bt);
-                }
-            });
+        for (ch, _) in self.cohorts_of(t).filter(|(_, c)| c.waiting_lock) {
+            self.blocker_txns(ch).filter(|&bt| bt != t).for_each(&mut f);
         }
     }
 
     /// Visit every transaction that waits for `t`, in no particular
     /// order and possibly more than once: the converse of
-    /// [`Self::for_each_successor`]. A parted cohort's lock-table
-    /// registration is already retired, and nothing waits on it.
+    /// [`Self::for_each_successor`]. While `t` is executing, the only
+    /// case the backward search expands, these are exactly the
+    /// transactions whose live blocker sets name a cohort of `t`.
     fn for_each_predecessor(self, t: TxnH, mut f: impl FnMut(TxnH)) {
-        for c in self
-            .cohorts_of(t)
-            .filter(|c| c.phase != CohortPhase::Parted)
-        {
-            let site = &self.sites[c.site];
-            site.locks.for_each_waiter(c.lock_owner, |o| {
-                let wt = self.cohorts[site.cohort_of(o)].txn;
+        for (ch, _) in self.cohorts_of(t) {
+            for &w in &self.waits.slots[ch.slot()].waiters {
+                let wt = self.cohorts[w].txn;
                 if wt != t {
                     f(wt);
                 }
-            });
+            }
         }
     }
 
     /// Append `t`'s successors to `succ` in the order
     /// `Simulation::wait_for_successors` lists them: cohort by cohort,
-    /// each cohort's blockers ascending by cohort id (the lock table's
-    /// `blockers_of` order), every transaction at its first occurrence.
-    fn push_successors(self, t: TxnH, succ: &mut Vec<(CohortId, TxnH)>) {
+    /// each cohort's blockers ascending by cohort id (sorted when
+    /// recorded), every transaction at its first occurrence. The stale
+    /// blockers it adds are dead ends, so the walk finds the same cycle.
+    fn push_successors(self, t: TxnH, succ: &mut Vec<TxnH>) {
         let first = succ.len();
-        for c in self.cohorts_of(t).filter(|c| c.waiting_lock) {
-            let site = &self.sites[c.site];
-            let group = succ.len();
-            site.locks.for_each_blocker(c.lock_owner, |o| {
-                let b = &self.cohorts[site.cohort_of(o)];
-                succ.push((b.id, b.txn));
-            });
-            succ[group..].sort_unstable_by_key(|&(id, _)| id);
-            let mut kept = group;
-            for i in group..succ.len() {
-                let bt = succ[i].1;
-                if bt != t && !succ[first..kept].iter().any(|&(_, u)| u == bt) {
-                    succ[kept] = succ[i];
-                    kept += 1;
+        for (ch, _) in self.cohorts_of(t).filter(|(_, c)| c.waiting_lock) {
+            for bt in self.blocker_txns(ch) {
+                if bt != t && !succ[first..].contains(&bt) {
+                    succ.push(bt);
                 }
             }
-            succ.truncate(kept);
         }
     }
 }

@@ -161,6 +161,9 @@ pub struct Simulation<'a> {
     /// path, so a degenerate all-zero matrix is byte-identical to no
     /// topology at all.
     wire_latency: Option<Vec<SimDuration>>,
+    /// The wait-for graph as lists recorded when a request blocks, by
+    /// cohort slab slot: what both deadlock searches read.
+    waits: exec::WaitIndex,
     /// Deadlock-detection scratch: the search's stamp arrays and
     /// stacks, the cycle walk's successor buffer and path.
     dl: exec::DeadlockScratch,
@@ -354,12 +357,16 @@ impl Simulation<'_> {
             sim.series = Some(Box::new(rec));
         }
         sim.execute();
-        // Every debug run, test and golden ends by auditing its tables.
+        // Every debug run, test and golden ends by auditing its tables
+        // and the wait-for index the deadlock searches read.
         if cfg!(debug_assertions) {
             for (si, site) in sim.sites.iter().enumerate() {
                 if let Err(e) = site.locks.audit() {
                     panic!("lock table at site {si} fails its audit: {e}");
                 }
+            }
+            if let Err(e) = sim.audit_wait_index() {
+                panic!("wait-for index fails its audit: {e}");
             }
         }
         if let Some(sink) = sim.sink.as_mut() {
@@ -456,6 +463,7 @@ impl Simulation<'_> {
             // Keyed by *effective* sites: CENT's merged site pool has
             // no inter-site links, so its matrix is empty/diagonal.
             wire_latency: cfg.topology.map(|t| t.latency_matrix(num_sites, seed)),
+            waits: exec::WaitIndex::default(),
             dl: exec::DeadlockScratch::default(),
             grants: Vec::new(),
             settled: Vec::new(),

@@ -446,6 +446,46 @@ fn opt_lending_under_master_crashes_leaks_no_locks() {
 }
 
 #[test]
+fn wait_index_matches_the_lock_tables_after_every_event() {
+    // Both deadlock searches read the wait-for index, which is recorded
+    // when a request blocks, not the lock tables. Step a short 64-site
+    // WAN + Zipf OPT run with cohort crashes and message loss, and
+    // audit the index against the tables after every event: through
+    // crash aborts, deadlock victims and lending the recorded blockers
+    // cover the live ones, and the waiters lists of executing
+    // transactions are exact.
+    use crate::config::Zipf;
+    let mut cfg = SystemConfig::paper_baseline();
+    cfg.num_sites = 64;
+    cfg.db_size = 64_000;
+    cfg.zipf = Some(Zipf { theta: 0.9 });
+    cfg.topology = Some(
+        "regions=4,lan-ms=1,wan-ms=40,jitter=0.1"
+            .parse()
+            .expect("valid topology"),
+    );
+    // A short cohort recovery puts the crashed cohorts' aborts early.
+    let faults = "cc=0.02,loss=0.01,cohort-recover-ms=100";
+    cfg.failures = Some(faults.parse().expect("valid faults"));
+    cfg.run.warmup_transactions = 0;
+    cfg.run.measured_transactions = 20;
+    let mut sim = Simulation::new(&cfg, ProtocolSpec::OPT_2PC, 42).expect("valid config");
+    let mut events = 0u64;
+    while !sim.done {
+        let (_, event) = sim.cal.next().expect("a closed system never drains");
+        sim.dispatch(event);
+        events += 1;
+        if let Err(e) = sim.audit_wait_index() {
+            panic!("wait-for index after event {events}: {e}");
+        }
+    }
+    let report = sim.report();
+    assert!(report.aborted_crash > 0, "no crash aborts exercised");
+    assert!(report.aborted_deadlock > 0, "no deadlock victims exercised");
+    assert!(report.borrow_ratio > 0.0, "no lending exercised");
+}
+
+#[test]
 fn recycled_buffers_are_conserved_and_bounded_by_the_closed_loop() {
     // The spare pools must neither leak (a retired template or list
     // dropped and later made again) nor grow with run length. Step the

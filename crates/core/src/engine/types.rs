@@ -51,6 +51,14 @@ impl SlabKey for CohortH {
     }
 }
 
+impl CohortH {
+    /// Dense slab slot — the index of the cohort's wait lists in the
+    /// wait-for index.
+    pub(crate) fn slot(self) -> usize {
+        self.0.index() as usize
+    }
+}
+
 /// Dense slab handle of a parked restart in `Simulation::restarts`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RestartH(Handle);
@@ -492,7 +500,8 @@ pub(crate) struct Cohort {
     pub phase: CohortPhase,
     /// This cohort's registered owner handle in `site`'s lock table.
     pub lock_owner: OwnerId,
-    /// Blocked on a lock right now (subset of `Executing`).
+    /// Blocked on a lock right now (subset of `Executing`); its
+    /// blockers are recorded in the wait-for index meanwhile.
     pub waiting_lock: bool,
     /// When it went on the shelf (for shelf-time statistics).
     pub shelf_since: Option<SimTime>,

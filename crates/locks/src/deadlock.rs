@@ -5,23 +5,25 @@
 //! conflict occurs and a cycle is formed. The youngest transaction in
 //! the cycle is restarted to resolve the deadlock."
 //!
-//! Detection runs over the *live* wait-for relation: whenever a lock
-//! request blocks, the cycle search starts at the blocked transaction
-//! and expands edges on demand by querying every site's lock table
-//! ([`crate::LockManager::blockers_of`]) and mapping lock owners
-//! (cohorts) to their transactions. Because edges are derived from
-//! current state rather than cached, there are no stale edges and
-//! therefore no phantom deadlocks. Choosing the victim is the caller's
-//! job: the simulator restarts the cycle member born last, ties broken
-//! by transaction id.
+//! The reference detection runs over the *live* wait-for relation:
+//! whenever a lock request blocks, the cycle search starts at the
+//! blocked transaction and expands edges on demand by querying every
+//! site's lock table ([`crate::LockManager::blockers_of`]) and mapping
+//! lock owners (cohorts) to their transactions. Because edges are
+//! derived from current state rather than cached, there are no stale
+//! edges and therefore no phantom deadlocks. Choosing the victim is
+//! the caller's job: the simulator restarts the cycle member born
+//! last, ties broken by transaction id.
 //!
 //! [`find_cycle`] is the reference search. The simulator's release
-//! builds do not call it: they decide whether a cycle exists with an
-//! allocation-free search from both ends of the graph
-//! ([`crate::LockManager::for_each_blocker`] forward,
-//! [`crate::LockManager::for_each_waiter`] backward) and then list the
-//! cycle with a walk that reproduces `find_cycle` step for step. Debug
-//! builds check both the verdict and the cycle against `find_cycle`,
+//! builds do not call it: they record each blocked request's blockers
+//! ([`crate::LockManager::for_each_blocker`]) once, when it blocks,
+//! decide whether a cycle exists with an allocation-free search from
+//! both ends of those records, and then list the cycle with a walk
+//! that reproduces `find_cycle` step for step. A recorded edge that
+//! has gone stale is a dead end for both, so they find what
+//! `find_cycle` finds. Debug builds check both the verdict and the
+//! cycle against `find_cycle` over [`crate::LockManager::blockers_of`],
 //! and perfbench's lock probe times it.
 
 use std::collections::HashMap;

@@ -18,13 +18,14 @@
 //!
 //! Deadlock handling follows §4.2: detection is *immediate* (checked at
 //! every lock conflict) and *global* (the wait-for graph spans sites).
-//! Each table exposes its edges in both directions —
-//! [`LockManager::for_each_blocker`] and its exact converse
-//! [`LockManager::for_each_waiter`] — so the engine can stitch the
-//! per-site edges into one transaction-level graph and search it from
-//! both ends. [`deadlock::find_cycle`] runs the reference detection
-//! over a caller-supplied edge expansion; the engine checks its own
-//! search against it in debug builds.
+//! Each table names the owners a waiting request waits on —
+//! [`LockManager::blockers_of`], or allocation-free
+//! [`LockManager::for_each_blocker`] — so the engine can stitch the
+//! per-site edges into one transaction-level graph: it records them
+//! when a request blocks and searches its records from both ends.
+//! [`deadlock::find_cycle`] runs the reference detection over a
+//! caller-supplied edge expansion; the engine checks its own search
+//! against it in debug builds.
 
 pub mod deadlock;
 pub mod table;

@@ -599,8 +599,9 @@ impl LockManager {
 
     /// Visit every blocker of `owner`'s outstanding request without
     /// allocating. Unlike [`Self::blockers_of`] the visit order is
-    /// unspecified and an owner may be visited twice — suitable only
-    /// for order-independent uses such as reachability pre-filters.
+    /// unspecified and an owner may be visited twice — suitable for
+    /// callers that sort and dedup what they collect, as the engine's
+    /// wait recording does.
     pub fn for_each_blocker(&self, owner: OwnerId, mut f: impl FnMut(OwnerId)) {
         let Some(page) = self.st(owner).waiting else {
             return;
@@ -623,51 +624,6 @@ impl LockManager {
             f(OwnerId(h));
         }
         for w in entry.queue.iter().take(pos) {
-            if !w.mode.compatible(mode) || !mode.compatible(w.mode) {
-                f(OwnerId(w.owner));
-            }
-        }
-    }
-
-    /// Visit every owner whose outstanding request `owner` blocks: the
-    /// exact converse of [`Self::for_each_blocker`], which visits
-    /// `owner` from `w` exactly when this visits `w` from `owner`.
-    /// Two kinds of waiter qualify:
-    ///
-    /// * requests queued on a page `owner` holds whose mode conflicts
-    ///   with the held mode — `owner`'s own queued upgrade excepted, and
-    ///   none at all while `owner` is a lendable prepared holder;
-    /// * conflicting requests queued behind `owner`'s own waiting
-    ///   request (how an upgrade at the front of a queue gains
-    ///   in-edges).
-    ///
-    /// Allocation-free; as with `for_each_blocker` the visit order is
-    /// unspecified and an owner may be visited twice.
-    pub fn for_each_waiter(&self, owner: OwnerId, mut f: impl FnMut(OwnerId)) {
-        let st = self.st(owner);
-        if !(self.opt_lending && st.prepared) {
-            for &(page, hmode) in &st.held {
-                let Some(entry) = self.page_ro(page) else {
-                    continue;
-                };
-                for w in &entry.queue {
-                    if w.owner != owner.0 && !hmode.compatible(w.mode) {
-                        f(OwnerId(w.owner));
-                    }
-                }
-            }
-        }
-        let Some(page) = st.waiting else {
-            return;
-        };
-        let Some(entry) = self.page_ro(page) else {
-            return;
-        };
-        let Some(pos) = entry.queue.iter().position(|w| w.owner == owner.0) else {
-            return;
-        };
-        let mode = entry.queue[pos].mode;
-        for w in entry.queue.iter().skip(pos + 1) {
             if !w.mode.compatible(mode) || !mode.compatible(w.mode) {
                 f(OwnerId(w.owner));
             }
@@ -1388,13 +1344,13 @@ mod tests {
         assert_eq!(lm.blockers_of(o[3]), vec![o[2]]);
     }
 
+    /// The owners whose outstanding request `owner` blocks: the
+    /// converse of `blockers_of`, ascending by registration sequence.
     fn waiters_of(lm: &LockManager, owner: OwnerId) -> Vec<OwnerId> {
-        let mut out = Vec::new();
-        lm.for_each_waiter(owner, |w| {
-            if !out.contains(&w) {
-                out.push(w);
-            }
-        });
+        let mut out: Vec<OwnerId> = (0..lm.owners.len() as u32)
+            .map(OwnerId)
+            .filter(|&w| lm.owners[w.index()].live && lm.blockers_of(w).contains(&owner))
+            .collect();
         out.sort_unstable_by_key(|&w| lm.owner_seq(w));
         out
     }
@@ -2034,21 +1990,6 @@ mod generative_tests {
                 }
                 if let Err(e) = lm.audit() {
                     panic!("audit failed (lending={lending}): {e}");
-                }
-                // `for_each_waiter` is the exact converse of
-                // `for_each_blocker`.
-                for &owner in &o {
-                    for &w in &o {
-                        let mut blocks = false;
-                        lm.for_each_blocker(w, |b| blocks |= b == owner);
-                        let mut waits = false;
-                        lm.for_each_waiter(owner, |x| waits |= x == w);
-                        assert_eq!(
-                            waits, blocks,
-                            "lending={lending}: seq {} waits on seq {}",
-                            w.0, owner.0
-                        );
-                    }
                 }
             }
         }

@@ -538,25 +538,6 @@ mod tests {
     // ----- read-only optimization (§3.2) -----
 
     #[test]
-    fn read_only_none_equals_plain_commit() {
-        for spec in [
-            ProtocolSpec::TWO_PC,
-            ProtocolSpec::PA,
-            ProtocolSpec::PC,
-            ProtocolSpec::THREE_PC,
-        ] {
-            for d in [2, 3, 6] {
-                assert_eq!(
-                    spec.overheads(Outcome::commit(d)),
-                    spec.committed_overheads(d),
-                    "{} d={d}",
-                    spec.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fully_read_only_transaction_is_one_phase() {
         let sc = Outcome {
             remote_out: 2,

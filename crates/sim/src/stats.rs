@@ -522,7 +522,9 @@ impl DurationHistogram {
 /// for flushing the final open interval before querying.
 #[derive(Debug, Clone)]
 pub struct OccupancyHistogram {
-    /// weight\[major\]\[minor\] in µs of time spent at that level.
+    /// weight\[major\]\[minor\] in µs of time spent at that level,
+    /// grown only to the deepest major row recorded: queue depths
+    /// rarely leave the first row, and an absent row weighs zero.
     weights: Vec<[u64; 16]>,
     total_micros: u64,
     /// Σ level·µs, for the exact time-weighted mean.
@@ -539,7 +541,7 @@ impl OccupancyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
         OccupancyHistogram {
-            weights: vec![[0; 16]; LOG_LINEAR_MAJORS],
+            weights: Vec::new(),
             total_micros: 0,
             weighted_sum: 0,
         }
@@ -552,6 +554,9 @@ impl OccupancyHistogram {
             return;
         }
         let (major, minor) = log_linear_bucket(depth);
+        if major >= self.weights.len() {
+            self.weights.resize(major + 1, [0; 16]);
+        }
         self.weights[major][minor] += micros;
         self.total_micros += micros;
         self.weighted_sum += depth as u128 * micros as u128;
@@ -611,6 +616,9 @@ impl OccupancyHistogram {
     /// are plain time integrals, so merging equals having observed both
     /// intervals back to back.
     pub fn merge(&mut self, other: &OccupancyHistogram) {
+        if other.weights.len() > self.weights.len() {
+            self.weights.resize(other.weights.len(), [0; 16]);
+        }
         for (mine, theirs) in self.weights.iter_mut().zip(other.weights.iter()) {
             for (m, t) in mine.iter_mut().zip(theirs.iter()) {
                 *m += t;
@@ -978,6 +986,38 @@ mod tests {
         assert_eq!(a.mean(), whole.mean());
         for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(a.quantile(q), whole.quantile(q), "q={q}");
+        }
+    }
+
+    #[test]
+    fn occupancy_rows_grow_only_to_the_deepest_level() {
+        let mut shallow = OccupancyHistogram::new();
+        assert!(shallow.weights.is_empty());
+        shallow.record_span(3, SimDuration(10));
+        shallow.record_span(15, SimDuration(5));
+        assert_eq!(shallow.weights.len(), 1, "depths below 16 fill one row");
+        let mut deep = OccupancyHistogram::new();
+        deep.record_span(1000, SimDuration(7));
+        deep.record_span(40, SimDuration(3));
+        assert!(deep.weights.len() > 1);
+        // Merging unequal lengths, either way round, equals merging the
+        // same histograms padded to full width.
+        let full = |h: &OccupancyHistogram| {
+            let mut f = h.clone();
+            f.weights.resize(LOG_LINEAR_MAJORS, [0; 16]);
+            f
+        };
+        let mut padded = full(&shallow);
+        padded.merge(&full(&deep));
+        for (mut merged, other) in [(shallow.clone(), &deep), (deep.clone(), &shallow)] {
+            merged.merge(other);
+            assert_eq!(merged.weights.len(), deep.weights.len());
+            assert_eq!(full(&merged).weights, padded.weights);
+            assert_eq!(merged.total_time(), padded.total_time());
+            assert_eq!(merged.mean(), padded.mean());
+            for q in [0.0, 0.1, 0.5, 0.66, 0.9, 0.99, 1.0] {
+                assert_eq!(merged.quantile(q), padded.quantile(q), "q={q}");
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 
 use distcommit::db::config::SystemConfig;
 use distcommit::db::engine::{LogLabel, MsgLabel, Observers, Simulation, Trace};
-use distcommit::db::metrics::SimReport;
+use distcommit::db::metrics::{ReportFormat, SimReport};
 use distcommit::proto::{Outcome, ProtocolSpec};
 
 /// Run with the first `txns` transactions traced into a buffer.
@@ -94,6 +94,35 @@ fn mixed_workload_lands_between_the_extremes() {
     assert!(mixed.forced_writes_per_commit < full.forced_writes_per_commit);
     assert!(mixed.forced_writes_per_commit > none.forced_writes_per_commit);
     assert!(mixed.commit_messages_per_commit < full.commit_messages_per_commit);
+}
+
+#[test]
+fn with_every_access_an_update_the_optimization_changes_no_report_byte() {
+    // At update probability 1.0 no cohort is read-only, so the
+    // optimization never fires: each run, its overhead check included,
+    // must be the plain run's byte for byte. Contention and surprise NO
+    // votes put deadlock victims and aborted incarnations in the runs.
+    let mut plain = SystemConfig::paper_baseline();
+    plain.update_prob = 1.0;
+    plain.mpl = 4;
+    plain.cohort_abort_prob = 0.05;
+    plain.run.warmup_transactions = 50;
+    plain.run.measured_transactions = 400;
+    let mut read_only = plain.clone();
+    read_only.read_only_optimization = true;
+    for spec in [
+        ProtocolSpec::TWO_PC,
+        ProtocolSpec::PA,
+        ProtocolSpec::PC,
+        ProtocolSpec::THREE_PC,
+    ] {
+        let json = |cfg: &SystemConfig| {
+            let r = Simulation::run(cfg, spec, 11).expect("valid config");
+            assert!(r.total_aborts() > 0, "{}: no aborts exercised", spec.name());
+            r.render(ReportFormat::Json)
+        };
+        assert_eq!(json(&read_only), json(&plain), "{}", spec.name());
+    }
 }
 
 #[test]
