@@ -192,12 +192,6 @@ impl Simulation<'_> {
                 }
                 self.data_disk_arrive(site, access.page, DiskJob::Read { cohort });
             }
-            // A cohort draws distinct pages and locks each once, in its
-            // final mode, so it never re-requests a page: no request is
-            // already held and no upgrade ever queues, which the
-            // wait-for index relies on (a queued upgrade would jump
-            // ahead of waiters and grow their blocker sets).
-            RequestOutcome::AlreadyHeld => unreachable!("a cohort re-requested a page"),
             RequestOutcome::Blocked => self.cohort_blocked(cohort, site, owner, th),
         }
     }
@@ -352,11 +346,11 @@ impl Simulation<'_> {
     // ------------------------------------------------------------------
 
     /// Record the wait of `cohort`, whose request just queued at `site`
-    /// under lock owner `owner`: its blockers, once, as cohorts sorted
-    /// by id (the order `blockers_of` lists them), and the cohort among
-    /// each blocker's waiters. The lists are exact for as long as the
-    /// searches read them; DESIGN.md ("Deadlock handling") gives the
-    /// argument.
+    /// under lock owner `owner`: its blockers (`for_each_blocker` names
+    /// each once) as cohorts sorted by id (the order `blockers_of`
+    /// lists them), and the cohort among each blocker's waiters. The
+    /// lists are exact for as long as the searches read them; DESIGN.md
+    /// ("Deadlock handling") gives the argument.
     fn record_wait(&mut self, cohort: CohortH, site: SiteId, owner: OwnerId) {
         let (site, cohorts, slots) = (&self.sites[site], &self.cohorts, &mut self.waits.slots);
         let mut blockers = std::mem::take(&mut slots[cohort.slot()].blockers);
@@ -364,7 +358,6 @@ impl Simulation<'_> {
         site.locks
             .for_each_blocker(owner, |o| blockers.push(site.cohort_of(o)));
         blockers.sort_unstable_by_key(|&b| cohorts[b].id);
-        blockers.dedup();
         for &b in &blockers {
             slots[b.slot()].waiters.push(cohort);
         }
@@ -597,7 +590,6 @@ impl Simulation<'_> {
         for edges in [&mut recorded, &mut listed, &mut live] {
             edges.sort_unstable();
         }
-        live.dedup();
         if let Some(i) =
             (0..recorded.len().max(listed.len())).find(|&i| recorded.get(i) != listed.get(i))
         {

@@ -16,6 +16,13 @@
 //! bounded at length one because a borrower is never allowed to reach
 //! the prepared state while it has live borrows.
 //!
+//! An owner requests each page once, in its final mode: the paper's
+//! cohorts "set read locks on pages that they read and update locks on
+//! pages that need to be updated" (§4.2), and the workload draws
+//! distinct pages per cohort. The table debug-asserts this contract,
+//! so it has no upgrades and no owner both holds a page and waits for
+//! it.
+//!
 //! Deadlock handling follows §4.2: detection is *immediate* (checked at
 //! every lock conflict) and *global* (the wait-for graph spans sites).
 //! Each table names the owners a waiting request waits on —

@@ -12,10 +12,12 @@
 //!   bypasses a non-empty queue, and on release the queue head is
 //!   granted greedily (consecutive compatible requests are granted
 //!   together so concurrent readers batch).
-//! * **Upgrades**: a holder of a read lock may request an update lock;
-//!   upgrades are checked against the *holders only* (they do not go to
-//!   the back of the queue, the standard treatment that avoids trivial
-//!   self-deadlock through one's own read lock).
+//! * **One request per page**: an owner requests each page once, in
+//!   its final mode. The paper's cohorts lock a page to read it or to
+//!   update it (§4.2), and the workload draws distinct pages per
+//!   cohort. [`LockManager::request`] debug-asserts it, so no owner
+//!   both holds a page and waits for it, there are no upgrades, and a
+//!   waiting request's blockers are other owners, each named once.
 //! * **Lending (OPT)**: when `opt_lending` is on, a conflicting holder
 //!   that is in the *prepared* state does not block the requester; the
 //!   grant is recorded as a borrow edge lender → borrower. Lending
@@ -97,7 +99,7 @@ impl OwnerId {
 }
 
 /// Lock mode under strict 2PL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
     /// Shared access.
     Read,
@@ -119,8 +121,6 @@ pub enum RequestOutcome {
     /// Lock granted, borrowing through the conflicting locks of
     /// `lenders` prepared holders (0 for a plain grant).
     Granted { lenders: u32 },
-    /// The owner already holds the page in this or a stronger mode.
-    AlreadyHeld,
     /// The request queued. Query [`LockManager::blockers_of`] (or walk
     /// [`LockManager::for_each_blocker`]) for the owners the requester
     /// now waits on; the outcome itself carries no blocker list so the
@@ -135,8 +135,6 @@ pub struct Grant {
     pub owner: OwnerId,
     /// The granted page.
     pub page: PageId,
-    /// The granted mode.
-    pub mode: LockMode,
     /// How many prepared lenders the grant borrowed through (0 for a
     /// plain grant).
     pub lenders: u32,
@@ -149,9 +147,6 @@ const IDLE: u32 = u32::MAX;
 struct WaitReq {
     owner: u32,
     mode: LockMode,
-    /// True when the owner already holds the page in `Read` mode and is
-    /// waiting to upgrade.
-    upgrade: bool,
 }
 
 /// The holders and FCFS queue of a page in use. A record in the free
@@ -178,7 +173,7 @@ struct OwnerState {
     /// Caller-assigned sequence number (the engine's cohort id). Unique
     /// among live owners; the determinism key for every sorted output.
     seq: u64,
-    /// `(page, strongest mode held)`, kept sorted by page ascending.
+    /// `(page, mode held)`, kept sorted by page ascending.
     held: Vec<(PageId, LockMode)>,
     /// The single outstanding waiting request, if any.
     waiting: Option<PageId>,
@@ -204,11 +199,6 @@ pub struct LockManager {
     owners: Vec<OwnerState>,
     /// Vacant slots, reused most recently vacated first.
     free_owners: Vec<u32>,
-    /// Count of owners with `waiting.is_some()`.
-    waiting_owners: usize,
-    registered: usize,
-    /// Total page-grants that involved borrowing (metric).
-    borrow_grants: u64,
 }
 
 impl LockManager {
@@ -232,9 +222,6 @@ impl LockManager {
             free_records: Vec::new(),
             owners: Vec::new(),
             free_owners: Vec::new(),
-            waiting_owners: 0,
-            registered: 0,
-            borrow_grants: 0,
         }
     }
 
@@ -247,7 +234,6 @@ impl LockManager {
     /// globally unique cohort id). Returns its dense handle. A recycled
     /// slot's record is reused with its lists' buffers.
     pub fn register_owner(&mut self, seq: u64) -> OwnerId {
-        self.registered += 1;
         match self.free_owners.pop() {
             Some(slot) => {
                 let st = &mut self.owners[slot as usize];
@@ -288,7 +274,6 @@ impl LockManager {
         );
         st.live = false;
         self.free_owners.push(owner.0);
-        self.registered -= 1;
     }
 
     /// The sequence number `owner` was registered with, or `None` if
@@ -299,7 +284,7 @@ impl LockManager {
 
     /// Number of currently registered owners.
     pub fn registered_count(&self) -> usize {
-        self.registered
+        self.owners.len() - self.free_owners.len()
     }
 
     /// The record of the live owner in `slot`, if one occupies it.
@@ -405,16 +390,6 @@ impl LockManager {
     // Queries
     // ------------------------------------------------------------------
 
-    /// Whether the OPT lending rule is active.
-    pub fn opt_lending(&self) -> bool {
-        self.opt_lending
-    }
-
-    /// Total page-grants that went through at least one borrow edge.
-    pub fn borrow_grants(&self) -> u64 {
-        self.borrow_grants
-    }
-
     /// Pages currently locked by `owner` (any mode).
     #[cfg(test)]
     pub fn pages_held(&self, owner: OwnerId) -> usize {
@@ -422,6 +397,7 @@ impl LockManager {
     }
 
     /// Mode `owner` holds on `page`, if any.
+    #[cfg(test)]
     pub fn mode_held(&self, owner: OwnerId, page: PageId) -> Option<LockMode> {
         let held = &self.st(owner).held;
         held.binary_search_by_key(&page, |&(p, _)| p)
@@ -462,7 +438,8 @@ impl LockManager {
     // Requests
     // ------------------------------------------------------------------
 
-    /// `owner` requests `page` in `mode`.
+    /// `owner` requests `page` in `mode`: its one request for the page
+    /// (see the module docs), made while it waits for nothing else.
     pub fn request(&mut self, owner: OwnerId, page: PageId, mode: LockMode) -> RequestOutcome {
         {
             let st = self.st(owner);
@@ -472,79 +449,49 @@ impl LockManager {
                 st.seq
             );
         }
-        match self.mode_held(owner, page) {
-            Some(m) if m >= mode => RequestOutcome::AlreadyHeld,
-            Some(_) => self.request_upgrade(owner, page),
-            None => self.request_fresh(owner, page, mode),
-        }
-    }
-
-    fn request_fresh(&mut self, owner: OwnerId, page: PageId, mode: LockMode) -> RequestOutcome {
         let r = self.take_record(page);
         let rec = &self.records[r];
-        debug_assert!(rec.holders.iter().all(|&(h, _)| h != owner.0));
+        debug_assert!(
+            rec.holders.iter().all(|&(h, _)| h != owner.0),
+            "owner seq {} re-requested page {page}",
+            self.seq_of(owner.0)
+        );
         // Fairness: never bypass a non-empty queue.
         if rec.queue.is_empty() {
-            if let Some(lenders) = self.lenders_for(rec, owner.0, mode) {
+            if let Some(lenders) = self.lenders_for(rec, mode) {
+                self.note_borrows(r, owner.0, mode, lenders);
                 self.records[r].holders.push((owner.0, mode));
                 self.held_insert(owner, page, mode);
-                self.note_borrows(r, owner.0, mode, lenders);
                 return RequestOutcome::Granted { lenders };
             }
         }
         self.records[r].queue.push_back(WaitReq {
             owner: owner.0,
             mode,
-            upgrade: false,
         });
         self.st_mut(owner).waiting = Some(page);
-        self.waiting_owners += 1;
         RequestOutcome::Blocked
     }
 
-    fn request_upgrade(&mut self, owner: OwnerId, page: PageId) -> RequestOutcome {
-        let r = self.record_of(page);
-        // Any other holder conflicts with an upgrade to Update.
-        if let Some(lenders) = self.lenders_for(&self.records[r], owner.0, LockMode::Update) {
-            for h in self.records[r].holders.iter_mut() {
-                if h.0 == owner.0 {
-                    h.1 = LockMode::Update;
-                }
-            }
-            self.held_insert(owner, page, LockMode::Update);
-            self.note_borrows(r, owner.0, LockMode::Update, lenders);
-            return RequestOutcome::Granted { lenders };
-        }
-        // Upgrades wait at the *front* of the queue (they hold a read
-        // lock already; anything granted ahead of them could only
-        // deadlock against that read lock).
-        self.records[r].queue.push_front(WaitReq {
-            owner: owner.0,
-            mode: LockMode::Update,
-            upgrade: true,
-        });
-        self.st_mut(owner).waiting = Some(page);
-        self.waiting_owners += 1;
-        RequestOutcome::Blocked
-    }
-
+    /// Add `page` to `owner`'s sorted held list. The binary search
+    /// finding the page means it was granted twice, which the
+    /// one-request-per-page contract rules out.
     fn held_insert(&mut self, owner: OwnerId, page: PageId, mode: LockMode) {
-        let held = &mut self.st_mut(owner).held;
-        match held.binary_search_by_key(&page, |&(p, _)| p) {
-            Ok(i) => held[i].1 = mode,
-            Err(i) => held.insert(i, (page, mode)),
+        let st = self.st_mut(owner);
+        match st.held.binary_search_by_key(&page, |&(p, _)| p) {
+            Ok(_) => panic!("owner seq {} granted page {page} twice", st.seq),
+            Err(i) => st.held.insert(i, (page, mode)),
         }
     }
 
-    /// How many prepared lenders a grant of `mode` to `owner` on the
-    /// page of `rec` would borrow through, or `None` while a
-    /// conflicting holder cannot lend. The owner's own read lock, under
-    /// an upgrade, is no conflict.
+    /// How many prepared lenders a grant of `mode` on the page of `rec`
+    /// would borrow through, or `None` while a conflicting holder
+    /// cannot lend.
     #[inline]
-    fn lenders_for(&self, rec: &PageLock, owner: u32, mode: LockMode) -> Option<u32> {
+    fn lenders_for(&self, rec: &PageLock, mode: LockMode) -> Option<u32> {
         let mut lenders = 0;
         for &(h, hmode) in &rec.holders {
-            if h == owner || hmode.compatible(mode) {
+            if hmode.compatible(mode) {
                 continue;
             }
             if self.opt_lending && self.prepared_slot(h) {
@@ -556,18 +503,17 @@ impl LockManager {
         Some(lenders)
     }
 
-    /// Record a borrow edge to `borrower`, just granted `mode` on the
+    /// Record a borrow edge to `borrower`, being granted `mode` on the
     /// page of record `r`, from each of the `lenders` conflicting
     /// holders that [`Self::lenders_for`] counted there, in holder
-    /// order.
+    /// order. Called before the borrower joins the holders.
     fn note_borrows(&mut self, r: usize, borrower: u32, mode: LockMode, lenders: u32) {
         if lenders == 0 {
             return;
         }
-        self.borrow_grants += 1;
         let owners = &mut self.owners;
         for &(l, lmode) in &self.records[r].holders {
-            if l == borrower || lmode.compatible(mode) {
+            if lmode.compatible(mode) {
                 continue;
             }
             debug_assert!(owners[l as usize].prepared);
@@ -590,18 +536,14 @@ impl LockManager {
     pub fn blockers_of(&self, owner: OwnerId) -> Vec<OwnerId> {
         let mut blockers = Vec::new();
         self.for_each_blocker(owner, |b| blockers.push(b));
-        // Seqs are unique among live owners, so sorting by seq also
-        // groups duplicate slots adjacently for dedup.
         blockers.sort_unstable_by_key(|b| self.seq_of(b.0));
-        blockers.dedup();
         blockers
     }
 
-    /// Visit every blocker of `owner`'s outstanding request without
-    /// allocating. Unlike [`Self::blockers_of`] the visit order is
-    /// unspecified and an owner may be visited twice — suitable for
-    /// callers that sort and dedup what they collect, as the engine's
-    /// wait recording does.
+    /// Visit every blocker of `owner`'s outstanding request once,
+    /// without allocating. Unlike [`Self::blockers_of`] the visit order
+    /// is unspecified. Each owner is a holder of the page or queued on
+    /// it, never both and never twice, so no blocker repeats.
     pub fn for_each_blocker(&self, owner: OwnerId, mut f: impl FnMut(OwnerId)) {
         let Some(page) = self.st(owner).waiting else {
             return;
@@ -614,8 +556,7 @@ impl LockManager {
         };
         let mode = entry.queue[pos].mode;
         for &(h, hmode) in &entry.holders {
-            // Its own read lock during an upgrade wait does not block it.
-            if h == owner.0 || hmode.compatible(mode) {
+            if hmode.compatible(mode) {
                 continue;
             }
             if self.opt_lending && self.prepared_slot(h) {
@@ -647,10 +588,9 @@ impl LockManager {
         if !self.opt_lending {
             return;
         }
-        // Index walk, no page snapshot: draining a held page can only
-        // re-grant *this* owner an upgrade it already queued there,
-        // which rewrites the held entry's mode in place — the list's
-        // length and order never change under the cursor.
+        // Index walk, no page snapshot: draining a held page grants only
+        // owners queued there, never this one, so the list does not
+        // change under the cursor.
         let mut i = 0;
         while let Some(&(p, _)) = self.st(owner).held.get(i) {
             self.drain_queue(self.record_of(p), p, grants);
@@ -664,10 +604,9 @@ impl LockManager {
     /// `grants`, in ascending page order.
     pub fn release_read_locks_into(&mut self, owner: OwnerId, grants: &mut Vec<Grant>) {
         // Walk the held list by index instead of snapshotting the read
-        // pages: this path runs once per cohort prepare. Releasing the
-        // read lock under the owner's own queued upgrade re-grants it as
-        // `Update` at the same (sorted) position, which the cursor then
-        // skips — exactly the snapshot semantics, without the Vec.
+        // pages: this path runs once per cohort prepare. Releasing a
+        // page grants only owners queued there, never this one, so the
+        // list changes only by the removal here.
         let mut i = 0;
         while let Some(&(p, m)) = self.st(owner).held.get(i) {
             if m != LockMode::Read {
@@ -689,7 +628,6 @@ impl LockManager {
     /// first.
     pub fn release_all_into(&mut self, owner: OwnerId, grants: &mut Vec<Grant>) {
         if let Some(page) = self.st_mut(owner).waiting.take() {
-            self.waiting_owners -= 1;
             let pi = self.page_slot(page);
             let r = self.index[pi] as usize;
             self.records[r].queue.retain(|w| w.owner != owner.0);
@@ -782,35 +720,20 @@ impl LockManager {
     /// is `r`.
     fn drain_queue(&mut self, r: usize, page: PageId, grants: &mut Vec<Grant>) {
         while let Some(&head) = self.records[r].queue.front() {
-            let Some(lenders) = self.lenders_for(&self.records[r], head.owner, head.mode) else {
+            let Some(lenders) = self.lenders_for(&self.records[r], head.mode) else {
                 return;
             };
-            let rec = &mut self.records[r];
-            rec.queue.pop_front();
-            // An upgrade promotes the read lock in place; if the owner
-            // released its read locks while the upgrade was queued
-            // (legal for a caller, even if the engine never does it),
-            // the upgrade degenerates into a fresh grant.
-            match rec.holders.iter().position(|&(h, _)| h == head.owner) {
-                Some(i) => {
-                    debug_assert!(head.upgrade, "a fresh request's owner already holds");
-                    rec.holders[i].1 = LockMode::Update;
-                }
-                None => rec.holders.push((head.owner, head.mode)),
-            }
+            self.records[r].queue.pop_front();
+            self.note_borrows(r, head.owner, head.mode, lenders);
+            self.records[r].holders.push((head.owner, head.mode));
             let oid = OwnerId(head.owner);
             self.held_insert(oid, page, head.mode);
-            {
-                let st = self.st_mut(oid);
-                debug_assert_eq!(st.waiting, Some(page));
-                st.waiting = None;
-            }
-            self.waiting_owners -= 1;
-            self.note_borrows(r, head.owner, head.mode, lenders);
+            let st = self.st_mut(oid);
+            debug_assert_eq!(st.waiting, Some(page));
+            st.waiting = None;
             grants.push(Grant {
                 owner: oid,
                 page,
-                mode: head.mode,
                 lenders,
             });
         }
@@ -827,8 +750,10 @@ impl LockManager {
     ///    prepared and lending is enabled.
     /// 2. A non-empty queue's head must not be grantable (no missed
     ///    grants).
-    /// 3. Waiting state matches the queues exactly, including the
-    ///    waiting-owner counter.
+    /// 3. Waiting state matches the queues exactly: each queued
+    ///    request's owner waits for that page and holds no lock on it,
+    ///    and the queues hold one request per waiting owner (so none is
+    ///    queued twice).
     /// 4. Each owner's `held` list is sorted and matches the holder
     ///    entries exactly.
     /// 5. Borrow edges are symmetric and reference prepared lenders only.
@@ -843,6 +768,7 @@ impl LockManager {
     pub fn audit(&self) -> Result<(), String> {
         // The page slot naming each record, if one does.
         let mut named_by: Vec<Option<usize>> = vec![None; self.records.len()];
+        let mut queued = 0usize;
         for (pi, &r) in self.index.iter().enumerate() {
             if r == IDLE {
                 continue;
@@ -894,12 +820,10 @@ impl LockManager {
                 }
             }
             if let Some(head) = entry.queue.front() {
-                let blocked = entry.holders.iter().any(|&(h, hm)| {
-                    h != head.owner
-                        && !hm.compatible(head.mode)
-                        && !(self.opt_lending && self.prepared_slot(h))
+                let grantable = entry.holders.iter().all(|&(h, hm)| {
+                    hm.compatible(head.mode) || (self.opt_lending && self.prepared_slot(h))
                 });
-                if !blocked {
+                if grantable {
                     return Err(format!(
                         "page slot {pi}: queue head seq {} is grantable but still waiting",
                         self.seq_of(head.owner)
@@ -916,7 +840,14 @@ impl LockManager {
                         w.owner
                     ));
                 }
+                if entry.holders.iter().any(|&(h, _)| h == w.owner) {
+                    return Err(format!(
+                        "page slot {pi}: queued owner seq {} also holds the page",
+                        self.seq_of(w.owner)
+                    ));
+                }
             }
+            queued += entry.queue.len();
         }
         let mut free = vec![false; self.records.len()];
         for &f in &self.free_records {
@@ -1013,16 +944,9 @@ impl LockManager {
                 }
             }
         }
-        if waiting_seen != self.waiting_owners {
+        if queued != waiting_seen {
             return Err(format!(
-                "waiting counter {} != actual {waiting_seen}",
-                self.waiting_owners
-            ));
-        }
-        if registered_seen != self.registered {
-            return Err(format!(
-                "registered counter {} != actual {registered_seen}",
-                self.registered
+                "{queued} queued requests but {waiting_seen} waiting owners"
             ));
         }
         let vacant = self.owners.len() - registered_seen;
@@ -1084,18 +1008,15 @@ mod tests {
         lm.audit().unwrap();
     }
 
+    /// An owner requests each page once; a second request for a page it
+    /// holds breaks the contract. Only debug builds check it.
     #[test]
-    fn already_held_is_idempotent() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "re-requested page 5")]
+    fn re_requesting_a_held_page_panics() {
         let (mut lm, o) = setup(false, 1);
-        assert!(granted(&lm.request(o[1], 5, LockMode::Update)));
-        assert_eq!(
-            lm.request(o[1], 5, LockMode::Update),
-            RequestOutcome::AlreadyHeld
-        );
-        assert_eq!(
-            lm.request(o[1], 5, LockMode::Read),
-            RequestOutcome::AlreadyHeld
-        );
+        assert!(granted(&lm.request(o[1], 5, LockMode::Read)));
+        lm.request(o[1], 5, LockMode::Update);
     }
 
     #[test]
@@ -1125,51 +1046,6 @@ mod tests {
         let out = lm.request(o[3], 9, LockMode::Read); // must not bypass 2
         assert!(matches!(out, RequestOutcome::Blocked));
         assert!(lm.blockers_of(o[3]).contains(&o[2]));
-        lm.audit().unwrap();
-    }
-
-    #[test]
-    fn upgrade_succeeds_when_alone() {
-        let (mut lm, o) = setup(false, 1);
-        lm.request(o[1], 9, LockMode::Read);
-        assert!(granted(&lm.request(o[1], 9, LockMode::Update)));
-        assert_eq!(lm.mode_held(o[1], 9), Some(LockMode::Update));
-    }
-
-    #[test]
-    fn upgrade_waits_for_other_reader_and_jumps_queue() {
-        let (mut lm, o) = setup(false, 3);
-        lm.request(o[1], 9, LockMode::Read);
-        lm.request(o[2], 9, LockMode::Read);
-        lm.request(o[3], 9, LockMode::Update); // queues behind readers
-        let out = lm.request(o[1], 9, LockMode::Update); // upgrade, ahead of 3
-        assert!(matches!(out, RequestOutcome::Blocked));
-        let grants = lm.release_all(o[2]);
-        assert_eq!(grants.len(), 1);
-        assert_eq!(grants[0].owner, o[1]);
-        assert_eq!(lm.mode_held(o[1], 9), Some(LockMode::Update));
-        lm.audit().unwrap();
-    }
-
-    #[test]
-    fn queued_upgrade_survives_read_release() {
-        // Regression (found by proptest): owner 5 queues an upgrade
-        // behind reader 6, then releases its read locks; when 6 leaves,
-        // the upgrade must grant as a fresh update lock with a
-        // consistent holder entry.
-        let (mut lm, o) = setup(false, 6);
-        lm.request(o[6], 3, LockMode::Read);
-        lm.request(o[5], 3, LockMode::Read);
-        assert!(matches!(
-            lm.request(o[5], 3, LockMode::Update),
-            RequestOutcome::Blocked
-        ));
-        lm.release_read_locks(o[5]);
-        lm.audit().unwrap();
-        let grants = lm.release_read_locks(o[6]);
-        assert_eq!(grants.len(), 1);
-        assert_eq!(grants[0].owner, o[5]);
-        assert_eq!(lm.mode_held(o[5], 3), Some(LockMode::Update));
         lm.audit().unwrap();
     }
 
@@ -1214,7 +1090,7 @@ mod tests {
         let grants = lm.release_all(o[2]); // cancel the update while 1 still holds
         assert_eq!(grants.len(), 1);
         assert_eq!(grants[0].owner, o[3]);
-        assert_eq!(grants[0].mode, LockMode::Read);
+        assert_eq!(lm.mode_held(o[3], 9), Some(LockMode::Read));
         lm.audit().unwrap();
     }
 
@@ -1230,7 +1106,6 @@ mod tests {
         assert_eq!(lm.lenders_of(o[2]).collect::<Vec<_>>(), vec![o[1]]);
         assert!(lm.has_live_borrows(o[2]));
         assert_eq!(lm.borrowers_of(o[1]).collect::<Vec<_>>(), vec![o[2]]);
-        assert_eq!(lm.borrow_grants(), 1);
         lm.audit().unwrap();
     }
 
@@ -1387,29 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn queued_upgrade_gains_in_edges_from_everything_behind_it() {
-        let (mut lm, o) = setup(false, 4);
-        lm.request(o[1], 9, LockMode::Read);
-        lm.request(o[2], 9, LockMode::Read);
-        lm.request(o[3], 9, LockMode::Update); // queues behind the readers
-        lm.request(o[4], 9, LockMode::Read); // queues behind 3
-                                             // Reader 4 conflicts with no holder, so before the upgrade only
-                                             // 3 waits on 1.
-        assert_eq!(waiters_of(&lm, o[1]), vec![o[3]]);
-        // 1's upgrade waits on reader 2 at the front of the queue, and
-        // everything conflicting behind it now waits on 1.
-        assert!(matches!(
-            lm.request(o[1], 9, LockMode::Update),
-            RequestOutcome::Blocked
-        ));
-        assert_eq!(waiters_of(&lm, o[1]), vec![o[3], o[4]]);
-        assert_eq!(lm.blockers_of(o[4]), vec![o[1], o[3]]);
-        // The upgrade is not its own waiter; it does wait on reader 2.
-        assert_eq!(waiters_of(&lm, o[2]), vec![o[1], o[3]]);
-        lm.audit().unwrap();
-    }
-
-    #[test]
     fn read_waiter_behind_read_holder_is_not_a_waiter() {
         let (mut lm, o) = setup(false, 3);
         lm.request(o[1], 9, LockMode::Read);
@@ -1496,24 +1348,6 @@ mod tests {
         lm.audit().unwrap();
     }
 
-    /// The waiting-owner count follows the queue (`audit` recounts
-    /// it from the page queues).
-    #[test]
-    fn waiting_count_tracks_queues() {
-        let (mut lm, o) = setup(false, 3);
-        lm.request(o[1], 9, LockMode::Update);
-        lm.request(o[2], 9, LockMode::Update);
-        lm.request(o[3], 9, LockMode::Update);
-        assert_eq!(lm.waiting_owners, 2);
-        lm.audit().unwrap();
-        lm.release_all(o[1]);
-        assert_eq!(lm.waiting_owners, 1);
-        lm.audit().unwrap();
-        lm.release_all(o[2]);
-        assert_eq!(lm.waiting_owners, 0);
-        lm.audit().unwrap();
-    }
-
     #[test]
     fn pages_held_and_mode_queries() {
         let (mut lm, o) = setup(false, 2);
@@ -1529,6 +1363,9 @@ mod tests {
         assert!(lm.is_prepared(o[1]));
     }
 
+    /// A grant reports the lenders it borrowed through: none for a
+    /// compatible read, two for one update through two prepared
+    /// read-holders.
     #[test]
     fn borrow_grant_counter_counts_page_grants_not_edges() {
         let (mut lm, o) = setup(true, 4);
@@ -1537,13 +1374,17 @@ mod tests {
         lm.mark_prepared(o[1]);
         lm.mark_prepared(o[2]);
         // reads are compatible with the prepared read-holders: no borrow
-        assert!(granted(&lm.request(o[3], 9, LockMode::Read)));
-        assert_eq!(lm.borrow_grants(), 0);
+        assert_eq!(
+            lm.request(o[3], 9, LockMode::Read),
+            RequestOutcome::Granted { lenders: 0 }
+        );
         lm.release_all(o[3]);
         // an update through two prepared read-holders is one borrow
         // grant with two lenders
-        assert!(granted(&lm.request(o[4], 9, LockMode::Update)));
-        assert_eq!(lm.borrow_grants(), 1);
+        assert_eq!(
+            lm.request(o[4], 9, LockMode::Update),
+            RequestOutcome::Granted { lenders: 2 }
+        );
         let mut lenders: Vec<_> = lm.lenders_of(o[4]).collect();
         lenders.sort_unstable_by_key(|&l| lm.owner_seq(l).unwrap());
         assert_eq!(lenders, vec![o[1], o[2]]);
@@ -1557,6 +1398,45 @@ mod tests {
         let r = lm.record_of(9);
         lm.records[r].holders.push((o[2].0, LockMode::Update));
         assert!(lm.audit().is_err());
+    }
+
+    #[test]
+    fn audit_detects_an_owner_queued_twice() {
+        let (mut lm, o) = setup(false, 2);
+        lm.request(o[1], 9, LockMode::Update);
+        lm.request(o[2], 9, LockMode::Update);
+        lm.audit().unwrap();
+        let r = lm.record_of(9);
+        lm.records[r].queue.push_back(WaitReq {
+            owner: o[2].0,
+            mode: LockMode::Update,
+        });
+        let err = lm.audit().unwrap_err();
+        assert!(
+            err.contains("2 queued requests but 1 waiting owners"),
+            "{err}"
+        );
+    }
+
+    /// The state a queued upgrade would leave: an owner waiting, at the
+    /// head of the queue, for a page it already holds.
+    #[test]
+    fn audit_detects_a_queued_owner_that_holds_the_page() {
+        let (mut lm, o) = setup(false, 2);
+        lm.request(o[1], 9, LockMode::Read);
+        lm.request(o[2], 9, LockMode::Read);
+        lm.audit().unwrap();
+        let r = lm.record_of(9);
+        lm.records[r].queue.push_front(WaitReq {
+            owner: o[1].0,
+            mode: LockMode::Update,
+        });
+        lm.owners[o[1].index()].waiting = Some(9);
+        let err = lm.audit().unwrap_err();
+        assert!(
+            err.contains("queued owner seq 1 also holds the page"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1652,8 +1532,6 @@ mod tests {
         let held_cap = lm.owners[o1.index()].held.capacity();
         assert!(held_cap >= 9);
         assert!(granted(&lm.request(o2, 20, LockMode::Read)));
-        assert!(granted(&lm.request(o2, 20, LockMode::Update)));
-        step(&lm, "upgrade");
         assert_eq!(lm.request(o2, 0, LockMode::Update), RequestOutcome::Blocked);
         step(&lm, "block");
         // Preparing o1 lends page 0 to the waiting o2.
@@ -1818,7 +1696,6 @@ mod tests {
         let earlier = Grant {
             owner: o[3],
             page: 1,
-            mode: LockMode::Read,
             lenders: 0,
         };
         let mut grants = vec![earlier];
@@ -1826,7 +1703,6 @@ mod tests {
         let lent = Grant {
             owner: o[2],
             page: 9,
-            mode: LockMode::Read,
             lenders: 1,
         };
         assert_eq!(grants, vec![earlier, lent]);
@@ -1947,7 +1823,11 @@ mod generative_tests {
                         update,
                     } => {
                         let owner = o[owner as usize];
-                        if lm.is_waiting(owner) || prepared.contains(&owner) {
+                        // One request per page: skip a page it holds.
+                        if lm.is_waiting(owner)
+                            || prepared.contains(&owner)
+                            || lm.mode_held(owner, page as u64).is_some()
+                        {
                             continue;
                         }
                         let mode = if update {
@@ -2011,7 +1891,7 @@ mod generative_tests {
                         update,
                     } => {
                         let owner = o[owner as usize];
-                        if lm.is_waiting(owner) {
+                        if lm.is_waiting(owner) || lm.mode_held(owner, page as u64).is_some() {
                             continue;
                         }
                         let mode = if update {

@@ -6,7 +6,7 @@
 //! Formerly a proptest suite; rewritten as deterministic seeded loops
 //! so the test baseline needs no external crates.
 
-use distcommit::db::config::{ResourceMode, SystemConfig, TransType};
+use distcommit::db::config::{ResourceMode, SystemConfig, Topology, TransType};
 use distcommit::db::engine::Simulation;
 use distcommit::proto::ProtocolSpec;
 use distcommit::sim::SimRng;
@@ -44,6 +44,19 @@ fn random_config(r: &mut SimRng) -> SystemConfig {
     cfg.page_cpu = SimDuration::from_millis(5);
     cfg.run.warmup_transactions = 20;
     cfg.run.measured_transactions = 150;
+    // Skew and wire delays give hot queues and deadlocks, which debug
+    // runs cross-check against `find_cycle` at every block and audit
+    // in every lock table when they end.
+    if r.chance(0.5) {
+        cfg = cfg.with_zipf(*r.pick(&[0.5, 0.9, 1.2]));
+    }
+    if r.chance(0.5) {
+        cfg = cfg.with_topology(Topology {
+            regions: r.uniform_usize(1, 4).min(sites),
+            wan_latency: SimDuration::from_millis(r.uniform_u64(5, 40)),
+            ..Topology::default()
+        });
+    }
     cfg
 }
 
@@ -52,7 +65,7 @@ fn random_config(r: &mut SimRng) -> SystemConfig {
 #[test]
 fn random_configs_run_clean() {
     let mut meta = SimRng::new(0xE16E_0001);
-    let mut cases = 0;
+    let (mut cases, mut deadlock_aborts) = (0, 0);
     while cases < 24 {
         let cfg = random_config(&mut meta);
         let spec = random_protocol(&mut meta);
@@ -93,7 +106,9 @@ fn random_configs_run_clean() {
         }
         // no failures configured => none observed
         assert_eq!(r.faults.master_crashes, 0);
+        deadlock_aborts += r.aborted_deadlock;
     }
+    assert!(deadlock_aborts > 0, "no case aborted a deadlock victim");
 }
 
 /// Determinism holds across the whole configuration space.
